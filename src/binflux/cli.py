@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .baseline import baseline_error_curve, shots_to_relative_error
@@ -78,7 +77,6 @@ def _write_manifest(out: Path, command: str, params: dict, system: SystemConfig 
         "binflux": __version__,
         "numpy": np.__version__,
         "python": platform.python_version(),
-        "scipy": scipy.__version__,
     }
     Path(str(out) + ".manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 

@@ -4,8 +4,10 @@ Every shot draws its randomness from fixed Philox counter lanes (see _rng),
 so results are bit-identical across chunk sizes and worker counts. Lane
 layout per shot:
 
-* Coherent source, B bins: lanes [0, B) drive per-bin Poisson photon counts,
-  [B, 2B) dark clicks, [2B, 3B) undershoot suppression.
+* Coherent source, B bins: lane b in [0, B) is a threshold test against
+  exp(-mu * q_b * eta), the chance that independent gate b sees no photon
+  (no photon number is drawn); [B, 2B) dark clicks, [2B, 3B) undershoot
+  suppression.
 * Fock source with n photons: lanes [0, n) route photons to bins, then
   [n, n + B) dark clicks and [n + B, n + 2B) undershoot suppression.
 """
@@ -18,12 +20,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ._rng import philox_key, uniform_lanes
 from .detector_model import (
     DetectorSpec,
-    MechanisticUndershoot,
     effective_efficiency,
     per_bin_dark_probabilities,
 )
@@ -31,8 +31,9 @@ from .multiplexer import BinWeights
 
 FOCK_MC_CAP = 1_000_000
 
-# Keep per-chunk uniform blocks near 128 MB even for very wide lane layouts.
-_CHUNK_BUDGET_DOUBLES = 16_777_216
+# Keep per-chunk transients near 128 MB even for very wide lane layouts: the
+# uniform block plus, for Fock sources, an equally large routing index array.
+_CHUNK_BUDGET_DOUBLES = 8_388_608
 
 
 @dataclass(frozen=True)
@@ -79,17 +80,17 @@ class ClickRecord:
 class BatchResult:
     """Aggregated clicks from a batch of shots.
 
-    histogram[k] counts shots with exactly k clicks. photon_sum holds the
-    total detected photons per bin (before dark counts and undershoot).
-    click_totals and records are populated only on request.
+    histogram[k] counts shots with exactly k clicks. For Fock sources
+    photon_sum holds the total detected photons per bin (before dark counts
+    and undershoot); coherent sources draw no photon numbers, so it is None.
+    click_totals is populated only on request.
     """
 
     histogram: np.ndarray
     n_shots: int
     bin_click_counts: np.ndarray
-    photon_sum: np.ndarray
+    photon_sum: np.ndarray | None
     click_totals: np.ndarray | None = None
-    records: list[ClickRecord] | None = None
 
     @property
     def distribution(self) -> np.ndarray:
@@ -98,14 +99,6 @@ class BatchResult:
     @property
     def mean_clicks(self) -> float:
         return float(self.histogram @ np.arange(self.histogram.size)) / self.n_shots
-
-
-def _poisson_cdf_table(lam: np.ndarray) -> np.ndarray:
-    """Rows of Poisson CDFs, one per bin, up to a common safe cutoff."""
-    if lam.max() == 0.0:
-        return np.ones((lam.size, 1))
-    k_hi = int(stats.poisson.ppf(1.0 - 1e-15, lam.max())) + 8
-    return stats.poisson.cdf(np.arange(k_hi + 1)[None, :], lam[:, None])
 
 
 class _Kernel:
@@ -121,7 +114,7 @@ class _Kernel:
             eta = effective_efficiency(detector, source.mu)
             self.lanes = 3 * b
             self.dark_off = b
-            self.cdf = _poisson_cdf_table(source.mu * weights.weights * eta)
+            self.no_photon = np.exp(-source.mu * weights.weights * eta)
         else:
             if source.n_photons > FOCK_MC_CAP:
                 raise ValueError(
@@ -141,35 +134,23 @@ class _Kernel:
             self.p_miss = 0.0
             self.det_bins = []
 
-    def _photon_counts(self, u: np.ndarray) -> np.ndarray:
-        n = u.shape[0]
-        b = self.n_bins
-        counts = np.zeros((n, b), dtype=np.int64)
-        if isinstance(self.source, Coherent):
-            for j in range(b):
-                counts[:, j] = np.searchsorted(self.cdf[j], u[:, j], side="right")
-            return counts
-        k = self.source.n_photons
-        if k == 0:
-            return counts
-        if k <= 64 or k > n:
-            rows = np.arange(n)
-            for lane in range(k):
-                idx = np.searchsorted(self.route_cum, u[:, lane], side="right")
-                hit = idx < b
-                np.add.at(counts, (rows[hit], idx[hit]), 1)
-        else:
-            for i in range(n):
-                idx = np.searchsorted(self.route_cum, u[i, :k], side="right")
-                counts[i] = np.bincount(idx[idx < b], minlength=b + 1)[:b]
-        return counts
+    def _fock_counts(self, u: np.ndarray) -> np.ndarray:
+        """Detected photons per (shot, bin); cell B collects the lost ones."""
+        n, cells = u.shape[0], self.n_bins + 1
+        idx = np.searchsorted(self.route_cum, u, side="right")
+        idx += cells * np.arange(n)[:, None]
+        return np.bincount(idx.ravel(), minlength=n * cells).reshape(n, cells)[:, : self.n_bins]
 
-    def run(self, key: np.ndarray, start_shot: int, n_shots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Simulate shots [start_shot, start_shot + n_shots): (clicks, totals, counts)."""
+    def run(self, key: np.ndarray, start_shot: int, n_shots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Simulate shots [start_shot, start_shot + n_shots): (clicks, totals, Fock counts or None)."""
         u = uniform_lanes(key, start_shot, n_shots, self.lanes)
-        counts = self._photon_counts(u[:, : self.dark_off])
         dark_hits = u[:, self.dark_off : self.dark_off + self.n_bins] < self.dark[None, :]
-        clicks = (counts > 0) | dark_hits
+        if isinstance(self.source, Coherent):
+            counts = None
+            clicks = (u[:, : self.n_bins] >= self.no_photon[None, :]) | dark_hits
+        else:
+            counts = self._fock_counts(u[:, : self.dark_off])
+            clicks = (counts > 0) | dark_hits
         if self.p_miss > 0.0:
             u_us = u[:, self.us_off : self.us_off + self.n_bins]
             for bins in self.det_bins:
@@ -192,7 +173,9 @@ def _resolve_workers(workers: int | None) -> int:
             cap = int(env)
         except ValueError:
             raise ValueError(f"BINFLUX_THREADS must be an integer, got {env!r}") from None
-        return max(1, cap)
+        if cap < 1:
+            raise ValueError(f"BINFLUX_THREADS must be >= 1, got {env!r}")
+        return cap
     return 1
 
 
@@ -207,7 +190,6 @@ def simulate_batch(
     chunk_size: int = 65536,
     workers: int | None = None,
     store_totals: bool = False,
-    store_records: bool = False,
 ) -> BatchResult:
     """Simulate n_shots pulses and aggregate their click statistics.
 
@@ -226,10 +208,8 @@ def simulate_batch(
         s, m = job
         clicks, totals, counts = kernel.run(key, s, m)
         hist = np.bincount(totals, minlength=kernel.n_bins + 1)
-        recs = None
-        if store_records:
-            recs = [ClickRecord(pattern=clicks[i].copy(), n=int(totals[i]), shot_index=s + i) for i in range(m)]
-        return hist, clicks.sum(axis=0), counts.sum(axis=0), totals if store_totals else None, recs
+        photons = None if counts is None else counts.sum(axis=0)
+        return hist, clicks.sum(axis=0), photons, totals if store_totals else None
 
     n_workers = _resolve_workers(workers)
     jobs = list(zip(starts, sizes))
@@ -241,24 +221,21 @@ def simulate_batch(
 
     histogram = np.zeros(kernel.n_bins + 1, dtype=np.int64)
     bin_clicks = np.zeros(kernel.n_bins, dtype=np.int64)
-    photon_sum = np.zeros(kernel.n_bins, dtype=np.int64)
+    photon_sum = None if isinstance(source, Coherent) else np.zeros(kernel.n_bins, dtype=np.int64)
     totals_parts: list[np.ndarray] = []
-    records: list[ClickRecord] | None = [] if store_records else None
-    for hist, bc, ps, totals, recs in parts:
+    for hist, bc, ps, totals in parts:
         histogram += hist
         bin_clicks += bc
-        photon_sum += ps
+        if ps is not None:
+            photon_sum += ps
         if totals is not None:
             totals_parts.append(totals)
-        if recs is not None:
-            records.extend(recs)
     return BatchResult(
         histogram=histogram,
         n_shots=n_shots,
         bin_click_counts=bin_clicks,
         photon_sum=photon_sum,
         click_totals=np.concatenate(totals_parts) if totals_parts else None,
-        records=records,
     )
 
 

@@ -33,6 +33,7 @@ from .exact_oracle import ClickDistribution, coherent_click_distribution, total_
 from .mc_engine import Coherent, simulate_batch
 
 _FORMAT_VERSION = 1
+_ROW_SUM_TOL = 1e-9
 _HEADER_RE = re.compile(
     r"^# binflux-matrix v(\d+), fingerprint=([0-9a-f]{64}), mu_max=(\d+), bins=(\d+), method=(\w+)$"
 )
@@ -236,6 +237,23 @@ def save_matrix(matrix: ResponseMatrix, path: str | Path) -> None:
         raise ValueError(f"unsupported matrix extension {path.suffix!r} (use .csv or .json)")
 
 
+def _check_rows(rows: np.ndarray, where) -> None:
+    """Raise MatrixFormatError at where(i) for the first row i that is not a probability vector."""
+    finite = np.isfinite(rows).all(axis=1)
+    negative = (rows < 0.0).any(axis=1)
+    sums = rows.sum(axis=1)
+    bad = np.flatnonzero(~finite | negative | (np.abs(sums - 1.0) > _ROW_SUM_TOL))
+    if bad.size:
+        i = bad[0]
+        if not finite[i]:
+            problem = "non-finite probability"
+        elif negative[i]:
+            problem = "negative probability"
+        else:
+            problem = f"probabilities sum to {sums[i]:.17g}, expected 1 within {_ROW_SUM_TOL:g}"
+        raise MatrixFormatError(f"{where(i)}: {problem}")
+
+
 def _parse_csv(text: str, path: Path) -> ResponseMatrix:
     lines = text.splitlines()
     if not lines:
@@ -273,6 +291,7 @@ def _parse_csv(text: str, path: Path) -> ResponseMatrix:
             raise MatrixFormatError(f"{path}:{i + 5}: non-numeric field ({exc})") from exc
         if int(rows[i, 0]) != i:
             raise MatrixFormatError(f"{path}:{i + 5}: expected mu={i}, got {fields[0]}")
+    _check_rows(rows[:, 1:], lambda i: f"{path}:{i + 5}")
     return _assemble(system, mu_max, rows[:, 1:], prov, method, fp, path)
 
 
@@ -298,6 +317,7 @@ def _parse_json(text: str, path: Path) -> ResponseMatrix:
         raise MatrixFormatError(f"{path}: rows shape {rows.shape} does not match header")
     if len(prov) != mu_max + 1:
         raise MatrixFormatError(f"{path}: expected {mu_max + 1} provenance tokens, got {len(prov)}")
+    _check_rows(rows, lambda i: f"{path}: row {i}")
     return _assemble(system, mu_max, rows, prov, method, fp, path)
 
 
@@ -316,7 +336,7 @@ def _assemble(system, mu_max, rows, prov, method, fp, path) -> ResponseMatrix:
 
 
 def load_matrix(path: str | Path) -> ResponseMatrix:
-    """Read a matrix written by save_matrix, verifying its fingerprint."""
+    """Read a matrix written by save_matrix, verifying its rows and fingerprint."""
     path = Path(path)
     text = path.read_text()
     if path.suffix == ".csv":

@@ -179,6 +179,17 @@ def test_infer_requires_one_observation_source(matrix_file, tmp_path):
     assert main(["infer", "-m", str(matrix_file), "--n", "1", "--obs", str(obs)]) == 2
 
 
+def test_infer_nan_matrix_cell_is_format_error(matrix_file, tmp_path, capsys):
+    bad = tmp_path / "nan.csv"
+    lines = matrix_file.read_text().splitlines()
+    fields = lines[9].split(",")
+    fields[2] = "nan"
+    lines[9] = ",".join(fields)
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["infer", "-m", str(bad), "--n", "1"]) == 3
+    assert f"{bad}:10: non-finite" in capsys.readouterr().err
+
+
 def test_infer_fingerprint_mismatch(matrix_file, capsys):
     rc = main(["infer", "-m", str(matrix_file), "--preset", "conventional16", "--n", "1"])
     assert rc == 3

@@ -8,9 +8,9 @@ from binflux import (
     Fock,
     MechanisticUndershoot,
     coherent_click_distribution,
-    effective_efficiency,
     fock_click_distribution,
     get_preset,
+    per_bin_click_probabilities,
     simulate_batch,
     simulate_shot,
     total_variation,
@@ -23,7 +23,8 @@ def test_same_seed_same_result(rapid32, rapid32_weights):
     b = simulate_batch(Coherent(50.0), rapid32_weights, rapid32.detector, 5000, seed=1)
     assert np.array_equal(a.histogram, b.histogram)
     assert np.array_equal(a.bin_click_counts, b.bin_click_counts)
-    assert np.array_equal(a.photon_sum, b.photon_sum)
+    # Coherent shots draw no photon numbers.
+    assert a.photon_sum is None and b.photon_sum is None
 
 
 def test_different_seed_different_result(rapid32, rapid32_weights):
@@ -51,31 +52,34 @@ def test_workers_env_cap(rapid32, rapid32_weights, monkeypatch):
 
 
 def test_bad_workers_env(rapid32, rapid32_weights, monkeypatch):
-    monkeypatch.setenv("BINFLUX_THREADS", "lots")
-    with pytest.raises(ValueError, match="BINFLUX_THREADS"):
-        simulate_batch(Coherent(1.0), rapid32_weights, rapid32.detector, 10, seed=0)
+    for value in ("lots", "0", "-3"):
+        monkeypatch.setenv("BINFLUX_THREADS", value)
+        with pytest.raises(ValueError, match="BINFLUX_THREADS"):
+            simulate_batch(Coherent(1.0), rapid32_weights, rapid32.detector, 10, seed=0)
 
 
 def test_single_shot_matches_batch_slice(rapid32, rapid32_weights):
     batch = simulate_batch(
         Coherent(100.0), rapid32_weights, rapid32.detector, 50, seed=11,
-        start_shot=200, store_records=True,
+        start_shot=200, store_totals=True,
     )
-    for offset in (0, 17, 49):
-        rec = simulate_shot(Coherent(100.0), rapid32_weights, rapid32.detector, seed=11, shot_index=200 + offset)
-        assert rec.n == batch.records[offset].n
-        assert np.array_equal(rec.pattern, batch.records[offset].pattern)
-        assert rec.shot_index == 200 + offset
+    shots = [
+        simulate_shot(Coherent(100.0), rapid32_weights, rapid32.detector, seed=11, shot_index=200 + i)
+        for i in range(50)
+    ]
+    assert [rec.shot_index for rec in shots] == list(range(200, 250))
+    assert [rec.n for rec in shots] == batch.click_totals.tolist()
+    patterns = np.array([rec.pattern for rec in shots])
+    assert np.array_equal(patterns.sum(axis=0), batch.bin_click_counts)
 
 
 def test_records_and_totals_consistent(rapid32, rapid32_weights):
     batch = simulate_batch(
         Coherent(20.0), rapid32_weights, rapid32.detector, 500, seed=5,
-        store_records=True, store_totals=True, chunk_size=100,
+        store_totals=True, chunk_size=100,
     )
     assert batch.click_totals.shape == (500,)
-    assert [r.n for r in batch.records] == batch.click_totals.tolist()
-    assert [r.shot_index for r in batch.records] == list(range(500))
+    assert batch.click_totals.sum() == batch.bin_click_counts.sum()
     hist = np.bincount(batch.click_totals, minlength=33)
     assert np.array_equal(hist, batch.histogram)
     assert batch.distribution.sum() == pytest.approx(1.0)
@@ -88,15 +92,15 @@ def test_coherent_histogram_matches_exact(rapid32, rapid32_weights):
     assert batch.mean_clicks == pytest.approx(exact.mean, rel=0.01)
 
 
-def test_detected_photons_poisson_consistency(rapid32, rapid32_weights):
-    # Per-bin detected photon means must sit within 4 standard errors of
-    # mu * q_b * eta_eff.
+def test_per_bin_click_frequency_within_4se(rapid32, rapid32_weights):
+    # Each gate fires independently with probability
+    # p_b = 1 - (1 - d_b) * exp(-mu * q_b * eta_eff); per-bin click
+    # frequencies must sit within 4 standard errors of it.
     mu, n = 100.0, 200_000
     batch = simulate_batch(Coherent(mu), rapid32_weights, rapid32.detector, n, seed=17)
-    eta = effective_efficiency(rapid32.detector, mu)
-    lam = mu * rapid32_weights.weights * eta
-    se = np.sqrt(lam / n)
-    assert np.all(np.abs(batch.photon_sum / n - lam) < 4 * se)
+    p = per_bin_click_probabilities(mu, rapid32_weights, rapid32.detector)
+    se = np.sqrt(p * (1.0 - p) / n)
+    assert np.all(np.abs(batch.bin_click_counts / n - p) < 4 * se)
 
 
 def test_mean_clicks_monotone_in_mu(rapid32, rapid32_weights):
@@ -128,14 +132,21 @@ def test_fock_zero_photons_dark_only_mc(lossy_small):
     assert total_variation(batch.distribution, exact.probs) < 0.01
 
 
-def test_fock_large_photon_number_path(lossy_small):
-    # Forces the per-shot bincount branch (photon number > 64).
+@pytest.mark.parametrize("chunk_size", [7, 65536])
+@pytest.mark.parametrize("n_photons", [5, 64, 65, 200])
+def test_fock_large_photon_number_path(lossy_small, n_photons, chunk_size):
+    # Photon numbers on both sides of 64 and of the chunk length all go
+    # through the same routing; one shot per chunk is the reference.
     weights, det = lossy_small
-    batch = simulate_batch(Fock(80), weights, det, 50, seed=37, store_totals=True)
+    batch = simulate_batch(Fock(n_photons), weights, det, 50, seed=37, store_totals=True, chunk_size=chunk_size)
     assert batch.n_shots == 50
     assert batch.histogram.sum() == 50
-    a = simulate_batch(Fock(80), weights, det, 50, seed=37, store_totals=True, chunk_size=7)
-    assert np.array_equal(batch.click_totals, a.click_totals)
+    assert np.array_equal(np.bincount(batch.click_totals, minlength=weights.num_bins + 1), batch.histogram)
+    ref = simulate_batch(Fock(n_photons), weights, det, 50, seed=37, store_totals=True, chunk_size=1)
+    assert np.array_equal(batch.click_totals, ref.click_totals)
+    assert np.array_equal(batch.bin_click_counts, ref.bin_click_counts)
+    assert np.array_equal(batch.photon_sum, ref.photon_sum)
+    assert 0 < batch.photon_sum.sum() <= 50 * n_photons
 
 
 def test_fock_cap(tiny_weights, ideal_detector):

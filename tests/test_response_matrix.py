@@ -173,6 +173,33 @@ def test_wrong_field_count(small_matrix, tmp_path):
         load_matrix(p)
 
 
+def _corrupt_cell(matrix, path, value):
+    """Save matrix to path with row mu=3, click count 2 replaced by value."""
+    save_matrix(matrix, path)
+    if path.suffix == ".csv":
+        lines = path.read_text().splitlines()
+        fields = lines[7].split(",")
+        fields[3] = value
+        lines[7] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+    else:
+        doc = json.loads(path.read_text())
+        doc["rows"][3][2] = float(value)
+        path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("ext, where", [("csv", ":8:"), ("json", "row 3:")])
+@pytest.mark.parametrize(
+    "value, problem",
+    [("nan", "non-finite"), ("-0.25", "negative"), ("0.5", "probabilities sum to")],
+)
+def test_invalid_row_contents_diagnose_row(small_matrix, tmp_path, ext, where, value, problem):
+    p = tmp_path / f"m.{ext}"
+    _corrupt_cell(small_matrix, p, value)
+    with pytest.raises(MatrixFormatError, match=f"{where} {problem}"):
+        load_matrix(p)
+
+
 def test_bad_provenance_token(small_matrix, tmp_path):
     p = tmp_path / "m.csv"
     save_matrix(small_matrix, p)
