@@ -43,10 +43,12 @@ class GlobalEfficiency:
                 raise ConfigurationError(f"undershoot.points[{i}]: eta must lie in (0, 1], got {eta!r}")
             last_mu = mu
 
-    def efficiency_at(self, mu: float) -> float:
+    def efficiency_at(self, mu):
+        """Efficiency at mu; an array of mu gives an array of the same shape."""
         mus = [p[0] for p in self.points]
         etas = [p[1] for p in self.points]
-        return float(np.interp(mu, mus, etas))
+        eta = np.interp(mu, mus, etas)
+        return float(eta) if np.ndim(eta) == 0 else eta
 
 
 @dataclass(frozen=True)
@@ -109,9 +111,13 @@ def click_probability(photons_in_bin: int, efficiency: float, dark_prob: float) 
     return 1.0 - (1.0 - dark_prob) * (1.0 - efficiency) ** photons_in_bin
 
 
-def effective_efficiency(spec: DetectorSpec, mean_photon_number: float) -> float:
-    """Quantum efficiency after applying the global undershoot derating, if any."""
-    if mean_photon_number < 0.0:
+def effective_efficiency(spec: DetectorSpec, mean_photon_number):
+    """Quantum efficiency after applying the global undershoot derating, if any.
+
+    An array of mean photon numbers gives an array of efficiencies when the
+    derating depends on it, and the scalar nominal efficiency otherwise.
+    """
+    if np.any(np.asarray(mean_photon_number) < 0.0):
         raise ValueError(f"mean_photon_number must be >= 0, got {mean_photon_number!r}")
     if isinstance(spec.undershoot, GlobalEfficiency):
         return spec.undershoot.efficiency_at(mean_photon_number)

@@ -56,36 +56,61 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def poisson_binomial_pmf(click_probs: np.ndarray) -> np.ndarray:
-    """Distribution of the number of successes among independent gates."""
-    dist = np.array([1.0])
-    for p in np.asarray(click_probs, dtype=float):
-        dist = np.convolve(dist, [1.0 - p, p])
-    # Convolution roundoff can leave tiny negatives.
+    """Distribution of the number of successes among independent gates.
+
+    click_probs of shape (B,) gives the (B + 1,) distribution; shape (m, B)
+    gives an (m, B + 1) array with one distribution per row. Both run the
+    same dynamic program over the gates, all rows at once: after gate j,
+    dist[:, k] = dist[:, k] * (1 - p_j) + dist[:, k - 1] * p_j.
+    """
+    p = np.asarray(click_probs, dtype=float)
+    rows = np.atleast_2d(p)
+    m, n_gates = rows.shape
+    dist = np.zeros((m, n_gates + 1))
+    dist[:, 0] = 1.0
+    for j in range(n_gates):
+        pj = rows[:, j : j + 1]
+        qj = 1.0 - pj
+        dist[:, 1 : j + 2] = dist[:, 1 : j + 2] * qj + dist[:, : j + 1] * pj
+        dist[:, :1] *= qj
+    # Roundoff can leave tiny negatives.
     np.clip(dist, 0.0, None, out=dist)
-    return dist / dist.sum()
+    dist /= dist.sum(axis=1, keepdims=True)
+    return dist.reshape(p.shape[:-1] + (n_gates + 1,))
 
 
-def per_bin_click_probabilities(mu: float, weights: BinWeights, detector: DetectorSpec) -> np.ndarray:
+def per_bin_click_probabilities(mu, weights: BinWeights, detector: DetectorSpec) -> np.ndarray:
     """Click probability of each gate under a coherent pulse of mean mu.
 
     The photon number reaching bin b is Poisson with mean mu * q_b, so the
-    no-click factor (1 - eta)**k averages to exp(-mu * q_b * eta).
+    no-click factor (1 - eta)**k averages to exp(-mu * q_b * eta). A scalar
+    mu gives shape (B,); a vector of m values gives (m, B).
     """
-    eta = effective_efficiency(detector, mu)
+    mu = np.asarray(mu, dtype=float)
+    eta = np.asarray(effective_efficiency(detector, mu))
     dark = per_bin_dark_probabilities(weights, detector)
-    return 1.0 - (1.0 - dark) * np.exp(-mu * weights.weights * eta)
+    return 1.0 - (1.0 - dark) * np.exp(-mu[..., None] * weights.weights * eta[..., None])
 
 
-def coherent_click_distribution(mu: float, weights: BinWeights, detector: DetectorSpec) -> ClickDistribution:
-    """Exact click-count law for a coherent pulse."""
+def coherent_click_rows(mus, weights: BinWeights, detector: DetectorSpec) -> np.ndarray:
+    """Exact click-count laws for coherent pulses, one row per mean in mus.
+
+    A scalar mu gives one (B + 1,) distribution; a vector of m means gives
+    an (m, B + 1) array from a single Poisson-binomial pass.
+    """
     if detector.history_dependent:
         raise ModelUnsupportedError(
             "mechanistic undershoot couples neighboring gates; no closed form, use the Monte Carlo engine"
         )
-    if not math.isfinite(mu) or mu < 0.0:
-        raise ValueError(f"mu must be finite and >= 0, got {mu!r}")
-    probs = poisson_binomial_pmf(per_bin_click_probabilities(mu, weights, detector))
-    return ClickDistribution(probs=probs, source=Coherent(mu))
+    mu = np.asarray(mus, dtype=float)
+    if not np.isfinite(mu).all() or (mu < 0.0).any():
+        raise ValueError(f"mu must be finite and >= 0, got {mus!r}")
+    return poisson_binomial_pmf(per_bin_click_probabilities(mu, weights, detector))
+
+
+def coherent_click_distribution(mu: float, weights: BinWeights, detector: DetectorSpec) -> ClickDistribution:
+    """Exact click-count law for a coherent pulse."""
+    return ClickDistribution(probs=coherent_click_rows(mu, weights, detector), source=Coherent(mu))
 
 
 def fock_click_distribution(

@@ -14,7 +14,7 @@ interval is width times the single-photon energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -117,26 +117,49 @@ def posterior_multi(
     return Posterior(probs=post / total, log_evidence=float(top + math.log(total) - math.log(post.size)))
 
 
+def _hpd_rows(P: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy highest-density interval [lo, hi] of every row of P at once.
+
+    Each row grows from its mode, adding the more probable neighbor at each
+    step (ties extend toward smaller mu) until its mass reaches level. Mass
+    comes from cumulative-sum differences; a row within 1e-12 of level is
+    summed exactly over its slice instead, so each stop decision is the one
+    a row-by-row loop summing P[i, lo:hi + 1] makes.
+    """
+    k, n = P.shape
+    lo = P.argmax(axis=1)
+    hi = lo.copy()
+    cum = np.zeros((k, n + 1))
+    np.cumsum(P, axis=1, out=cum[:, 1:])
+    act = np.flatnonzero((P[np.arange(k), lo] < level) & (n > 1))
+    while act.size:
+        a, b = lo[act], hi[act]
+        left = np.where(a > 0, P[act, a - 1], -1.0)
+        right = np.where(b < n - 1, P[act, np.minimum(b + 1, n - 1)], -1.0)
+        go_left = left >= right
+        a -= go_left
+        b += ~go_left
+        lo[act], hi[act] = a, b
+        mass = cum[act, b + 1] - cum[act, a]
+        for j in np.flatnonzero(np.abs(mass - level) <= 1e-12):
+            mass[j] = P[act[j], a[j] : b[j] + 1].sum()
+        act = act[(mass < level) & ((a > 0) | (b < n - 1))]
+    return lo, hi
+
+
 def credible_interval(posterior: Posterior, level: float = 0.90) -> CredibleInterval:
     """Smallest contiguous interval around the mode holding >= level mass.
 
     Grows greedily from the mode, at each step adding the more probable
-    neighbor; ties extend toward smaller mu.
+    neighbor; ties extend toward smaller mu. This is the one-row case of
+    the batched routine relative_error_curve uses; mass is the sum of the
+    posterior over [lo, hi].
     """
     if not (0.0 < level < 1.0):
         raise ValueError(f"level must lie in (0, 1), got {level!r}")
     p = posterior.probs
-    lo = hi = posterior.mode
-    mass = float(p[lo])
-    while mass < level and (lo > 0 or hi < p.size - 1):
-        left = p[lo - 1] if lo > 0 else -1.0
-        right = p[hi + 1] if hi < p.size - 1 else -1.0
-        if left >= right:
-            lo -= 1
-        else:
-            hi += 1
-        mass = float(p[lo : hi + 1].sum())
-    return CredibleInterval(level=level, lo=lo, hi=hi, mass=mass, mode=posterior.mode)
+    lo, hi = (int(x[0]) for x in _hpd_rows(p[None, :], level))
+    return CredibleInterval(level=level, lo=lo, hi=hi, mass=float(p[lo : hi + 1].sum()), mode=posterior.mode)
 
 
 def interval_to_energy(width_photons: float, wavelength: float = 1.55e-6) -> float:
@@ -165,6 +188,10 @@ def stability_max_n(
     their total-variation distance to stay below tolerance for every count
     up to n. Counts above the returned value should be discarded rather
     than inverted.
+
+    With exact rows only the 2 * mu_max matrix is built; the narrow one is
+    its first mu_max + 1 rows. Monte Carlo rows come from two builds on
+    their own derived seeds, as before.
     """
     if tolerance <= 0.0:
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
@@ -176,8 +203,14 @@ def stability_max_n(
             return {}
         return {"n_shots": n_shots, "seed": None if seed is None else derive_seed(seed, idx)}
 
-    narrow = build_matrix(system, mu_max, method, workers=workers, **mc_kwargs(0))
     wide = build_matrix(system, 2 * mu_max, method, workers=workers, **mc_kwargs(1))
+    if method == "exact":
+        # Exact rows do not depend on the grid bound: the narrow matrix is a prefix.
+        narrow = replace(
+            wide, mu_max=mu_max, rows=wide.rows[: mu_max + 1], provenance=wide.provenance[: mu_max + 1]
+        )
+    else:
+        narrow = build_matrix(system, mu_max, method, workers=workers, **mc_kwargs(0))
 
     n_bins = narrow.num_bins
     cutoff = n_bins
@@ -246,7 +279,9 @@ def relative_error_curve(
 
     Each trial draws shots at the true mean, discards counts above the
     stability cutoff (drawing replacements), and records the posterior
-    interval width after every accumulated shot.
+    interval width after every accumulated shot. A trial's max_shots
+    posteriors are built as one (shots, mu) array and their intervals found
+    together by the same greedy rule credible_interval applies.
     """
     if mu_true <= 0.0:
         raise ValueError(f"mu_true must be > 0, got {mu_true!r}")
@@ -255,7 +290,7 @@ def relative_error_curve(
     weights = system.bin_weights()
     cutoff = matrix.num_bins if max_admissible_n is None else max_admissible_n
     with np.errstate(divide="ignore"):
-        log_rows = np.log(matrix.rows)
+        log_cols = np.ascontiguousarray(np.log(matrix.rows).T)
 
     rel_err = np.empty((n_trials, max_shots))
     for t in range(n_trials):
@@ -285,13 +320,15 @@ def relative_error_curve(
                     "the mu grid is too small for this source"
                 )
             counts = np.concatenate([counts, fresh[:want]])
-        cum = np.cumsum(log_rows[:, counts], axis=1)
-        for k in range(max_shots):
-            col = cum[:, k]
-            top = col.max()
-            if not np.isfinite(top):
-                raise DegenerateEvidenceError("observed sequence impossible for every mu on the grid")
-            e = np.exp(col - top)
-            post = Posterior(probs=e / e.sum(), log_evidence=0.0)
-            rel_err[t, k] = credible_interval(post, level).width / mu_true
+        # post[k] is the posterior after k + 1 shots; every step works in place.
+        post = log_cols[counts]
+        np.cumsum(post, axis=0, out=post)
+        top = post.max(axis=1, keepdims=True)
+        if not np.isfinite(top).all():
+            raise DegenerateEvidenceError("observed sequence impossible for every mu on the grid")
+        post -= top
+        np.exp(post, out=post)
+        post /= post.sum(axis=1, keepdims=True)
+        lo, hi = _hpd_rows(post, level)
+        rel_err[t] = (hi - lo + 1) / mu_true
     return RelativeErrorCurve(mu_true=mu_true, level=level, rel_err=rel_err, max_admissible_n=max_admissible_n)

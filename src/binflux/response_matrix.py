@@ -29,7 +29,7 @@ import numpy as np
 from ._rng import derive_seed
 from .config import SystemConfig, fingerprint, system_from_dict, system_to_dict
 from .errors import ConfigurationError, MatrixFormatError
-from .exact_oracle import ClickDistribution, coherent_click_distribution, total_variation
+from .exact_oracle import ClickDistribution, coherent_click_rows
 from .mc_engine import Coherent, simulate_batch
 
 _FORMAT_VERSION = 1
@@ -78,6 +78,15 @@ class ResponseMatrix:
     fingerprint: str
 
     def __post_init__(self) -> None:
+        if self.rows.ndim != 2 or self.rows.shape[0] != self.mu_max + 1:
+            raise MatrixFormatError(
+                f"rows: expected shape ({self.mu_max + 1}, bins + 1), got {self.rows.shape}"
+            )
+        if len(self.provenance) != self.mu_max + 1:
+            raise MatrixFormatError(
+                f"provenance: expected {self.mu_max + 1} entries, got {len(self.provenance)}"
+            )
+        _check_rows(self.rows, lambda i: f"row {i}")
         self.rows.setflags(write=False)
 
     @property
@@ -139,11 +148,13 @@ def build_matrix(
     rows = np.zeros((mu_max + 1, n_bins + 1))
     prov: list[RowProvenance] = [RowProvenance(kind="interpolated")] * (mu_max + 1)
 
-    for mu in support_mus:
-        if method == "exact":
-            rows[mu] = coherent_click_distribution(float(mu), weights, system.detector).probs
-            prov[mu] = RowProvenance(kind="exact")
-        else:
+    if method == "exact":
+        rows[support_mus] = coherent_click_rows(support_mus, weights, system.detector)
+        exact = RowProvenance(kind="exact")
+        for mu in support_mus:
+            prov[mu] = exact
+    else:
+        for mu in support_mus:
             rs = _row_seed(seed, mu)
             batch = simulate_batch(
                 Coherent(float(mu)), weights, system.detector, n_shots, rs, workers=workers
@@ -152,11 +163,12 @@ def build_matrix(
             prov[mu] = RowProvenance(kind="mc", n_shots=n_shots, seed=rs)
 
     for lo, hi in zip(support_mus[:-1], support_mus[1:]):
-        for mu in range(lo + 1, hi):
-            frac = (mu - lo) / (hi - lo)
-            row = (1.0 - frac) * rows[lo] + frac * rows[hi]
-            rows[mu] = row / row.sum()
-            prov[mu] = RowProvenance(kind="interpolated", mu_lo=lo, mu_hi=hi)
+        if hi - lo < 2:
+            continue
+        frac = (np.arange(lo + 1, hi) - lo) / (hi - lo)
+        seg = (1.0 - frac)[:, None] * rows[lo] + frac[:, None] * rows[hi]
+        rows[lo + 1 : hi] = seg / seg.sum(axis=1, keepdims=True)
+        prov[lo + 1 : hi] = [RowProvenance(kind="interpolated", mu_lo=lo, mu_hi=hi)] * (hi - lo - 1)
 
     return ResponseMatrix(
         system=system,
@@ -194,12 +206,9 @@ def validate_interpolation(
     """Total-variation distance of interpolated rows from fresh exact rows."""
     if mus is None:
         mus = [mu for mu, p in enumerate(matrix.provenance) if p.kind == "interpolated"]
-    weights = system.bin_weights()
-    out = []
-    for mu in mus:
-        exact = coherent_click_distribution(float(mu), weights, system.detector).probs
-        out.append((mu, total_variation(matrix.rows[mu], exact)))
-    return out
+    exact = coherent_click_rows(mus, system.bin_weights(), system.detector)
+    tv = 0.5 * np.abs(matrix.rows[mus] - exact).sum(axis=1)
+    return [(mu, float(d)) for mu, d in zip(mus, tv)]
 
 
 def _fmt(x: float) -> str:

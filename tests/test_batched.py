@@ -1,0 +1,207 @@
+"""Array-at-once exact and inference layers against their row-by-row forms.
+
+The references below are the row-by-row implementations the batched code
+replaced, kept here so that every batched result can be compared with
+them bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import binflux.exact_oracle as exact_oracle
+import binflux.inference as inference
+from binflux import (
+    DetectorSpec,
+    GlobalEfficiency,
+    MultiplexerSpec,
+    Posterior,
+    SystemConfig,
+    UniformLoss,
+    build_matrix,
+    credible_interval,
+    poisson_binomial_pmf,
+    relative_error_curve,
+    stability_max_n,
+    validate_interpolation,
+)
+from binflux.inference import _hpd_rows
+
+
+def reference_hpd(p, level):
+    """The scalar greedy loop: grow from the mode, ties extend left."""
+    lo = hi = int(np.argmax(p))
+    mass = float(p[lo])
+    while mass < level and (lo > 0 or hi < p.size - 1):
+        left = p[lo - 1] if lo > 0 else -1.0
+        right = p[hi + 1] if hi < p.size - 1 else -1.0
+        if left >= right:
+            lo -= 1
+        else:
+            hi += 1
+        mass = float(p[lo : hi + 1].sum())
+    return lo, hi, mass
+
+
+def reference_pmf(click_probs):
+    """One np.convolve per gate."""
+    dist = np.array([1.0])
+    for p in np.asarray(click_probs, dtype=float):
+        dist = np.convolve(dist, [1.0 - p, p])
+    np.clip(dist, 0.0, None, out=dist)
+    return dist / dist.sum()
+
+
+def reference_interpolation(rows, support):
+    """Fill the rows between support points one mu at a time."""
+    out = np.array(rows)
+    for lo, hi in zip(support[:-1], support[1:]):
+        for mu in range(lo + 1, hi):
+            frac = (mu - lo) / (hi - lo)
+            row = (1.0 - frac) * out[lo] + frac * out[hi]
+            out[mu] = row / row.sum()
+    return out
+
+
+@st.composite
+def posterior_batches(draw):
+    """(k, n) posteriors with many ties, or random, or bump-shaped, and a level."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    k = draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(["integer", "uniform", "bumps"]))
+    cells = k * n
+    if kind == "integer":
+        w = np.array(draw(st.lists(st.integers(0, 4), min_size=cells, max_size=cells)), dtype=float)
+    elif kind == "uniform":
+        w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=cells, max_size=cells)))
+    else:
+        x = np.arange(n)
+        w = np.zeros(cells)
+        for r in range(k):
+            c = draw(st.floats(-5.0, n + 5.0))
+            s = draw(st.floats(0.3, 3.0 * n))
+            h = draw(st.floats(0.0, 1.0))
+            w[r * n : (r + 1) * n] = np.exp(-0.5 * ((x - c) / s) ** 2) + h * np.exp(-0.5 * ((x - n / 3) / s) ** 2)
+    w = w.reshape(k, n)
+    w[:, draw(st.integers(0, n - 1))] += 1.0  # every row needs some mass
+    P = w / w.sum(axis=1, keepdims=True)
+    if kind == "integer" and draw(st.booleans()):
+        # A level that equals an attainable interval mass exercises the
+        # exact-sum fallback at the stop decision.
+        total = int(w[0].sum())
+        level = draw(st.integers(1, max(1, total - 1))) / total
+        if not 0.0 < level < 1.0:
+            level = 0.5
+    else:
+        level = draw(st.floats(1e-6, 1.0 - 1e-6))
+    return P, level
+
+
+@given(posterior_batches())
+@settings(max_examples=400, deadline=None)
+def test_hpd_rows_match_scalar_greedy_loop(case):
+    P, level = case
+    lo, hi = _hpd_rows(P, level)
+    for i, p in enumerate(P):
+        ref = reference_hpd(p, level)
+        assert (int(lo[i]), int(hi[i])) == ref[:2]
+        iv = credible_interval(Posterior(probs=p.copy(), log_evidence=0.0), level)
+        assert (iv.lo, iv.hi, iv.mass) == ref
+
+
+@given(
+    m=st.integers(min_value=1, max_value=8),
+    b=st.integers(min_value=1, max_value=40),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_batched_pmf_matches_per_row_convolution(m, b, data):
+    probs = np.array(
+        data.draw(st.lists(st.floats(0.0, 1.0), min_size=m * b, max_size=m * b), label="probs")
+    ).reshape(m, b)
+    got = poisson_binomial_pmf(probs)
+    assert got.shape == (m, b + 1)
+    for i in range(m):
+        want = reference_pmf(probs[i])
+        assert np.array_equal(got[i], want)
+        assert np.array_equal(poisson_binomial_pmf(probs[i]), want)
+
+
+@st.composite
+def small_systems(draw):
+    loops = draw(st.integers(min_value=1, max_value=3))
+    ratios = tuple(draw(st.floats(0.05, 0.95)) for _ in range(loops + 1))
+    eff = draw(st.floats(0.01, 1.0))
+    if draw(st.booleans()):
+        undershoot = GlobalEfficiency(points=((draw(st.floats(0.0, 20.0)), eff), (50.0, eff * 0.8)))
+    else:
+        undershoot = None
+    return SystemConfig(
+        name="random",
+        multiplexer=MultiplexerSpec(
+            loop_delays=tuple(float(2**i) * 1e-9 for i in range(loops)),
+            coupler_ratios=ratios,
+            transmission=UniformLoss(draw(st.floats(0.0, 3.0))),
+        ),
+        detector=DetectorSpec(
+            efficiency=eff,
+            dark_prob_per_gate=(draw(st.floats(0.0, 0.01)), draw(st.floats(0.0, 0.01))),
+            gate_width=1e-9,
+            deadtime=0.0,
+            undershoot=undershoot,
+        ),
+    )
+
+
+@given(system=small_systems(), mu_max=st.integers(min_value=1, max_value=80))
+@settings(max_examples=60, deadline=None)
+def test_exact_rows_do_not_depend_on_grid_bound(system, mu_max):
+    narrow = build_matrix(system, mu_max).rows
+    wide = build_matrix(system, 2 * mu_max).rows
+    assert np.array_equal(narrow, wide[: mu_max + 1])
+
+
+@pytest.mark.parametrize(
+    "method, mu_max, support",
+    [("exact", 2000, [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597]), ("mc", 400, [100, 200, 300])],
+)
+def test_interpolated_rows_match_row_by_row_fill(rapid32, method, mu_max, support):
+    kwargs = {"n_shots": 20_000, "seed": 5, "workers": 1} if method == "mc" else {}
+    m = build_matrix(rapid32, mu_max, method, support=support, **kwargs)
+    full = sorted(set(support) | {0, mu_max})
+    assert np.array_equal(m.rows, reference_interpolation(m.rows, full))
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_relative_error_curve_never_calls_credible_interval(monkeypatch, rapid32, rapid32_matrix400):
+    calls = _count_calls(monkeypatch, inference, "credible_interval")
+    relative_error_curve(rapid32, rapid32_matrix400, 100.0, 50, 3, seed=1, max_admissible_n=16)
+    assert calls == []
+
+
+def test_exact_stability_builds_one_matrix(monkeypatch, rapid32):
+    calls = _count_calls(monkeypatch, inference, "build_matrix")
+    assert stability_max_n(rapid32, 400) == 16
+    assert len(calls) == 1
+
+
+def test_exact_matrix_runs_one_poisson_binomial_pass(monkeypatch, rapid32):
+    calls = _count_calls(monkeypatch, exact_oracle, "poisson_binomial_pmf")
+    build_matrix(rapid32, 400)
+    assert len(calls) == 1
+    sparse = build_matrix(rapid32, 400, support=[10, 100])
+    calls.clear()
+    validate_interpolation(rapid32, sparse)
+    assert len(calls) == 1

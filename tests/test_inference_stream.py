@@ -1,0 +1,70 @@
+"""Pinned exact-layer and inference outputs.
+
+These digests were recorded once, before the exact matrix, the stability
+cutoff and the convergence curve were computed array-at-once. Any change
+to the order of the floating-point operations behind them changes a
+digest, so a rewrite that is meant to keep every output bit fails here if
+it does not.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from binflux import build_matrix, get_preset, relative_error_curve, stability_max_n
+
+SPARSE_EXACT_SUPPORT = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597]
+SPARSE_MC_SUPPORT = [100, 200, 300]
+
+
+def _digest(rows) -> str:
+    return hashlib.sha256(np.ascontiguousarray(rows, dtype="<f8").tobytes()).hexdigest()
+
+
+def _provenance_digest(matrix) -> str:
+    return hashlib.sha256(";".join(p.token() for p in matrix.provenance).encode()).hexdigest()
+
+
+# name -> (preset, mu_max, sha256 of the rows as <f8)
+EXACT_ROWS = {
+    "rapid32.400": ("rapid32", 400, "12896851a20f8202e288d1b6611071068f0a62709986988f1cb468d30b492451"),
+    "rapid32.4000": ("rapid32", 4000, "0c18c0507e34fb71f57d83b497e39db188016f5abf63a918c21c61360fa5bca3"),
+    "conventional16.1000": (
+        "conventional16", 1000, "b2a98f7a2dfff9ae9a08c03a9128a777b74be0701c558e0189040a0f0100bf03",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_ROWS))
+def test_exact_matrix_rows_are_pinned(name):
+    preset, mu_max, expected = EXACT_ROWS[name]
+    assert _digest(build_matrix(get_preset(preset), mu_max).rows) == expected
+
+
+def test_sparse_exact_matrix_is_pinned(rapid32):
+    m = build_matrix(rapid32, 2000, support=SPARSE_EXACT_SUPPORT)
+    assert _digest(m.rows) == "6c791738c4bdfa405244c72ee3e8bc32d701e8b8519f4576bb051d38bea4434c"
+    assert _provenance_digest(m) == "596889573a8c4be802240ecd515efb6d73072772a038594aad881e337684278a"
+
+
+def test_sparse_mc_matrix_is_pinned(rapid32):
+    m = build_matrix(rapid32, 400, "mc", n_shots=20_000, seed=11, support=SPARSE_MC_SUPPORT, workers=1)
+    assert _digest(m.rows) == "c846339832cf3a2865556eec8c1791fe6a7011c3c516e07f1e55c760b34a401a"
+    assert _provenance_digest(m) == "4858c43ab05cae402743e14c1c5b440a4fcd344d36b810e7eb88258972bb4d8c"
+
+
+@pytest.mark.parametrize(
+    "preset, mu_max, cutoff",
+    [("rapid32", 400, 16), ("rapid32", 4000, 31), ("conventional16", 1000, 13), ("conventional16", 200, 4)],
+)
+def test_stability_cutoffs_are_pinned(preset, mu_max, cutoff):
+    assert stability_max_n(get_preset(preset), mu_max) == cutoff
+
+
+def test_relative_error_curve_is_pinned(rapid32, rapid32_matrix400):
+    curve = relative_error_curve(
+        rapid32, rapid32_matrix400, 100.0, 400, 10, 42, max_admissible_n=16, workers=1
+    )
+    assert curve.rel_err.shape == (10, 400)
+    assert _digest(curve.rel_err) == "331b4fc6f35a25b53b9f7eb91f397dc119e4909cba4188982efc1e0d64e1d955"

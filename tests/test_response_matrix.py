@@ -200,6 +200,49 @@ def test_invalid_row_contents_diagnose_row(small_matrix, tmp_path, ext, where, v
         load_matrix(p)
 
 
+def _rewrap(matrix, **changes):
+    fields = dict(
+        system=matrix.system,
+        mu_max=matrix.mu_max,
+        rows=matrix.rows.copy(),
+        provenance=matrix.provenance,
+        method=matrix.method,
+        fingerprint=matrix.fingerprint,
+    )
+    fields.update(changes)
+    return ResponseMatrix(**fields)
+
+
+def test_in_memory_matrix_rejects_nan_row(small_matrix):
+    # Unchecked, this matrix would give a NaN posterior with mode 0 for one
+    # click.
+    rows = small_matrix.rows.copy()
+    rows[8] = np.nan
+    with pytest.raises(MatrixFormatError, match="row 8: non-finite"):
+        _rewrap(small_matrix, rows=rows)
+
+
+@pytest.mark.parametrize(
+    "changes, match",
+    [
+        (dict(rows=np.full((41, 33), 1.0 / 33)[:, :, None]), "rows: expected shape"),
+        (dict(rows=np.full((40, 33), 1.0 / 33)), "rows: expected shape"),
+        (dict(provenance=(RowProvenance(kind="exact"),) * 40), "provenance: expected 41"),
+    ],
+)
+def test_in_memory_matrix_checks_shapes(small_matrix, changes, match):
+    with pytest.raises(MatrixFormatError, match=match):
+        _rewrap(small_matrix, **changes)
+
+
+def test_in_memory_matrix_rejects_unnormalized_row(small_matrix):
+    rows = small_matrix.rows.copy()
+    rows[3, 2] += 0.5
+    with pytest.raises(MatrixFormatError, match="row 3: probabilities sum to"):
+        _rewrap(small_matrix, rows=rows)
+    assert _rewrap(small_matrix).rows.flags.writeable is False
+
+
 def test_bad_provenance_token(small_matrix, tmp_path):
     p = tmp_path / "m.csv"
     save_matrix(small_matrix, p)
