@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: presets, simulate, matrix, infer, compare, sweep. Every file
-output gets a sibling <name>.manifest.json recording the resolved
-parameters, the system fingerprint, and library versions (no timestamps,
-so a rerun of the same command yields byte-identical files).
+output gets a sibling <name>.manifest.json recording every option as
+parsed (except --preset/--config, which the recorded system replaces), the
+system fingerprint, and library versions (no timestamps, so a rerun of the
+same command yields byte-identical files).
 
 Exit codes: 0 success, 2 usage, 3 configuration or file-format problem,
 4 computation unsupported by the model, 5 degenerate evidence.
@@ -61,24 +62,43 @@ def _resolve_system(args: argparse.Namespace) -> SystemConfig:
     raise UsageError("one of --preset or --config is required")
 
 
-def _int_list(text: str) -> list[int]:
+def _int_list(text: str) -> list[int] | None:
+    """argparse type for comma-separated integers; an empty list means the option is absent."""
     try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
+        return [int(v) for v in text.split(",") if v.strip() != ""] or None
     except ValueError:
-        raise UsageError(f"expected a comma-separated integer list, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated integer list, got {text!r}"
+        ) from None
 
 
-def _write_manifest(out: Path, command: str, params: dict, system: SystemConfig | None) -> None:
-    doc: dict = {"tool": f"binflux {__version__}", "command": command, "parameters": params}
-    if system is not None:
-        doc["system"] = system_to_dict(system)
-        doc["fingerprint"] = fingerprint(system)
-    doc["versions"] = {
-        "binflux": __version__,
-        "numpy": np.__version__,
-        "python": platform.python_version(),
+# Namespace entries that are not parameters: the subcommand and its handler,
+# and the system source, which "system" and "fingerprint" record instead.
+_NOT_PARAMETERS = ("command", "func", "preset", "config")
+
+
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _write_manifest(out: Path, args: argparse.Namespace, system: SystemConfig) -> None:
+    doc = {
+        "tool": f"binflux {__version__}",
+        "command": args.command,
+        "parameters": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS},
+        "system": system_to_dict(system),
+        "fingerprint": fingerprint(system),
+        "versions": {
+            "binflux": __version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        },
     }
-    Path(str(out) + ".manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(str(out) + ".manifest.json").write_text(_json_text(doc))
+
+
+def _write_lines(out: Path, header: str, rows) -> None:
+    out.write_text("\n".join([header, *rows]) + "\n")
 
 
 def _add_system_args(p: argparse.ArgumentParser) -> None:
@@ -89,7 +109,7 @@ def _add_system_args(p: argparse.ArgumentParser) -> None:
 def _cmd_presets(args: argparse.Namespace) -> int:
     if args.json:
         doc = {name: system_to_dict(get_preset(name)) for name in PRESET_NAMES}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        sys.stdout.write(_json_text(doc))
         return 0
     for name in PRESET_NAMES:
         system = get_preset(name)
@@ -113,37 +133,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     out = Path(args.output)
     if args.format == "csv":
-        lines = ["n,count,probability"]
-        for n, c in enumerate(batch.histogram):
-            lines.append(f"{n},{c},{_fmt(c / batch.n_shots)}")
-        out.write_text("\n".join(lines) + "\n")
+        rows = (f"{n},{c},{_fmt(c / batch.n_shots)}" for n, c in enumerate(batch.histogram))
+        _write_lines(out, "n,count,probability", rows)
     else:
-        out.write_text(
-            json.dumps(
-                {
-                    "histogram": batch.histogram.tolist(),
-                    "n_shots": batch.n_shots,
-                    "mean_clicks": batch.mean_clicks,
-                    "source": describe_source(source),
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
-    _write_manifest(
-        out,
-        "simulate",
-        {
-            "format": args.format,
-            "output": str(out),
-            "seed": args.seed,
-            "shots": args.shots,
+        doc = {
+            "histogram": batch.histogram.tolist(),
+            "n_shots": batch.n_shots,
+            "mean_clicks": batch.mean_clicks,
             "source": describe_source(source),
-            "workers": args.workers,
-        },
-        system,
-    )
+        }
+        out.write_text(_json_text(doc))
+    _write_manifest(out, args, system)
     print(f"wrote {out}: {batch.n_shots} shots, mean clicks {batch.mean_clicks:.4f}")
     return 0
 
@@ -152,32 +152,18 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     system = _resolve_system(args)
     if args.method == "mc" and args.seed is None:
         raise UsageError("--seed is required when --method mc")
-    support = _int_list(args.support) if args.support else None
     matrix = build_matrix(
         system,
         args.mu_max,
         args.method,
         n_shots=args.shots,
         seed=args.seed,
-        support=support,
+        support=args.support,
         workers=args.workers,
     )
     out = Path(args.output)
     save_matrix(matrix, out)
-    _write_manifest(
-        out,
-        "matrix",
-        {
-            "method": args.method,
-            "mu_max": args.mu_max,
-            "output": str(out),
-            "seed": args.seed,
-            "shots": args.shots if args.method == "mc" else None,
-            "support": support,
-            "workers": args.workers,
-        },
-        system,
-    )
+    _write_manifest(out, args, system)
     print(f"wrote {out}: {matrix.mu_max + 1} rows x {matrix.num_bins + 1} counts, method {matrix.method}")
     return 0
 
@@ -259,74 +245,47 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         "mode": posterior.mode,
         "n_observations": len(observations),
     }
-    text = json.dumps(result, indent=2, sort_keys=True) + "\n"
+    text = _json_text(result)
     if args.output:
         Path(args.output).write_text(text)
-        _write_manifest(
-            Path(args.output),
-            "infer",
-            {
-                "level": args.level,
-                "matrix": str(args.matrix),
-                "max_n": args.max_n,
-                "n_observations": len(observations),
-                "output": str(args.output),
-                "tolerance": args.tolerance,
-                "wavelength": args.wavelength,
-            },
-            matrix.system,
-        )
+        _write_manifest(Path(args.output), args, matrix.system)
     else:
         sys.stdout.write(text)
     if args.posterior:
-        lines = ["mu,probability"]
-        for mu, p in enumerate(posterior.probs):
-            lines.append(f"{mu},{_fmt(p)}")
-        Path(args.posterior).write_text("\n".join(lines) + "\n")
+        rows = (f"{mu},{_fmt(p)}" for mu, p in enumerate(posterior.probs))
+        _write_lines(Path(args.posterior), "mu,probability", rows)
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    system = _resolve_system(args)
+def _convergence(args: argparse.Namespace, system: SystemConfig, max_shots: int):
+    """Exact matrix, stability cutoff and relative-error curve shared by compare and sweep."""
     matrix = build_matrix(system, args.mu_max, "exact", workers=args.workers)
     cutoff = stability_max_n(system, args.mu_max, args.tolerance)
-    curve = relative_error_curve(
+    return relative_error_curve(
         system,
         matrix,
         args.mu,
-        args.max_shots,
+        max_shots,
         args.trials,
         args.seed,
         level=args.level,
         max_admissible_n=cutoff,
         workers=args.workers,
     )
+
+
+def _cmd_compare(args: argparse.Namespace) -> int:
+    system = _resolve_system(args)
+    # Checks --target before the curve is computed and before any file is written.
+    base_shots = shots_to_relative_error(args.target, convention=args.baseline_convention)
+    curve = _convergence(args, system, args.max_shots)
+    mux_shots = curve.shots_to(args.target)
     base = baseline_error_curve(args.mu, args.max_shots, convention=args.baseline_convention)
     med = curve.median()
     out = Path(args.output)
-    lines = ["shots,rel_err_multiplexed,rel_err_single_pixel"]
-    for i in range(args.max_shots):
-        lines.append(f"{i + 1},{_fmt(med[i])},{_fmt(base[i])}")
-    out.write_text("\n".join(lines) + "\n")
-    _write_manifest(
-        out,
-        "compare",
-        {
-            "baseline_convention": args.baseline_convention,
-            "level": args.level,
-            "max_shots": args.max_shots,
-            "mu": args.mu,
-            "mu_max": args.mu_max,
-            "output": str(out),
-            "seed": args.seed,
-            "tolerance": args.tolerance,
-            "trials": args.trials,
-            "workers": args.workers,
-        },
-        system,
-    )
-    mux_shots = curve.shots_to(args.target)
-    base_shots = shots_to_relative_error(args.target, convention=args.baseline_convention)
+    rows = (f"{i + 1},{_fmt(med[i])},{_fmt(base[i])}" for i in range(args.max_shots))
+    _write_lines(out, "shots,rel_err_multiplexed,rel_err_single_pixel", rows)
+    _write_manifest(out, args, system)
     print(
         f"wrote {out}: to reach {args.target:.0%} relative width at mu={args.mu}: "
         f"multiplexed {mux_shots:.0f} shots (median), single-pixel {base_shots} shots "
@@ -336,74 +295,39 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    system = _resolve_system(args)
-    values = _int_list(args.values)
+    values = args.values  # parsed by _int_list: None when the list is empty
     if not values:
         raise UsageError("--values must name at least one integer")
+    if args.over == "shots":
+        if args.mu is None:
+            raise UsageError("--mu is required with --over shots")
+        if min(values) < 1:
+            raise UsageError(f"--values: shot counts must be >= 1, got {min(values)}")
+    system = _resolve_system(args)
     weights = system.bin_weights()
     out = Path(args.output)
     if args.over == "mu":
         exact_ok = not system.detector.history_dependent
         header = "mu,n,count,probability" + (",probability_exact" if exact_ok else "")
-        lines = [header]
+        lines = []
         for mu in values:
             batch = simulate_batch(
-                Coherent(float(mu)),
-                weights,
-                system.detector,
-                args.shots,
-                args.seed,
-                start_shot=0,
-                workers=args.workers,
+                Coherent(float(mu)), weights, system.detector, args.shots, args.seed, workers=args.workers
             )
-            exact = (
-                coherent_click_distribution(float(mu), weights, system.detector).probs
-                if exact_ok
-                else None
-            )
+            exact = coherent_click_distribution(float(mu), weights, system.detector).probs if exact_ok else None
             for n, c in enumerate(batch.histogram):
                 row = f"{mu},{n},{c},{_fmt(c / batch.n_shots)}"
-                if exact is not None:
-                    row += f",{_fmt(exact[n])}"
-                lines.append(row)
-        out.write_text("\n".join(lines) + "\n")
+                lines.append(row if exact is None else row + f",{_fmt(exact[n])}")
+        _write_lines(out, header, lines)
     else:
-        matrix = build_matrix(system, args.mu_max, "exact", workers=args.workers)
-        cutoff = stability_max_n(system, args.mu_max, args.tolerance)
-        curve = relative_error_curve(
-            system,
-            matrix,
-            args.mu,
-            max(values),
-            args.trials,
-            args.seed,
-            level=args.level,
-            max_admissible_n=cutoff,
-            workers=args.workers,
-        )
+        curve = _convergence(args, system, max(values))
         med, q25, q75 = curve.median(), curve.quantile(0.25), curve.quantile(0.75)
-        lines = ["shots,median_rel_err,q25_rel_err,q75_rel_err"]
-        for k in sorted(set(values)):
-            lines.append(f"{k},{_fmt(med[k - 1])},{_fmt(q25[k - 1])},{_fmt(q75[k - 1])}")
-        out.write_text("\n".join(lines) + "\n")
-    _write_manifest(
-        out,
-        "sweep",
-        {
-            "level": args.level,
-            "mu": args.mu,
-            "mu_max": args.mu_max,
-            "output": str(out),
-            "over": args.over,
-            "seed": args.seed,
-            "shots": args.shots,
-            "tolerance": args.tolerance,
-            "trials": args.trials,
-            "values": values,
-            "workers": args.workers,
-        },
-        system,
-    )
+        rows = (
+            f"{k},{_fmt(med[k - 1])},{_fmt(q25[k - 1])},{_fmt(q75[k - 1])}"
+            for k in sorted(set(values))
+        )
+        _write_lines(out, "shots,median_rel_err,q25_rel_err,q75_rel_err", rows)
+    _write_manifest(out, args, system)
     print(f"wrote {out}: sweep over {args.over} at {len(set(values))} points")
     return 0
 
@@ -437,7 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("exact", "mc"), default="exact")
     p.add_argument("--shots", type=int, default=1_000_000, help="shots per row for --method mc")
     p.add_argument("--seed", type=int, default=None, help="required for --method mc")
-    p.add_argument("--support", default=None, help="comma-separated mu values to compute directly")
+    p.add_argument(
+        "--support", type=_int_list, default=None, help="comma-separated mu values to compute directly"
+    )
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("-o", "--output", required=True, help=".csv or .json")
     p.set_defaults(func=_cmd_matrix)
@@ -475,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="aggregate statistics over a mu or shot-count grid")
     _add_system_args(p)
     p.add_argument("--over", choices=("mu", "shots"), required=True)
-    p.add_argument("--values", required=True, help="comma-separated grid values")
+    p.add_argument("--values", type=_int_list, required=True, help="comma-separated grid values")
     p.add_argument("--mu", type=float, default=None, help="true mu for --over shots")
     p.add_argument("--shots", type=int, default=100_000, help="shots per point for --over mu")
     p.add_argument("--trials", type=int, default=50, help="trials for --over shots")
@@ -494,8 +420,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "sweep" and args.over == "shots" and args.mu is None:
-            raise UsageError("--mu is required with --over shots")
         return args.func(args)
     except UsageError as exc:
         print(f"binflux: usage error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .detector_model import DetectorSpec, GlobalEfficiency, MechanisticUndershoot
 from .errors import ConfigurationError
@@ -84,65 +84,111 @@ def system_to_dict(system: SystemConfig) -> dict[str, Any]:
     }
 
 
-def _require(d: dict[str, Any], key: str, where: str) -> Any:
-    if key not in d:
-        raise ConfigurationError(f"{where}.{key}: missing required field")
-    return d[key]
+_REQUIRED = object()
+
+
+def _field(
+    d: dict[str, Any], key: str, where: str, convert: Callable[[Any], Any], default: Any = _REQUIRED
+) -> Any:
+    """convert(d[key]), raising ConfigurationError that names the dotted field where.key.
+
+    An absent or null field is an error unless a default is given, which is
+    then returned unconverted.
+    """
+    value = d.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigurationError(f"{where}.{key}: missing required field")
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{where}.{key}: malformed value {value!r} ({exc})") from None
+
+
+def _object(value: Any) -> dict[str, Any]:
+    if not isinstance(value, dict):
+        raise TypeError("expected a JSON object")
+    return value
+
+
+def _sequence(value: Any) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError("expected a list")
+    return value
+
+
+def _floats(value: Any) -> tuple[float, ...]:
+    return tuple(float(v) for v in _sequence(value))
+
+
+def _points(value: Any) -> tuple[tuple[float, ...], ...]:
+    pairs = tuple(_floats(p) for p in _sequence(value))
+    if any(len(p) != 2 for p in pairs):
+        raise ValueError("expected [mu, eta] pairs")
+    return pairs
+
+
+def _assignment(value: Any) -> str | tuple[int, ...]:
+    return value if isinstance(value, str) else tuple(int(v) for v in _sequence(value))
 
 
 def system_from_dict(data: dict[str, Any]) -> SystemConfig:
+    """Parse a configuration dict; a missing or malformed field raises ConfigurationError naming it."""
     if not isinstance(data, dict):
         raise ConfigurationError("config: expected a JSON object")
-    mux_d = _require(data, "multiplexer", "config")
-    det_d = _require(data, "detector", "config")
+    mux_d = _field(data, "multiplexer", "config", _object)
+    det_d = _field(data, "detector", "config", _object)
 
-    trans_d = mux_d.get("transmission", {"kind": "uniform_loss", "avg_loss_db": 0.0})
+    lossless = {"kind": "uniform_loss", "avg_loss_db": 0.0}
+    trans_d = _field(mux_d, "transmission", "multiplexer", _object, lossless)
     kind = trans_d.get("kind")
     if kind == "uniform_loss":
-        trans: UniformLoss | ExplicitTransmission = UniformLoss(float(trans_d["avg_loss_db"]))
+        trans: UniformLoss | ExplicitTransmission = UniformLoss(
+            _field(trans_d, "avg_loss_db", "multiplexer.transmission", float)
+        )
     elif kind == "explicit":
-        trans = ExplicitTransmission(tuple(float(v) for v in trans_d["values"]))
+        trans = ExplicitTransmission(_field(trans_d, "values", "multiplexer.transmission", _floats))
     else:
         raise ConfigurationError(f"multiplexer.transmission.kind: unknown kind {kind!r}")
 
-    da = mux_d.get("detector_assignment", "final_coupler")
-    if not isinstance(da, str):
-        da = tuple(int(v) for v in da)
-
-    ratios = mux_d.get("coupler_ratios")
     mux = MultiplexerSpec(
-        loop_delays=tuple(float(v) for v in _require(mux_d, "loop_delays", "multiplexer")),
-        coupler_ratios=None if ratios is None else tuple(float(v) for v in ratios),
+        loop_delays=_field(mux_d, "loop_delays", "multiplexer", _floats),
+        coupler_ratios=_field(mux_d, "coupler_ratios", "multiplexer", _floats, None),
         transmission=trans,
-        detector_assignment=da,
+        detector_assignment=_field(mux_d, "detector_assignment", "multiplexer", _assignment, "final_coupler"),
     )
 
-    under_d = det_d.get("undershoot")
+    under_d = _field(det_d, "undershoot", "detector", _object, None)
     if under_d is None:
         under: GlobalEfficiency | MechanisticUndershoot | None = None
     elif under_d.get("kind") == "global_efficiency":
-        under = GlobalEfficiency(tuple((float(m), float(e)) for m, e in under_d["points"]))
+        under = GlobalEfficiency(_field(under_d, "points", "detector.undershoot", _points))
     elif under_d.get("kind") == "mechanistic":
-        under = MechanisticUndershoot(float(under_d["p_miss_next"]))
+        under = MechanisticUndershoot(_field(under_d, "p_miss_next", "detector.undershoot", float))
     else:
         raise ConfigurationError(f"detector.undershoot.kind: unknown kind {under_d.get('kind')!r}")
 
-    ap = det_d.get("afterpulse_metadata")
     det = DetectorSpec(
-        efficiency=float(_require(det_d, "efficiency", "detector")),
-        dark_prob_per_gate=tuple(float(v) for v in _require(det_d, "dark_prob_per_gate", "detector")),
-        gate_width=float(_require(det_d, "gate_width", "detector")),
-        deadtime=float(_require(det_d, "deadtime", "detector")),
+        efficiency=_field(det_d, "efficiency", "detector", float),
+        dark_prob_per_gate=_field(det_d, "dark_prob_per_gate", "detector", _floats),
+        gate_width=_field(det_d, "gate_width", "detector", float),
+        deadtime=_field(det_d, "deadtime", "detector", float),
         undershoot=under,
-        afterpulse_metadata=None if ap is None else tuple(sorted((str(k), float(v)) for k, v in ap.items())),
+        afterpulse_metadata=_field(
+            det_d,
+            "afterpulse_metadata",
+            "detector",
+            lambda ap: tuple(sorted((str(k), float(v)) for k, v in _object(ap).items())),
+            None,
+        ),
     )
 
-    guard = data.get("guard")
     system = SystemConfig(
         name=str(data.get("name", "custom")),
         multiplexer=mux,
         detector=det,
-        guard=None if guard is None else float(guard),
+        guard=_field(data, "guard", "config", float, None),
     )
     system.validate()
     return system

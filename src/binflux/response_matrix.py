@@ -58,13 +58,16 @@ class RowProvenance:
 
     @staticmethod
     def from_token(token: str) -> "RowProvenance":
-        parts = token.split(":")
-        if parts[0] == "exact" and len(parts) == 1:
-            return RowProvenance(kind="exact")
-        if parts[0] == "mc" and len(parts) == 3:
-            return RowProvenance(kind="mc", n_shots=int(parts[1]), seed=int(parts[2]))
-        if parts[0] == "interp" and len(parts) == 3:
-            return RowProvenance(kind="interpolated", mu_lo=int(parts[1]), mu_hi=int(parts[2]))
+        parts = str(token).split(":")
+        try:
+            if parts[0] == "exact" and len(parts) == 1:
+                return RowProvenance(kind="exact")
+            if parts[0] == "mc" and len(parts) == 3:
+                return RowProvenance(kind="mc", n_shots=int(parts[1]), seed=int(parts[2]))
+            if parts[0] == "interp" and len(parts) == 3:
+                return RowProvenance(kind="interpolated", mu_lo=int(parts[1]), mu_hi=int(parts[2]))
+        except ValueError:
+            pass
         raise MatrixFormatError(f"provenance: unrecognized token {token!r}")
 
 
@@ -282,7 +285,10 @@ def _parse_csv(text: str, path: Path) -> ResponseMatrix:
         raise MatrixFormatError(f"{path}:2: bad embedded config ({exc})") from exc
     if not lines[2].startswith("# provenance: "):
         raise MatrixFormatError(f"{path}:3: missing provenance line")
-    prov = tuple(RowProvenance.from_token(t) for t in lines[2][len("# provenance: "):].split(";"))
+    try:
+        prov = tuple(RowProvenance.from_token(t) for t in lines[2][len("# provenance: "):].split(";"))
+    except MatrixFormatError as exc:
+        raise MatrixFormatError(f"{path}:3: {exc}") from None
     if len(prov) != mu_max + 1:
         raise MatrixFormatError(f"{path}:3: expected {mu_max + 1} provenance tokens, got {len(prov)}")
 
@@ -309,20 +315,19 @@ def _parse_json(text: str, path: Path) -> ResponseMatrix:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(f"{path}: invalid JSON ({exc})") from exc
-    if doc.get("format") != "binflux-matrix":
+    if not isinstance(doc, dict) or doc.get("format") != "binflux-matrix":
         raise MatrixFormatError(f"{path}: not a binflux-matrix document")
     if doc.get("version") != _FORMAT_VERSION:
         raise MatrixFormatError(f"{path}: unsupported format version {doc.get('version')!r}")
     try:
         system = system_from_dict(doc["config"])
-        mu_max = int(doc["mu_max"])
+        mu_max, bins = int(doc["mu_max"]), int(doc["bins"])
         rows = np.array(doc["rows"], dtype=float)
         prov = tuple(RowProvenance.from_token(t) for t in doc["provenance"])
-        fp = doc["fingerprint"]
-        method = doc["method"]
-    except (KeyError, ConfigurationError, ValueError) as exc:
+        fp, method = str(doc["fingerprint"]), str(doc["method"])
+    except (KeyError, TypeError, ValueError, ConfigurationError, MatrixFormatError) as exc:
         raise MatrixFormatError(f"{path}: missing or malformed field ({exc})") from exc
-    if rows.shape != (mu_max + 1, int(doc["bins"]) + 1):
+    if rows.shape != (mu_max + 1, bins + 1):
         raise MatrixFormatError(f"{path}: rows shape {rows.shape} does not match header")
     if len(prov) != mu_max + 1:
         raise MatrixFormatError(f"{path}: expected {mu_max + 1} provenance tokens, got {len(prov)}")
@@ -331,6 +336,16 @@ def _parse_json(text: str, path: Path) -> ResponseMatrix:
 
 
 def _assemble(system, mu_max, rows, prov, method, fp, path) -> ResponseMatrix:
+    """Checks both formats share: the method, the bin count and each direct row's provenance."""
+    if method not in ("exact", "mc"):
+        raise MatrixFormatError(f"{path}: method must be 'exact' or 'mc', got {method!r}")
+    if rows.shape[1] != system.num_bins + 1:
+        raise MatrixFormatError(
+            f"{path}: bins={rows.shape[1] - 1} but the embedded config has {system.num_bins} bins"
+        )
+    for mu, p in enumerate(prov):
+        if p.kind not in (method, "interpolated"):
+            raise MatrixFormatError(f"{path}: row {mu} has provenance {p.token()!r} in a method={method} matrix")
     recomputed = fingerprint(system)
     if recomputed != fp:
         warnings.warn(

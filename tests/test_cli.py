@@ -284,6 +284,18 @@ def test_compare_smoke(tmp_path, capsys):
     assert (tmp_path / "compare.csv.manifest.json").exists()
 
 
+@pytest.mark.parametrize("target", ["0", "-0.5"])
+def test_compare_rejects_target_before_writing(tmp_path, capsys, target):
+    out = tmp_path / "compare.csv"
+    rc = main(
+        ["compare", "--preset", "rapid32", "--mu", "100", "--max-shots", "5", "--trials", "2",
+         "--seed", "3", f"--target={target}", "-o", str(out)]
+    )
+    assert rc == 2
+    assert "target" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "compare.csv.manifest.json").exists()
+
+
 def test_sweep_over_mu(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = main(
@@ -321,3 +333,83 @@ def test_sweep_shots_requires_mu(tmp_path):
          "--seed", "2", "-o", str(tmp_path / "s.csv")]
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize("values", ["0,5", "-3,5", "5,0"])
+def test_sweep_over_shots_rejects_values_below_one(tmp_path, capsys, values):
+    out = tmp_path / "s.csv"
+    rc = main(
+        ["sweep", "--preset", "rapid32", "--over", "shots", f"--values={values}", "--mu", "100",
+         "--trials", "2", "--seed", "2", "-o", str(out)]
+    )
+    assert rc == 2
+    assert "shot counts must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_infer_inconsistent_matrix_is_format_error(matrix_file, tmp_path, capsys):
+    bad = tmp_path / "banana.csv"
+    bad.write_text(matrix_file.read_text().replace("method=exact", "method=banana", 1))
+    assert main(["infer", "-m", str(bad), "--n", "20"]) == 3
+    assert "method must be 'exact' or 'mc'" in capsys.readouterr().err
+
+
+MANIFEST_PARAMETERS = {
+    "simulate": {"fock", "format", "mu", "output", "seed", "shots", "workers"},
+    "matrix": {"method", "mu_max", "output", "seed", "shots", "support", "workers"},
+    "infer": {
+        "force", "level", "matrix", "max_n", "n", "no_stability", "obs", "output", "posterior",
+        "tolerance", "wavelength",
+    },
+    "compare": {
+        "baseline_convention", "level", "max_shots", "mu", "mu_max", "output", "seed", "target",
+        "tolerance", "trials", "workers",
+    },
+    "sweep": {
+        "level", "mu", "mu_max", "output", "over", "seed", "shots", "tolerance", "trials", "values",
+        "workers",
+    },
+}
+
+
+def _manifest_parameters(out):
+    manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+    return manifest["command"], manifest["parameters"]
+
+
+def test_manifest_parameters_are_the_parsed_options(matrix_file, tmp_path):
+    cfg = tmp_path / "sys.json"
+    save_system(preset("conventional16"), cfg)
+    runs = {
+        "simulate": ["--config", str(cfg), "--mu", "3", "--shots", "100", "--seed", "1"],
+        "matrix": ["--preset", "conventional16", "--mu-max", "8", "--support", "0,2,8"],
+        "infer": ["-m", str(matrix_file), "--n", "1"],
+        "compare": ["--preset", "rapid32", "--mu", "100", "--max-shots", "5", "--trials", "2",
+                    "--mu-max", "150", "--seed", "3"],
+        "sweep": ["--preset", "conventional16", "--over", "mu", "--values", "1,5", "--shots", "100",
+                  "--seed", "2"],
+    }
+    for command, args in runs.items():
+        out = tmp_path / f"{command}.csv"
+        assert main([command, *args, "-o", str(out)]) == 0
+        recorded_command, params = _manifest_parameters(out)
+        assert recorded_command == command
+        assert set(params) == MANIFEST_PARAMETERS[command], command
+        assert params["output"] == str(out)
+    assert _manifest_parameters(tmp_path / "simulate.csv")[1]["mu"] == 3.0
+    matrix_params = _manifest_parameters(tmp_path / "matrix.csv")[1]
+    assert matrix_params["support"] == [0, 2, 8]
+    assert matrix_params["shots"] == 1_000_000  # as parsed, also for --method exact
+    assert _manifest_parameters(tmp_path / "sweep.csv")[1]["values"] == [1, 5]
+    assert _manifest_parameters(tmp_path / "compare.csv")[1]["target"] == 0.10
+
+
+def test_sweep_over_shots_matches_compare(tmp_path):
+    common = ["--preset", "rapid32", "--mu", "100", "--trials", "5", "--mu-max", "200", "--seed", "4"]
+    sweep, compare = tmp_path / "sweep.csv", tmp_path / "compare.csv"
+    assert main(["sweep", "--over", "shots", "--values", "10,50", *common, "-o", str(sweep)]) == 0
+    assert main(["compare", "--max-shots", "50", *common, "-o", str(compare)]) == 0
+    swept = {row.split(",")[0]: row.split(",")[1] for row in sweep.read_text().splitlines()[1:]}
+    compared = {row.split(",")[0]: row.split(",")[1] for row in compare.read_text().splitlines()[1:]}
+    assert set(swept) == {"10", "50"}
+    assert swept == {k: compared[k] for k in swept}

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -19,6 +20,7 @@ from binflux import (
     system_from_dict,
     system_to_dict,
 )
+from binflux.cli import main
 
 
 def _explicit_system():
@@ -150,3 +152,58 @@ def test_num_bins_and_weights_shortcuts():
 def test_unknown_preset_lists_available():
     with pytest.raises(ConfigurationError, match="conventional16"):
         get_preset("nope")
+
+
+MALFORMED_FIELDS = [
+    ("multiplexer.transmission.avg_loss_db", None),
+    ("multiplexer.transmission.values", None),
+    ("multiplexer.loop_delays", 5),
+    ("multiplexer.loop_delays", "1e-9"),
+    ("multiplexer.coupler_ratios", ["half"]),
+    ("multiplexer.detector_assignment", 7),
+    ("multiplexer.transmission", "lossless"),
+    ("config.multiplexer", 5),
+    ("detector.efficiency", "abc"),
+    ("detector.dark_prob_per_gate", [1e-5, "x"]),
+    ("detector.undershoot.points", [[10.0]]),
+    ("detector.undershoot.p_miss_next", None),
+    ("detector.afterpulse_metadata", "none"),
+    ("config.guard", "wide"),
+]
+
+
+def _malformed(field, value):
+    """rapid32 config dict with the field at the dotted path set to value (None: deleted)."""
+    data = system_to_dict(get_preset("rapid32"))
+    if field == "multiplexer.transmission.values":
+        data["multiplexer"]["transmission"] = {"kind": "explicit"}
+    elif field == "detector.undershoot.p_miss_next":
+        data["detector"]["undershoot"] = {"kind": "mechanistic"}
+    *parents, key = field.removeprefix("config.").split(".")
+    parent = data
+    for name in parents:
+        parent = parent[name]
+    if value is None:
+        parent.pop(key, None)
+    else:
+        parent[key] = value
+    return data
+
+
+@pytest.mark.parametrize("field, value", MALFORMED_FIELDS)
+def test_load_system_names_malformed_field(tmp_path, field, value):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(_malformed(field, value)))
+    with pytest.raises(ConfigurationError) as exc:
+        load_system(path)
+    assert str(exc.value).startswith(f"{field}: ")
+
+
+def test_cli_config_with_malformed_field_exits_3(tmp_path, capsys):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(_malformed("detector.efficiency", "abc")))
+    out = tmp_path / "h.csv"
+    args = ["simulate", "--config", str(path), "--mu", "2", "--shots", "10", "--seed", "1", "-o", str(out)]
+    assert main(args) == 3
+    assert "detector.efficiency" in capsys.readouterr().err
+    assert not out.exists()

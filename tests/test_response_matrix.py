@@ -288,3 +288,119 @@ def test_provenance_token_round_trip():
         assert RowProvenance.from_token(prov.token()) == prov
     with pytest.raises(MatrixFormatError):
         RowProvenance.from_token("exact:1:2")
+
+
+
+def _edit(path, line, csv_edit, json_edit):
+    """Rewrite a saved matrix: csv_edit maps CSV line `line` (0-based), json_edit the JSON document."""
+    if path.suffix == ".csv":
+        lines = path.read_text().splitlines()
+        lines[line] = csv_edit(lines[line])
+        path.write_text("\n".join(lines) + "\n")
+    else:
+        path.write_text(json.dumps(json_edit(json.loads(path.read_text()))))
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "ext, line, csv_edit, json_edit, where",
+    [
+        ("csv", 2, lambda s: s.replace("exact;", "mc:abc:1;", 1), None, ":3: "),
+        ("json", None, None, lambda doc: _without(doc, "bins"), ": missing or malformed field"),
+        ("json", None, None, lambda doc: [doc], ": not a binflux-matrix document"),
+        ("json", None, None, lambda doc: {**doc, "provenance": 5}, ": missing or malformed field"),
+        (
+            "json",
+            None,
+            None,
+            lambda doc: {**doc, "provenance": [0] + doc["provenance"][1:]},
+            ": missing or malformed field (provenance: unrecognized token 0)",
+        ),
+    ],
+    ids=[
+        "csv-bad-provenance-int",
+        "json-without-bins",
+        "json-top-level-list",
+        "json-provenance-not-a-list",
+        "json-provenance-not-a-string",
+    ],
+)
+def test_malformed_file_is_format_error(small_matrix, tmp_path, ext, line, csv_edit, json_edit, where):
+    p = tmp_path / f"m.{ext}"
+    save_matrix(small_matrix, p)
+    _edit(p, line, csv_edit, json_edit)
+    with pytest.raises(MatrixFormatError) as exc:
+        load_matrix(p)
+    assert str(exc.value).startswith(f"{p}{where}")
+
+
+@pytest.fixture(scope="module")
+def small_mc_matrix():
+    return build_matrix(get_preset("rapid32"), 6, "mc", n_shots=500, seed=4, support=[3])
+
+
+def _config_line(config):
+    return "# config: " + json.dumps(config)
+
+
+def _first_token(token):
+    """Edits that replace the provenance token of row 0."""
+    return (
+        lambda s: "# provenance: " + token + s[s.index(";"):],
+        lambda doc: {**doc, "provenance": [token] + doc["provenance"][1:]},
+    )
+
+
+C16 = system_to_dict(get_preset("conventional16"))
+
+
+@pytest.mark.parametrize("ext", ["csv", "json"])
+@pytest.mark.parametrize(
+    "method, line, edits, message",
+    [
+        (
+            "exact",
+            0,
+            (lambda s: s.replace("method=exact", "method=banana"), lambda doc: {**doc, "method": "banana"}),
+            "method must be 'exact' or 'mc', got 'banana'",
+        ),
+        (
+            "exact",
+            1,
+            (lambda s: _config_line(C16), lambda doc: {**doc, "config": C16}),
+            "bins=32 but the embedded config has 16 bins",
+        ),
+        ("exact", 2, _first_token("mc:5:1"), "row 0 has provenance 'mc:5:1' in a method=exact matrix"),
+        ("mc", 2, _first_token("exact"), "row 0 has provenance 'exact' in a method=mc matrix"),
+    ],
+    ids=["method", "bins", "mc-row-in-exact", "exact-row-in-mc"],
+)
+def test_inconsistent_matrix_is_rejected(
+    small_matrix, small_mc_matrix, tmp_path, ext, method, line, edits, message
+):
+    p = tmp_path / f"m.{ext}"
+    save_matrix(small_matrix if method == "exact" else small_mc_matrix, p)
+    _edit(p, line, *edits)
+    with pytest.raises(MatrixFormatError) as exc:
+        load_matrix(p)
+    assert str(exc.value) == f"{p}: {message}"
+
+
+def test_mc_matrix_with_interpolated_rows_loads(small_mc_matrix, tmp_path):
+    p = tmp_path / "m.csv"
+    save_matrix(small_mc_matrix, p)
+    assert {q.kind for q in load_matrix(p).provenance} == {"mc", "interpolated"}
+
+
+@pytest.mark.parametrize("ext", ["csv", "json"])
+def test_malformed_embedded_config_is_format_error(small_matrix, tmp_path, ext):
+    config = system_to_dict(small_matrix.system)
+    config["detector"]["efficiency"] = "abc"
+    p = tmp_path / f"m.{ext}"
+    save_matrix(small_matrix, p)
+    _edit(p, 1, lambda s: _config_line(config), lambda doc: {**doc, "config": config})
+    with pytest.raises(MatrixFormatError, match="detector.efficiency"):
+        load_matrix(p)
