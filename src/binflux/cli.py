@@ -6,8 +6,9 @@ parsed (except --preset/--config, which the recorded system replaces), the
 system fingerprint, and library versions (no timestamps, so a rerun of the
 same command yields byte-identical files).
 
-Exit codes: 0 success, 2 usage, 3 configuration or file-format problem,
-4 computation unsupported by the model, 5 degenerate evidence.
+Exit codes: 0 success, 2 usage, 3 configuration or file-format problem or
+a missing or unreadable file, 4 computation unsupported by the model,
+5 degenerate evidence.
 """
 
 from __future__ import annotations
@@ -41,15 +42,11 @@ from .inference import (
 from .mc_engine import Coherent, Fock, describe_source, simulate_batch
 from .multiplexer import validate_timing
 from .presets import PRESET_NAMES, get_preset
-from .response_matrix import build_matrix, load_matrix, save_matrix
+from .response_matrix import _fmt, build_matrix, load_matrix, save_matrix
 
 
 class UsageError(Exception):
     pass
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _resolve_system(args: argparse.Namespace) -> SystemConfig:
@@ -254,6 +251,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     if args.posterior:
         rows = (f"{mu},{_fmt(p)}" for mu, p in enumerate(posterior.probs))
         _write_lines(Path(args.posterior), "mu,probability", rows)
+        _write_manifest(Path(args.posterior), args, matrix.system)
     return 0
 
 
@@ -426,6 +424,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ConfigurationError, MatrixFormatError) as exc:
         print(f"binflux: configuration error: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"binflux: file error: {exc}", file=sys.stderr)
         return 3
     except ModelUnsupportedError as exc:
         print(f"binflux: unsupported by this model: {exc}", file=sys.stderr)

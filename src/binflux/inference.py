@@ -14,7 +14,7 @@ interval is width times the single-photon energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -171,6 +171,24 @@ def interval_to_energy(width_photons: float, wavelength: float = 1.55e-6) -> flo
     return width_photons * PLANCK_CONSTANT * SPEED_OF_LIGHT / wavelength
 
 
+def _stability_tv(wide_rows: np.ndarray, mu_max: int) -> np.ndarray:
+    """TV distance, per click count, of the [0, mu_max] posterior from the whole-grid one.
+
+    wide_rows is a (mu, n) matrix on a grid that extends past mu_max. One
+    pass over its columns: each is normalised, the normalised head
+    [0, mu_max] is subtracted in place, and half the absolute sum is the
+    distance. These are the sums a per-count loop makes, so the result is
+    bit-equal to it. A count impossible on [0, mu_max] gives NaN.
+    """
+    cols = np.ascontiguousarray(wide_rows.T)
+    head = cols[:, : mu_max + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff = cols / cols.sum(axis=1, keepdims=True)
+        diff[:, : mu_max + 1] -= head / head.sum(axis=1, keepdims=True)
+    np.abs(diff, out=diff)
+    return 0.5 * diff.sum(axis=1)
+
+
 def stability_max_n(
     system: SystemConfig,
     mu_max: int,
@@ -183,50 +201,24 @@ def stability_max_n(
 ) -> int:
     """Largest click count whose posterior is insensitive to the grid bound.
 
-    For each n, compares the posterior built on [0, mu_max] with the one
-    built on [0, 2 * mu_max] (the former padded with zeros) and requires
-    their total-variation distance to stay below tolerance for every count
-    up to n. Counts above the returned value should be discarded rather
-    than inverted.
-
-    With exact rows only the 2 * mu_max matrix is built; the narrow one is
-    its first mu_max + 1 rows. Monte Carlo rows come from two builds on
-    their own derived seeds, as before.
+    One matrix is built on [0, 2 * mu_max]; the [0, mu_max] matrix is its
+    first mu_max + 1 rows, for exact rows and for Monte Carlo rows alike
+    (MC row mu is seeded from seed and mu only, so one build with the given
+    seed serves both grids). For each n the posterior on the narrow grid is
+    compared with the one on the wide grid. Because the former is the
+    renormalised head of the latter, their total-variation distance equals
+    the wide posterior's mass above mu_max. Counts up to the returned value
+    all have a distance below tolerance; a count impossible on [0, mu_max]
+    counts as unstable. Counts above the returned value should be
+    discarded rather than inverted.
     """
     if tolerance <= 0.0:
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
     if method == "auto":
         method = "mc" if system.detector.history_dependent else "exact"
-
-    def mc_kwargs(idx: int) -> dict:
-        if method != "mc":
-            return {}
-        return {"n_shots": n_shots, "seed": None if seed is None else derive_seed(seed, idx)}
-
-    wide = build_matrix(system, 2 * mu_max, method, workers=workers, **mc_kwargs(1))
-    if method == "exact":
-        # Exact rows do not depend on the grid bound: the narrow matrix is a prefix.
-        narrow = replace(
-            wide, mu_max=mu_max, rows=wide.rows[: mu_max + 1], provenance=wide.provenance[: mu_max + 1]
-        )
-    else:
-        narrow = build_matrix(system, mu_max, method, workers=workers, **mc_kwargs(0))
-
-    n_bins = narrow.num_bins
-    cutoff = n_bins
-    for n in range(n_bins + 1):
-        try:
-            a = posterior_single(narrow, n).probs
-            b = posterior_single(wide, n).probs
-        except DegenerateEvidenceError:
-            cutoff = n - 1
-            break
-        padded = np.zeros(b.size)
-        padded[: a.size] = a
-        if 0.5 * np.abs(padded - b).sum() >= tolerance:
-            cutoff = n - 1
-            break
-    return cutoff
+    wide = build_matrix(system, 2 * mu_max, method, n_shots=n_shots, seed=seed, workers=workers)
+    unstable = np.flatnonzero(~(_stability_tv(wide.rows, mu_max) < tolerance))
+    return int(unstable[0]) - 1 if unstable.size else wide.num_bins
 
 
 @dataclass

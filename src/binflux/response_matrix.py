@@ -108,7 +108,10 @@ class ResponseMatrix:
 
 def _row_seed(seed: int, mu: int) -> int:
     # Stable per-row substream; recorded in provenance so a single row can
-    # be reproduced with simulate_batch alone.
+    # be reproduced with simulate_batch alone. It depends on seed and mu
+    # only, never on mu_max, so an MC matrix on [0, m] is the first m + 1
+    # rows of the one on [0, 2m] built with the same seed and n_shots;
+    # stability_max_n relies on this.
     return derive_seed(seed, mu)
 
 

@@ -5,6 +5,8 @@ replaced, kept here so that every batched result can be compared with
 them bit for bit.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,10 @@ from hypothesis import strategies as st
 import binflux.exact_oracle as exact_oracle
 import binflux.inference as inference
 from binflux import (
+    DegenerateEvidenceError,
     DetectorSpec,
     GlobalEfficiency,
+    MechanisticUndershoot,
     MultiplexerSpec,
     Posterior,
     SystemConfig,
@@ -22,11 +26,12 @@ from binflux import (
     build_matrix,
     credible_interval,
     poisson_binomial_pmf,
+    posterior_single,
     relative_error_curve,
     stability_max_n,
     validate_interpolation,
 )
-from binflux.inference import _hpd_rows
+from binflux.inference import _hpd_rows, _stability_tv
 
 
 def reference_hpd(p, level):
@@ -62,6 +67,32 @@ def reference_interpolation(rows, support):
             row = (1.0 - frac) * out[lo] + frac * out[hi]
             out[mu] = row / row.sum()
     return out
+
+
+def reference_stability(wide, mu_max, tolerance):
+    """The per-count loop: two posterior_single calls per count, zero-padded.
+
+    Returns the cutoff (the count before the first unstable one) and the TV
+    of every count, NaN where a count is impossible on [0, mu_max].
+    """
+    narrow = dataclasses.replace(
+        wide, mu_max=mu_max, rows=wide.rows[: mu_max + 1], provenance=wide.provenance[: mu_max + 1]
+    )
+    tvs = np.full(wide.num_bins + 1, np.nan)
+    cutoff = None
+    for n in range(wide.num_bins + 1):
+        try:
+            a = posterior_single(narrow, n).probs
+            b = posterior_single(wide, n).probs
+        except DegenerateEvidenceError:
+            cutoff = n - 1 if cutoff is None else cutoff
+            continue
+        padded = np.zeros(b.size)
+        padded[: a.size] = a
+        tvs[n] = 0.5 * np.abs(padded - b).sum()
+        if tvs[n] >= tolerance and cutoff is None:
+            cutoff = n - 1
+    return (wide.num_bins if cutoff is None else cutoff), tvs
 
 
 @st.composite
@@ -191,10 +222,48 @@ def test_relative_error_curve_never_calls_credible_interval(monkeypatch, rapid32
     assert calls == []
 
 
+def _mechanistic(system):
+    detector = dataclasses.replace(system.detector, undershoot=MechanisticUndershoot(0.2))
+    return dataclasses.replace(system, name=system.name + "-mechanistic", detector=detector)
+
+
 def test_exact_stability_builds_one_matrix(monkeypatch, rapid32):
     calls = _count_calls(monkeypatch, inference, "build_matrix")
     assert stability_max_n(rapid32, 400) == 16
     assert len(calls) == 1
+    # Monte Carlo rows, asked for directly and chosen by "auto" for a
+    # history-dependent detector, also come from one build.
+    for system, method in ((rapid32, "mc"), (_mechanistic(rapid32), "auto")):
+        calls.clear()
+        stability_max_n(system, 30, method=method, n_shots=500, seed=3, workers=1)
+        assert len(calls) == 1
+
+
+@given(system=small_systems(), mu_max=st.integers(min_value=1, max_value=80), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_stability_matches_per_count_loop(system, mu_max, data):
+    wide = build_matrix(system, 2 * mu_max)
+    tvs = _stability_tv(wide.rows, mu_max)
+    _, ref_tvs = reference_stability(wide, mu_max, 1.0)
+    assert np.array_equal(tvs, ref_tvs, equal_nan=True)
+    # One tolerance equals a TV the loop computes, so the ">=" edge is hit.
+    attained = ref_tvs[np.isfinite(ref_tvs) & (ref_tvs > 0.0)]
+    tolerances = [1e-4, 0.01, 0.1, 0.5]
+    if attained.size:
+        tolerances.append(float(data.draw(st.sampled_from(attained.tolist()), label="edge")))
+    for tol in tolerances:
+        assert stability_max_n(system, mu_max, tol) == reference_stability(wide, mu_max, tol)[0]
+
+
+@pytest.mark.parametrize("mechanistic", [False, True], ids=["independent", "mechanistic"])
+@given(mu_max=st.integers(min_value=1, max_value=25), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=8, deadline=None)
+def test_mc_matrix_is_prefix_of_wider_build(rapid32, mechanistic, mu_max, seed):
+    system = _mechanistic(rapid32) if mechanistic else rapid32
+    narrow = build_matrix(system, mu_max, "mc", n_shots=300, seed=seed, workers=1)
+    wide = build_matrix(system, 2 * mu_max, "mc", n_shots=300, seed=seed, workers=1)
+    assert np.array_equal(narrow.rows, wide.rows[: mu_max + 1])
+    assert narrow.provenance == wide.provenance[: mu_max + 1]
 
 
 def test_exact_matrix_runs_one_poisson_binomial_pass(monkeypatch, rapid32):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +236,42 @@ def test_infer_posterior_csv(matrix_file, tmp_path, capsys):
     assert len(lines) == 1 + 401
     total = sum(float(line.split(",")[1]) for line in lines[1:])
     assert total == pytest.approx(1.0, abs=1e-9)
+    manifest = json.loads((tmp_path / "posterior.csv.manifest.json").read_text())
+    assert manifest["command"] == "infer"
+    assert manifest["parameters"]["posterior"] == str(post)
+
+    # With -o as well, each of the two files gets its own manifest, and the
+    # result JSON keeps exactly its fields.
+    post2, result = tmp_path / "post2.csv", tmp_path / "result.json"
+    rc = main(["infer", "-m", str(matrix_file), "--n", "8", "-o", str(result), "--posterior", str(post2)])
+    assert rc == 0
+    assert post2.read_text() == post.read_text()
+    for out in (post2, result):
+        doc = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert doc["parameters"]["posterior"] == str(post2)
+        assert doc["parameters"]["output"] == str(result)
+    assert set(json.loads(result.read_text())) == {
+        "energy_j", "interval", "log_evidence", "max_admissible_n", "mean", "mode", "n_observations",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["infer", "-m", "{tmp}/nonexistent.csv", "--n", "1"], "nonexistent.csv"),
+        (["infer", "-m", "{matrix}", "--obs", "{tmp}/missing.txt"], "missing.txt"),
+        (["simulate", "--config", "{tmp}/nope.json", "--mu", "1", "--shots", "10", "--seed", "1",
+          "-o", "{tmp}/z.csv"], "nope.json"),
+        (["simulate", "--preset", "rapid32", "--mu", "1", "--shots", "10", "--seed", "1",
+          "-o", "{tmp}/missing_dir/z.csv"], "z.csv"),
+    ],
+    ids=["matrix", "obs", "config", "output-dir"],
+)
+def test_missing_path_exits_3(matrix_file, tmp_path, capsys, argv, missing):
+    argv = [a.format(tmp=tmp_path, matrix=matrix_file) for a in argv]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("binflux: file error:") and missing in err
 
 
 def test_infer_degenerate_evidence_exits_5(tmp_path, capsys):

@@ -178,17 +178,29 @@ def test_stability_tightening_tolerance_never_raises_cutoff(rapid32):
     assert cuts == sorted(cuts)
 
 
+def _tiny_system():
+    return SystemConfig(
+        name="tiny",
+        multiplexer=MultiplexerSpec(loop_delays=(1e-9,), transmission=UniformLoss(0.0)),
+        detector=DetectorSpec(efficiency=0.5, dark_prob_per_gate=(1e-4, 1e-4), gate_width=1e-9, deadtime=0.0),
+    )
+
+
 def test_stability_saturates_below_bin_count():
     # A four-bin system against a huge grid: every partial count is stable.
     # The all-bins-click count never is: its likelihood grows monotonically
     # with mu, so that posterior always rides the top of the grid and moves
     # when the grid is doubled. The cutoff therefore tops out at B - 1.
-    system = SystemConfig(
-        name="tiny",
-        multiplexer=MultiplexerSpec(loop_delays=(1e-9,), transmission=UniformLoss(0.0)),
-        detector=DetectorSpec(efficiency=0.5, dark_prob_per_gate=(1e-4, 1e-4), gate_width=1e-9, deadtime=0.0),
-    )
-    assert stability_max_n(system, 200, 0.01) == 3
+    assert stability_max_n(_tiny_system(), 200, 0.01) == 3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_mc_stability_cutoff_matches_exact(seed):
+    # The narrow MC matrix is the head of the wide one, so the comparison
+    # holds no sampling noise between two builds and the cutoff is exact's.
+    system = _tiny_system()
+    assert stability_max_n(system, 20) == 1
+    assert stability_max_n(system, 20, method="mc", n_shots=5000, seed=seed, workers=1) == 1
 
 
 def test_stability_tolerance_validation(rapid32):
