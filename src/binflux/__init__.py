@@ -10,7 +10,7 @@ benchmarks the result against a conventional attenuated single-pixel
 measurement.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .baseline import (
     SinglePixelSpec,
@@ -40,6 +40,7 @@ from .detector_model import (
     MechanisticUndershoot,
     click_probability,
     effective_efficiency,
+    no_click_probabilities,
     per_bin_dark_probabilities,
     shot_dark_probability,
 )

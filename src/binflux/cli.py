@@ -3,8 +3,9 @@
 Subcommands: presets, simulate, matrix, infer, compare, sweep. Every file
 output gets a sibling <name>.manifest.json recording every option as
 parsed (except --preset/--config, which the recorded system replaces), the
-system fingerprint, and library versions (no timestamps, so a rerun of the
-same command yields byte-identical files).
+system fingerprint, and library versions together with the Monte Carlo
+stream version (versions.kernel; no timestamps, so a rerun of the same
+command yields byte-identical files).
 
 Exit codes: 0 success, 2 usage, 3 configuration or file-format problem or
 a missing or unreadable file, 4 computation unsupported by the model,
@@ -14,6 +15,7 @@ a missing or unreadable file, 4 computation unsupported by the model,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import platform
 import sys
@@ -32,6 +34,7 @@ from .errors import (
 )
 from .exact_oracle import coherent_click_distribution
 from .inference import (
+    _stability_build,
     credible_interval,
     interval_to_energy,
     posterior_multi,
@@ -39,7 +42,7 @@ from .inference import (
     relative_error_curve,
     stability_max_n,
 )
-from .mc_engine import Coherent, Fock, describe_source, simulate_batch
+from .mc_engine import MC_KERNEL, Coherent, Fock, describe_source, simulate_batch
 from .multiplexer import validate_timing
 from .presets import PRESET_NAMES, get_preset
 from .response_matrix import _fmt, build_matrix, load_matrix, save_matrix
@@ -87,6 +90,7 @@ def _write_manifest(out: Path, args: argparse.Namespace, system: SystemConfig) -
         "fingerprint": fingerprint(system),
         "versions": {
             "binflux": __version__,
+            "kernel": MC_KERNEL,
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
@@ -256,9 +260,16 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
 
 def _convergence(args: argparse.Namespace, system: SystemConfig, max_shots: int):
-    """Exact matrix, stability cutoff and relative-error curve shared by compare and sweep."""
-    matrix = build_matrix(system, args.mu_max, "exact", workers=args.workers)
-    cutoff = stability_max_n(system, args.mu_max, args.tolerance)
+    """Exact matrix, stability cutoff and relative-error curve shared by compare and sweep.
+
+    One exact build on [0, 2 * mu_max] gives the cutoff, and its first
+    mu_max + 1 rows are the [0, mu_max] matrix the curve inverts with.
+    """
+    wide, cutoff = _stability_build(system, args.mu_max, args.tolerance, "exact")
+    head = slice(0, args.mu_max + 1)
+    matrix = dataclasses.replace(
+        wide, mu_max=args.mu_max, rows=wide.rows[head], provenance=wide.provenance[head]
+    )
     return relative_error_curve(
         system,
         matrix,

@@ -130,6 +130,20 @@ def per_bin_dark_probabilities(weights: BinWeights, spec: DetectorSpec) -> np.nd
     return darks[weights.detector_of_bin]
 
 
+def no_click_probabilities(mu, weights: BinWeights, spec: DetectorSpec) -> np.ndarray:
+    """Probability that each gate stays silent under a coherent pulse of mean mu.
+
+    The photon number reaching bin b is Poisson with mean mu * q_b, so the
+    no-click factor (1 - eta)**k averages to exp(-mu * q_b * eta); the gate
+    must also escape its dark count, which leaves (1 - d_b) times that. A
+    scalar mu gives shape (B,); a vector of m values gives (m, B).
+    """
+    mu = np.asarray(mu, dtype=float)
+    eta = np.asarray(effective_efficiency(spec, mu))
+    dark = per_bin_dark_probabilities(weights, spec)
+    return (1.0 - dark) * np.exp(-mu[..., None] * weights.weights * eta[..., None])
+
+
 def shot_dark_probability(spec: DetectorSpec, bins_per_detector: int) -> float:
     """Probability that at least one of the gates of a full train darks out."""
     if bins_per_detector < 0:

@@ -18,6 +18,7 @@ from .detector_model import (
     DetectorSpec,
     click_probability,
     effective_efficiency,
+    no_click_probabilities,
     per_bin_dark_probabilities,
 )
 from .errors import ModelUnsupportedError
@@ -82,14 +83,11 @@ def poisson_binomial_pmf(click_probs: np.ndarray) -> np.ndarray:
 def per_bin_click_probabilities(mu, weights: BinWeights, detector: DetectorSpec) -> np.ndarray:
     """Click probability of each gate under a coherent pulse of mean mu.
 
-    The photon number reaching bin b is Poisson with mean mu * q_b, so the
-    no-click factor (1 - eta)**k averages to exp(-mu * q_b * eta). A scalar
-    mu gives shape (B,); a vector of m values gives (m, B).
+    One minus detector_model.no_click_probabilities, the threshold the Monte
+    Carlo kernel tests coherent shots against. A scalar mu gives shape (B,);
+    a vector of m values gives (m, B).
     """
-    mu = np.asarray(mu, dtype=float)
-    eta = np.asarray(effective_efficiency(detector, mu))
-    dark = per_bin_dark_probabilities(weights, detector)
-    return 1.0 - (1.0 - dark) * np.exp(-mu[..., None] * weights.weights * eta[..., None])
+    return 1.0 - no_click_probabilities(mu, weights, detector)
 
 
 def coherent_click_rows(mus, weights: BinWeights, detector: DetectorSpec) -> np.ndarray:

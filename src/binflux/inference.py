@@ -212,13 +212,24 @@ def stability_max_n(
     counts as unstable. Counts above the returned value should be
     discarded rather than inverted.
     """
+    return _stability_build(system, mu_max, tolerance, method, n_shots=n_shots, seed=seed, workers=workers)[1]
+
+
+def _stability_build(
+    system: SystemConfig, mu_max: int, tolerance: float, method: str, **mc
+) -> tuple[ResponseMatrix, int]:
+    """The [0, 2 * mu_max] matrix stability_max_n builds, and the cutoff it gives.
+
+    Callers that also need the [0, mu_max] matrix take its first
+    mu_max + 1 rows instead of building it again.
+    """
     if tolerance <= 0.0:
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
     if method == "auto":
         method = "mc" if system.detector.history_dependent else "exact"
-    wide = build_matrix(system, 2 * mu_max, method, n_shots=n_shots, seed=seed, workers=workers)
+    wide = build_matrix(system, 2 * mu_max, method, **mc)
     unstable = np.flatnonzero(~(_stability_tv(wide.rows, mu_max) < tolerance))
-    return int(unstable[0]) - 1 if unstable.size else wide.num_bins
+    return wide, int(unstable[0]) - 1 if unstable.size else wide.num_bins
 
 
 @dataclass

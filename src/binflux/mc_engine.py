@@ -1,15 +1,18 @@
 """Monte Carlo simulation of click patterns, deterministic per (seed, shot).
 
 Every shot draws its randomness from fixed Philox counter lanes (see _rng),
-so results are bit-identical across chunk sizes and worker counts. Lane
-layout per shot:
+so results are bit-identical across chunk sizes and worker counts. The lane
+layout is versioned as the "mc2" stream (MC_KERNEL), which matrix
+provenance and CLI manifests record. Lane layout per shot:
 
-* Coherent source, B bins: lane b in [0, B) is a threshold test against
-  exp(-mu * q_b * eta), the chance that independent gate b sees no photon
-  (no photon number is drawn); [B, 2B) dark clicks, [2B, 3B) undershoot
-  suppression.
+* Coherent source, B bins: lane b in [0, B) clicks gate b when
+  u_b >= (1 - d_b) * exp(-mu * q_b * eta), the gate's no-click probability
+  with its dark count folded in (detector_model.no_click_probabilities;
+  no photon number is drawn). [B, 2B) undershoot suppression, reserved only
+  for a history-dependent detector.
 * Fock source with n photons: lanes [0, n) route photons to bins, then
-  [n, n + B) dark clicks and [n + B, n + 2B) undershoot suppression.
+  [n, n + B) dark clicks, and [n + B, n + 2B) undershoot suppression, again
+  only for a history-dependent detector.
 """
 
 from __future__ import annotations
@@ -25,15 +28,23 @@ from ._rng import philox_key, uniform_lanes
 from .detector_model import (
     DetectorSpec,
     effective_efficiency,
+    no_click_probabilities,
     per_bin_dark_probabilities,
 )
 from .multiplexer import BinWeights
 
 FOCK_MC_CAP = 1_000_000
 
-# Keep per-chunk transients near 128 MB even for very wide lane layouts: the
-# uniform block plus, for Fock sources, an equally large routing index array.
+# Version of the lane layout above. Seeds recorded under another version
+# do not reproduce their rows with this kernel.
+MC_KERNEL = "mc2"
+
+# Keep the per-chunk uniform block near 64 MB even for very wide lane
+# layouts. Fock routing works through it in blocks of _ROUTE_BLOCK_CELLS
+# (shot, photon) cells, so its int64 index array stays near 8 MB whatever
+# the chunk length.
 _CHUNK_BUDGET_DOUBLES = 8_388_608
+_ROUTE_BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -108,26 +119,24 @@ class _Kernel:
         detector.validate()
         b = weights.num_bins
         self.n_bins = b
-        self.dark = per_bin_dark_probabilities(weights, detector)
         self.source = source
         if isinstance(source, Coherent):
-            eta = effective_efficiency(detector, source.mu)
-            self.lanes = 3 * b
-            self.dark_off = b
-            self.no_photon = np.exp(-source.mu * weights.weights * eta)
+            self.silent = no_click_probabilities(source.mu, weights, detector)
+            self.lanes = b
         else:
             if source.n_photons > FOCK_MC_CAP:
                 raise ValueError(
                     f"Fock.n_photons={source.n_photons} exceeds the Monte Carlo cap of {FOCK_MC_CAP}"
                 )
             eta = effective_efficiency(detector, float(source.n_photons))
-            self.lanes = source.n_photons + 2 * b
-            self.dark_off = source.n_photons
+            self.dark = per_bin_dark_probabilities(weights, detector)
             cells = np.append(weights.weights * eta, max(0.0, 1.0 - eta * weights.weights.sum()))
             self.route_cum = np.cumsum(cells)
             self.route_cum[-1] = max(self.route_cum[-1], 1.0)
-        self.us_off = self.dark_off + b
+            self.lanes = source.n_photons + b
+        self.us_off = self.lanes
         if detector.history_dependent:
+            self.lanes += b
             self.p_miss = detector.undershoot.p_miss_next
             self.det_bins = [np.flatnonzero(weights.detector_of_bin == d) for d in (0, 1)]
         else:
@@ -136,23 +145,31 @@ class _Kernel:
 
     def _fock_counts(self, u: np.ndarray) -> np.ndarray:
         """Detected photons per (shot, bin); cell B collects the lost ones."""
-        n, cells = u.shape[0], self.n_bins + 1
-        idx = np.searchsorted(self.route_cum, u, side="right")
-        idx += cells * np.arange(n)[:, None]
-        return np.bincount(idx.ravel(), minlength=n * cells).reshape(n, cells)[:, : self.n_bins]
+        n, photons = u.shape
+        cells = self.n_bins + 1
+        counts = np.empty((n, self.n_bins), dtype=np.int64)
+        block = max(1, _ROUTE_BLOCK_CELLS // max(photons, 1))
+        for r in range(0, n, block):
+            m = min(block, n - r)
+            idx = np.searchsorted(self.route_cum, u[r : r + m], side="right")
+            idx += cells * np.arange(m)[:, None]
+            routed = np.bincount(idx.ravel(), minlength=m * cells).reshape(m, cells)
+            counts[r : r + m] = routed[:, : self.n_bins]
+        return counts
 
     def run(self, key: np.ndarray, start_shot: int, n_shots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Simulate shots [start_shot, start_shot + n_shots): (clicks, totals, Fock counts or None)."""
         u = uniform_lanes(key, start_shot, n_shots, self.lanes)
-        dark_hits = u[:, self.dark_off : self.dark_off + self.n_bins] < self.dark[None, :]
+        b = self.n_bins
         if isinstance(self.source, Coherent):
             counts = None
-            clicks = (u[:, : self.n_bins] >= self.no_photon[None, :]) | dark_hits
+            clicks = u[:, :b] >= self.silent
         else:
-            counts = self._fock_counts(u[:, : self.dark_off])
-            clicks = (counts > 0) | dark_hits
+            n = self.source.n_photons
+            counts = self._fock_counts(u[:, :n])
+            clicks = (counts > 0) | (u[:, n : n + b] < self.dark)
         if self.p_miss > 0.0:
-            u_us = u[:, self.us_off : self.us_off + self.n_bins]
+            u_us = u[:, self.us_off : self.us_off + b]
             for bins in self.det_bins:
                 prev = np.zeros(n_shots, dtype=bool)
                 for j in bins:
@@ -211,9 +228,9 @@ def simulate_batch(
         photons = None if counts is None else counts.sum(axis=0)
         return hist, clicks.sum(axis=0), photons, totals if store_totals else None
 
-    n_workers = _resolve_workers(workers)
     jobs = list(zip(starts, sizes))
-    if n_workers == 1 or len(jobs) == 1:
+    n_workers = min(_resolve_workers(workers), len(jobs))
+    if n_workers == 1:
         parts = [process(j) for j in jobs]
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:

@@ -30,7 +30,7 @@ from ._rng import derive_seed
 from .config import SystemConfig, fingerprint, system_from_dict, system_to_dict
 from .errors import ConfigurationError, MatrixFormatError
 from .exact_oracle import ClickDistribution, coherent_click_rows
-from .mc_engine import Coherent, simulate_batch
+from .mc_engine import MC_KERNEL, Coherent, simulate_batch
 
 _FORMAT_VERSION = 1
 _ROW_SUM_TOL = 1e-9
@@ -39,21 +39,31 @@ _HEADER_RE = re.compile(
 )
 
 
+# The v1 Monte Carlo stream wrote "mc:<shots>:<seed>"; its rows still load.
+_LEGACY_MC_KERNEL = "mc"
+
+
 @dataclass(frozen=True)
 class RowProvenance:
-    """How one row was obtained: exact formula, Monte Carlo, or interpolation."""
+    """How one row was obtained: exact formula, Monte Carlo, or interpolation.
+
+    kernel names the Monte Carlo stream that drew an "mc" row; only rows of
+    the current stream (mc_engine.MC_KERNEL) are reproducible from their
+    seed. Other kinds ignore it.
+    """
 
     kind: str
     n_shots: int | None = None
     seed: int | None = None
     mu_lo: int | None = None
     mu_hi: int | None = None
+    kernel: str = MC_KERNEL
 
     def token(self) -> str:
         if self.kind == "exact":
             return "exact"
         if self.kind == "mc":
-            return f"mc:{self.n_shots}:{self.seed}"
+            return f"{self.kernel}:{self.n_shots}:{self.seed}"
         return f"interp:{self.mu_lo}:{self.mu_hi}"
 
     @staticmethod
@@ -62,8 +72,8 @@ class RowProvenance:
         try:
             if parts[0] == "exact" and len(parts) == 1:
                 return RowProvenance(kind="exact")
-            if parts[0] == "mc" and len(parts) == 3:
-                return RowProvenance(kind="mc", n_shots=int(parts[1]), seed=int(parts[2]))
+            if parts[0] in (MC_KERNEL, _LEGACY_MC_KERNEL) and len(parts) == 3:
+                return RowProvenance(kind="mc", n_shots=int(parts[1]), seed=int(parts[2]), kernel=parts[0])
             if parts[0] == "interp" and len(parts) == 3:
                 return RowProvenance(kind="interpolated", mu_lo=int(parts[1]), mu_hi=int(parts[2]))
         except ValueError:
@@ -339,7 +349,10 @@ def _parse_json(text: str, path: Path) -> ResponseMatrix:
 
 
 def _assemble(system, mu_max, rows, prov, method, fp, path) -> ResponseMatrix:
-    """Checks both formats share: the method, the bin count and each direct row's provenance."""
+    """Checks both formats share: the method, the bin count and each direct row's provenance.
+
+    Monte Carlo rows from an older stream load, with one warning per file.
+    """
     if method not in ("exact", "mc"):
         raise MatrixFormatError(f"{path}: method must be 'exact' or 'mc', got {method!r}")
     if rows.shape[1] != system.num_bins + 1:
@@ -357,6 +370,13 @@ def _assemble(system, mu_max, rows, prov, method, fp, path) -> ResponseMatrix:
             stacklevel=3,
         )
         fp = recomputed
+    stale = sum(p.kind == "mc" and p.kernel != MC_KERNEL for p in prov)
+    if stale:
+        warnings.warn(
+            f"{path}: {stale} of {len(prov)} rows carry v1 Monte Carlo tokens ('{_LEGACY_MC_KERNEL}:'); "
+            f"this version draws the {MC_KERNEL} stream and cannot reproduce those rows from their seeds",
+            stacklevel=3,
+        )
     return ResponseMatrix(
         system=system, mu_max=mu_max, rows=rows, provenance=prov, method=method, fingerprint=fp
     )

@@ -4,15 +4,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import binflux.cli as cli
+import binflux.inference as inference
 from binflux import (
     DetectorSpec,
     MultiplexerSpec,
     ResponseMatrix,
     SystemConfig,
     UniformLoss,
+    build_matrix,
     fingerprint,
+    relative_error_curve,
     save_matrix,
     save_system,
+    stability_max_n,
 )
 from binflux.cli import main
 from binflux.response_matrix import RowProvenance
@@ -450,3 +455,57 @@ def test_sweep_over_shots_matches_compare(tmp_path):
     compared = {row.split(",")[0]: row.split(",")[1] for row in compare.read_text().splitlines()[1:]}
     assert set(swept) == {"10", "50"}
     assert swept == {k: compared[k] for k in swept}
+
+
+def _count_build_calls(monkeypatch):
+    """Count build_matrix calls made through cli and through inference."""
+    calls = []
+    for module in (cli, inference):
+        original = module.build_matrix
+
+        def counting(*args, _original=original, **kwargs):
+            calls.append(args[1])
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "build_matrix", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--max-shots", "20"],
+        ["sweep", "--over", "shots", "--values", "5,20"],
+    ],
+    ids=["compare", "sweep-shots"],
+)
+def test_convergence_builds_one_matrix(monkeypatch, tmp_path, argv):
+    calls = _count_build_calls(monkeypatch)
+    common = ["--preset", "rapid32", "--mu", "100", "--trials", "3", "--mu-max", "200", "--seed", "4"]
+    assert main([*argv, *common, "-o", str(tmp_path / "out.csv")]) == 0
+    assert calls == [400]
+
+
+def test_convergence_curve_equals_separate_builds(rapid32):
+    args = cli.build_parser().parse_args(
+        ["compare", "--preset", "rapid32", "--mu", "80", "--trials", "4", "--mu-max", "150",
+         "--seed", "6", "--tolerance", "0.02", "-o", "unused.csv"]
+    )
+    curve = cli._convergence(args, rapid32, 60)
+    cutoff = stability_max_n(rapid32, 150, 0.02)
+    ref = relative_error_curve(
+        rapid32, build_matrix(rapid32, 150), 80.0, 60, 4, 6, level=0.90, max_admissible_n=cutoff
+    )
+    assert curve.max_admissible_n == cutoff
+    assert np.array_equal(curve.rel_err, ref.rel_err)
+
+
+def test_mc_matrix_records_the_mc2_stream(tmp_path):
+    out = tmp_path / "mc.csv"
+    args = ["matrix", "--preset", "rapid32", "--mu-max", "20", "--method", "mc", "--shots", "2000", "--seed", "3"]
+    assert main([*args, "-o", str(out)]) == 0
+    tokens = out.read_text().splitlines()[2].removeprefix("# provenance: ").split(";")
+    assert len(tokens) == 21 and all(t.startswith("mc2:2000:") for t in tokens)
+    manifest = json.loads((tmp_path / "mc.csv.manifest.json").read_text())
+    assert manifest["versions"]["kernel"] == "mc2"
+    assert main(["infer", "-m", str(out), "--n", "3", "--no-stability", "-o", str(tmp_path / "r.json")]) == 0

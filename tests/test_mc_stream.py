@@ -1,10 +1,11 @@
-"""Pinned Monte Carlo streams.
+"""Pinned Monte Carlo streams (the mc2 lane layout).
 
 The README promises that an MC row can be reproduced standalone from its
-recorded seed. These digests of per-shot click totals were recorded once;
-any change to the lane layout or to how a lane becomes a click changes
-them, so a kernel rewrite that is meant to keep every output bit fails
-here if it does not.
+recorded seed. These digests of per-shot click totals were recorded once,
+when the mc2 kernel replaced the v1 layout; any change to the lane layout
+or to how a lane becomes a click changes them, so a kernel rewrite that is
+meant to keep every output bit fails here if it does not. A change that
+alters the stream on purpose is a new kernel version (mc_engine.MC_KERNEL).
 """
 
 import dataclasses
@@ -30,27 +31,27 @@ def _mechanistic():
 CASES = {
     "coherent.rapid32.mu100": (
         Coherent(100.0), lambda: get_preset("rapid32"), 1001,
-        "b778cc9a9e908c552d63feb074240050d2210afbd6cd1d0718a0cf5e218760b6",
+        "c62847aaac89b1e95669204bb5687b3c71f1a98df93be5808e1d16f5e33706a3",
     ),
     "coherent.conventional16.mu10": (
         Coherent(10.0), lambda: get_preset("conventional16"), 1002,
-        "efe7f48dd56d9fc5c4a2ca883e6d7917f5b1dc1b8e5b792aeeb69a4d8110b423",
+        "ae00db2b43a25ad97463c80b3d853f506f8c66d4b52db974bec1d7cb61acf282",
     ),
     "mechanistic.rapid32.mu100": (
         Coherent(100.0), _mechanistic, 1003,
-        "ef49a80691c8258476b5a26cf90c62acef87802c34272ad94af59c31e20e91a2",
+        "420572974eedd517f14153de39de9fe64b6c0d75be63871e289cc4ffd534cfd1",
     ),
     "fock5.lossy_small": (
         Fock(5), None, 1004,
-        "e1a222070d1fb72dc235dec9520395e2321b32449b7b59004291cb6cbc18fb4d",
+        "c7bc35a39e40027df214c94686614c71aaba7cc81dc101a060785218a9a7d947",
     ),
     "fock80.rapid32": (
         Fock(80), lambda: get_preset("rapid32"), 1005,
-        "92106d78b5a3012285c86b9b77d37b0e49eef8345bc958d04fbbfb4096f969df",
+        "4893035c7f7e23f13bb22f9d6cb057bd26dc9ee73baa8cfbb299d1e579548320",
     ),
     "fock200.rapid32": (
         Fock(200), lambda: get_preset("rapid32"), 1006,
-        "d18795c61d1276668a1f0ef682dc4eb784641b3b09c552720aefe660687a901f",
+        "1a62fde87e96389c8e51e48a4909089e9646c1b32f30b4746b98677fe6bc880d",
     ),
 }
 

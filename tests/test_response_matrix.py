@@ -1,7 +1,12 @@
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binflux import (
     ConfigurationError,
@@ -404,3 +409,71 @@ def test_malformed_embedded_config_is_format_error(small_matrix, tmp_path, ext):
     _edit(p, 1, lambda s: _config_line(config), lambda doc: {**doc, "config": config})
     with pytest.raises(MatrixFormatError, match="detector.efficiency"):
         load_matrix(p)
+
+
+@st.composite
+def random_matrices(draw):
+    """Hand-built matrices: random rows, and provenance mixing every token kind the method allows."""
+    system = get_preset(draw(st.sampled_from(["rapid32", "conventional16"])))
+    mu_max = draw(st.integers(min_value=1, max_value=8))
+    cells = system.num_bins + 1
+    rows = np.array(
+        draw(st.lists(st.floats(0.0, 1.0), min_size=(mu_max + 1) * cells, max_size=(mu_max + 1) * cells))
+    ).reshape(mu_max + 1, cells)
+    rows[np.arange(mu_max + 1), draw(st.integers(0, cells - 1))] += 1.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    method = draw(st.sampled_from(["exact", "mc"]))
+    ints = st.integers(0, 2**64 - 1)
+    direct = (
+        st.just(RowProvenance(kind="exact"))
+        if method == "exact"
+        else st.builds(
+            lambda n, seed, kernel: RowProvenance(kind="mc", n_shots=n, seed=seed, kernel=kernel),
+            st.integers(1, 10**9), ints, st.sampled_from(["mc2", "mc"]),
+        )
+    )
+    interp = st.builds(lambda lo, hi: RowProvenance(kind="interpolated", mu_lo=lo, mu_hi=hi), ints, ints)
+    prov = tuple(draw(st.lists(st.one_of(direct, interp), min_size=mu_max + 1, max_size=mu_max + 1)))
+    return ResponseMatrix(
+        system=system, mu_max=mu_max, rows=rows, provenance=prov, method=method, fingerprint=fingerprint(system)
+    )
+
+
+@given(matrix=random_matrices(), ext=st.sampled_from(["csv", "json"]))
+@settings(max_examples=60, deadline=None)
+def test_random_matrix_save_load_round_trip(matrix, ext):
+    with tempfile.TemporaryDirectory() as tmp:
+        p1, p2 = Path(tmp) / f"m1.{ext}", Path(tmp) / f"m2.{ext}"
+        save_matrix(matrix, p1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loaded = load_matrix(p1)
+        save_matrix(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+    assert np.array_equal(loaded.rows, matrix.rows)
+    assert loaded.provenance == matrix.provenance
+    legacy = any(p.kind == "mc" and p.kernel == "mc" for p in matrix.provenance)
+    assert len(caught) == (1 if legacy else 0)
+
+
+@pytest.mark.parametrize("ext", ["csv", "json"])
+def test_legacy_mc_file_loads_warns_once_and_resaves_identically(small_mc_matrix, tmp_path, ext):
+    # A file the v1 kernel wrote differs from an mc2 one only in its tokens.
+    current, legacy, resaved = (tmp_path / f"{name}.{ext}" for name in ("current", "legacy", "resaved"))
+    save_matrix(small_mc_matrix, current)
+    assert "mc2:" in current.read_text()
+    legacy.write_text(current.read_text().replace("mc2:", "mc:"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert [p.token() for p in load_matrix(current).provenance] == [
+            p.token() for p in small_mc_matrix.provenance
+        ]
+    assert caught == []
+    with pytest.warns(UserWarning) as caught:
+        loaded = load_matrix(legacy)
+    assert len(caught) == 1
+    message = str(caught[0].message)
+    assert str(legacy) in message and "cannot reproduce" in message
+    assert [p.kernel for p in loaded.provenance if p.kind == "mc"] == ["mc"] * 3  # rows 0, 3 and 6
+    save_matrix(loaded, resaved)
+    assert resaved.read_bytes() == legacy.read_bytes()
