@@ -1,8 +1,9 @@
 """The response matrix: p(n clicks | mu), one row per integer mu.
 
 This matrix is the forward model that inference inverts. It can be built
-exactly (fast for coherent light), by Monte Carlo (for models with no
-closed form), or from a sparse support with interpolation in between.
+exactly (fast for coherent light, for every detector model), by Monte
+Carlo (sampled rows, each reproducible from its recorded seed), or from a
+sparse support with interpolation in between.
 """
 
 import tempfile

@@ -32,7 +32,7 @@ from .errors import (
     MatrixFormatError,
     ModelUnsupportedError,
 )
-from .exact_oracle import coherent_click_distribution
+from .exact_oracle import coherent_click_rows
 from .inference import (
     _stability_build,
     credible_interval,
@@ -208,13 +208,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         cutoff: int | None = args.max_n
     elif args.no_stability:
         cutoff = None
-    elif matrix.system.detector.history_dependent:
-        print(
-            "note: stability cutoff skipped (history-dependent model needs Monte Carlo; "
-            "pass --max-n to enforce one)",
-            file=sys.stderr,
-        )
-        cutoff = None
     else:
         cutoff = stability_max_n(matrix.system, matrix.mu_max, args.tolerance)
     if cutoff is not None:
@@ -265,7 +258,7 @@ def _convergence(args: argparse.Namespace, system: SystemConfig, max_shots: int)
     One exact build on [0, 2 * mu_max] gives the cutoff, and its first
     mu_max + 1 rows are the [0, mu_max] matrix the curve inverts with.
     """
-    wide, cutoff = _stability_build(system, args.mu_max, args.tolerance, "exact")
+    wide, cutoff = _stability_build(system, args.mu_max, args.tolerance)
     head = slice(0, args.mu_max + 1)
     matrix = dataclasses.replace(
         wide, mu_max=args.mu_max, rows=wide.rows[head], provenance=wide.provenance[head]
@@ -316,18 +309,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     weights = system.bin_weights()
     out = Path(args.output)
     if args.over == "mu":
-        exact_ok = not system.detector.history_dependent
-        header = "mu,n,count,probability" + (",probability_exact" if exact_ok else "")
+        exact = coherent_click_rows(values, weights, system.detector)
         lines = []
-        for mu in values:
+        for mu, probs in zip(values, exact):
             batch = simulate_batch(
                 Coherent(float(mu)), weights, system.detector, args.shots, args.seed, workers=args.workers
             )
-            exact = coherent_click_distribution(float(mu), weights, system.detector).probs if exact_ok else None
             for n, c in enumerate(batch.histogram):
-                row = f"{mu},{n},{c},{_fmt(c / batch.n_shots)}"
-                lines.append(row if exact is None else row + f",{_fmt(exact[n])}")
-        _write_lines(out, header, lines)
+                lines.append(f"{mu},{n},{c},{_fmt(c / batch.n_shots)},{_fmt(probs[n])}")
+        _write_lines(out, "mu,n,count,probability,probability_exact", lines)
     else:
         curve = _convergence(args, system, max(values))
         med, q25, q75 = curve.median(), curve.quantile(0.25), curve.quantile(0.75)

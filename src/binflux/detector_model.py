@@ -9,8 +9,10 @@ models describe the gain sag that follows an avalanche:
   anchor points. It keeps every click statistically independent, so exact
   distributions stay available.
 * MechanisticUndershoot suppresses each gate immediately following a click
-  on the same detector with a fixed probability. This makes bins interact
-  and is only supported by the Monte Carlo engine.
+  on the same detector with a fixed probability. This makes bins interact:
+  the gates form a Markov chain in bin order, whose exact law the exact
+  oracle computes for coherent pulses. Fock pulses on such a detector are
+  only supported by the Monte Carlo engine.
 """
 
 from __future__ import annotations

@@ -13,11 +13,12 @@ class ConfigurationError(BinfluxError):
 
 
 class ModelUnsupportedError(BinfluxError):
-    """The requested computation has no closed form for this model.
+    """The requested computation is not available for this model.
 
-    Raised when an exact calculation is asked to handle a feature that only
-    the Monte Carlo path supports (history-dependent deadtime suppression,
-    for example).
+    Raised when the exact oracle is asked for a Fock source on a
+    history-dependent detector (the mechanistic undershoot), which only the
+    Monte Carlo engine simulates, and when a click count lies above the
+    stability cutoff, where inversion would depend on the grid bound.
     """
 
 

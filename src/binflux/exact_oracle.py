@@ -1,10 +1,13 @@
-"""Closed-form click-count distributions for independent-gate models.
+"""Exact click-count distributions.
 
-With independent gates the click total is a Poisson-binomial variable: each
-bin clicks with its own probability and the distribution of the sum follows
-from one polynomial convolution per bin. History-dependent models (the
-mechanistic undershoot) break independence and are rejected here; use the
-Monte Carlo engine for those.
+With independent gates the click total of a coherent pulse is a
+Poisson-binomial variable: each bin clicks with its own probability and the
+distribution of the sum follows from one polynomial convolution per bin.
+The mechanistic undershoot couples each gate to the previous gate of its
+detector, which makes the gates a finite Markov chain in bin order; one
+dynamic program over that chain, tracking the click count and the last
+outcome of each detector, gives its exact law. Fock sources are exact for
+independent gates only.
 """
 
 from __future__ import annotations
@@ -80,6 +83,34 @@ def poisson_binomial_pmf(click_probs: np.ndarray) -> np.ndarray:
     return dist.reshape(p.shape[:-1] + (n_gates + 1,))
 
 
+def _undershoot_chain_pmf(click_probs, detector_of_bin, p_miss: float) -> np.ndarray:
+    """Click-total law of the mechanistic undershoot chain, all rows at once.
+
+    Gate j clicks with p_j, or with p_j * (1 - p_miss) when the previous
+    gate of its detector clicked. dist[a, b, :, k] is the probability of k
+    clicks so far with detector 0's last gate clicked (a = 1) or not (a = 0),
+    and likewise b for detector 1. Shapes as for poisson_binomial_pmf.
+    """
+    p = np.asarray(click_probs, dtype=float)
+    rows = np.atleast_2d(p)
+    m, n_gates = rows.shape
+    dist = np.zeros((2, 2, m, n_gates + 1))
+    dist[0, 0, :, 0] = 1.0
+    for j, d in enumerate(detector_of_bin):
+        pj = rows[:, j : j + 1]
+        kept = pj * (1.0 - p_miss)
+        # Views on dist, split by the last outcome of gate j's detector.
+        silent, clicked = np.moveaxis(dist[..., : j + 2], int(d), 0)
+        fired = silent[..., :-1] * pj + clicked[..., :-1] * kept
+        silent *= 1.0 - pj
+        silent += clicked * (1.0 - kept)
+        clicked[..., 0] = 0.0
+        clicked[..., 1:] = fired
+    dist = dist.sum(axis=(0, 1))
+    dist /= dist.sum(axis=1, keepdims=True)
+    return dist.reshape(p.shape[:-1] + (n_gates + 1,))
+
+
 def per_bin_click_probabilities(mu, weights: BinWeights, detector: DetectorSpec) -> np.ndarray:
     """Click probability of each gate under a coherent pulse of mean mu.
 
@@ -94,16 +125,16 @@ def coherent_click_rows(mus, weights: BinWeights, detector: DetectorSpec) -> np.
     """Exact click-count laws for coherent pulses, one row per mean in mus.
 
     A scalar mu gives one (B + 1,) distribution; a vector of m means gives
-    an (m, B + 1) array from a single Poisson-binomial pass.
+    an (m, B + 1) array from a single pass: the undershoot chain for a
+    history-dependent detector, the Poisson-binomial DP otherwise.
     """
-    if detector.history_dependent:
-        raise ModelUnsupportedError(
-            "mechanistic undershoot couples neighboring gates; no closed form, use the Monte Carlo engine"
-        )
     mu = np.asarray(mus, dtype=float)
     if not np.isfinite(mu).all() or (mu < 0.0).any():
         raise ValueError(f"mu must be finite and >= 0, got {mus!r}")
-    return poisson_binomial_pmf(per_bin_click_probabilities(mu, weights, detector))
+    p = per_bin_click_probabilities(mu, weights, detector)
+    if detector.history_dependent:
+        return _undershoot_chain_pmf(p, weights.detector_of_bin, detector.undershoot.p_miss_next)
+    return poisson_binomial_pmf(p)
 
 
 def coherent_click_distribution(mu: float, weights: BinWeights, detector: DetectorSpec) -> ClickDistribution:
@@ -126,7 +157,7 @@ def fock_click_distribution(
     """
     if detector.history_dependent:
         raise ModelUnsupportedError(
-            "mechanistic undershoot couples neighboring gates; no closed form, use the Monte Carlo engine"
+            "mechanistic undershoot with a Fock source has no exact law here; use the Monte Carlo engine"
         )
     if n_photons < 0:
         raise ValueError(f"n_photons must be >= 0, got {n_photons}")

@@ -189,35 +189,22 @@ def _stability_tv(wide_rows: np.ndarray, mu_max: int) -> np.ndarray:
     return 0.5 * diff.sum(axis=1)
 
 
-def stability_max_n(
-    system: SystemConfig,
-    mu_max: int,
-    tolerance: float = 0.01,
-    method: str = "auto",
-    *,
-    n_shots: int = 100_000,
-    seed: int | None = None,
-    workers: int | None = None,
-) -> int:
+def stability_max_n(system: SystemConfig, mu_max: int, tolerance: float = 0.01) -> int:
     """Largest click count whose posterior is insensitive to the grid bound.
 
-    One matrix is built on [0, 2 * mu_max]; the [0, mu_max] matrix is its
-    first mu_max + 1 rows, for exact rows and for Monte Carlo rows alike
-    (MC row mu is seeded from seed and mu only, so one build with the given
-    seed serves both grids). For each n the posterior on the narrow grid is
-    compared with the one on the wide grid. Because the former is the
+    One exact matrix is built on [0, 2 * mu_max]; the [0, mu_max] matrix is
+    its first mu_max + 1 rows. For each n the posterior on the narrow grid
+    is compared with the one on the wide grid. Because the former is the
     renormalised head of the latter, their total-variation distance equals
     the wide posterior's mass above mu_max. Counts up to the returned value
     all have a distance below tolerance; a count impossible on [0, mu_max]
     counts as unstable. Counts above the returned value should be
     discarded rather than inverted.
     """
-    return _stability_build(system, mu_max, tolerance, method, n_shots=n_shots, seed=seed, workers=workers)[1]
+    return _stability_build(system, mu_max, tolerance)[1]
 
 
-def _stability_build(
-    system: SystemConfig, mu_max: int, tolerance: float, method: str, **mc
-) -> tuple[ResponseMatrix, int]:
+def _stability_build(system: SystemConfig, mu_max: int, tolerance: float) -> tuple[ResponseMatrix, int]:
     """The [0, 2 * mu_max] matrix stability_max_n builds, and the cutoff it gives.
 
     Callers that also need the [0, mu_max] matrix take its first
@@ -225,9 +212,7 @@ def _stability_build(
     """
     if tolerance <= 0.0:
         raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
-    if method == "auto":
-        method = "mc" if system.detector.history_dependent else "exact"
-    wide = build_matrix(system, 2 * mu_max, method, **mc)
+    wide = build_matrix(system, 2 * mu_max)
     unstable = np.flatnonzero(~(_stability_tv(wide.rows, mu_max) < tolerance))
     return wide, int(unstable[0]) - 1 if unstable.size else wide.num_bins
 

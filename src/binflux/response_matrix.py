@@ -120,8 +120,7 @@ def _row_seed(seed: int, mu: int) -> int:
     # Stable per-row substream; recorded in provenance so a single row can
     # be reproduced with simulate_batch alone. It depends on seed and mu
     # only, never on mu_max, so an MC matrix on [0, m] is the first m + 1
-    # rows of the one on [0, 2m] built with the same seed and n_shots;
-    # stability_max_n relies on this.
+    # rows of the one on [0, 2m] built with the same seed and n_shots.
     return derive_seed(seed, mu)
 
 

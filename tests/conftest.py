@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from binflux import (
     DetectorSpec,
+    MechanisticUndershoot,
     MultiplexerSpec,
     UniformLoss,
     build_bin_weights,
@@ -14,6 +17,13 @@ from binflux import (
 @pytest.fixture(scope="session")
 def rapid32():
     return get_preset("rapid32")
+
+
+@pytest.fixture(scope="session")
+def mechanistic32(rapid32):
+    """rapid32 with the mechanistic undershoot: a gate after a click misses with p 0.3."""
+    detector = dataclasses.replace(rapid32.detector, undershoot=MechanisticUndershoot(0.3))
+    return dataclasses.replace(rapid32, name="rapid32-mechanistic", detector=detector)
 
 
 @pytest.fixture(scope="session")

@@ -231,12 +231,11 @@ def test_exact_stability_builds_one_matrix(monkeypatch, rapid32):
     calls = _count_calls(monkeypatch, inference, "build_matrix")
     assert stability_max_n(rapid32, 400) == 16
     assert len(calls) == 1
-    # Monte Carlo rows, asked for directly and chosen by "auto" for a
-    # history-dependent detector, also come from one build.
-    for system, method in ((rapid32, "mc"), (_mechanistic(rapid32), "auto")):
-        calls.clear()
-        stability_max_n(system, 30, method=method, n_shots=500, seed=3, workers=1)
-        assert len(calls) == 1
+    # A history-dependent detector takes the same path: one exact build.
+    calls.clear()
+    mechanistic = _mechanistic(rapid32)
+    assert stability_max_n(mechanistic, 30) == reference_stability(build_matrix(mechanistic, 60), 30, 0.01)[0]
+    assert len(calls) == 1
 
 
 @given(system=small_systems(), mu_max=st.integers(min_value=1, max_value=80), data=st.data())

@@ -7,20 +7,24 @@ import pytest
 import binflux.cli as cli
 import binflux.inference as inference
 from binflux import (
+    Coherent,
     DetectorSpec,
     MultiplexerSpec,
     ResponseMatrix,
     SystemConfig,
     UniformLoss,
     build_matrix,
+    coherent_click_distribution,
     fingerprint,
+    load_matrix,
     relative_error_curve,
     save_matrix,
     save_system,
+    simulate_batch,
     stability_max_n,
 )
 from binflux.cli import main
-from binflux.response_matrix import RowProvenance
+from binflux.response_matrix import RowProvenance, _fmt
 
 
 @pytest.fixture(scope="module")
@@ -509,3 +513,65 @@ def test_mc_matrix_records_the_mc2_stream(tmp_path):
     manifest = json.loads((tmp_path / "mc.csv.manifest.json").read_text())
     assert manifest["versions"]["kernel"] == "mc2"
     assert main(["infer", "-m", str(out), "--n", "3", "--no-stability", "-o", str(tmp_path / "r.json")]) == 0
+
+
+def test_sweep_over_mu_csv_matches_per_value_construction(rapid32, tmp_path):
+    # One all-mu exact call gives the same bytes as one exact row per value.
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--preset", "rapid32", "--over", "mu", "--values", "0,1,10,100,400,10"]
+    assert main(argv + ["--shots", "500", "--seed", "5", "-o", str(out)]) == 0
+    weights = rapid32.bin_weights()
+    lines = ["mu,n,count,probability,probability_exact"]
+    for mu in (0, 1, 10, 100, 400, 10):
+        batch = simulate_batch(Coherent(float(mu)), weights, rapid32.detector, 500, 5)
+        exact = coherent_click_distribution(float(mu), weights, rapid32.detector).probs
+        for n, c in enumerate(batch.histogram):
+            lines.append(f"{mu},{n},{c},{_fmt(c / batch.n_shots)},{_fmt(exact[n])}")
+    assert out.read_text() == "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def mechanistic_config(tmp_path_factory, mechanistic32):
+    path = tmp_path_factory.mktemp("mechanistic") / "mech.json"
+    save_system(mechanistic32, path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def mechanistic_matrix(mechanistic_config):
+    path = mechanistic_config.with_suffix(".csv")
+    argv = ["matrix", "--config", str(mechanistic_config), "--method", "exact", "--mu-max", "100"]
+    assert main(argv + ["-o", str(path)]) == 0
+    return path
+
+
+def test_matrix_exact_on_mechanistic_config(mechanistic_matrix, mechanistic32):
+    m = load_matrix(mechanistic_matrix)
+    assert m.method == "exact" and {p.kind for p in m.provenance} == {"exact"}
+    assert np.array_equal(m.rows, build_matrix(mechanistic32, 100).rows)
+
+
+def test_infer_on_mechanistic_matrix_enforces_cutoff(mechanistic_matrix, capsys):
+    assert main(["infer", "-m", str(mechanistic_matrix), "--n", "2"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["max_admissible_n"] == 3
+    assert captured.err == ""
+    assert main(["infer", "-m", str(mechanistic_matrix), "--n", "4"]) == 4
+    assert "stability cutoff 3" in capsys.readouterr().err
+
+
+def test_compare_on_mechanistic_config(mechanistic_config, tmp_path):
+    out = tmp_path / "compare.csv"
+    argv = ["compare", "--config", str(mechanistic_config), "--mu", "100", "--max-shots", "50"]
+    assert main(argv + ["--trials", "5", "--seed", "3", "-o", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 50
+
+
+def test_sweep_over_mu_on_mechanistic_writes_exact_column(mechanistic_config, mechanistic32, tmp_path):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", str(mechanistic_config), "--over", "mu", "--values", "1,100"]
+    assert main(argv + ["--shots", "2000", "--seed", "2", "-o", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "mu,n,count,probability,probability_exact"
+    exact = np.array([float(line.split(",")[4]) for line in lines[1:]]).reshape(2, 33)
+    assert np.array_equal(exact, build_matrix(mechanistic32, 100).rows[[1, 100]])

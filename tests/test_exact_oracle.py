@@ -1,9 +1,13 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from test_mc2_kernel import brute_force_mechanistic, small_systems
 
 from binflux import (
     Coherent,
@@ -24,6 +28,7 @@ from binflux import (
     poisson_binomial_pmf,
     total_variation,
 )
+from binflux.exact_oracle import coherent_click_rows
 
 
 def test_poisson_binomial_equal_p_matches_binomial():
@@ -160,6 +165,8 @@ def test_fock_cap_enforced(tiny_weights, ideal_detector):
 
 
 def test_mechanistic_undershoot_rejected(tiny_weights):
+    # Only Fock sources lack an exact law on a history-dependent detector;
+    # coherent pulses go through the undershoot chain.
     det = DetectorSpec(
         efficiency=0.5,
         dark_prob_per_gate=(0.0, 0.0),
@@ -168,9 +175,30 @@ def test_mechanistic_undershoot_rejected(tiny_weights):
         undershoot=MechanisticUndershoot(0.2),
     )
     with pytest.raises(ModelUnsupportedError):
-        coherent_click_distribution(1.0, tiny_weights, det)
-    with pytest.raises(ModelUnsupportedError):
         fock_click_distribution(1, tiny_weights, det)
+
+
+@given(system=small_systems(max_bins=6, mechanistic=True), mu=st.floats(0.0, 40.0))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_undershoot_chain_matches_enumeration(system, mu):
+    weights, detector = system
+    p = per_bin_click_probabilities(mu, weights, detector)
+    hist, _ = brute_force_mechanistic(p, weights.detector_of_bin, detector.undershoot.p_miss_next)
+    got = coherent_click_distribution(mu, weights, detector).probs
+    assert np.allclose(got, hist, rtol=0, atol=1e-12)
+    # A scalar mu is the one-row case of the all-rows pass.
+    assert np.array_equal(coherent_click_rows([0.0, mu], weights, detector)[1], got)
+
+
+def test_undershoot_chain_is_continuous_at_zero(rapid32):
+    weights = rapid32.bin_weights()
+    barely, none = (
+        dataclasses.replace(rapid32.detector, undershoot=MechanisticUndershoot(p_miss)) for p_miss in (1e-12, 0.0)
+    )
+    assert barely.history_dependent and not none.history_dependent
+    mus = np.arange(401)
+    chain = coherent_click_rows(mus, weights, barely)
+    assert np.abs(chain - coherent_click_rows(mus, weights, none)).max() <= 1e-10
 
 
 def test_click_distribution_dispatch(tiny_weights, ideal_detector):

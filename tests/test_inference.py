@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -196,11 +198,20 @@ def test_stability_saturates_below_bin_count():
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_mc_stability_cutoff_matches_exact(seed):
-    # The narrow MC matrix is the head of the wide one, so the comparison
-    # holds no sampling noise between two builds and the cutoff is exact's.
-    system = _tiny_system()
-    assert stability_max_n(system, 20) == 1
-    assert stability_max_n(system, 20, method="mc", n_shots=5000, seed=seed, workers=1) == 1
+    # The cutoff always comes from exact rows, so an MC matrix gets the
+    # exact cutoff whatever its seed (infer computes it from the matrix's
+    # embedded system and grid).
+    mc = build_matrix(_tiny_system(), 20, "mc", n_shots=5000, seed=seed, workers=1)
+    assert stability_max_n(mc.system, mc.mu_max) == 1
+
+
+def test_mechanistic_stability_cutoff_is_exact(mechanistic32):
+    # The undershoot chain gives exact rows, so the defaults need no seed.
+    assert stability_max_n(mechanistic32, 100) == 3
+
+
+def test_stability_signature_has_no_sampling_knobs():
+    assert list(inspect.signature(stability_max_n).parameters) == ["system", "mu_max", "tolerance"]
 
 
 def test_stability_tolerance_validation(rapid32):

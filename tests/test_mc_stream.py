@@ -6,15 +6,25 @@ when the mc2 kernel replaced the v1 layout; any change to the lane layout
 or to how a lane becomes a click changes them, so a kernel rewrite that is
 meant to keep every output bit fails here if it does not. A change that
 alters the stream on purpose is a new kernel version (mc_engine.MC_KERNEL).
+The mechanistic case is also checked against the exact undershoot chain.
 """
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
-from binflux import Coherent, Fock, MechanisticUndershoot, get_preset, simulate_batch
+from binflux import (
+    Coherent,
+    Fock,
+    MechanisticUndershoot,
+    coherent_click_distribution,
+    get_preset,
+    simulate_batch,
+    total_variation,
+)
 
 N_SHOTS = 2000
 START_SHOT = 5
@@ -72,3 +82,13 @@ def test_click_totals_stream_is_pinned(name, lossy_small):
         s = system()
         weights, detector = s.bin_weights(), s.detector
     assert click_totals_digest(source, weights, detector, seed) == expected
+
+
+def test_mechanistic_stream_matches_oracle():
+    # TV <= sqrt(B / N), as in test_mc2_kernel, against the exact chain.
+    source, system, seed, _ = CASES["mechanistic.rapid32.mu100"]
+    s = system()
+    weights = s.bin_weights()
+    batch = simulate_batch(source, weights, s.detector, N_SHOTS, seed, start_shot=START_SHOT)
+    exact = coherent_click_distribution(source.mu, weights, s.detector).probs
+    assert total_variation(batch.distribution, exact) <= math.sqrt(weights.num_bins / N_SHOTS)

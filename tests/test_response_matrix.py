@@ -102,6 +102,16 @@ def test_interpolated_rows_normalized_and_between(rapid32):
     assert not validate_interpolation(rapid32, dense)
 
 
+def test_validate_interpolation_on_mechanistic_matrix(mechanistic32):
+    sparse = build_matrix(mechanistic32, 100, support=[10, 40])
+    dense = build_matrix(mechanistic32, 100)
+    tvs = validate_interpolation(mechanistic32, sparse)
+    assert [mu for mu, _ in tvs] == [mu for mu, p in enumerate(sparse.provenance) if p.kind == "interpolated"]
+    for mu, tv in tvs:
+        assert tv == pytest.approx(0.5 * np.abs(sparse.rows[mu] - dense.rows[mu]).sum(), rel=0, abs=1e-15)
+    assert 0.0 < max(tv for _, tv in tvs) < 1.0
+
+
 def test_interpolate_row_at_support_returns_stored(small_matrix):
     row = interpolate_row(small_matrix, 7.0)
     assert np.array_equal(row.probs, small_matrix.rows[7])
