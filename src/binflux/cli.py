@@ -288,11 +288,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     rows = (f"{i + 1},{_fmt(med[i])},{_fmt(base[i])}" for i in range(args.max_shots))
     _write_lines(out, "shots,rel_err_multiplexed,rel_err_single_pixel", rows)
     _write_manifest(out, args, system)
-    print(
-        f"wrote {out}: to reach {args.target:.0%} relative width at mu={args.mu}: "
-        f"multiplexed {mux_shots:.0f} shots (median), single-pixel {base_shots} shots "
-        f"({args.baseline_convention} width), advantage x{base_shots / mux_shots:.1f}"
-    )
+    head = f"wrote {out}: to reach {args.target:.0%} relative width at mu={args.mu}: "
+    single = f"single-pixel {base_shots} shots ({args.baseline_convention} width)"
+    if np.isinf(mux_shots):
+        print(f"{head}multiplexed (median) not reached within --max-shots {args.max_shots}, {single}")
+    else:
+        print(f"{head}multiplexed {mux_shots:.0f} shots (median), {single}, advantage x{base_shots / mux_shots:.1f}")
     return 0
 
 

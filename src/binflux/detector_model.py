@@ -11,8 +11,7 @@ models describe the gain sag that follows an avalanche:
 * MechanisticUndershoot suppresses each gate immediately following a click
   on the same detector with a fixed probability. This makes bins interact:
   the gates form a Markov chain in bin order, whose exact law the exact
-  oracle computes for coherent pulses. Fock pulses on such a detector are
-  only supported by the Monte Carlo engine.
+  oracle computes for coherent and Fock pulses alike.
 """
 
 from __future__ import annotations

@@ -15,10 +15,8 @@ class ConfigurationError(BinfluxError):
 class ModelUnsupportedError(BinfluxError):
     """The requested computation is not available for this model.
 
-    Raised when the exact oracle is asked for a Fock source on a
-    history-dependent detector (the mechanistic undershoot), which only the
-    Monte Carlo engine simulates, and when a click count lies above the
-    stability cutoff, where inversion would depend on the grid bound.
+    Raised when a click count lies above the stability cutoff, where
+    inversion would depend on the grid bound.
     """
 
 

@@ -6,29 +6,29 @@ distribution of the sum follows from one polynomial convolution per bin.
 The mechanistic undershoot couples each gate to the previous gate of its
 detector, which makes the gates a finite Markov chain in bin order; one
 dynamic program over that chain, tracking the click count and the last
-outcome of each detector, gives its exact law. Fock sources are exact for
-independent gates only.
+outcome of each detector, gives its exact law. Fock sources run the same
+chain with the photons not yet detected added to its state, moved into each
+gate by a binomial transfer, so both detector models are exact for both
+sources.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detector_model import (
     DetectorSpec,
-    click_probability,
     effective_efficiency,
     no_click_probabilities,
     per_bin_dark_probabilities,
 )
-from .errors import ModelUnsupportedError
 from .mc_engine import Coherent, Fock, Source
 from .multiplexer import BinWeights
 
-FOCK_EXACT_CAP = 12
+# The transfer matrices take (n + 1)**2 doubles per bin.
+FOCK_EXACT_CAP = 1000
 
 
 @dataclass
@@ -142,56 +142,56 @@ def coherent_click_distribution(mu: float, weights: BinWeights, detector: Detect
     return ClickDistribution(probs=coherent_click_rows(mu, weights, detector), source=Coherent(mu))
 
 
-def fock_click_distribution(
-    n_photons: int,
-    weights: BinWeights,
-    detector: DetectorSpec,
-    cap: int = FOCK_EXACT_CAP,
-) -> ClickDistribution:
-    """Exact click-count law for an n-photon pulse.
+def fock_click_distribution(n_photons: int, weights: BinWeights, detector: DetectorSpec) -> ClickDistribution:
+    """Exact click-count law for an n-photon pulse, for every detector model.
 
-    Photons split over bins multinomially (weights q_b, remainder lost in
-    the fibers); the dynamic program tracks (photons still unassigned,
-    clicks so far) while sweeping the bins, so the cost stays polynomial
-    instead of the (B + 1)**n of direct enumeration.
+    Each photon is detected in bin j with probability eta * q_j, as the
+    Monte Carlo kernel routes it; the rest is lost or missed. The dynamic
+    program sweeps the gates over the state of _undershoot_chain_pmf with
+    the photons not yet detected added: dist[a, b, r, k]. Of r photons
+    left, bin j takes a Binomial(r, s_j) share with
+    s_j = eta * q_j / (1 - eta * sum_{i<j} q_i), one lower-triangular
+    transfer matrix per bin. The gate wants to click when a photon lands or,
+    when none does, on its dark count; right after a click on its detector
+    it then misses with p_miss, which is 0 for independent gates.
     """
-    if detector.history_dependent:
-        raise ModelUnsupportedError(
-            "mechanistic undershoot with a Fock source has no exact law here; use the Monte Carlo engine"
-        )
     if n_photons < 0:
         raise ValueError(f"n_photons must be >= 0, got {n_photons}")
-    if n_photons > cap:
-        raise ValueError(f"n_photons={n_photons} exceeds the exact-method cap of {cap}")
+    if n_photons > FOCK_EXACT_CAP:
+        raise ValueError(f"n_photons={n_photons} exceeds the exact-method cap of {FOCK_EXACT_CAP}")
     detector.validate()
 
-    q = weights.weights
-    b = weights.num_bins
-    eta = effective_efficiency(detector, float(n_photons))
+    detected = effective_efficiency(detector, float(n_photons)) * weights.weights
+    remaining = 1.0 - np.cumsum(detected) + detected
+    shares = np.clip(detected / np.maximum(remaining, np.finfo(float).tiny), 0.0, 1.0)
     dark = per_bin_dark_probabilities(weights, detector)
-    lost = max(0.0, 1.0 - float(q.sum()))
-    # suffix[j] = probability mass not yet consumed before bin j.
-    suffix = np.concatenate([np.cumsum(q[::-1])[::-1] + lost, [lost]])
+    p_miss = getattr(detector.undershoot, "p_miss_next", 0.0)
 
-    dp = np.zeros((n_photons + 1, b + 1))
-    dp[n_photons, 0] = 1.0
-    for j in range(b):
-        share = q[j] / suffix[j] if suffix[j] > 0.0 else 0.0
-        new = np.zeros_like(dp)
-        for r in range(n_photons + 1):
-            row = dp[r]
-            if not row.any():
-                continue
-            for k in range(r + 1):
-                w = math.comb(r, k) * share**k * (1.0 - share) ** (r - k)
-                if w == 0.0:
-                    continue
-                pc = click_probability(k, eta, float(dark[j]))
-                new[r - k, :] += row * (w * (1.0 - pc))
-                new[r - k, 1:] += row[:-1] * (w * pc)
-        dp = new
+    # Transfer matrix: [r', r] = C(r, m) s^m (1 - s)^r' when m = r - r' of r photons land.
+    left = np.arange(n_photons + 1)[:, None]
+    landing = left.T - left
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, n_photons + 1)))])
+    log_comb = np.where(landing >= 0, log_fact[left.T] - log_fact[np.maximum(landing, 0)] - log_fact[left], -np.inf)
 
-    probs = dp.sum(axis=0)
+    dist = np.zeros((2, 2, n_photons + 1, weights.num_bins + 1))
+    dist[0, 0, n_photons, 0] = 1.0
+    for j, d in enumerate(weights.detector_of_bin):
+        s = shares[j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_t = log_comb + np.where(landing > 0, landing * np.log(s), 0.0)
+            log_t += np.where(left > 0, left * np.log1p(-s), 0.0)
+        wants = np.exp(log_t)
+        # With no photon landing (the diagonal) the gate wants to click only on a dark count.
+        none_land = np.diagonal(wants).copy()
+        np.fill_diagonal(wants, none_land * dark[j])
+        view = dist[..., : j + 2]
+        silent, clicked = np.moveaxis(view, int(d), 0)
+        wants_silent, wants_clicked = np.moveaxis(wants @ view, int(d), 0)
+        silent[...] = ((1.0 - dark[j]) * none_land)[:, None] * (silent + clicked) + p_miss * wants_clicked
+        clicked[..., 0] = 0.0
+        clicked[..., 1:] = (wants_silent + (1.0 - p_miss) * wants_clicked)[..., :-1]
+
+    probs = dist.sum(axis=(0, 1, 2))
     np.clip(probs, 0.0, None, out=probs)
     return ClickDistribution(probs=probs / probs.sum(), source=Fock(n_photons))
 

@@ -242,7 +242,7 @@ def test_criterion_9_property_suite(rapid32, rapid32_matrix400, tiny_weights, tm
     n_terms = int(poisson.ppf(1.0 - 1e-13, mu)) + 2
     mix = np.zeros(tiny_weights.num_bins + 1)
     for n in range(n_terms + 1):
-        fock = fock_click_distribution(n, tiny_weights, detector, cap=n_terms + 1)
+        fock = fock_click_distribution(n, tiny_weights, detector)
         mix += poisson.pmf(n, mu) * fock.probs
     mix += (1.0 - poisson.cdf(n_terms, mu)) * fock.probs  # tail, below 1e-13
     coherent = coherent_click_distribution(mu, tiny_weights, detector).probs

@@ -567,6 +567,19 @@ def test_compare_on_mechanistic_config(mechanistic_config, tmp_path):
     assert len(out.read_text().splitlines()) == 1 + 50
 
 
+def test_compare_reports_target_not_reached(mechanistic_config, tmp_path, capsys):
+    # The CI invocation: the median trial stays above 10% within 50 shots,
+    # so there is no shot count to form an advantage ratio from.
+    out = tmp_path / "compare.csv"
+    argv = ["compare", "--config", str(mechanistic_config), "--mu", "100", "--trials", "5"]
+    assert main(argv + ["--max-shots", "50", "--seed", "1", "-o", str(out)]) == 0
+    summary = capsys.readouterr().out
+    assert "multiplexed (median) not reached within --max-shots 50" in summary
+    assert "single-pixel 4506 shots" in summary
+    assert "advantage" not in summary and "inf" not in summary
+    assert len(out.read_text().splitlines()) == 1 + 50
+
+
 def test_sweep_over_mu_on_mechanistic_writes_exact_column(mechanistic_config, mechanistic32, tmp_path):
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--config", str(mechanistic_config), "--over", "mu", "--values", "1,100"]

@@ -14,7 +14,6 @@ from binflux import (
     DetectorSpec,
     Fock,
     MechanisticUndershoot,
-    ModelUnsupportedError,
     MultiplexerSpec,
     UniformLoss,
     build_bin_weights,
@@ -146,36 +145,94 @@ def test_fock_enumeration_with_unbalanced_couplers():
     assert np.allclose(got.probs, _brute_force_fock(3, weights, det), atol=1e-12)
 
 
+def _routing_loop_fock(n, weights, det):
+    """Reference: the routing recursion as a loop over bins, photons left and photons landing."""
+    q = weights.weights
+    eta = effective_efficiency(det, float(n))
+    dark = per_bin_dark_probabilities(weights, det)
+    suffix = np.concatenate([np.cumsum(q[::-1])[::-1], [0.0]]) + max(0.0, 1.0 - float(q.sum()))
+    dp = np.zeros((n + 1, q.size + 1))
+    dp[n, 0] = 1.0
+    for j in range(q.size):
+        share = q[j] / suffix[j] if suffix[j] > 0.0 else 0.0
+        new = np.zeros_like(dp)
+        for r in range(n + 1):
+            for k in range(r + 1):
+                w = math.comb(r, k) * share**k * (1.0 - share) ** (r - k)
+                pc = click_probability(k, eta, float(dark[j]))
+                new[r - k, :] += dp[r] * (w * (1.0 - pc))
+                new[r - k, 1:] += dp[r, :-1] * (w * pc)
+        dp = new
+    probs = dp.sum(axis=0)
+    return probs / probs.sum()
+
+
+@pytest.mark.parametrize("system", ["rapid32", "conventional16", "lossy_small"])
+def test_fock_transfer_matches_routing_loop(system, request):
+    # Same law, other summation order: equal to a few ulps up to 12 photons.
+    fixture = request.getfixturevalue(system)
+    weights, det = fixture if system == "lossy_small" else (fixture.bin_weights(), fixture.detector)
+    for n in (0, 1, 2, 5, 12):
+        got = fock_click_distribution(n, weights, det).probs
+        assert np.allclose(got, _routing_loop_fock(n, weights, det), rtol=0, atol=1e-14)
+
+
 def test_coherent_is_poisson_mixture_of_fock(lossy_small):
     weights, det = lossy_small
     mu = 2.0
     coherent = coherent_click_distribution(mu, weights, det)
     mix = np.zeros_like(coherent.probs)
     for n in range(26):
-        mix += stats.poisson.pmf(n, mu) * fock_click_distribution(n, weights, det, cap=26).probs
+        mix += stats.poisson.pmf(n, mu) * fock_click_distribution(n, weights, det).probs
     assert total_variation(coherent.probs, mix) < 1e-6
 
 
 def test_fock_cap_enforced(tiny_weights, ideal_detector):
-    with pytest.raises(ValueError, match="cap"):
-        fock_click_distribution(13, tiny_weights, ideal_detector)
-    # A raised cap admits larger photon numbers.
-    d = fock_click_distribution(13, tiny_weights, ideal_detector, cap=13)
-    assert d.probs.sum() == pytest.approx(1.0)
+    # The cap guards the (n + 1)**2 transfer matrices, not the range of the law.
+    with pytest.raises(ValueError, match="cap of 1000"):
+        fock_click_distribution(1001, tiny_weights, ideal_detector)
+    d = fock_click_distribution(200, tiny_weights, ideal_detector)
+    assert d.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_mechanistic_undershoot_rejected(tiny_weights):
-    # Only Fock sources lack an exact law on a history-dependent detector;
-    # coherent pulses go through the undershoot chain.
-    det = DetectorSpec(
-        efficiency=0.5,
-        dark_prob_per_gate=(0.0, 0.0),
-        gate_width=1e-9,
-        deadtime=0.0,
-        undershoot=MechanisticUndershoot(0.2),
-    )
-    with pytest.raises(ModelUnsupportedError):
-        fock_click_distribution(1, tiny_weights, det)
+def _brute_force_mechanistic_fock(n, weights, det):
+    """Enumeration over photon assignments, then over raw clicks and miss draws.
+
+    Assignments are grouped by their per-cell photon counts (multinomial
+    weights); each count vector fixes every gate's raw click probability,
+    and brute_force_mechanistic enumerates the rest.
+    """
+    q = weights.weights
+    b = q.size
+    darks = per_bin_dark_probabilities(weights, det)
+    cells = list(q) + [1.0 - q.sum()]
+    out = np.zeros(b + 1)
+    for assign in itertools.combinations_with_replacement(range(b + 1), n):
+        counts = [assign.count(c) for c in range(b + 1)]
+        w = math.factorial(n) * math.prod(cells[c] ** k / math.factorial(k) for c, k in enumerate(counts))
+        p = np.array([click_probability(counts[j], det.efficiency, darks[j]) for j in range(b)])
+        out += w * brute_force_mechanistic(p, weights.detector_of_bin, det.undershoot.p_miss_next)[0]
+    return out
+
+
+@given(system=small_systems(max_bins=6, mechanistic=True), n=st.integers(0, 4))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_mechanistic_fock_matches_enumeration(system, n):
+    weights, detector = system
+    got = fock_click_distribution(n, weights, detector).probs
+    assert np.allclose(got, _brute_force_mechanistic_fock(n, weights, detector), rtol=0, atol=1e-12)
+
+
+@given(system=small_systems(max_bins=8, mechanistic=True), mu=st.floats(0.0, 3.0))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_coherent_row_is_poisson_mixture_of_fock_rows(system, mu):
+    # Poisson(mu) photons split into independent Poisson counts per bin, so
+    # the two oracles meet; the mixture is cut where its tail is below 1e-14.
+    weights, detector = system
+    n_max = int(stats.poisson.isf(1e-14, mu)) + 1
+    fock = np.array([fock_click_distribution(n, weights, detector).probs for n in range(n_max + 1)])
+    mix = stats.poisson.pmf(np.arange(n_max + 1), mu) @ fock
+    assert np.allclose(coherent_click_rows(mu, weights, detector), mix, rtol=0, atol=1e-12)
 
 
 @given(system=small_systems(max_bins=6, mechanistic=True), mu=st.floats(0.0, 40.0))

@@ -80,7 +80,11 @@ def test_coherent_kernel_matches_exact_law(system, mu, seed):
     _assert_per_bin_within_4se(batch, per_bin_click_probabilities(mu, weights, detector))
 
 
-@given(system=small_systems(), n_photons=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+@given(
+    system=st.booleans().flatmap(lambda mechanistic: small_systems(mechanistic=mechanistic)),
+    n_photons=st.integers(0, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_fock_kernel_matches_exact_law(system, n_photons, seed):
     weights, detector = system

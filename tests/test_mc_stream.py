@@ -6,7 +6,8 @@ when the mc2 kernel replaced the v1 layout; any change to the lane layout
 or to how a lane becomes a click changes them, so a kernel rewrite that is
 meant to keep every output bit fails here if it does not. A change that
 alters the stream on purpose is a new kernel version (mc_engine.MC_KERNEL).
-The mechanistic case is also checked against the exact undershoot chain.
+The mechanistic and large-Fock cases are also checked against the exact
+oracle, and so is Fock(200) on the mechanistic system.
 """
 
 import dataclasses
@@ -20,7 +21,7 @@ from binflux import (
     Coherent,
     Fock,
     MechanisticUndershoot,
-    coherent_click_distribution,
+    click_distribution,
     get_preset,
     simulate_batch,
     total_variation,
@@ -84,11 +85,28 @@ def test_click_totals_stream_is_pinned(name, lossy_small):
     assert click_totals_digest(source, weights, detector, seed) == expected
 
 
-def test_mechanistic_stream_matches_oracle():
-    # TV <= sqrt(B / N), as in test_mc2_kernel, against the exact chain.
-    source, system, seed, _ = CASES["mechanistic.rapid32.mu100"]
+def _assert_stream_matches_oracle(source, system, seed):
+    # TV <= sqrt(B / N), as in test_mc2_kernel, against the exact law.
     s = system()
     weights = s.bin_weights()
     batch = simulate_batch(source, weights, s.detector, N_SHOTS, seed, start_shot=START_SHOT)
-    exact = coherent_click_distribution(source.mu, weights, s.detector).probs
+    exact = click_distribution(source, weights, s.detector).probs
     assert total_variation(batch.distribution, exact) <= math.sqrt(weights.num_bins / N_SHOTS)
+
+
+def test_mechanistic_stream_matches_oracle():
+    source, system, seed, _ = CASES["mechanistic.rapid32.mu100"]
+    _assert_stream_matches_oracle(source, system, seed)
+
+
+# Fock(200) on the mechanistic system has no pinned digest; its seed is fixed here.
+FOCK_ORACLE_CASES = {
+    "fock80.rapid32": CASES["fock80.rapid32"][:3],
+    "fock200.rapid32": CASES["fock200.rapid32"][:3],
+    "fock200.mechanistic.rapid32": (Fock(200), _mechanistic, 1007),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOCK_ORACLE_CASES))
+def test_fock_stream_matches_oracle(name):
+    _assert_stream_matches_oracle(*FOCK_ORACLE_CASES[name])
