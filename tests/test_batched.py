@@ -6,11 +6,13 @@ them bit for bit.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 import binflux.exact_oracle as exact_oracle
 import binflux.inference as inference
@@ -139,6 +141,80 @@ def test_hpd_rows_match_scalar_greedy_loop(case):
         assert (int(lo[i]), int(hi[i])) == ref[:2]
         iv = credible_interval(Posterior(probs=p.copy(), log_evidence=0.0), level)
         assert (iv.lo, iv.hi, iv.mass) == ref
+
+
+def test_hpd_rows_wider_than_the_largest_window(rapid32):
+    # Every single-shot posterior of exact rapid32 on [0, 4000]; at n = 32
+    # the interval spans over a thousand grid values, many passes of the
+    # largest window.
+    matrix = build_matrix(rapid32, 4000)
+    posteriors = [posterior_single(matrix, n) for n in range(matrix.num_bins + 1)]
+    P = np.array([post.probs for post in posteriors])
+    for level in (0.5, 0.9, 0.99):
+        lo, hi = _hpd_rows(P, level)
+        for i, post in enumerate(posteriors):
+            ref = reference_hpd(post.probs, level)
+            assert (int(lo[i]), int(hi[i])) == ref[:2]
+            iv = credible_interval(post, level)
+            assert (iv.lo, iv.hi, iv.mass) == ref
+    assert (hi - lo + 1).max() > 1000 > inference._HPD_MAX_WINDOW
+
+
+@st.composite
+def wide_posterior_batches(draw):
+    """(k, 100..400) posteriors: tie-heavy integers, random, or bumps, and a level."""
+    n = draw(st.integers(min_value=100, max_value=400))
+    k = draw(st.integers(min_value=1, max_value=3))
+    kind = draw(st.sampled_from(["integer", "uniform", "bumps"]))
+    if kind == "integer":
+        w = draw(npst.arrays(np.int64, (k, n), elements=st.integers(0, 3))).astype(float)
+    elif kind == "uniform":
+        w = draw(npst.arrays(np.float64, (k, n), elements=st.floats(0.0, 1.0)))
+    else:
+        x = np.arange(n)
+        w = np.zeros((k, n))
+        for r in range(k):
+            c = draw(st.floats(-20.0, n + 20.0))
+            s = draw(st.floats(0.3, 2.0 * n))
+            h = draw(st.floats(0.0, 1.0))
+            w[r] = np.exp(-0.5 * ((x - c) / s) ** 2) + h * np.exp(-0.5 * ((x - n / 3) / s) ** 2)
+    w[:, draw(st.integers(0, n - 1))] += 1.0  # every row needs some mass
+    P = w / w.sum(axis=1, keepdims=True)
+    total = int(w[0].sum())
+    if kind == "integer" and total > 1 and draw(st.booleans()):
+        # A level equal to an attainable interval mass hits the exact-sum fallback.
+        level = draw(st.integers(1, total - 1)) / total
+    else:
+        level = draw(st.floats(1e-6, 1.0 - 1e-6))
+    return P, level
+
+
+@given(wide_posterior_batches())
+@settings(max_examples=120, deadline=None)
+def test_wide_hpd_rows_match_scalar_greedy_loop(case):
+    P, level = case
+    lo, hi = _hpd_rows(P, level)
+    for i, p in enumerate(P):
+        ref = reference_hpd(p, level)
+        assert (int(lo[i]), int(hi[i])) == ref[:2]
+        iv = credible_interval(Posterior(probs=p.copy(), log_evidence=0.0), level)
+        assert (iv.lo, iv.hi, iv.mass) == ref
+
+
+def test_hpd_rows_memory_stays_near_the_posterior_size():
+    # A flat posterior grows every row across most of the grid, so the
+    # windowed passes run to their cap; their temporaries must stay small
+    # beside the (rows, mu) cumulative sums.
+    P = np.full((400, 4001), 1.0 / 4001)
+    tracemalloc.start()
+    try:
+        lo, hi = _hpd_rows(P, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * P.nbytes
+    ref = reference_hpd(P[0], 0.9)
+    assert np.all(lo == ref[0]) and np.all(hi == ref[1])
 
 
 @given(

@@ -342,6 +342,23 @@ def test_compare_rejects_target_before_writing(tmp_path, capsys, target):
     assert not out.exists() and not (tmp_path / "compare.csv.manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--max-shots", "5", "--level", "1.5"],
+        ["compare", "--max-shots", "5", "--level", "nan"],
+        ["sweep", "--over", "shots", "--values", "3,5", "--level", "0"],
+    ],
+    ids=["compare-1.5", "compare-nan", "sweep-0"],
+)
+def test_convergence_rejects_level_before_writing(tmp_path, capsys, argv):
+    out = tmp_path / "curve.csv"
+    rc = main(argv + ["--preset", "rapid32", "--mu", "100", "--trials", "2", "--seed", "1", "-o", str(out)])
+    assert rc == 2
+    assert "level must lie in (0, 1)" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "curve.csv.manifest.json").exists()
+
+
 def test_sweep_over_mu(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = main(

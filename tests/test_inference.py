@@ -252,6 +252,15 @@ def test_relative_error_curve_validation(rapid32, rapid32_matrix400):
         relative_error_curve(rapid32, rapid32_matrix400, 10.0, 0, 2, seed=1)
 
 
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, float("nan")])
+def test_relative_error_curve_level_validation(rapid32, rapid32_matrix400, level):
+    # The same check and message as credible_interval, raised before any shot is drawn.
+    with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):
+        relative_error_curve(rapid32, rapid32_matrix400, 100.0, 5, 2, seed=1, level=level)
+    with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):
+        credible_interval(Posterior(probs=np.array([0.5, 0.5]), log_evidence=0.0), level)
+
+
 def test_bayes_consistency_identity(rapid32_matrix400):
     # Scaling the normalized posterior back by the column sum must recover
     # the matrix column exactly; only a normalization happened in between.
