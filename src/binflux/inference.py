@@ -122,6 +122,8 @@ def posterior_multi(
 # temporaries at a few (rows, cap) arrays whatever the row width.
 _HPD_FIRST_WINDOW = 8
 _HPD_MAX_WINDOW = 64
+# float64 exp is exactly 0.0 at or below this (2**-1075 = exp(-745.13...)).
+_EXP_FLOOR = -746.0
 
 
 def _hpd_rows(P: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
@@ -140,19 +142,22 @@ def _hpd_rows(P: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
     stable descending sort of both sides' running minima, left side first,
     lists the steps in the loop's order, and its first S steps need only
     the next S values on each side. A side that runs off the grid reads -1
-    and is never chosen.
+    in the merge, so it is never chosen, and 0 in the mass.
 
-    Mass comes from cumulative-sum differences; a state within 1e-12 of
-    level is summed exactly over its slice instead, so each stop decision
-    is the one a row-by-row loop summing P[i, lo:hi + 1] makes. A row stops
-    at its first state that reaches level or covers the whole grid.
+    Mass is a running sum, so no pass reads past its window: a state's mass
+    is its row's held mass plus the cumulative sums of the values it takes
+    on each side. That differs from P[i, lo:hi + 1].sum() by about
+    width * eps, far below 1e-12 on any grid this package builds, and a
+    state within 1e-12 of level is summed exactly over its slice instead,
+    so each stop decision is the one a row-by-row loop summing the slice
+    makes. A row stops at its first state that reaches level or covers the
+    whole grid.
     """
     k, n = P.shape
     lo = P.argmax(axis=1)
     hi = lo.copy()
-    cum = np.zeros((k, n + 1))
-    np.cumsum(P, axis=1, out=cum[:, 1:])
-    act = np.flatnonzero((P[np.arange(k), lo] < level) & (n > 1))
+    held = P[np.arange(k), lo]
+    act = np.flatnonzero((held < level) & (n > 1))
     window = _HPD_FIRST_WINDOW
     while act.size:
         s = min(window, n - 1)
@@ -162,12 +167,16 @@ def _hpd_rows(P: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
         steps = np.arange(1, s + 1)
         left = a[:, None] - steps
         right = b[:, None] + steps
+        off = np.concatenate([left < 0, right >= n], axis=1)
         cand = np.empty((act.size, 2 * s))
         head, tail = cand[:, :s], cand[:, s:]
         head[...] = P[rows, np.maximum(left, 0)]
         tail[...] = P[rows, np.minimum(right, n - 1)]
-        head[left < 0] = -1.0
-        tail[right >= n] = -1.0
+        np.copyto(cand, 0.0, where=off)
+        # sums[i, 0, j] and sums[i, 1, j] hold the mass of the next j values on each side.
+        sums = np.zeros((act.size, 2, s + 1))
+        np.cumsum(cand.reshape(-1, 2, s), axis=2, out=sums[:, :, 1:])
+        np.copyto(cand, -1.0, where=off)
         np.minimum.accumulate(head, axis=1, out=head)
         np.minimum.accumulate(tail, axis=1, out=tail)
         np.negative(cand, out=cand)
@@ -177,14 +186,14 @@ def _hpd_rows(P: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
         # them at the whole grid, where the row stops anyway.
         new_lo = np.maximum(a[:, None] - took_left, 0)
         new_hi = np.minimum(b[:, None] + steps - took_left, n - 1)
-        mass = cum[rows, new_hi + 1] - cum[rows, new_lo]
+        pick = np.arange(act.size)
+        mass = held[rows] + sums[pick[:, None], 0, took_left] + sums[pick[:, None], 1, steps - took_left]
         for i, t in zip(*np.nonzero(np.abs(mass - level) <= 1e-12)):
             mass[i, t] = P[act[i], new_lo[i, t] : new_hi[i, t] + 1].sum()
         done = (mass >= level) | ((new_lo == 0) & (new_hi == n - 1))
         stopped = done.any(axis=1)
         last = np.where(stopped, done.argmax(axis=1), s - 1)
-        pick = np.arange(act.size)
-        lo[act], hi[act] = new_lo[pick, last], new_hi[pick, last]
+        lo[act], hi[act], held[act] = new_lo[pick, last], new_hi[pick, last], mass[pick, last]
         act = act[~stopped]
     return lo, hi
 
@@ -319,7 +328,9 @@ def relative_error_curve(
     stability cutoff (drawing replacements), and records the posterior
     interval width after every accumulated shot. A trial's max_shots
     posteriors are built as one (shots, mu) array and their intervals found
-    together by the same greedy rule credible_interval applies.
+    together by the same greedy rule credible_interval applies. Log
+    posteriors at or below _EXP_FLOOR, where exp is exactly 0, are set to 0
+    without calling exp, whose underflowing and denormal results are slow.
     """
     if mu_true <= 0.0:
         raise ValueError(f"mu_true must be > 0, got {mu_true!r}")
@@ -366,7 +377,9 @@ def relative_error_curve(
         if not np.isfinite(top).all():
             raise DegenerateEvidenceError("observed sequence impossible for every mu on the grid")
         post -= top
-        np.exp(post, out=post)
+        keep = post > _EXP_FLOOR
+        np.exp(post, out=post, where=keep)
+        np.copyto(post, 0.0, where=~keep)
         post /= post.sum(axis=1, keepdims=True)
         lo, hi = _hpd_rows(post, level)
         rel_err[t] = (hi - lo + 1) / mu_true

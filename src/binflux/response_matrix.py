@@ -307,19 +307,19 @@ def _parse_csv(text: str, path: Path) -> ResponseMatrix:
     data_lines = lines[4:]
     if len(data_lines) != mu_max + 1:
         raise MatrixFormatError(f"{path}: expected {mu_max + 1} data rows, got {len(data_lines)}")
-    rows = np.zeros((mu_max + 1, bins + 2))
+    rows = np.zeros((mu_max + 1, bins + 1))
     for i, line in enumerate(data_lines):
         fields = line.split(",")
         if len(fields) != bins + 2:
             raise MatrixFormatError(f"{path}:{i + 5}: expected {bins + 2} fields, got {len(fields)}")
+        if fields[0] != str(i):
+            raise MatrixFormatError(f"{path}:{i + 5}: expected mu={i}, got {fields[0]}")
         try:
-            rows[i] = [float(f) for f in fields]
+            rows[i] = [float(f) for f in fields[1:]]
         except ValueError as exc:
             raise MatrixFormatError(f"{path}:{i + 5}: non-numeric field ({exc})") from exc
-        if int(rows[i, 0]) != i:
-            raise MatrixFormatError(f"{path}:{i + 5}: expected mu={i}, got {fields[0]}")
-    _check_rows(rows[:, 1:], lambda i: f"{path}:{i + 5}")
-    return _assemble(system, mu_max, rows[:, 1:], prov, method, fp, path)
+    _check_rows(rows, lambda i: f"{path}:{i + 5}")
+    return _assemble(system, mu_max, rows, prov, method, fp, path)
 
 
 def _parse_json(text: str, path: Path) -> ResponseMatrix:
@@ -333,14 +333,22 @@ def _parse_json(text: str, path: Path) -> ResponseMatrix:
         raise MatrixFormatError(f"{path}: unsupported format version {doc.get('version')!r}")
     try:
         system = system_from_dict(doc["config"])
-        mu_max, bins = int(doc["mu_max"]), int(doc["bins"])
-        rows = np.array(doc["rows"], dtype=float)
+        mu_max, bins = doc["mu_max"], doc["bins"]
+        cells = doc["rows"]
         prov = tuple(RowProvenance.from_token(t) for t in doc["provenance"])
         fp, method = str(doc["fingerprint"]), str(doc["method"])
     except (KeyError, TypeError, ValueError, ConfigurationError, MatrixFormatError) as exc:
         raise MatrixFormatError(f"{path}: missing or malformed field ({exc})") from exc
-    if rows.shape != (mu_max + 1, bins + 1):
-        raise MatrixFormatError(f"{path}: rows shape {rows.shape} does not match header")
+    for name, value in (("mu_max", mu_max), ("bins", bins)):
+        if type(value) is not int or value < 0:
+            raise MatrixFormatError(f"{path}: {name} must be a non-negative JSON integer, got {value!r}")
+    if not isinstance(cells, list) or len(cells) != mu_max + 1:
+        raise MatrixFormatError(f"{path}: expected {mu_max + 1} rows")
+    for i, row in enumerate(cells):
+        # Exact types: bool is an int subclass, but JSON true is not a number.
+        if not (isinstance(row, list) and len(row) == bins + 1 and set(map(type, row)) <= {int, float}):
+            raise MatrixFormatError(f"{path}: row {i}: expected {bins + 1} JSON numbers")
+    rows = np.array(cells, dtype=float)
     if len(prov) != mu_max + 1:
         raise MatrixFormatError(f"{path}: expected {mu_max + 1} provenance tokens, got {len(prov)}")
     _check_rows(rows, lambda i: f"{path}: row {i}")

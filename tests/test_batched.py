@@ -349,3 +349,50 @@ def test_exact_matrix_runs_one_poisson_binomial_pass(monkeypatch, rapid32):
     calls.clear()
     validate_interpolation(rapid32, sparse)
     assert len(calls) == 1
+
+
+def _wide_rows(kind, n, rng):
+    """A flat row, or a tie-heavy row of integer weights 0..3, and its weight total."""
+    w = np.ones(n) if kind == "flat" else rng.integers(0, 4, n).astype(float)
+    w[rng.integers(n)] += 1.0
+    return w / w.sum(), int(w.sum())
+
+
+@pytest.mark.parametrize("kind", ["flat", "ties"])
+@pytest.mark.parametrize("n", [2000, 3999, 6000])
+def test_running_mass_hpd_matches_scalar_loop_on_wide_rows(kind, n):
+    # Rows this wide take dozens of passes of the largest window, so the
+    # running mass adds up thousands of values. Every level below is a mass
+    # the greedy loop attains (k / total, or an interval mass the loop
+    # returned), so each stop decision sits on the 1e-12 fallback band.
+    rng = np.random.default_rng(n + (kind == "ties"))
+    p, total = _wide_rows(kind, n, rng)
+    levels = [k / total for k in rng.integers(1, total, 4)]
+    levels += [reference_hpd(p, lv)[2] for lv in (0.3, 0.9, 0.99)]
+    for level in levels:
+        lo, hi = _hpd_rows(p[None, :], level)
+        assert (int(lo[0]), int(hi[0])) == reference_hpd(p, level)[:2]
+
+
+def test_exp_floor_is_where_exp_is_exactly_zero():
+    floor = inference._EXP_FLOOR
+    at_or_below = np.array([-np.inf, -1e300, -1000.0, floor - 1e-9, np.nextafter(floor, -np.inf), floor])
+    assert np.all(np.exp(at_or_below) == 0.0)
+    # A sweep across the normal (> -708.4), denormal and underflow ranges,
+    # exponentiated the way relative_error_curve does it.
+    x = np.concatenate([np.linspace(-800.0, 0.0, 400_001), at_or_below])
+    post = x.copy()
+    keep = post > floor
+    np.exp(post, out=post, where=keep)
+    np.copyto(post, 0.0, where=~keep)
+    expected = np.exp(x)
+    assert np.array_equal(post, expected)
+    assert ((expected > 0.0) & (expected < np.finfo(float).tiny)).any() and (expected == 0.0).any()
+
+
+def test_relative_error_curve_is_unchanged_by_the_exp_floor(monkeypatch, rapid32, rapid32_matrix400):
+    # With no floor, every finite log posterior goes through exp.
+    args = (rapid32, rapid32_matrix400, 100.0, 200, 4)
+    floored = relative_error_curve(*args, seed=5, max_admissible_n=16).rel_err
+    monkeypatch.setattr(inference, "_EXP_FLOOR", -np.inf)
+    assert np.array_equal(relative_error_curve(*args, seed=5, max_admissible_n=16).rel_err, floored)

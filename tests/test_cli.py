@@ -605,3 +605,25 @@ def test_sweep_over_mu_on_mechanistic_writes_exact_column(mechanistic_config, me
     assert lines[0] == "mu,n,count,probability,probability_exact"
     exact = np.array([float(line.split(",")[4]) for line in lines[1:]]).reshape(2, 33)
     assert np.array_equal(exact, build_matrix(mechanistic32, 100).rows[[1, 100]])
+
+
+@pytest.mark.parametrize("mu_field", ["inf", "1.9", "nan"])
+def test_infer_bad_csv_mu_field_exits_3(matrix_file, tmp_path, capsys, mu_field):
+    # Before, "inf" ended in a traceback (exit 1), "nan" in a usage error
+    # (exit 2) and "1.9" loaded as row 1.
+    bad = tmp_path / "mu.csv"
+    lines = matrix_file.read_text().splitlines()
+    lines[5] = mu_field + lines[5][lines[5].index(","):]
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["infer", "-m", str(bad), "--n", "1"]) == 3
+    assert f"{bad}:6: expected mu=1, got {mu_field}" in capsys.readouterr().err
+
+
+def test_infer_quoted_json_cell_exits_3(matrix_file, tmp_path, capsys):
+    bad = tmp_path / "quoted.json"
+    save_matrix(load_matrix(matrix_file), bad)
+    doc = json.loads(bad.read_text())
+    doc["rows"][7][3] = str(doc["rows"][7][3])
+    bad.write_text(json.dumps(doc))
+    assert main(["infer", "-m", str(bad), "--n", "1"]) == 3
+    assert f"{bad}: row 7: expected 33 JSON numbers" in capsys.readouterr().err

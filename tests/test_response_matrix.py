@@ -487,3 +487,60 @@ def test_legacy_mc_file_loads_warns_once_and_resaves_identically(small_mc_matrix
     assert [p.kernel for p in loaded.provenance if p.kind == "mc"] == ["mc"] * 3  # rows 0, 3 and 6
     save_matrix(loaded, resaved)
     assert resaved.read_bytes() == legacy.read_bytes()
+
+
+@pytest.mark.parametrize("mu_field", ["1.9", "nan", "inf", "1.0", "+1", " 1", ""])
+def test_csv_mu_field_must_be_the_row_index(small_matrix, tmp_path, mu_field):
+    # Line 6 holds mu = 1. "1.9" once loaded as row 1, "nan" escaped as a
+    # bare ValueError and "inf" as an OverflowError.
+    p = tmp_path / "m.csv"
+    save_matrix(small_matrix, p)
+    _edit(p, 5, lambda s: mu_field + s[s.index(","):], None)
+    with pytest.raises(MatrixFormatError) as exc:
+        load_matrix(p)
+    assert str(exc.value) == f"{p}:6: expected mu=1, got {mu_field}"
+
+
+def _quote_cell(doc):
+    doc["rows"][3][2] = str(doc["rows"][3][2])
+    return doc
+
+
+def _bool_cell(doc):
+    doc["rows"][3][2] = False
+    return doc
+
+
+@pytest.mark.parametrize(
+    "json_edit, message",
+    [
+        (_quote_cell, "row 3: expected 33 JSON numbers"),
+        (_bool_cell, "row 3: expected 33 JSON numbers"),
+        (lambda doc: {**doc, "rows": doc["rows"][:-1]}, "expected 41 rows"),
+        (lambda doc: {**doc, "rows": {"0": doc["rows"][0]}}, "expected 41 rows"),
+        (lambda doc: {**doc, "mu_max": 40.0}, "mu_max must be a non-negative JSON integer, got 40.0"),
+        (lambda doc: {**doc, "mu_max": 5.7}, "mu_max must be a non-negative JSON integer, got 5.7"),
+        (lambda doc: {**doc, "bins": "32"}, "bins must be a non-negative JSON integer, got '32'"),
+        (lambda doc: {**doc, "bins": True}, "bins must be a non-negative JSON integer, got True"),
+    ],
+    ids=["quoted-cell", "bool-cell", "missing-row", "rows-not-a-list", "float-mu-max", "fractional-mu-max",
+         "string-bins", "bool-bins"],
+)
+def test_json_fields_must_have_json_types(small_matrix, tmp_path, json_edit, message):
+    # The quoted cell, 40.0 and "32" all loaded before; 5.7 was cut to 5.
+    p = tmp_path / "m.json"
+    save_matrix(small_matrix, p)
+    _edit(p, None, None, json_edit)
+    with pytest.raises(MatrixFormatError) as exc:
+        load_matrix(p)
+    assert str(exc.value) == f"{p}: {message}"
+
+
+def test_json_integer_cells_load(small_matrix, tmp_path):
+    # JSON numbers without a fraction are numbers too.
+    p = tmp_path / "m.json"
+    save_matrix(small_matrix, p)
+    rows = small_matrix.rows.tolist()
+    rows[0] = [1] + [0] * small_matrix.num_bins
+    _edit(p, None, None, lambda doc: {**doc, "rows": rows})
+    assert np.array_equal(load_matrix(p).rows, np.array(rows))
