@@ -1,15 +1,20 @@
 """Counter-based random numbers with a fixed per-shot budget.
 
 Reproducibility contract: a shot is addressed by (seed, shot_index) alone.
-Each shot owns a fixed number of uniform "lanes" decided up front by the
-source and system, and lane j of shot i is always drawn from the same Philox
-counters, so batch size, chunking, and worker count cannot change a shot's
-outcome.
+Each shot owns a fixed number of "lanes" decided up front by the source and
+system, and lane j of shot i is always drawn from the same Philox counters,
+so batch size, chunking, and worker count cannot change a shot's outcome.
 
-Philox emits 4 64-bit words per counter and numpy turns one word into one
-double, so a shot with L lanes reserves ceil(L / 4) counters. Shot i uses
-counters [i * steps, (i + 1) * steps); unused tail lanes are reserved but
-never read.
+Philox emits 4 64-bit words per counter, so a shot with L lanes reserves
+ceil(L / 4) counters. Shot i uses counters [i * steps, (i + 1) * steps);
+unused tail lanes are reserved but never read.
+
+A lane is a 53-bit integer, the word w shifted right by 11 bits. numpy's
+Generator.random turns the same word into the double (w >> 11) * 2**-53,
+and that product is exact, so u >= p holds exactly when
+lane >= lane_threshold(p). Every decision the kernels make is such an
+integer comparison: they draw the same stream as the float uniforms and
+reach the same outcome for every shot.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 _OUTPUTS_PER_COUNTER = 4
+_LANE_BITS = 53
 
 
 def philox_key(seed: int, *stream: int) -> np.ndarray:
@@ -41,17 +47,29 @@ def lanes_to_steps(lanes: int) -> int:
     return -(-lanes // _OUTPUTS_PER_COUNTER)
 
 
-def uniform_lanes(key: np.ndarray, start_shot: int, n_shots: int, lanes: int) -> np.ndarray:
-    """Uniform [0, 1) draws, shape (n_shots, lanes), for a contiguous shot range.
+def lane_threshold(p) -> np.ndarray:
+    """ceil(p * 2**53) as uint64: lane >= lane_threshold(p) exactly when u >= p.
 
-    Row i corresponds to shot start_shot + i and is independent of how the
-    overall run is split into calls.
+    p * 2**53 is exact in float64, so the ceiling loses nothing. p >= 1
+    maps to 2**53 or more, above every lane.
+    """
+    return np.ceil(np.ldexp(np.asarray(p, dtype=float), _LANE_BITS)).astype(np.uint64)
+
+
+def uniform_lanes(key: np.ndarray, start_shot: int, n_shots: int, lanes: int) -> np.ndarray:
+    """53-bit integer lanes (uint64), shape (n_shots, lanes), for a contiguous shot range.
+
+    Lane j of row i is the j-th word of shot start_shot + i shifted right
+    by 11 bits, the integer behind Generator.random's uniform on the same
+    counter. Rows are independent of how the overall run is split into calls.
     """
     if lanes <= 0:
         raise ValueError(f"lanes must be positive, got {lanes}")
     if n_shots < 0 or start_shot < 0:
         raise ValueError("shot range must be nonnegative")
     steps = lanes_to_steps(lanes)
-    bitgen = np.random.Philox(counter=start_shot * steps, key=key)
-    block = np.random.Generator(bitgen).random(n_shots * steps * _OUTPUTS_PER_COUNTER)
+    block = np.random.Philox(counter=start_shot * steps, key=key).random_raw(
+        n_shots * steps * _OUTPUTS_PER_COUNTER
+    )
+    block >>= 64 - _LANE_BITS
     return block.reshape(n_shots, steps * _OUTPUTS_PER_COUNTER)[:, :lanes]

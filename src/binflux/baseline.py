@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import derive_seed, philox_key, uniform_lanes
+from ._rng import derive_seed, lane_threshold, philox_key, uniform_lanes
 from .errors import ConfigurationError, DegenerateEvidenceError
 
 Z_90 = 1.645  # two-sided 90% normal quantile, one tail at 5%
@@ -173,9 +173,10 @@ def simulate_baseline(
     z = _z_factor(convention)
     out = np.full((n_trials, max_shots), np.nan)
     k = np.arange(1, max_shots + 1, dtype=float)
+    detect = lane_threshold(p_target)
     for t in range(n_trials):
-        u = uniform_lanes(philox_key(derive_seed(seed, t)), 0, max_shots, 1)[:, 0]
-        n_det = np.cumsum(u < p_target)
+        lanes = uniform_lanes(philox_key(derive_seed(seed, t)), 0, max_shots, 1)[:, 0]
+        n_det = np.cumsum(lanes < detect)
         p_hat = n_det / k
         good = (n_det > 0) & (n_det < k)
         delta = np.where(

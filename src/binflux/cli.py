@@ -424,8 +424,11 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"binflux: usage error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigurationError, MatrixFormatError) as exc:
+    except ConfigurationError as exc:
         print(f"binflux: configuration error: {exc}", file=sys.stderr)
+        return 3
+    except MatrixFormatError as exc:
+        print(f"binflux: matrix file error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"binflux: file error: {exc}", file=sys.stderr)

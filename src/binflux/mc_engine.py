@@ -13,6 +13,14 @@ provenance and CLI manifests record. Lane layout per shot:
 * Fock source with n photons: lanes [0, n) route photons to bins, then
   [n, n + B) dark clicks, and [n + B, n + 2B) undershoot suppression, again
   only for a history-dependent detector.
+
+The kernel never forms the uniforms u. Lanes are 53-bit integers, and each
+probability above becomes an integer threshold once per call
+(_rng.lane_threshold), so every test is an exact integer comparison with
+the outcome the float test gives: the stream is the same mc2 stream, bit
+for bit. Photons are routed by a bucket table over the top 12 lane bits
+instead of a binary search, clicks are kept one row per bin, and chunks
+hold about 2**19 lanes so that their arrays stay cache-sized.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import philox_key, uniform_lanes
+from ._rng import lane_threshold, philox_key, uniform_lanes
 from .detector_model import (
     DetectorSpec,
     effective_efficiency,
@@ -39,12 +47,12 @@ FOCK_MC_CAP = 1_000_000
 # do not reproduce their rows with this kernel.
 MC_KERNEL = "mc2"
 
-# Keep the per-chunk uniform block near 64 MB even for very wide lane
-# layouts. Fock routing works through it in blocks of _ROUTE_BLOCK_CELLS
-# (shot, photon) cells, so its int64 index array stays near 8 MB whatever
-# the chunk length.
-_CHUNK_BUDGET_DOUBLES = 8_388_608
-_ROUTE_BLOCK_CELLS = 1 << 20
+# Lanes per chunk: 4 MB of uint64, so a chunk's lanes and the arrays made
+# from them stay near the CPU caches whatever the lane layout.
+_CHUNK_LANES = 1 << 19
+# Fock routing buckets: the top 12 of a lane's 53 bits pick the bucket.
+_ROUTE_SHIFT = 41
+_ROUTE_BUCKETS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -112,8 +120,33 @@ class BatchResult:
         return float(self.histogram @ np.arange(self.histogram.size)) / self.n_shots
 
 
+def _routing_table(route: np.ndarray) -> tuple[np.ndarray, int]:
+    """Bucket table for _route over sorted thresholds whose last entry is >= 2**53.
+
+    table[k] is the cell of the first lane in bucket k, and span is the
+    most thresholds that lie inside one bucket.
+    """
+    bucket = np.arange(_ROUTE_BUCKETS, dtype=np.uint64) << _ROUTE_SHIFT
+    table = np.searchsorted(route, bucket, side="right")
+    last = np.searchsorted(route, bucket + ((1 << _ROUTE_SHIFT) - 1), side="right")
+    return table, int((last - table).max())
+
+
+def _route(lanes: np.ndarray, route: np.ndarray, table: np.ndarray, span: int) -> np.ndarray:
+    """np.searchsorted(route, lanes, side="right") as a table lookup plus span fix-up steps.
+
+    A lane's cell is the number of thresholds at or below it. The table
+    gives that number for the first lane of the lane's bucket, and each
+    step moves past at most one more threshold.
+    """
+    idx = table[(lanes >> _ROUTE_SHIFT).view(np.int64)]
+    for _ in range(span):
+        idx += lanes >= route[idx]
+    return idx
+
+
 class _Kernel:
-    """Precomputed tables plus the per-chunk simulation pass."""
+    """Integer thresholds and routing tables plus the per-chunk simulation pass."""
 
     def __init__(self, source: Source, weights: BinWeights, detector: DetectorSpec):
         detector.validate()
@@ -121,7 +154,7 @@ class _Kernel:
         self.n_bins = b
         self.source = source
         if isinstance(source, Coherent):
-            self.silent = no_click_probabilities(source.mu, weights, detector)
+            self.silent = lane_threshold(no_click_probabilities(source.mu, weights, detector))
             self.lanes = b
         else:
             if source.n_photons > FOCK_MC_CAP:
@@ -129,54 +162,57 @@ class _Kernel:
                     f"Fock.n_photons={source.n_photons} exceeds the Monte Carlo cap of {FOCK_MC_CAP}"
                 )
             eta = effective_efficiency(detector, float(source.n_photons))
-            self.dark = per_bin_dark_probabilities(weights, detector)
+            self.dark = lane_threshold(per_bin_dark_probabilities(weights, detector))
             cells = np.append(weights.weights * eta, max(0.0, 1.0 - eta * weights.weights.sum()))
-            self.route_cum = np.cumsum(cells)
-            self.route_cum[-1] = max(self.route_cum[-1], 1.0)
+            route_cum = np.cumsum(cells)
+            route_cum[-1] = max(route_cum[-1], 1.0)
+            self.route = lane_threshold(route_cum)
+            self.route_table, self.route_span = _routing_table(self.route)
             self.lanes = source.n_photons + b
         self.us_off = self.lanes
         if detector.history_dependent:
             self.lanes += b
-            self.p_miss = detector.undershoot.p_miss_next
+            self.miss = lane_threshold(detector.undershoot.p_miss_next)
             self.det_bins = [np.flatnonzero(weights.detector_of_bin == d) for d in (0, 1)]
         else:
-            self.p_miss = 0.0
+            self.miss = None
             self.det_bins = []
 
-    def _fock_counts(self, u: np.ndarray) -> np.ndarray:
-        """Detected photons per (shot, bin); cell B collects the lost ones."""
-        n, photons = u.shape
-        cells = self.n_bins + 1
-        counts = np.empty((n, self.n_bins), dtype=np.int64)
-        block = max(1, _ROUTE_BLOCK_CELLS // max(photons, 1))
-        for r in range(0, n, block):
-            m = min(block, n - r)
-            idx = np.searchsorted(self.route_cum, u[r : r + m], side="right")
-            idx += cells * np.arange(m)[:, None]
-            routed = np.bincount(idx.ravel(), minlength=m * cells).reshape(m, cells)
-            counts[r : r + m] = routed[:, : self.n_bins]
-        return counts
+    def _fock_hits(self, lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Route photon lanes (shots, n): (photon hit mask (shots, B + 1), detected photons per bin)."""
+        m, cells = lanes.shape[0], self.n_bins + 1
+        idx = _route(lanes, self.route, self.route_table, self.route_span)
+        photons = np.bincount(idx.ravel(), minlength=cells)[: self.n_bins]
+        idx += cells * np.arange(m)[:, None]
+        hit = np.zeros((m, cells), dtype=bool)
+        hit.ravel()[idx] = True
+        return hit, photons
 
     def run(self, key: np.ndarray, start_shot: int, n_shots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Simulate shots [start_shot, start_shot + n_shots): (clicks, totals, Fock counts or None)."""
-        u = uniform_lanes(key, start_shot, n_shots, self.lanes)
+        """Simulate shots [start_shot, start_shot + n_shots).
+
+        Returns the clicks with one row per bin (B, n_shots), the click
+        totals as uint8 (uint32 past 255 bins) and, for Fock sources, the
+        detected photons per bin summed over the shots.
+        """
+        lanes = uniform_lanes(key, start_shot, n_shots, self.lanes)
         b = self.n_bins
         if isinstance(self.source, Coherent):
-            counts = None
-            clicks = u[:, :b] >= self.silent
+            photons = None
+            clicks = lanes[:, :b] >= self.silent
         else:
             n = self.source.n_photons
-            counts = self._fock_counts(u[:, :n])
-            clicks = (counts > 0) | (u[:, n : n + b] < self.dark)
-        if self.p_miss > 0.0:
-            u_us = u[:, self.us_off : self.us_off + b]
+            hit, photons = self._fock_hits(lanes[:, :n])
+            clicks = lanes[:, n : n + b] < self.dark
+            clicks |= hit[:, :b]
+        clicks = np.ascontiguousarray(clicks.T)
+        if self.miss is not None:
+            miss = np.ascontiguousarray((lanes[:, self.us_off : self.us_off + b] < self.miss).T)
             for bins in self.det_bins:
-                prev = np.zeros(n_shots, dtype=bool)
-                for j in bins:
-                    cl = clicks[:, j] & ~(prev & (u_us[:, j] < self.p_miss))
-                    clicks[:, j] = cl
-                    prev = cl
-        return clicks, clicks.sum(axis=1), counts
+                for prev, j in zip(bins[:-1], bins[1:]):
+                    clicks[j] &= ~(clicks[prev] & miss[j])
+        totals = np.add.reduce(clicks.view(np.uint8), axis=0, dtype=np.uint8 if b < 256 else np.uint32)
+        return clicks, totals, photons
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -217,16 +253,16 @@ def simulate_batch(
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
     kernel = _Kernel(source, weights, detector)
     key = philox_key(seed)
-    chunk = max(1, min(chunk_size, _CHUNK_BUDGET_DOUBLES // kernel.lanes))
+    chunk = max(1, min(chunk_size, _CHUNK_LANES // kernel.lanes))
     starts = list(range(start_shot, start_shot + n_shots, chunk))
     sizes = [min(chunk, start_shot + n_shots - s) for s in starts]
 
     def process(job: tuple[int, int]):
         s, m = job
-        clicks, totals, counts = kernel.run(key, s, m)
+        clicks, totals, photons = kernel.run(key, s, m)
         hist = np.bincount(totals, minlength=kernel.n_bins + 1)
-        photons = None if counts is None else counts.sum(axis=0)
-        return hist, clicks.sum(axis=0), photons, totals if store_totals else None
+        bin_clicks = np.array([np.count_nonzero(row) for row in clicks], dtype=np.int64)
+        return hist, bin_clicks, photons, totals.astype(np.int64) if store_totals else None
 
     jobs = list(zip(starts, sizes))
     n_workers = min(_resolve_workers(workers), len(jobs))
@@ -266,4 +302,4 @@ def simulate_shot(
     """Simulate the single shot addressed by (seed, shot_index)."""
     kernel = _Kernel(source, weights, detector)
     clicks, totals, _ = kernel.run(philox_key(seed), shot_index, 1)
-    return ClickRecord(pattern=clicks[0], n=int(totals[0]), shot_index=shot_index)
+    return ClickRecord(pattern=clicks[:, 0], n=int(totals[0]), shot_index=shot_index)

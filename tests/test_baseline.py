@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -157,3 +158,22 @@ def test_simulated_curve_nan_while_degenerate():
     sim = simulate_baseline(100.0, 0.165, max_shots=16, n_trials=8, seed=3)
     # After one gate the record is always all clicks or no clicks.
     assert np.all(np.isnan(sim[:, 0]))
+
+
+# sha256 of simulate_baseline's output as <f8 (NaN where the record is
+# still degenerate), recorded when each gate's click was the float test
+# u < p_target; the integer-lane test must give the same curves bit for bit.
+BASELINE_PINS = [
+    ((100.0, 0.5, 400, 20, 7), {}, "d4675f886759314ce13d7f3ffacefa1a934ee439351373a42c3de44b4d7993b2"),
+    (
+        (37.5, 0.8, 1000, 5, 2026),
+        {"p_target": 0.3, "convention": "half"},
+        "17f2cde129cf6399c290cf51cc041cbf79608495401542e715358e40e503f03b",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, kwargs, expected", BASELINE_PINS, ids=["mu100", "mu37.5-p0.3-half"])
+def test_simulated_curve_is_pinned(args, kwargs, expected):
+    sim = simulate_baseline(*args, **kwargs)
+    assert hashlib.sha256(np.asarray(sim, dtype="<f8").tobytes()).hexdigest() == expected

@@ -627,3 +627,19 @@ def test_infer_quoted_json_cell_exits_3(matrix_file, tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert main(["infer", "-m", str(bad), "--n", "1"]) == 3
     assert f"{bad}: row 7: expected 33 JSON numbers" in capsys.readouterr().err
+
+
+def test_matrix_file_and_config_errors_have_their_own_labels(matrix_file, tmp_path, capsys):
+    # A malformed matrix file and a bad --config both exit 3, but the
+    # message names which of the two inputs is at fault.
+    bad = tmp_path / "mu.csv"
+    lines = matrix_file.read_text().splitlines()
+    lines[5] = "inf" + lines[5][lines[5].index(","):]
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["infer", "-m", str(bad), "--n", "1"]) == 3
+    assert capsys.readouterr().err.startswith(f"binflux: matrix file error: {bad}:6: expected mu=1")
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"name": "bad"}))
+    assert main(["simulate", "--config", str(config), "--mu", "1", "--shots", "10", "--seed", "1",
+                 "-o", str(tmp_path / "h.csv")]) == 3
+    assert capsys.readouterr().err.startswith("binflux: configuration error: ")

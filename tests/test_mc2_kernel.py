@@ -1,6 +1,6 @@
-"""The mc2 Monte Carlo kernel: equal in distribution to the exact laws, and
-independent of how a run is split into chunks, workers, calls and routing
-blocks.
+"""The mc2 Monte Carlo kernel: equal in distribution to the exact laws,
+independent of how a run is split into chunks, workers and calls, and equal
+shot for shot to a float reference kernel.
 
 The statistical checks run at fixed examples (derandomized) and fixed
 seeds, so they are deterministic. Their bounds are TV <= sqrt(B / N) for
@@ -9,6 +9,7 @@ of an N-shot histogram over B + 1 cells, and 4 standard errors for per-bin
 click frequencies.
 """
 
+import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -30,8 +31,16 @@ from binflux import (
     fock_click_distribution,
     per_bin_click_probabilities,
     poisson_binomial_pmf,
+    get_preset,
     simulate_batch,
+    simulate_shot,
     total_variation,
+)
+from binflux._rng import lane_threshold, philox_key
+from binflux.detector_model import (
+    effective_efficiency,
+    no_click_probabilities,
+    per_bin_dark_probabilities,
 )
 
 N_SHOTS = 20_000
@@ -156,7 +165,6 @@ def split_runs(draw):
         split=draw(st.integers(0, n_shots)),
         chunk_size=draw(st.integers(1, n_shots + 5)),
         workers=draw(st.sampled_from([1, 2])),
-        route_block=draw(st.integers(1, 64)),
     )
 
 
@@ -166,15 +174,14 @@ def test_outputs_do_not_depend_on_how_the_run_is_split(run):
     source, weights, detector, seed = run["source"], run["weights"], run["detector"], run["seed"]
     start, n, split = run["start_shot"], run["n_shots"], run["split"]
     ref = simulate_batch(source, weights, detector, n, seed, start_shot=start, store_totals=True, workers=1)
-    with mock.patch.object(mc_engine, "_ROUTE_BLOCK_CELLS", run["route_block"]):
-        parts = [
-            simulate_batch(
-                source, weights, detector, m, seed, start_shot=s, store_totals=True,
-                chunk_size=run["chunk_size"], workers=run["workers"],
-            )
-            for s, m in ((start, split), (start + split, n - split))
-            if m > 0
-        ]
+    parts = [
+        simulate_batch(
+            source, weights, detector, m, seed, start_shot=s, store_totals=True,
+            chunk_size=run["chunk_size"], workers=run["workers"],
+        )
+        for s, m in ((start, split), (start + split, n - split))
+        if m > 0
+    ]
     assert np.array_equal(sum(p.histogram for p in parts), ref.histogram)
     assert np.array_equal(sum(p.bin_click_counts for p in parts), ref.bin_click_counts)
     assert np.array_equal(np.concatenate([p.click_totals for p in parts]), ref.click_totals)
@@ -219,3 +226,213 @@ def test_lane_layout(lossy_small, source, mechanistic, lanes):
             undershoot=MechanisticUndershoot(0.4),
         )
     assert mc_engine._Kernel(source, weights, detector).lanes == lanes
+
+
+# ------------------------------------------------ integer lanes and thresholds
+
+LANE_MAX = 2**53 - 1
+SPECIAL_P = [
+    0.0,
+    5e-324,
+    2.0**-1074 * 3,
+    2.0**-53,
+    3 * 2.0**-53,
+    0.5,
+    1.0 - 2.0**-53,
+    1.0,
+    float(np.nextafter(1.0, 2.0)),
+    1.0 + 2.0**-40,
+    1.5,
+]
+
+
+@st.composite
+def probabilities(draw):
+    return draw(
+        st.one_of(
+            st.sampled_from(SPECIAL_P),
+            st.integers(0, 2**53).map(lambda k: k * 2.0**-53),
+            st.floats(0.0, 1.1),
+            st.floats(0.0, 1e-12),
+        )
+    )
+
+
+@given(p=probabilities(), lanes=st.lists(st.integers(0, LANE_MAX), max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_lane_threshold_decides_like_the_float_uniform(p, lanes):
+    # Lanes on both sides of p * 2**53 and at the ends of the range, plus random ones.
+    edge = math.floor(math.ldexp(p, 53))
+    near = [edge + d for d in (-1, 0, 1, 2)]
+    lane = np.array([v for v in near + lanes + [0, LANE_MAX] if 0 <= v <= LANE_MAX], dtype=np.uint64)
+    u = lane * 2.0**-53  # what Generator.random gives for the same word
+    threshold = lane_threshold(p)
+    assert threshold.dtype == np.uint64
+    assert np.array_equal(lane >= threshold, u >= p)
+    assert np.array_equal(lane < threshold, u < p)
+
+
+def test_lane_threshold_values():
+    assert lane_threshold([0.0, 5e-324, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0]).tolist() == [
+        0, 1, 1, 2**52, 2**53 - 1, 2**53,
+    ]
+    assert int(lane_threshold(float(np.nextafter(1.0, 2.0)))) == 2**53 + 2
+
+
+@st.composite
+def routing_tables(draw):
+    """Cumulative routing thresholds as the kernel builds them, with zero and tiny weights."""
+    weight = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324, 1e-300, 2.0**-53, 1e-15, 3e-13]))
+    cells = np.array(draw(st.lists(weight, min_size=1, max_size=40)))
+    if cells.sum() > 0:
+        cells = cells / cells.sum() * draw(st.floats(0.1, 1.0))
+    route_cum = np.cumsum(cells)
+    route_cum[-1] = max(route_cum[-1], 1.0)
+    return route_cum
+
+
+@given(route_cum=routing_tables(), lanes=st.lists(st.integers(0, LANE_MAX), max_size=50))
+@settings(max_examples=300, deadline=None)
+def test_table_routing_equals_searchsorted(route_cum, lanes):
+    route = lane_threshold(route_cum)
+    table, span = mc_engine._routing_table(route)
+    # Thresholds, their neighbours and bucket edges are where a lookup can go wrong.
+    edges = [int(t) + d for t in route for d in (-1, 0, 1)]
+    buckets = [k << mc_engine._ROUTE_SHIFT for k in range(0, mc_engine._ROUTE_BUCKETS, 511)]
+    lane = np.array(
+        [v for v in edges + buckets + [b - 1 for b in buckets] + lanes if 0 <= v <= LANE_MAX], dtype=np.uint64
+    )
+    got = mc_engine._route(lane, route, table, span)
+    assert np.array_equal(got, np.searchsorted(route, lane, side="right"))
+    assert np.array_equal(got, np.searchsorted(route_cum, lane * 2.0**-53, side="right"))
+
+
+def test_routing_span_counts_thresholds_inside_one_bucket():
+    # Three cells of 1e-17 put three thresholds into bucket 0: three fix-up steps.
+    route = lane_threshold(np.cumsum([1e-17, 1e-17, 1e-17, 1.0]))
+    table, span = mc_engine._routing_table(route)
+    assert span == 3
+    lane = np.arange(400, dtype=np.uint64)
+    assert np.array_equal(mc_engine._route(lane, route, table, span), np.searchsorted(route, lane, side="right"))
+
+
+@pytest.mark.parametrize("preset", ["rapid32", "conventional16"])
+@pytest.mark.parametrize("n_photons", [1, 200])
+def test_routing_span_is_one_on_the_presets(preset, n_photons):
+    system = get_preset(preset)
+    kernel = mc_engine._Kernel(Fock(n_photons), system.bin_weights(), system.detector)
+    assert kernel.route_span == 1
+
+
+# ------------------------------------------------ float reference kernel
+
+
+def reference_kernel(source, weights, detector, seed, start_shot, n_shots):
+    """The float kernel the integer lanes replaced, kept as a test oracle.
+
+    Draws uniforms with Generator.random, routes photons with searchsorted
+    and suppresses gates column by column. Returns per-shot clicks
+    (n_shots, B), click totals and detected photons per bin (None for
+    coherent sources).
+    """
+    b = weights.num_bins
+    if isinstance(source, Coherent):
+        silent = no_click_probabilities(source.mu, weights, detector)
+        lanes = b
+    else:
+        n = source.n_photons
+        eta = effective_efficiency(detector, float(n))
+        dark = per_bin_dark_probabilities(weights, detector)
+        cells = np.append(weights.weights * eta, max(0.0, 1.0 - eta * weights.weights.sum()))
+        route_cum = np.cumsum(cells)
+        route_cum[-1] = max(route_cum[-1], 1.0)
+        lanes = n + b
+    us_off = lanes
+    if detector.history_dependent:
+        lanes += b
+    steps = -(-lanes // 4)
+    bitgen = np.random.Philox(counter=start_shot * steps, key=philox_key(seed))
+    u = np.random.Generator(bitgen).random(n_shots * steps * 4).reshape(n_shots, steps * 4)[:, :lanes]
+    if isinstance(source, Coherent):
+        photons = None
+        clicks = u[:, :b] >= silent
+    else:
+        idx = np.searchsorted(route_cum, u[:, :n], side="right") + (b + 1) * np.arange(n_shots)[:, None]
+        counts = np.bincount(idx.ravel(), minlength=n_shots * (b + 1)).reshape(n_shots, b + 1)[:, :b]
+        photons = counts.sum(axis=0)
+        clicks = (counts > 0) | (u[:, n : n + b] < dark)
+    if detector.history_dependent:
+        p_miss = detector.undershoot.p_miss_next
+        for d in (0, 1):
+            prev = np.zeros(n_shots, dtype=bool)
+            for j in np.flatnonzero(weights.detector_of_bin == d):
+                clicks[:, j] &= ~(prev & (u[:, us_off + j] < p_miss))
+                prev = clicks[:, j]
+    return clicks, clicks.sum(axis=1), photons
+
+
+def _assert_kernel_equals_reference(source, weights, detector, seed, start, n, chunk_size, workers, probe):
+    ref_clicks, ref_totals, ref_photons = reference_kernel(source, weights, detector, seed, start, n)
+    batch = simulate_batch(
+        source, weights, detector, n, seed, start_shot=start, chunk_size=chunk_size, workers=workers,
+        store_totals=True,
+    )
+    assert np.array_equal(batch.click_totals, ref_totals)
+    assert batch.click_totals.dtype == np.int64
+    assert np.array_equal(batch.histogram, np.bincount(ref_totals, minlength=weights.num_bins + 1))
+    assert np.array_equal(batch.bin_click_counts, ref_clicks.sum(axis=0))
+    if ref_photons is None:
+        assert batch.photon_sum is None
+    else:
+        assert np.array_equal(batch.photon_sum, ref_photons)
+    clicks, _, _ = mc_engine._Kernel(source, weights, detector).run(philox_key(seed), start, n)
+    assert np.array_equal(clicks.T, ref_clicks)
+    shot = simulate_shot(source, weights, detector, seed, start + probe)
+    assert np.array_equal(shot.pattern, ref_clicks[probe])
+    assert shot.n == ref_totals[probe]
+
+
+@st.composite
+def reference_runs(draw):
+    weights, detector = draw(small_systems(max_bins=10, mechanistic=draw(st.booleans())))
+    if draw(st.booleans()):
+        # Zero and tiny bin weights give routing tables with route_span > 1.
+        w = np.array(weights.weights)
+        w[draw(st.integers(0, w.size - 1))] = draw(st.sampled_from([0.0, 1e-300, 1e-17]))
+        weights = BinWeights(w, np.array(weights.arrival_times), np.array(weights.detector_of_bin))
+    if draw(st.booleans()):
+        source = Fock(draw(st.integers(0, 60)))
+    else:
+        source = Coherent(draw(st.floats(0.0, 60.0)))
+    n = draw(st.integers(1, 400))
+    return dict(
+        source=source, weights=weights, detector=detector, seed=draw(st.integers(0, 2**32 - 1)),
+        start=draw(st.integers(0, 10**9)), n=n, chunk_size=draw(st.integers(1, n + 5)),
+        workers=draw(st.sampled_from([1, 2])), probe=draw(st.integers(0, n - 1)),
+    )
+
+
+@given(run=reference_runs())
+@settings(max_examples=80, deadline=None)
+def test_kernel_equals_float_reference_shot_for_shot(run):
+    _assert_kernel_equals_reference(**run)
+
+
+def _mechanistic(system):
+    return dataclasses.replace(system.detector, undershoot=MechanisticUndershoot(0.3))
+
+
+@pytest.mark.parametrize(
+    "source, preset, mechanistic",
+    [
+        (Coherent(100.0), "rapid32", False),
+        (Coherent(10.0), "conventional16", False),
+        (Coherent(100.0), "rapid32", True),
+        (Fock(200), "rapid32", False),
+        (Fock(200), "rapid32", True),
+    ],
+)
+def test_kernel_equals_float_reference_on_presets(source, preset, mechanistic):
+    system = get_preset(preset)
+    detector = _mechanistic(system) if mechanistic else system.detector
+    _assert_kernel_equals_reference(source, system.bin_weights(), detector, 2026, 12_345, 700, 256, 2, 699)
