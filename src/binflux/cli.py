@@ -45,7 +45,7 @@ from .inference import (
 from .mc_engine import MC_KERNEL, Coherent, Fock, describe_source, simulate_batch
 from .multiplexer import validate_timing
 from .presets import PRESET_NAMES, get_preset
-from .response_matrix import _fmt, build_matrix, load_matrix, save_matrix
+from .response_matrix import build_matrix, load_matrix, save_matrix
 
 
 class UsageError(Exception):
@@ -75,6 +75,7 @@ def _int_list(text: str) -> list[int] | None:
 # Namespace entries that are not parameters: the subcommand and its handler,
 # and the system source, which "system" and "fingerprint" record instead.
 _NOT_PARAMETERS = ("command", "func", "preset", "config")
+_fmt = "{:.17g}".format  # every float of a CSV output, at 17 significant digits
 
 
 def _json_text(doc: dict) -> str:

@@ -64,21 +64,22 @@ def poisson_binomial_pmf(click_probs: np.ndarray) -> np.ndarray:
 
     click_probs of shape (B,) gives the (B + 1,) distribution; shape (m, B)
     gives an (m, B + 1) array with one distribution per row. Both run the
-    same dynamic program over the gates, all rows at once: after gate j,
-    dist[:, k] = dist[:, k] * (1 - p_j) + dist[:, k - 1] * p_j.
+    same dynamic program over the gates, all rows at once, in place on a
+    click-count-major (B + 1, m) array: after gate j,
+    dist[k] = dist[k] * (1 - p_j) + dist[k - 1] * p_j.
     """
     p = np.asarray(click_probs, dtype=float)
     rows = np.atleast_2d(p)
     m, n_gates = rows.shape
-    dist = np.zeros((m, n_gates + 1))
-    dist[:, 0] = 1.0
-    for j in range(n_gates):
-        pj = rows[:, j : j + 1]
-        qj = 1.0 - pj
-        dist[:, 1 : j + 2] = dist[:, 1 : j + 2] * qj + dist[:, : j + 1] * pj
-        dist[:, :1] *= qj
+    dist = np.zeros((n_gates + 1, m))
+    dist[0] = 1.0
+    for j, pj in enumerate(rows.T.copy()):
+        fired = dist[: j + 1] * pj
+        dist[: j + 2] *= 1.0 - pj
+        dist[1 : j + 2] += fired
     # Roundoff can leave tiny negatives.
     np.clip(dist, 0.0, None, out=dist)
+    dist = np.ascontiguousarray(dist.T)  # normalised as (m, B + 1) rows: numpy's summation order
     dist /= dist.sum(axis=1, keepdims=True)
     return dist.reshape(p.shape[:-1] + (n_gates + 1,))
 
@@ -87,26 +88,28 @@ def _undershoot_chain_pmf(click_probs, detector_of_bin, p_miss: float) -> np.nda
     """Click-total law of the mechanistic undershoot chain, all rows at once.
 
     Gate j clicks with p_j, or with p_j * (1 - p_miss) when the previous
-    gate of its detector clicked. dist[a, b, :, k] is the probability of k
+    gate of its detector clicked. dist[a, b, k] is the probability of k
     clicks so far with detector 0's last gate clicked (a = 1) or not (a = 0),
-    and likewise b for detector 1. Shapes as for poisson_binomial_pmf.
+    and likewise b for detector 1. Layout and shapes as for poisson_binomial_pmf.
     """
     p = np.asarray(click_probs, dtype=float)
     rows = np.atleast_2d(p)
     m, n_gates = rows.shape
-    dist = np.zeros((2, 2, m, n_gates + 1))
-    dist[0, 0, :, 0] = 1.0
-    for j, d in enumerate(detector_of_bin):
-        pj = rows[:, j : j + 1]
+    dist = np.zeros((2, 2, n_gates + 1, m))
+    dist[0, 0, 0] = 1.0
+    kept_buf, missed_buf = np.empty((2, 2, n_gates + 1, m))
+    for j, (pj, d) in enumerate(zip(rows.T.copy(), detector_of_bin)):
         kept = pj * (1.0 - p_miss)
         # Views on dist, split by the last outcome of gate j's detector.
-        silent, clicked = np.moveaxis(dist[..., : j + 2], int(d), 0)
-        fired = silent[..., :-1] * pj + clicked[..., :-1] * kept
+        silent, clicked = np.moveaxis(dist[:, :, : j + 2], int(d), 0)
+        fired_kept = np.multiply(clicked[:, :-1], kept, out=kept_buf[:, : j + 1])
+        missed = np.multiply(clicked, 1.0 - kept, out=missed_buf[:, : j + 2])
+        np.multiply(silent[:, :-1], pj, out=clicked[:, 1:])
+        clicked[:, 1:] += fired_kept
+        clicked[:, 0] = 0.0
         silent *= 1.0 - pj
-        silent += clicked * (1.0 - kept)
-        clicked[..., 0] = 0.0
-        clicked[..., 1:] = fired
-    dist = dist.sum(axis=(0, 1))
+        silent += missed
+    dist = np.ascontiguousarray(dist.sum(axis=(0, 1)).T)
     dist /= dist.sum(axis=1, keepdims=True)
     return dist.reshape(p.shape[:-1] + (n_gates + 1,))
 

@@ -5,12 +5,13 @@ exactly, estimated by Monte Carlo, or linearly interpolated between two
 support rows; per-row provenance is kept and survives save/load.
 
 File formats (both carry the full system configuration, so a matrix file is
-self-describing):
+self-describing; the tests and CI pin their bytes):
 
 * CSV: three comment lines (header with fingerprint, embedded config JSON,
-  per-row provenance), a column-name line, then one row per mu with floats
-  printed at 17 significant digits.
-* JSON: the same content as one object.
+  per-row provenance), a column-name line, then one row per mu, each cell
+  written with "%.17g".
+* JSON: the same content as one object, in the layout of json.dumps with
+  sort_keys=True and indent=1, floats written by repr.
 
 The SHA-256 fingerprint of the canonical configuration JSON ties a matrix
 file to the system that produced it.
@@ -18,6 +19,7 @@ file to the system that produced it.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
 import warnings
@@ -226,10 +228,6 @@ def validate_interpolation(
     return [(mu, float(d)) for mu, d in zip(mus, tv)]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def save_matrix(matrix: ResponseMatrix, path: str | Path) -> None:
     """Write the matrix to .csv or .json (chosen by extension)."""
     path = Path(path)
@@ -241,8 +239,8 @@ def save_matrix(matrix: ResponseMatrix, path: str | Path) -> None:
             "# provenance: " + ";".join(p.token() for p in matrix.provenance),
             "mu," + ",".join(f"p{k}" for k in range(matrix.num_bins + 1)),
         ]
-        for mu in range(matrix.mu_max + 1):
-            lines.append(f"{mu}," + ",".join(_fmt(v) for v in matrix.rows[mu]))
+        row = "%d," + ",".join(["%.17g"] * (matrix.num_bins + 1))
+        lines += [row % (mu, *cells) for mu, cells in enumerate(matrix.rows.tolist())]
         path.write_text("\n".join(lines) + "\n")
     elif path.suffix == ".json":
         doc = {
@@ -254,9 +252,12 @@ def save_matrix(matrix: ResponseMatrix, path: str | Path) -> None:
             "method": matrix.method,
             "config": system_to_dict(matrix.system),
             "provenance": [p.token() for p in matrix.provenance],
-            "rows": matrix.rows.tolist(),
+            "rows": None,  # spliced in below: only a top-level key sits one space in
         }
-        path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n")
+        head, _, tail = json.dumps(doc, sort_keys=True, indent=1).partition('\n "rows": null')
+        row = "[\n   " + ",\n   ".join(["%r"] * (matrix.num_bins + 1)) + "\n  ]"
+        rows = ",\n  ".join([row % tuple(cells) for cells in matrix.rows.tolist()])
+        path.write_text(f'{head}\n "rows": [\n  {rows}\n ]{tail}\n')
     else:
         raise ValueError(f"unsupported matrix extension {path.suffix!r} (use .csv or .json)")
 
@@ -276,6 +277,15 @@ def _check_rows(rows: np.ndarray, where) -> None:
         else:
             problem = f"probabilities sum to {sums[i]:.17g}, expected 1 within {_ROW_SUM_TOL:g}"
         raise MatrixFormatError(f"{where(i)}: {problem}")
+
+
+def _parse_tokens(tokens) -> tuple[RowProvenance, ...]:
+    """RowProvenance.from_token of each token, once per distinct str(token): a JSON token may be unhashable."""
+    keys, parsed = list(map(str, tokens)), {}
+    for key, token in zip(keys, tokens):
+        if key not in parsed:
+            parsed[key] = RowProvenance.from_token(token)
+    return tuple(map(parsed.__getitem__, keys))
 
 
 def _parse_csv(text: str, path: Path) -> ResponseMatrix:
@@ -298,7 +308,7 @@ def _parse_csv(text: str, path: Path) -> ResponseMatrix:
     if not lines[2].startswith("# provenance: "):
         raise MatrixFormatError(f"{path}:3: missing provenance line")
     try:
-        prov = tuple(RowProvenance.from_token(t) for t in lines[2][len("# provenance: "):].split(";"))
+        prov = _parse_tokens(lines[2][len("# provenance: "):].split(";"))
     except MatrixFormatError as exc:
         raise MatrixFormatError(f"{path}:3: {exc}") from None
     if len(prov) != mu_max + 1:
@@ -307,8 +317,14 @@ def _parse_csv(text: str, path: Path) -> ResponseMatrix:
     data_lines = lines[4:]
     if len(data_lines) != mu_max + 1:
         raise MatrixFormatError(f"{path}: expected {mu_max + 1} data rows, got {len(data_lines)}")
-    rows = np.zeros((mu_max + 1, bins + 1))
-    for i, line in enumerate(data_lines):
+    rows, walk = np.zeros((mu_max + 1, bins + 1)), data_lines
+    # np.loadtxt takes a subset of what float() takes (not "1_0"), to the same values; the walk decides the rest.
+    if all(map(str.startswith, data_lines, map("{},".format, range(mu_max + 1)))):
+        with contextlib.suppress(ValueError):
+            cells = np.loadtxt(data_lines, delimiter=",", comments=None, ndmin=2)
+            if cells.shape == (mu_max + 1, bins + 2):
+                rows, walk = cells[:, 1:].copy(), []
+    for i, line in enumerate(walk):
         fields = line.split(",")
         if len(fields) != bins + 2:
             raise MatrixFormatError(f"{path}:{i + 5}: expected {bins + 2} fields, got {len(fields)}")
@@ -335,7 +351,7 @@ def _parse_json(text: str, path: Path) -> ResponseMatrix:
         system = system_from_dict(doc["config"])
         mu_max, bins = doc["mu_max"], doc["bins"]
         cells = doc["rows"]
-        prov = tuple(RowProvenance.from_token(t) for t in doc["provenance"])
+        prov = _parse_tokens(doc["provenance"])
         fp, method = str(doc["fingerprint"]), str(doc["method"])
     except (KeyError, TypeError, ValueError, ConfigurationError, MatrixFormatError) as exc:
         raise MatrixFormatError(f"{path}: missing or malformed field ({exc})") from exc

@@ -23,8 +23,8 @@ from binflux import (
     simulate_batch,
     stability_max_n,
 )
-from binflux.cli import main
-from binflux.response_matrix import RowProvenance, _fmt
+from binflux.cli import _fmt, main
+from binflux.response_matrix import RowProvenance
 
 
 @pytest.fixture(scope="module")

@@ -43,6 +43,13 @@ def test_exact_matrix_rows_are_pinned(name):
     assert _digest(build_matrix(get_preset(preset), mu_max).rows) == expected
 
 
+def test_mechanistic_exact_matrix_rows_are_pinned(mechanistic32):
+    # The undershoot chain (p_miss 0.3); recorded before its state array was
+    # laid out click-count major.
+    m = build_matrix(mechanistic32, 100)
+    assert _digest(m.rows) == "78004bde4d620128ee6aa04b87deb792ce12139531dd0b97a93f6b2aa6a094ee"
+
+
 def test_sparse_exact_matrix_is_pinned(rapid32):
     m = build_matrix(rapid32, 2000, support=SPARSE_EXACT_SUPPORT)
     assert _digest(m.rows) == "6c791738c4bdfa405244c72ee3e8bc32d701e8b8519f4576bb051d38bea4434c"

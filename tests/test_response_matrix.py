@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -421,17 +423,61 @@ def test_malformed_embedded_config_is_format_error(small_matrix, tmp_path, ext):
         load_matrix(p)
 
 
+# Cells whose text is easy to get wrong: signed zero, the smallest subnormal
+# and other subnormals, values near 1e-300, and values that need 17 digits.
+EDGE_CELLS = [
+    0.0, -0.0, 1.0, 5e-324, 1e-310, 2.225073858507201e-308, 1e-300, math.nextafter(1e-300, 1.0),
+    math.nextafter(1e-300, 0.0), 0.1, 1 / 3, 0.30000000000000004, math.nextafter(1.0, 0.0),
+]
+
+
+def _reference_save(matrix, path):
+    """save_matrix as it wrote files before rows were written at once: one f"{x:.17g}" per CSV cell."""
+    if path.suffix == ".csv":
+        lines = [
+            f"# binflux-matrix v1, fingerprint={matrix.fingerprint}, "
+            f"mu_max={matrix.mu_max}, bins={matrix.num_bins}, method={matrix.method}",
+            "# config: " + json.dumps(system_to_dict(matrix.system), sort_keys=True, separators=(",", ":")),
+            "# provenance: " + ";".join(p.token() for p in matrix.provenance),
+            "mu," + ",".join(f"p{k}" for k in range(matrix.num_bins + 1)),
+        ]
+        for mu in range(matrix.mu_max + 1):
+            lines.append(f"{mu}," + ",".join(f"{v:.17g}" for v in matrix.rows[mu]))
+        path.write_text("\n".join(lines) + "\n")
+    else:
+        doc = {
+            "format": "binflux-matrix",
+            "version": 1,
+            "fingerprint": matrix.fingerprint,
+            "mu_max": matrix.mu_max,
+            "bins": matrix.num_bins,
+            "method": matrix.method,
+            "config": system_to_dict(matrix.system),
+            "provenance": [p.token() for p in matrix.provenance],
+            "rows": matrix.rows.tolist(),
+        }
+        path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n")
+
+
 @st.composite
 def random_matrices(draw):
-    """Hand-built matrices: random rows, and provenance mixing every token kind the method allows."""
+    """Hand-built matrices: random rows with edge cells, and provenance mixing every token kind the method allows."""
     system = get_preset(draw(st.sampled_from(["rapid32", "conventional16"])))
-    mu_max = draw(st.integers(min_value=1, max_value=8))
+    mu_max = draw(st.integers(min_value=0, max_value=8))
     cells = system.num_bins + 1
+    cell = st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGE_CELLS))
     rows = np.array(
-        draw(st.lists(st.floats(0.0, 1.0), min_size=(mu_max + 1) * cells, max_size=(mu_max + 1) * cells))
+        draw(st.lists(cell, min_size=(mu_max + 1) * cells, max_size=(mu_max + 1) * cells))
     ).reshape(mu_max + 1, cells)
     rows[np.arange(mu_max + 1), draw(st.integers(0, cells - 1))] += 1.0
-    rows /= rows.sum(axis=1, keepdims=True)
+    if draw(st.booleans()):
+        rows /= rows.sum(axis=1, keepdims=True)
+    else:
+        # Keep the cells up to 0.02 as drawn, shrink the others and put the rest of the mass in the
+        # last cell; row 0 is one-hot, so its last cell is exactly 1.0.
+        rows = np.where(rows > 0.02, rows * 0.02, rows)
+        rows[0, :-1] = 0.0
+        rows[:, -1] = 1.0 - rows[:, :-1].sum(axis=1)
     method = draw(st.sampled_from(["exact", "mc"]))
     ints = st.integers(0, 2**64 - 1)
     direct = (
@@ -453,14 +499,16 @@ def random_matrices(draw):
 @settings(max_examples=60, deadline=None)
 def test_random_matrix_save_load_round_trip(matrix, ext):
     with tempfile.TemporaryDirectory() as tmp:
-        p1, p2 = Path(tmp) / f"m1.{ext}", Path(tmp) / f"m2.{ext}"
+        p1, p2, ref = Path(tmp) / f"m1.{ext}", Path(tmp) / f"m2.{ext}", Path(tmp) / f"ref.{ext}"
         save_matrix(matrix, p1)
+        _reference_save(matrix, ref)
+        assert p1.read_bytes() == ref.read_bytes()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            loaded = load_matrix(p1)
+            loaded = load_matrix(ref)
         save_matrix(loaded, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-    assert np.array_equal(loaded.rows, matrix.rows)
+        assert p2.read_bytes() == ref.read_bytes()
+    assert loaded.rows.tobytes() == matrix.rows.tobytes()  # bit for bit, -0.0 included
     assert loaded.provenance == matrix.provenance
     legacy = any(p.kind == "mc" and p.kernel == "mc" for p in matrix.provenance)
     assert len(caught) == (1 if legacy else 0)
@@ -544,3 +592,74 @@ def test_json_integer_cells_load(small_matrix, tmp_path):
     rows[0] = [1] + [0] * small_matrix.num_bins
     _edit(p, None, None, lambda doc: {**doc, "rows": rows})
     assert np.array_equal(load_matrix(p).rows, np.array(rows))
+
+
+@pytest.fixture(scope="module")
+def sparse_mc_matrix400():
+    """The seeded sparse Monte Carlo matrix that tests/test_inference_stream.py pins row by row."""
+    return build_matrix(get_preset("rapid32"), 400, "mc", n_shots=20_000, seed=11, support=[100, 200, 300], workers=1)
+
+
+# sha256 of the files save_matrix writes, recorded when every cell was formatted on its own.
+MATRIX_FILE_DIGESTS = {
+    ("exact", "csv"): "5c397ed3d9e560c22e453dab8749714bd9712a08113d233a6dcda4935e9d79a1",
+    ("exact", "json"): "002d3129b653e727f31c6b4083fef2f90e9e4294faa86d792d884458996dfd0a",
+    ("mc", "csv"): "b34764209971c7396b95757820c6d0179e6e30d7f20744403e2e260680b21fb2",
+    ("mc", "json"): "fb5ca64a40552d8df5f88977dab89ce7b965600db2c8cc1a66850f3dfb25afd5",
+}
+
+
+@pytest.mark.parametrize("method, ext", sorted(MATRIX_FILE_DIGESTS))
+def test_matrix_file_bytes_are_pinned(rapid32_matrix400, sparse_mc_matrix400, tmp_path, method, ext):
+    matrix = rapid32_matrix400 if method == "exact" else sparse_mc_matrix400
+    p = tmp_path / f"m.{ext}"
+    save_matrix(matrix, p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == MATRIX_FILE_DIGESTS[method, ext]
+    loaded = load_matrix(p)
+    assert loaded.rows.tobytes() == matrix.rows.tobytes()
+    assert loaded.provenance == matrix.provenance
+
+
+def test_short_line_then_long_line_names_the_short_one(small_matrix, tmp_path):
+    # The file still holds (mu_max + 1) * (bins + 2) fields, so only a per-line count catches it.
+    p = tmp_path / "m.csv"
+    save_matrix(small_matrix, p)
+    lines = p.read_text().splitlines()
+    lines[6], cell = lines[6].rsplit(",", 1)
+    lines[7] += "," + cell
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MatrixFormatError) as exc:
+        load_matrix(p)
+    assert str(exc.value) == f"{p}:7: expected 34 fields, got 33"
+
+
+@pytest.mark.parametrize("line", [5, 45], ids=["first", "last"])
+@pytest.mark.parametrize("cell", ["oops", "", "1__0", "0x1p-3", "nan(1)", "0.5e"])
+def test_cell_float_refuses_names_its_line(small_matrix, tmp_path, line, cell):
+    p = tmp_path / "m.csv"
+    save_matrix(small_matrix, p)
+    _edit(p, line - 1, lambda s: s.rsplit(",", 1)[0] + "," + cell, None)
+    with pytest.raises(MatrixFormatError) as exc:
+        load_matrix(p)
+    assert str(exc.value).startswith(f"{p}:{line}: non-numeric field (could not convert string to float: ")
+
+
+FULLWIDTH = {ord(d): ord(d) + 0xFEE0 for d in "0123456789"}
+
+
+@pytest.mark.parametrize(
+    "spell",
+    [
+        lambda s: f" {s}\t",
+        lambda s: "+" + s,
+        lambda s: s[:3] + "_" + s[3:],  # "0.0_45...": float() reads it, np.loadtxt does not
+        lambda s: s.translate(FULLWIDTH),  # non-ASCII digits: likewise
+    ],
+    ids=["whitespace", "plus", "underscore", "fullwidth"],
+)
+def test_cells_load_as_float_reads_them(small_matrix, tmp_path, spell):
+    p = tmp_path / "m.csv"
+    save_matrix(small_matrix, p)
+    fields = p.read_text().splitlines()[7].split(",")
+    _edit(p, 7, lambda s: ",".join(fields[:3] + [spell(fields[3])] + fields[4:]), None)
+    assert load_matrix(p).rows.tobytes() == small_matrix.rows.tobytes()
