@@ -206,6 +206,8 @@ def _cmd_infer(args: argparse.Namespace) -> int:
             )
 
     if args.max_n is not None:
+        if args.max_n < 0:
+            raise UsageError(f"--max-n must be >= 0, got {args.max_n}")
         cutoff: int | None = args.max_n
     elif args.no_stability:
         cutoff = None
@@ -261,9 +263,7 @@ def _convergence(args: argparse.Namespace, system: SystemConfig, max_shots: int)
     """
     wide, cutoff = _stability_build(system, args.mu_max, args.tolerance)
     head = slice(0, args.mu_max + 1)
-    matrix = dataclasses.replace(
-        wide, mu_max=args.mu_max, rows=wide.rows[head], provenance=wide.provenance[head]
-    )
+    matrix = dataclasses.replace(wide, rows=wide.rows[head], provenance=wide.provenance[head])
     return relative_error_curve(
         system,
         matrix,

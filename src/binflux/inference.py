@@ -223,10 +223,10 @@ def credible_interval(posterior: Posterior, level: float = 0.90) -> CredibleInte
 
 def interval_to_energy(width_photons: float, wavelength: float = 1.55e-6) -> float:
     """Photon-count uncertainty expressed as pulse energy in joules."""
-    if width_photons < 0.0:
-        raise ValueError(f"width_photons must be >= 0, got {width_photons!r}")
-    if wavelength <= 0.0:
-        raise ValueError(f"wavelength must be > 0, got {wavelength!r}")
+    if not 0.0 <= width_photons < math.inf:
+        raise ValueError(f"width_photons must be finite and >= 0, got {width_photons!r}")
+    if not 0.0 < wavelength < math.inf:
+        raise ValueError(f"wavelength must be finite and > 0, got {wavelength!r}")
     return width_photons * PLANCK_CONSTANT * SPEED_OF_LIGHT / wavelength
 
 
@@ -269,8 +269,8 @@ def _stability_build(system: SystemConfig, mu_max: int, tolerance: float) -> tup
     Callers that also need the [0, mu_max] matrix take its first
     mu_max + 1 rows instead of building it again.
     """
-    if tolerance <= 0.0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance!r}")
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance!r}")
     wide = build_matrix(system, 2 * mu_max)
     unstable = np.flatnonzero(~(_stability_tv(wide.rows, mu_max) < tolerance))
     return wide, int(unstable[0]) - 1 if unstable.size else wide.num_bins

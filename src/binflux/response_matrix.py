@@ -23,7 +23,7 @@ import contextlib
 import json
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -85,24 +85,28 @@ class RowProvenance:
 
 @dataclass
 class ResponseMatrix:
+    """Rows P(k | mu), mu = 0..mu_max; mu_max (row count - 1) and fingerprint (of system) are derived."""
+
     system: SystemConfig
-    mu_max: int
     rows: np.ndarray
     provenance: tuple[RowProvenance, ...]
     method: str
-    fingerprint: str
+    fingerprint: str = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.rows.ndim != 2 or self.rows.shape[0] != self.mu_max + 1:
-            raise MatrixFormatError(
-                f"rows: expected shape ({self.mu_max + 1}, bins + 1), got {self.rows.shape}"
-            )
-        if len(self.provenance) != self.mu_max + 1:
-            raise MatrixFormatError(
-                f"provenance: expected {self.mu_max + 1} entries, got {len(self.provenance)}"
-            )
+        n_rows = self.rows.shape[0] if self.rows.ndim else 0
+        if self.rows.ndim != 2 or n_rows != len(self.provenance):
+            message = f"rows: expected shape ({len(self.provenance)}, bins + 1), got {self.rows.shape}"
+            if n_rows != len(self.provenance):
+                message += f"; provenance: expected {n_rows} entries, got {len(self.provenance)}"
+            raise MatrixFormatError(message)
         _check_rows(self.rows, lambda i: f"row {i}")
         self.rows.setflags(write=False)
+        self.fingerprint = fingerprint(self.system)
+
+    @property
+    def mu_max(self) -> int:
+        return self.rows.shape[0] - 1
 
     @property
     def num_bins(self) -> int:
@@ -111,11 +115,6 @@ class ResponseMatrix:
     @property
     def support_mus(self) -> np.ndarray:
         return np.array([mu for mu, p in enumerate(self.provenance) if p.kind != "interpolated"])
-
-    def row(self, mu: int) -> np.ndarray:
-        if not (0 <= mu <= self.mu_max):
-            raise ValueError(f"mu must lie in [0, {self.mu_max}], got {mu}")
-        return self.rows[mu]
 
 
 def _row_seed(seed: int, mu: int) -> int:
@@ -187,14 +186,7 @@ def build_matrix(
         rows[lo + 1 : hi] = seg / seg.sum(axis=1, keepdims=True)
         prov[lo + 1 : hi] = [RowProvenance(kind="interpolated", mu_lo=lo, mu_hi=hi)] * (hi - lo - 1)
 
-    return ResponseMatrix(
-        system=system,
-        mu_max=mu_max,
-        rows=rows,
-        provenance=tuple(prov),
-        method=method,
-        fingerprint=fingerprint(system),
-    )
+    return ResponseMatrix(system=system, rows=rows, provenance=tuple(prov), method=method)
 
 
 def interpolate_row(matrix: ResponseMatrix, mu: float) -> ClickDistribution:
@@ -276,7 +268,7 @@ def _check_rows(rows: np.ndarray, where) -> None:
             problem = "negative probability"
         else:
             problem = f"probabilities sum to {sums[i]:.17g}, expected 1 within {_ROW_SUM_TOL:g}"
-        raise MatrixFormatError(f"{where(i)}: {problem}")
+        raise MatrixFormatError(f"{where(i)}: {problem}") from None
 
 
 def _parse_tokens(tokens) -> tuple[RowProvenance, ...]:
@@ -288,7 +280,8 @@ def _parse_tokens(tokens) -> tuple[RowProvenance, ...]:
     return tuple(map(parsed.__getitem__, keys))
 
 
-def _parse_csv(text: str, path: Path) -> ResponseMatrix:
+def _parse_csv(text: str, path: Path):
+    """The system, rows, provenance, method and stored fingerprint of a CSV file, and its row namer."""
     lines = text.splitlines()
     if not lines:
         raise MatrixFormatError(f"{path}: empty file")
@@ -334,11 +327,11 @@ def _parse_csv(text: str, path: Path) -> ResponseMatrix:
             rows[i] = [float(f) for f in fields[1:]]
         except ValueError as exc:
             raise MatrixFormatError(f"{path}:{i + 5}: non-numeric field ({exc})") from exc
-    _check_rows(rows, lambda i: f"{path}:{i + 5}")
-    return _assemble(system, mu_max, rows, prov, method, fp, path)
+    return system, rows, prov, method, fp, lambda i: f"{path}:{i + 5}"
 
 
-def _parse_json(text: str, path: Path) -> ResponseMatrix:
+def _parse_json(text: str, path: Path):
+    """The same parts as _parse_csv, from a JSON document."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -367,50 +360,45 @@ def _parse_json(text: str, path: Path) -> ResponseMatrix:
     rows = np.array(cells, dtype=float)
     if len(prov) != mu_max + 1:
         raise MatrixFormatError(f"{path}: expected {mu_max + 1} provenance tokens, got {len(prov)}")
-    _check_rows(rows, lambda i: f"{path}: row {i}")
-    return _assemble(system, mu_max, rows, prov, method, fp, path)
+    return system, rows, prov, method, fp, lambda i: f"{path}: row {i}"
 
 
-def _assemble(system, mu_max, rows, prov, method, fp, path) -> ResponseMatrix:
-    """Checks both formats share: the method, the bin count and each direct row's provenance.
+def load_matrix(path: str | Path) -> ResponseMatrix:
+    """Read a matrix written by save_matrix, verifying its rows and fingerprint.
 
     Monte Carlo rows from an older stream load, with one warning per file.
     """
+    path = Path(path)
+    text = path.read_text()
+    parse = {".csv": _parse_csv, ".json": _parse_json}.get(path.suffix)
+    if parse is None:
+        raise ValueError(f"unsupported matrix extension {path.suffix!r} (use .csv or .json)")
+    system, rows, prov, method, fp, where = parse(text, path)
+    try:
+        matrix = ResponseMatrix(system=system, rows=rows, provenance=prov, method=method)
+    except MatrixFormatError:
+        _check_rows(rows, where)  # the same bad row, named by its place in the file
+        raise
     if method not in ("exact", "mc"):
         raise MatrixFormatError(f"{path}: method must be 'exact' or 'mc', got {method!r}")
-    if rows.shape[1] != system.num_bins + 1:
+    if matrix.num_bins != system.num_bins:
         raise MatrixFormatError(
-            f"{path}: bins={rows.shape[1] - 1} but the embedded config has {system.num_bins} bins"
+            f"{path}: bins={matrix.num_bins} but the embedded config has {system.num_bins} bins"
         )
     for mu, p in enumerate(prov):
         if p.kind not in (method, "interpolated"):
             raise MatrixFormatError(f"{path}: row {mu} has provenance {p.token()!r} in a method={method} matrix")
-    recomputed = fingerprint(system)
-    if recomputed != fp:
+    if fp != matrix.fingerprint:
         warnings.warn(
             f"{path}: stored fingerprint {fp[:12]}... does not match the embedded "
-            f"configuration ({recomputed[:12]}...); trusting the embedded configuration",
-            stacklevel=3,
+            f"configuration ({matrix.fingerprint[:12]}...); trusting the embedded configuration",
+            stacklevel=2,
         )
-        fp = recomputed
     stale = sum(p.kind == "mc" and p.kernel != MC_KERNEL for p in prov)
     if stale:
         warnings.warn(
             f"{path}: {stale} of {len(prov)} rows carry v1 Monte Carlo tokens ('{_LEGACY_MC_KERNEL}:'); "
             f"this version draws the {MC_KERNEL} stream and cannot reproduce those rows from their seeds",
-            stacklevel=3,
+            stacklevel=2,
         )
-    return ResponseMatrix(
-        system=system, mu_max=mu_max, rows=rows, provenance=prov, method=method, fingerprint=fp
-    )
-
-
-def load_matrix(path: str | Path) -> ResponseMatrix:
-    """Read a matrix written by save_matrix, verifying its rows and fingerprint."""
-    path = Path(path)
-    text = path.read_text()
-    if path.suffix == ".csv":
-        return _parse_csv(text, path)
-    if path.suffix == ".json":
-        return _parse_json(text, path)
-    raise ValueError(f"unsupported matrix extension {path.suffix!r} (use .csv or .json)")
+    return matrix

@@ -77,9 +77,7 @@ def reference_stability(wide, mu_max, tolerance):
     Returns the cutoff (the count before the first unstable one) and the TV
     of every count, NaN where a count is impossible on [0, mu_max].
     """
-    narrow = dataclasses.replace(
-        wide, mu_max=mu_max, rows=wide.rows[: mu_max + 1], provenance=wide.provenance[: mu_max + 1]
-    )
+    narrow = dataclasses.replace(wide, rows=wide.rows[: mu_max + 1], provenance=wide.provenance[: mu_max + 1])
     tvs = np.full(wide.num_bins + 1, np.nan)
     cutoff = None
     for n in range(wide.num_bins + 1):

@@ -300,11 +300,9 @@ def test_infer_degenerate_evidence_exits_5(tmp_path, capsys):
     )
     matrix = ResponseMatrix(
         system=system,
-        mu_max=2,
         rows=rows,
         provenance=tuple(RowProvenance(kind="exact") for _ in range(3)),
         method="exact",
-        fingerprint=fingerprint(system),
     )
     path = tmp_path / "degenerate.csv"
     save_matrix(matrix, path)
@@ -357,6 +355,32 @@ def test_convergence_rejects_level_before_writing(tmp_path, capsys, argv):
     assert rc == 2
     assert "level must lie in (0, 1)" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "curve.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--wavelength", "nan"], "wavelength must be finite"),
+        (["--wavelength", "inf"], "wavelength must be finite"),
+        (["--tolerance", "nan"], "tolerance must be finite"),
+        (["--max-n", "-1"], "--max-n must be >= 0"),
+    ],
+    ids=["wavelength-nan", "wavelength-inf", "tolerance-nan", "max-n-negative"],
+)
+def test_infer_rejects_bad_numbers_before_writing(matrix_file, tmp_path, capsys, argv, message):
+    out, post = tmp_path / "result.json", tmp_path / "post.csv"
+    rc = main(["infer", "-m", str(matrix_file), "--n", "1", *argv, "-o", str(out), "--posterior", str(post)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_compare_rejects_nan_tolerance_before_writing(tmp_path, capsys):
+    out = tmp_path / "compare.csv"
+    argv = ["compare", "--preset", "rapid32", "--mu", "100", "--max-shots", "5", "--trials", "2", "--seed", "1"]
+    assert main([*argv, "--tolerance", "nan", "-o", str(out)]) == 2
+    assert "tolerance must be finite and > 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_over_mu(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from binflux import (
     UniformLoss,
     build_matrix,
     credible_interval,
-    fingerprint,
     interval_to_energy,
     posterior_multi,
     posterior_single,
@@ -33,11 +33,9 @@ def _hand_matrix(rows):
     )
     return ResponseMatrix(
         system=system,
-        mu_max=rows.shape[0] - 1,
         rows=rows,
         provenance=tuple(RowProvenance(kind="exact") for _ in range(rows.shape[0])),
         method="exact",
-        fingerprint=fingerprint(system),
     )
 
 
@@ -171,6 +169,17 @@ def test_interval_to_energy_single_photon():
         interval_to_energy(1, wavelength=0.0)
 
 
+@pytest.mark.parametrize(
+    "width, wavelength, name",
+    [(math.nan, 1.55e-6, "width_photons"), (math.inf, 1.55e-6, "width_photons"),
+     (1, math.nan, "wavelength"), (1, math.inf, "wavelength")],
+)
+def test_interval_to_energy_rejects_non_finite(width, wavelength, name):
+    # NaN once gave a NaN energy, which is not valid JSON, and an infinite wavelength 0 J.
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        interval_to_energy(width, wavelength)
+
+
 def test_stability_cutoff_rapid32(rapid32):
     assert stability_max_n(rapid32, 400, 0.01) == 16
 
@@ -217,6 +226,13 @@ def test_stability_signature_has_no_sampling_knobs():
 def test_stability_tolerance_validation(rapid32):
     with pytest.raises(ValueError):
         stability_max_n(rapid32, 400, 0.0)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -0.01, 0.0])
+def test_stability_tolerance_must_be_finite_and_positive(rapid32, tolerance):
+    # NaN once passed the "<= 0" test and gave cutoff -1.
+    with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
+        stability_max_n(rapid32, 400, tolerance)
 
 
 def test_relative_error_curve_shrinks(rapid32, rapid32_matrix400):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -24,6 +25,7 @@ from binflux import (
     system_to_dict,
     validate_interpolation,
 )
+import binflux.response_matrix as response_matrix
 from binflux.response_matrix import RowProvenance
 
 
@@ -220,11 +222,9 @@ def test_invalid_row_contents_diagnose_row(small_matrix, tmp_path, ext, where, v
 def _rewrap(matrix, **changes):
     fields = dict(
         system=matrix.system,
-        mu_max=matrix.mu_max,
         rows=matrix.rows.copy(),
         provenance=matrix.provenance,
         method=matrix.method,
-        fingerprint=matrix.fingerprint,
     )
     fields.update(changes)
     return ResponseMatrix(**fields)
@@ -258,6 +258,65 @@ def test_in_memory_matrix_rejects_unnormalized_row(small_matrix):
     with pytest.raises(MatrixFormatError, match="row 3: probabilities sum to"):
         _rewrap(small_matrix, rows=rows)
     assert _rewrap(small_matrix).rows.flags.writeable is False
+
+
+def test_replace_derives_mu_max_and_fingerprint(small_matrix):
+    for k in (1, 7, 39):
+        head = dataclasses.replace(
+            small_matrix, rows=small_matrix.rows[: k + 1], provenance=small_matrix.provenance[: k + 1]
+        )
+        assert head.mu_max == k
+        assert head.fingerprint == fingerprint(small_matrix.system)
+
+
+@pytest.mark.parametrize("name", ["mu_max", "fingerprint"])
+def test_derived_fields_are_not_constructor_arguments(small_matrix, name):
+    with pytest.raises(TypeError, match=name):
+        _rewrap(small_matrix, **{name: getattr(small_matrix, name)})
+
+
+def test_shape_error_names_both_lengths(small_matrix):
+    with pytest.raises(MatrixFormatError) as info:
+        _rewrap(small_matrix, provenance=small_matrix.provenance[:40])
+    assert str(info.value) == (
+        "rows: expected shape (40, bins + 1), got (41, 33); provenance: expected 41 entries, got 40"
+    )
+    with pytest.raises(MatrixFormatError, match=r"rows: expected shape \(41, bins \+ 1\), got \(\)"):
+        _rewrap(small_matrix, rows=np.array(1.0))
+    with pytest.raises(MatrixFormatError) as info:
+        _rewrap(small_matrix, rows=small_matrix.rows[:, :, None])
+    assert str(info.value) == "rows: expected shape (41, bins + 1), got (41, 33, 1)"
+
+
+@pytest.mark.parametrize("ext", ["csv", "json"])
+def test_load_checks_rows_once(small_matrix, tmp_path, monkeypatch, ext):
+    p = tmp_path / f"m.{ext}"
+    save_matrix(small_matrix, p)
+    calls, check = [], response_matrix._check_rows
+    monkeypatch.setattr(response_matrix, "_check_rows", lambda rows, where: calls.append(1) or check(rows, where))
+    load_matrix(p)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("ext", ["csv", "json"])
+def test_tampered_fingerprint_is_derived_and_warns_the_caller(small_matrix, tmp_path, ext):
+    p = tmp_path / f"m.{ext}"
+    save_matrix(small_matrix, p)
+    p.write_text(p.read_text().replace(small_matrix.fingerprint, "0" * 64, 1))
+    with pytest.warns(UserWarning, match="does not match the embedded configuration") as caught:
+        loaded = load_matrix(p)
+    assert [w.filename for w in caught] == [__file__]
+    assert loaded.fingerprint == fingerprint(loaded.system)
+
+
+@pytest.mark.parametrize("ext", ["csv", "json"])
+def test_legacy_mc_warning_names_the_caller(small_mc_matrix, tmp_path, ext):
+    p = tmp_path / f"legacy.{ext}"
+    save_matrix(small_mc_matrix, p)
+    p.write_text(p.read_text().replace("mc2:", "mc:"))
+    with pytest.warns(UserWarning, match="v1 Monte Carlo tokens") as caught:
+        load_matrix(p)
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_bad_provenance_token(small_matrix, tmp_path):
@@ -490,9 +549,7 @@ def random_matrices(draw):
     )
     interp = st.builds(lambda lo, hi: RowProvenance(kind="interpolated", mu_lo=lo, mu_hi=hi), ints, ints)
     prov = tuple(draw(st.lists(st.one_of(direct, interp), min_size=mu_max + 1, max_size=mu_max + 1)))
-    return ResponseMatrix(
-        system=system, mu_max=mu_max, rows=rows, provenance=prov, method=method, fingerprint=fingerprint(system)
-    )
+    return ResponseMatrix(system=system, rows=rows, provenance=prov, method=method)
 
 
 @given(matrix=random_matrices(), ext=st.sampled_from(["csv", "json"]))
