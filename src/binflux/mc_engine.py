@@ -19,8 +19,11 @@ probability above becomes an integer threshold once per call
 (_rng.lane_threshold), so every test is an exact integer comparison with
 the outcome the float test gives: the stream is the same mc2 stream, bit
 for bit. Photons are routed by a bucket table over the top 12 lane bits
-instead of a binary search, clicks are kept one row per bin, and chunks
-hold about 2**19 lanes so that their arrays stay cache-sized.
+instead of a binary search. A photon lane at or above the lost cell's
+threshold reaches no bin; one comparison drops those lanes (about 89 % of
+a Fock(200) pulse on rapid32), so only the detected photons are routed.
+Clicks are kept one row per bin, and chunks hold about 2**19 lanes so that
+their arrays stay cache-sized.
 """
 
 from __future__ import annotations
@@ -73,8 +76,12 @@ class Fock:
     n_photons: int
 
     def __post_init__(self) -> None:
+        # bool is an int subclass, but True is not a photon number.
+        if isinstance(self.n_photons, bool) or not isinstance(self.n_photons, (int, np.integer)):
+            raise ValueError(f"Fock.n_photons must be an integer, got {self.n_photons!r}")
         if self.n_photons < 0:
             raise ValueError(f"Fock.n_photons must be >= 0, got {self.n_photons!r}")
+        object.__setattr__(self, "n_photons", int(self.n_photons))
 
 
 Source = Coherent | Fock
@@ -179,13 +186,18 @@ class _Kernel:
             self.det_bins = []
 
     def _fock_hits(self, lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Route photon lanes (shots, n): (photon hit mask (shots, B + 1), detected photons per bin)."""
-        m, cells = lanes.shape[0], self.n_bins + 1
-        idx = _route(lanes, self.route, self.route_table, self.route_span)
-        photons = np.bincount(idx.ravel(), minlength=cells)[: self.n_bins]
-        idx += cells * np.arange(m)[:, None]
-        hit = np.zeros((m, cells), dtype=bool)
-        hit.ravel()[idx] = True
+        """Route photon lanes (shots, n): (photon hit mask (shots, B), detected photons per bin).
+
+        A lane at or above the lost cell's threshold route[B - 1] lands in
+        the lost cell, so only the lanes below it are routed and counted.
+        """
+        (m, n), b = lanes.shape, self.n_bins
+        pos = np.flatnonzero(lanes < self.route[b - 1])
+        shot = pos // n
+        idx = _route(lanes[shot, pos - shot * n], self.route, self.route_table, self.route_span)
+        photons = np.bincount(idx, minlength=b)
+        hit = np.zeros((m, b), dtype=bool)
+        hit.ravel()[shot * b + idx] = True
         return hit, photons
 
     def run(self, key: np.ndarray, start_shot: int, n_shots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -204,7 +216,7 @@ class _Kernel:
             n = self.source.n_photons
             hit, photons = self._fock_hits(lanes[:, :n])
             clicks = lanes[:, n : n + b] < self.dark
-            clicks |= hit[:, :b]
+            clicks |= hit
         clicks = np.ascontiguousarray(clicks.T)
         if self.miss is not None:
             miss = np.ascontiguousarray((lanes[:, self.us_off : self.us_off + b] < self.miss).T)
@@ -251,6 +263,8 @@ def simulate_batch(
     """
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     kernel = _Kernel(source, weights, detector)
     key = philox_key(seed)
     chunk = max(1, min(chunk_size, _CHUNK_LANES // kernel.lanes))

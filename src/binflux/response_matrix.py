@@ -357,7 +357,16 @@ def _parse_json(text: str, path: Path):
         # Exact types: bool is an int subclass, but JSON true is not a number.
         if not (isinstance(row, list) and len(row) == bins + 1 and set(map(type, row)) <= {int, float}):
             raise MatrixFormatError(f"{path}: row {i}: expected {bins + 1} JSON numbers")
-    rows = np.array(cells, dtype=float)
+    try:
+        rows = np.array(cells, dtype=float)
+    except OverflowError:
+        # A JSON integer past the double range; name the first row that holds one.
+        for i, row in enumerate(cells):
+            try:
+                np.array(row, dtype=float)
+            except OverflowError as exc:
+                raise MatrixFormatError(f"{path}: row {i}: number too large for a double ({exc})") from exc
+        raise
     if len(prov) != mu_max + 1:
         raise MatrixFormatError(f"{path}: expected {mu_max + 1} provenance tokens, got {len(prov)}")
     return system, rows, prov, method, fp, lambda i: f"{path}: row {i}"

@@ -653,6 +653,19 @@ def test_infer_quoted_json_cell_exits_3(matrix_file, tmp_path, capsys):
     assert f"{bad}: row 7: expected 33 JSON numbers" in capsys.readouterr().err
 
 
+def test_infer_json_cell_past_the_double_range_exits_3(matrix_file, tmp_path, capsys):
+    # Before, the OverflowError from the float conversion ended in a traceback (exit 1).
+    bad = tmp_path / "huge.json"
+    save_matrix(load_matrix(matrix_file), bad)
+    doc = json.loads(bad.read_text())
+    doc["rows"][7][3] = 10**400
+    bad.write_text(json.dumps(doc))
+    assert main(["infer", "-m", str(bad), "--n", "1"]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"binflux: matrix file error: {bad}: row 7: number too large for a double"
+    )
+
+
 def test_matrix_file_and_config_errors_have_their_own_labels(matrix_file, tmp_path, capsys):
     # A malformed matrix file and a bad --config both exit 3, but the
     # message names which of the two inputs is at fault.

@@ -36,7 +36,7 @@ from binflux import (
     simulate_shot,
     total_variation,
 )
-from binflux._rng import lane_threshold, philox_key
+from binflux._rng import lane_threshold, philox_key, uniform_lanes
 from binflux.detector_model import (
     effective_efficiency,
     no_click_probabilities,
@@ -322,6 +322,69 @@ def test_routing_span_is_one_on_the_presets(preset, n_photons):
     system = get_preset(preset)
     kernel = mc_engine._Kernel(Fock(n_photons), system.bin_weights(), system.detector)
     assert kernel.route_span == 1
+
+
+# ------------------------------------------------ routing only the detected photons
+
+
+def _assert_fock_hits_equal_full_routing(kernel, lanes):
+    """_fock_hits against np.searchsorted over every lane, the lost cell B dropped afterwards."""
+    m, b = lanes.shape[0], kernel.n_bins
+    cells = np.searchsorted(kernel.route, lanes, side="right")
+    expected = np.zeros((m, b + 1), dtype=bool)
+    expected[np.arange(m)[:, None], cells] = True
+    hit, photons = kernel._fock_hits(lanes)
+    assert np.array_equal(hit, expected[:, :b])
+    assert np.array_equal(photons, np.bincount(cells.ravel(), minlength=b + 1)[:b])
+
+
+def _lanes_around(thresholds, n):
+    """Each threshold and its two neighbours, plus the lane extremes, cycled through rows of n photon lanes."""
+    values = [int(t) + d for t in thresholds for d in (-1, 0, 1)] + [0, LANE_MAX]
+    values = np.array([v for v in values if 0 <= v <= LANE_MAX], dtype=np.uint64)
+    return np.resize(values, (values.size, n))
+
+
+def _weights(w):
+    return BinWeights(np.array(w), np.arange(len(w)) * 1e-9, np.arange(len(w)) % 2)
+
+
+def test_fock_hits_at_the_lost_cell_threshold():
+    # A lane equal to route[B - 1] is lost; one below it lands in bin B - 1.
+    system = get_preset("rapid32")
+    kernel = mc_engine._Kernel(Fock(3), system.bin_weights(), system.detector)
+    b = kernel.n_bins
+    lost = kernel.route[b - 1]
+    hit, photons = kernel._fock_hits(np.array([[lost - 1, lost, lost + 1]], dtype=np.uint64))
+    assert np.array_equal(np.flatnonzero(hit[0]), [b - 1]) and photons.sum() == 1
+    _assert_fock_hits_equal_full_routing(kernel, _lanes_around(kernel.route, 3))
+
+
+def test_fock_hits_with_a_zero_weight_last_bin(lossy_small):
+    _, detector = lossy_small
+    kernel = mc_engine._Kernel(Fock(4), _weights([0.3, 0.2, 0.1, 0.0]), detector)
+    assert kernel.route[3] == kernel.route[2]
+    lanes = _lanes_around(kernel.route, 4)
+    _assert_fock_hits_equal_full_routing(kernel, lanes)
+    assert not kernel._fock_hits(lanes)[0][:, 3].any()
+
+
+def test_fock_hits_lose_no_lane_on_a_lossless_system(tiny_weights, ideal_detector):
+    # eta * sum(w) = 1: route[B - 1] is 2**53, above every lane.
+    kernel = mc_engine._Kernel(Fock(5), tiny_weights, ideal_detector)
+    assert kernel.route[kernel.n_bins - 1] == 2**53
+    lanes = _lanes_around(kernel.route, 5)
+    _assert_fock_hits_equal_full_routing(kernel, lanes)
+    assert kernel._fock_hits(lanes)[1].sum() == lanes.size
+
+
+@pytest.mark.parametrize("n_photons", [0, 1, 200])
+def test_fock_hits_on_philox_lanes(n_photons):
+    system = get_preset("rapid32")
+    kernel = mc_engine._Kernel(Fock(n_photons), system.bin_weights(), system.detector)
+    lanes = uniform_lanes(philox_key(9), 100, 300, kernel.lanes)[:, :n_photons]
+    _assert_fock_hits_equal_full_routing(kernel, lanes)
+    _assert_fock_hits_equal_full_routing(kernel, _lanes_around(kernel.route, n_photons))
 
 
 # ------------------------------------------------ float reference kernel

@@ -240,3 +240,31 @@ def test_source_validation():
         Coherent(float("nan"))
     with pytest.raises(ValueError):
         Fock(-1)
+
+
+@pytest.mark.parametrize(
+    "n_photons",
+    [2.5, 3.0, float("nan"), True, np.bool_(True), "3", None],
+    ids=["2.5", "3.0", "nan", "True", "numpy-True", "str", "None"],
+)
+def test_fock_photon_number_must_be_an_integer(n_photons):
+    # Before, 2.5 failed inside the kernel with a bare TypeError, nan after a
+    # cast warning, and True ran as one photon.
+    with pytest.raises(ValueError, match=r"^Fock\.n_photons must be an integer, got "):
+        Fock(n_photons)
+
+
+def test_fock_accepts_numpy_integers(lossy_small):
+    weights, det = lossy_small
+    source = Fock(np.int64(5))
+    assert source == Fock(5) and type(source.n_photons) is int
+    a = simulate_batch(source, weights, det, 500, seed=4)
+    b = simulate_batch(Fock(5), weights, det, 500, seed=4)
+    assert np.array_equal(a.histogram, b.histogram)
+
+
+@pytest.mark.parametrize("chunk_size", [0, -3])
+def test_chunk_size_must_be_positive(rapid32, rapid32_weights, chunk_size):
+    # Before, such a value ran one shot per chunk.
+    with pytest.raises(ValueError, match=f"^chunk_size must be >= 1, got {chunk_size}$"):
+        simulate_batch(Coherent(1.0), rapid32_weights, rapid32.detector, 10, seed=0, chunk_size=chunk_size)

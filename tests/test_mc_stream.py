@@ -64,6 +64,10 @@ CASES = {
         Fock(200), lambda: get_preset("rapid32"), 1006,
         "1a62fde87e96389c8e51e48a4909089e9646c1b32f30b4746b98677fe6bc880d",
     ),
+    "fock200.mechanistic.rapid32": (
+        Fock(200), _mechanistic, 1007,
+        "37c44d366ad7eaf59480ac2a82d230d228e30e10f46d6ef73bab639ea9972172",
+    ),
 }
 
 
@@ -99,11 +103,8 @@ def test_mechanistic_stream_matches_oracle():
     _assert_stream_matches_oracle(source, system, seed)
 
 
-# Fock(200) on the mechanistic system has no pinned digest; its seed is fixed here.
 FOCK_ORACLE_CASES = {
-    "fock80.rapid32": CASES["fock80.rapid32"][:3],
-    "fock200.rapid32": CASES["fock200.rapid32"][:3],
-    "fock200.mechanistic.rapid32": (Fock(200), _mechanistic, 1007),
+    name: CASES[name][:3] for name in ("fock80.rapid32", "fock200.rapid32", "fock200.mechanistic.rapid32")
 }
 
 

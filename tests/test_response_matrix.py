@@ -651,6 +651,19 @@ def test_json_integer_cells_load(small_matrix, tmp_path):
     assert np.array_equal(load_matrix(p).rows, np.array(rows))
 
 
+@pytest.mark.parametrize("cell", [10**400, -(10**400)], ids=["huge", "minus-huge"])
+def test_json_integer_cell_past_the_double_range_names_its_row(small_matrix, tmp_path, cell):
+    # Before, the conversion to float raised a bare OverflowError out of load_matrix.
+    p = tmp_path / "m.json"
+    save_matrix(small_matrix, p)
+    rows = small_matrix.rows.tolist()
+    rows[3][2] = cell
+    _edit(p, None, None, lambda doc: {**doc, "rows": rows})
+    with pytest.raises(MatrixFormatError) as exc:
+        load_matrix(p)
+    assert str(exc.value) == f"{p}: row 3: number too large for a double (int too large to convert to float)"
+
+
 @pytest.fixture(scope="module")
 def sparse_mc_matrix400():
     """The seeded sparse Monte Carlo matrix that tests/test_inference_stream.py pins row by row."""
