@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -35,8 +36,8 @@ class SystemConfig:
     def validate(self) -> None:
         self.multiplexer.validate()
         self.detector.validate()
-        if self.guard is not None and self.guard < 0.0:
-            raise ConfigurationError(f"guard: must be >= 0, got {self.guard!r}")
+        if self.guard is not None and not (0.0 <= self.guard < math.inf):
+            raise ConfigurationError(f"guard: must be >= 0 and finite, got {self.guard!r}")
 
     def bin_weights(self) -> BinWeights:
         return build_bin_weights(self.multiplexer)

@@ -10,8 +10,9 @@ models describe the gain sag that follows an avalanche:
   distributions stay available.
 * MechanisticUndershoot suppresses each gate immediately following a click
   on the same detector with a fixed probability. This makes bins interact:
-  the gates form a Markov chain in bin order, whose exact law the exact
-  oracle computes for coherent and Fock pulses alike.
+  taken detector-major, each detector's gates in time order, the gates form
+  a Markov chain whose state is the outcome of the last gate, and the exact
+  oracle computes its exact law for coherent and Fock pulses alike.
 """
 
 from __future__ import annotations
@@ -93,6 +94,9 @@ class DetectorSpec:
             raise ConfigurationError(f"deadtime: must be >= 0 and finite, got {self.deadtime!r}")
         if self.undershoot is not None:
             self.undershoot.validate()
+        for key, value in self.afterpulse_metadata or ():
+            if not math.isfinite(value):
+                raise ConfigurationError(f"afterpulse_metadata.{key}: must be finite, got {value!r}")
 
     @property
     def history_dependent(self) -> bool:

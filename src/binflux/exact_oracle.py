@@ -4,12 +4,12 @@ With independent gates the click total of a coherent pulse is a
 Poisson-binomial variable: each bin clicks with its own probability and the
 distribution of the sum follows from one polynomial convolution per bin.
 The mechanistic undershoot couples each gate to the previous gate of its
-detector, which makes the gates a finite Markov chain in bin order; one
-dynamic program over that chain, tracking the click count and the last
-outcome of each detector, gives its exact law. Fock sources run the same
-chain with the photons not yet detected added to its state, moved into each
-gate by a binomial transfer, so both detector models are exact for both
-sources.
+detector. Taken detector-major, each detector's gates in time order, the
+gates form a finite Markov chain whose state is the click count and the
+outcome of the last gate; one dynamic program over that chain gives its
+exact law. Fock sources run the same chain with the photons not yet
+detected added to its state, moved into each gate by a binomial transfer,
+so both detector models are exact for both sources.
 """
 
 from __future__ import annotations
@@ -84,32 +84,55 @@ def poisson_binomial_pmf(click_probs: np.ndarray) -> np.ndarray:
     return dist.reshape(p.shape[:-1] + (n_gates + 1,))
 
 
-def _undershoot_chain_pmf(click_probs, detector_of_bin, p_miss: float) -> np.ndarray:
+def _gate_order(weights: BinWeights, detector: DetectorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The gates detector-major, each detector's in time order, and each gate's miss probability.
+
+    The undershoot couples a gate only to the previous gate of its own
+    detector. In this order that gate is the one just before, or none at a
+    detector's first gate, so the outcome of the last gate is the whole
+    undershoot state. miss is p_miss_next, the chance that a gate right
+    after a click misses; it is 0 at each detector's first gate and
+    everywhere for independent gates.
+    """
+    order = np.argsort(weights.detector_of_bin, kind="stable")
+    miss = np.full(order.size, detector.undershoot.p_miss_next if detector.history_dependent else 0.0)
+    miss[np.diff(weights.detector_of_bin[order], prepend=-1) != 0] = 0.0
+    return order, miss
+
+
+def _gate_step(silent, clicked, quiet, fired_silent, fired_clicked, miss: float) -> None:
+    """One gate of the undershoot chain, in place on the state.
+
+    silent and clicked hold the mass after a silent or a clicked previous
+    gate, click count major: row k for k clicks so far, whose last row is
+    still empty. quiet is the mass of every state that does not want to
+    click at this gate; fired_silent and fired_clicked are the masses that
+    do, after a silent or a clicked gate. Each has one row fewer than the
+    state. Right after a click the gate misses with probability miss.
+    """
+    silent[:-1] = quiet + miss * fired_clicked
+    clicked[0] = 0.0
+    clicked[1:] = fired_silent + (1.0 - miss) * fired_clicked
+
+
+def _undershoot_chain_pmf(click_probs, miss: np.ndarray) -> np.ndarray:
     """Click-total law of the mechanistic undershoot chain, all rows at once.
 
-    Gate j clicks with p_j, or with p_j * (1 - p_miss) when the previous
-    gate of its detector clicked. dist[a, b, k] is the probability of k
-    clicks so far with detector 0's last gate clicked (a = 1) or not (a = 0),
-    and likewise b for detector 1. Layout and shapes as for poisson_binomial_pmf.
+    click_probs and miss follow the gates of _gate_order. Gate j wants to
+    click with p_j and then misses with miss_j after a click on the gate
+    before. state[c, k] is the probability of k clicks so far with the last
+    gate clicked (c = 1) or not (c = 0). Shapes as for poisson_binomial_pmf.
     """
     p = np.asarray(click_probs, dtype=float)
     rows = np.atleast_2d(p)
     m, n_gates = rows.shape
-    dist = np.zeros((2, 2, n_gates + 1, m))
-    dist[0, 0, 0] = 1.0
-    kept_buf, missed_buf = np.empty((2, 2, n_gates + 1, m))
-    for j, (pj, d) in enumerate(zip(rows.T.copy(), detector_of_bin)):
-        kept = pj * (1.0 - p_miss)
-        # Views on dist, split by the last outcome of gate j's detector.
-        silent, clicked = np.moveaxis(dist[:, :, : j + 2], int(d), 0)
-        fired_kept = np.multiply(clicked[:, :-1], kept, out=kept_buf[:, : j + 1])
-        missed = np.multiply(clicked, 1.0 - kept, out=missed_buf[:, : j + 2])
-        np.multiply(silent[:, :-1], pj, out=clicked[:, 1:])
-        clicked[:, 1:] += fired_kept
-        clicked[:, 0] = 0.0
-        silent *= 1.0 - pj
-        silent += missed
-    dist = np.ascontiguousarray(dist.sum(axis=(0, 1)).T)
+    state = np.zeros((2, n_gates + 1, m))
+    state[0, 0] = 1.0
+    for j, (pj, miss_j) in enumerate(zip(rows.T.copy(), miss)):
+        silent, clicked = state[:, : j + 2]
+        quiet = (silent[:-1] + clicked[:-1]) * (1.0 - pj)
+        _gate_step(silent, clicked, quiet, *(state[:, : j + 1] * pj), miss_j)
+    dist = np.ascontiguousarray(state.sum(axis=0).T)
     dist /= dist.sum(axis=1, keepdims=True)
     return dist.reshape(p.shape[:-1] + (n_gates + 1,))
 
@@ -136,7 +159,8 @@ def coherent_click_rows(mus, weights: BinWeights, detector: DetectorSpec) -> np.
         raise ValueError(f"mu must be finite and >= 0, got {mus!r}")
     p = per_bin_click_probabilities(mu, weights, detector)
     if detector.history_dependent:
-        return _undershoot_chain_pmf(p, weights.detector_of_bin, detector.undershoot.p_miss_next)
+        order, miss = _gate_order(weights, detector)
+        return _undershoot_chain_pmf(p[..., order], miss)
     return poisson_binomial_pmf(p)
 
 
@@ -150,25 +174,25 @@ def fock_click_distribution(n_photons: int, weights: BinWeights, detector: Detec
 
     Each photon is detected in bin j with probability eta * q_j, as the
     Monte Carlo kernel routes it; the rest is lost or missed. The dynamic
-    program sweeps the gates over the state of _undershoot_chain_pmf with
-    the photons not yet detected added: dist[a, b, r, k]. Of r photons
-    left, bin j takes a Binomial(r, s_j) share with
-    s_j = eta * q_j / (1 - eta * sum_{i<j} q_i), one lower-triangular
-    transfer matrix per bin. The gate wants to click when a photon lands or,
-    when none does, on its dark count; right after a click on its detector
-    it then misses with p_miss, which is 0 for independent gates.
+    program sweeps the gates of _gate_order over the state of
+    _undershoot_chain_pmf with the photons not yet detected added:
+    state[c, k, r]. Of r photons left, gate j takes a Binomial(r, s_j) share
+    with s_j = eta * q_j / (1 - eta * sum_{i<j} q_i), the sum over the gates
+    before it in that order; routing by these shares is exact in any bin
+    order. One lower-triangular transfer matrix per gate. The gate wants to
+    click when a photon lands or, when none does, on its dark count; right
+    after a click on the gate before it then misses with miss_j.
     """
-    if n_photons < 0:
-        raise ValueError(f"n_photons must be >= 0, got {n_photons}")
+    source = Fock(n_photons)
     if n_photons > FOCK_EXACT_CAP:
         raise ValueError(f"n_photons={n_photons} exceeds the exact-method cap of {FOCK_EXACT_CAP}")
     detector.validate()
 
-    detected = effective_efficiency(detector, float(n_photons)) * weights.weights
+    order, miss = _gate_order(weights, detector)
+    detected = effective_efficiency(detector, float(n_photons)) * weights.weights[order]
     remaining = 1.0 - np.cumsum(detected) + detected
     shares = np.clip(detected / np.maximum(remaining, np.finfo(float).tiny), 0.0, 1.0)
-    dark = per_bin_dark_probabilities(weights, detector)
-    p_miss = getattr(detector.undershoot, "p_miss_next", 0.0)
+    dark = per_bin_dark_probabilities(weights, detector)[order]
 
     # Transfer matrix: [r', r] = C(r, m) s^m (1 - s)^r' when m = r - r' of r photons land.
     left = np.arange(n_photons + 1)[:, None]
@@ -176,27 +200,23 @@ def fock_click_distribution(n_photons: int, weights: BinWeights, detector: Detec
     log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, n_photons + 1)))])
     log_comb = np.where(landing >= 0, log_fact[left.T] - log_fact[np.maximum(landing, 0)] - log_fact[left], -np.inf)
 
-    dist = np.zeros((2, 2, n_photons + 1, weights.num_bins + 1))
-    dist[0, 0, n_photons, 0] = 1.0
-    for j, d in enumerate(weights.detector_of_bin):
-        s = shares[j]
+    state = np.zeros((2, weights.num_bins + 1, n_photons + 1))
+    state[0, 0, n_photons] = 1.0
+    for j, (s, dark_j, miss_j) in enumerate(zip(shares, dark, miss)):
         with np.errstate(divide="ignore", invalid="ignore"):
             log_t = log_comb + np.where(landing > 0, landing * np.log(s), 0.0)
             log_t += np.where(left > 0, left * np.log1p(-s), 0.0)
         wants = np.exp(log_t)
         # With no photon landing (the diagonal) the gate wants to click only on a dark count.
         none_land = np.diagonal(wants).copy()
-        np.fill_diagonal(wants, none_land * dark[j])
-        view = dist[..., : j + 2]
-        silent, clicked = np.moveaxis(view, int(d), 0)
-        wants_silent, wants_clicked = np.moveaxis(wants @ view, int(d), 0)
-        silent[...] = ((1.0 - dark[j]) * none_land)[:, None] * (silent + clicked) + p_miss * wants_clicked
-        clicked[..., 0] = 0.0
-        clicked[..., 1:] = (wants_silent + (1.0 - p_miss) * wants_clicked)[..., :-1]
+        np.fill_diagonal(wants, none_land * dark_j)
+        silent, clicked = state[:, : j + 2]
+        quiet = (silent[:-1] + clicked[:-1]) * ((1.0 - dark_j) * none_land)
+        _gate_step(silent, clicked, quiet, *(state[:, : j + 1] @ wants.T), miss_j)
 
-    probs = dist.sum(axis=(0, 1, 2))
+    probs = state.sum(axis=(0, 2))
     np.clip(probs, 0.0, None, out=probs)
-    return ClickDistribution(probs=probs / probs.sum(), source=Fock(n_photons))
+    return ClickDistribution(probs=probs / probs.sum(), source=source)
 
 
 def click_distribution(source: Source, weights: BinWeights, detector: DetectorSpec) -> ClickDistribution:

@@ -204,12 +204,12 @@ def validate_timing(weights: BinWeights, deadtime: float, guard: float | None = 
     Equality of spacing and deadtime counts as satisfying the constraint
     (back-to-back gating is the designed operating point).
     """
-    if deadtime < 0.0:
-        raise ConfigurationError(f"deadtime: must be >= 0, got {deadtime!r}")
+    if not (0.0 <= deadtime < math.inf):
+        raise ConfigurationError(f"deadtime: must be >= 0 and finite, got {deadtime!r}")
     if guard is None:
         guard = deadtime
-    if guard < 0.0:
-        raise ConfigurationError(f"guard: must be >= 0, got {guard!r}")
+    if not (0.0 <= guard < math.inf):
+        raise ConfigurationError(f"guard: must be >= 0 and finite, got {guard!r}")
 
     min_spacing = math.inf
     for det in (0, 1):

@@ -142,6 +142,49 @@ def test_guard_validation():
         bad.validate()
 
 
+AFTERPULSE_KEY = "afterpulse_prob_one_deadtime_after_click"
+
+# (dotted path in the config dict, value, start of the ConfigurationError message)
+NON_FINITE_FIELDS = [
+    ("config.guard", float("nan"), "guard: must be >= 0 and finite"),
+    ("config.guard", float("inf"), "guard: must be >= 0 and finite"),
+    (f"detector.afterpulse_metadata.{AFTERPULSE_KEY}", float("nan"), f"afterpulse_metadata.{AFTERPULSE_KEY}: must be finite"),
+    (f"detector.afterpulse_metadata.{AFTERPULSE_KEY}", float("-inf"), f"afterpulse_metadata.{AFTERPULSE_KEY}: must be finite"),
+]
+NON_FINITE_IDS = ["guard-nan", "guard-inf", "afterpulse-nan", "afterpulse-minus-inf"]
+
+
+def _non_finite_config(tmp_path, path, value):
+    """A rapid32 config file with the field at path set to value; json.dumps writes NaN and Infinity."""
+    config = tmp_path / "sys.json"
+    config.write_text(json.dumps(_malformed(path, value)))
+    return config
+
+
+@pytest.mark.parametrize("path, value, message", NON_FINITE_FIELDS, ids=NON_FINITE_IDS)
+def test_non_finite_config_numbers_are_rejected(tmp_path, path, value, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}"):
+        load_system(_non_finite_config(tmp_path, path, value))
+    base = get_preset("rapid32")
+    if path == "config.guard":
+        bad = dataclasses.replace(base, guard=value)
+    else:
+        bad = dataclasses.replace(
+            base, detector=dataclasses.replace(base.detector, afterpulse_metadata=((AFTERPULSE_KEY, value),))
+        )
+    with pytest.raises(ConfigurationError, match=f"^{message}"):
+        bad.validate()
+
+
+@pytest.mark.parametrize("path, value, message", NON_FINITE_FIELDS, ids=NON_FINITE_IDS)
+def test_cli_matrix_with_non_finite_config_exits_3(tmp_path, capsys, path, value, message):
+    out = tmp_path / "m.csv"
+    config = _non_finite_config(tmp_path, path, value)
+    assert main(["matrix", "--config", str(config), "--mu-max", "10", "-o", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"binflux: configuration error: {message}")
+    assert not out.exists()
+
+
 def test_num_bins_and_weights_shortcuts():
     system = get_preset("conventional16")
     assert system.num_bins == 16

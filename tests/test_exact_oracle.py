@@ -10,6 +10,7 @@ from scipy import stats
 from test_mc2_kernel import brute_force_mechanistic, small_systems
 
 from binflux import (
+    BinWeights,
     Coherent,
     DetectorSpec,
     Fock,
@@ -27,7 +28,7 @@ from binflux import (
     poisson_binomial_pmf,
     total_variation,
 )
-from binflux.exact_oracle import coherent_click_rows
+from binflux.exact_oracle import _gate_order, coherent_click_rows
 
 
 def test_poisson_binomial_equal_p_matches_binomial():
@@ -193,6 +194,36 @@ def test_fock_cap_enforced(tiny_weights, ideal_detector):
         fock_click_distribution(1001, tiny_weights, ideal_detector)
     d = fock_click_distribution(200, tiny_weights, ideal_detector)
     assert d.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_photons", [2.5, float("nan"), True, -1])
+def test_fock_rejects_a_non_photon_number_before_any_work(tiny_weights, ideal_detector, n_photons):
+    # The same check as Fock(n_photons) on the Monte Carlo path.
+    with pytest.raises(ValueError, match=r"^Fock\.n_photons must be "):
+        fock_click_distribution(n_photons, tiny_weights, ideal_detector)
+
+
+# detector_of_bin -> (gate order, gates whose miss is 0: each detector's first)
+GATE_ORDERS = {
+    "all on detector 0": ([0, 0, 0, 0], [0, 1, 2, 3], [0]),
+    "all on detector 1": ([1, 1, 1], [0, 1, 2], [0]),
+    "alternating": ([0, 1, 0, 1, 0, 1], [0, 2, 4, 1, 3, 5], [0, 3]),
+    "blocks": ([1, 1, 0, 0, 0, 1], [2, 3, 4, 0, 1, 5], [0, 3]),
+    "single bin": ([1], [0], [0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATE_ORDERS))
+def test_gate_order_is_detector_major_and_stable(name):
+    detector_of_bin, order, first_gates = GATE_ORDERS[name]
+    b = len(detector_of_bin)
+    weights = BinWeights(np.full(b, 1.0 / b), np.arange(b, dtype=float), np.array(detector_of_bin))
+    det = DetectorSpec(0.5, (0.01, 0.02), 1e-9, 0.0, undershoot=MechanisticUndershoot(0.3))
+    got_order, miss = _gate_order(weights, det)
+    assert got_order.tolist() == order
+    assert miss.tolist() == [0.0 if g in first_gates else 0.3 for g in range(b)]
+    _, independent = _gate_order(weights, dataclasses.replace(det, undershoot=None))
+    assert independent.tolist() == [0.0] * b
 
 
 def _brute_force_mechanistic_fock(n, weights, det):

@@ -129,6 +129,16 @@ def test_timing_guard_overrides_deadtime():
     assert report.train_length == pytest.approx(6e-9)
 
 
+@pytest.mark.parametrize("value", [-1e-9, math.nan, math.inf])
+def test_timing_rejects_negative_or_non_finite_times(value):
+    w = build_bin_weights(MultiplexerSpec(loop_delays=(1e-9,)))
+    with pytest.raises(ConfigurationError, match="^guard: must be >= 0 and finite"):
+        validate_timing(w, deadtime=1e-9, guard=value)
+    # The guard defaults to the deadtime; the message names the field given.
+    with pytest.raises(ConfigurationError, match="^deadtime: must be >= 0 and finite"):
+        validate_timing(w, deadtime=value)
+
+
 def test_colliding_delays_violate_spacing():
     # 1 + 2 = 3 puts two bins of the same detector at the same time.
     spec = MultiplexerSpec(loop_delays=(1e-9, 2e-9, 3e-9))
