@@ -10,17 +10,15 @@ benchmarks the result against a conventional attenuated single-pixel
 measurement.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .baseline import (
     SinglePixelSpec,
     Z_90,
     attenuation_for_target,
     baseline_error_curve,
-    detection_probability,
     estimate_mu,
     optimal_detection_probability,
-    relative_error_after,
     relative_error_factor,
     shots_to_relative_error,
     simulate_baseline,
@@ -38,7 +36,6 @@ from .detector_model import (
     DetectorSpec,
     GlobalEfficiency,
     MechanisticUndershoot,
-    click_probability,
     effective_efficiency,
     no_click_probabilities,
     per_bin_dark_probabilities,
@@ -73,11 +70,9 @@ from .inference import (
 )
 from .mc_engine import (
     BatchResult,
-    ClickRecord,
     Coherent,
     Fock,
     simulate_batch,
-    simulate_shot,
 )
 from .multiplexer import (
     BinWeights,
@@ -93,7 +88,6 @@ from .response_matrix import (
     ResponseMatrix,
     RowProvenance,
     build_matrix,
-    interpolate_row,
     load_matrix,
     save_matrix,
     validate_interpolation,

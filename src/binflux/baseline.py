@@ -48,14 +48,6 @@ def _z_factor(convention: str) -> float:
         raise ValueError(f"convention must be 'half' or 'full', got {convention!r}") from None
 
 
-def detection_probability(mu: float, spec: SinglePixelSpec) -> float:
-    """Per-gate click probability for a coherent pulse of mean mu."""
-    spec.validate()
-    if mu < 0.0:
-        raise ValueError(f"mu must be >= 0, got {mu!r}")
-    return 1.0 - math.exp(-mu * spec.attenuation * spec.efficiency)
-
-
 def attenuation_for_target(mu: float, efficiency: float, p_target: float = 0.5) -> float:
     """Attenuator transmission that puts the gate at the target click probability."""
     if not (0.0 < p_target < 1.0):
@@ -111,13 +103,6 @@ def optimal_detection_probability(grid: np.ndarray | None = None) -> float:
         grid = np.round(np.arange(0.05, 0.951, 0.05), 10)
     vals = [relative_error_factor(float(p)) for p in grid]
     return float(grid[int(np.argmin(vals))])
-
-
-def relative_error_after(n_gates: int, p: float = 0.5, convention: str = "full") -> float:
-    """Expected relative width of the 90% interval after n_gates."""
-    if n_gates < 1:
-        raise ValueError(f"n_gates must be >= 1, got {n_gates}")
-    return _z_factor(convention) * relative_error_factor(p) / math.sqrt(n_gates)
 
 
 def shots_to_relative_error(target: float, p: float = 0.5, convention: str = "full") -> int:

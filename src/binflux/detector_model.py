@@ -104,18 +104,6 @@ class DetectorSpec:
         return isinstance(self.undershoot, MechanisticUndershoot) and self.undershoot.p_miss_next > 0.0
 
 
-def click_probability(photons_in_bin: int, efficiency: float, dark_prob: float) -> float:
-    """Probability that a gate clicks given the photon number reaching it.
-
-    Photon detections and dark events are independent, each photon is seen
-    with probability ``efficiency``, and any single success fires the gate:
-    1 - (1 - dark) * (1 - eta)**k.
-    """
-    if photons_in_bin < 0:
-        raise ValueError(f"photons_in_bin must be >= 0, got {photons_in_bin}")
-    return 1.0 - (1.0 - dark_prob) * (1.0 - efficiency) ** photons_in_bin
-
-
 def effective_efficiency(spec: DetectorSpec, mean_photon_number):
     """Quantum efficiency after applying the global undershoot derating, if any.
 

@@ -49,11 +49,6 @@ class ClickDistribution:
     def mean(self) -> float:
         return float(self.probs @ np.arange(self.probs.size))
 
-    @property
-    def variance(self) -> float:
-        k = np.arange(self.probs.size)
-        return float(self.probs @ k**2) - self.mean**2
-
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())

@@ -293,10 +293,6 @@ class RelativeErrorCurve:
     def max_shots(self) -> int:
         return self.rel_err.shape[1]
 
-    @property
-    def shot_counts(self) -> np.ndarray:
-        return np.arange(1, self.max_shots + 1)
-
     def median(self) -> np.ndarray:
         return np.median(self.rel_err, axis=0)
 

@@ -93,15 +93,6 @@ def describe_source(source: Source) -> dict:
     return {"kind": "fock", "n_photons": source.n_photons}
 
 
-@dataclass(frozen=True)
-class ClickRecord:
-    """One shot: which bins clicked and the click total."""
-
-    pattern: np.ndarray
-    n: int
-    shot_index: int
-
-
 @dataclass
 class BatchResult:
     """Aggregated clicks from a batch of shots.
@@ -304,16 +295,3 @@ def simulate_batch(
         photon_sum=photon_sum,
         click_totals=np.concatenate(totals_parts) if totals_parts else None,
     )
-
-
-def simulate_shot(
-    source: Source,
-    weights: BinWeights,
-    detector: DetectorSpec,
-    seed: int,
-    shot_index: int = 0,
-) -> ClickRecord:
-    """Simulate the single shot addressed by (seed, shot_index)."""
-    kernel = _Kernel(source, weights, detector)
-    clicks, totals, _ = kernel.run(philox_key(seed), shot_index, 1)
-    return ClickRecord(pattern=clicks[:, 0], n=int(totals[0]), shot_index=shot_index)

@@ -132,10 +132,6 @@ class BinWeights:
     def num_bins(self) -> int:
         return self.weights.size
 
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
-
     def bins_of_detector(self, detector: int) -> np.ndarray:
         return np.flatnonzero(self.detector_of_bin == detector)
 

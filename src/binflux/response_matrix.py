@@ -29,9 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from ._rng import derive_seed
-from .config import SystemConfig, fingerprint, system_from_dict, system_to_dict
+from .config import SystemConfig, canonical_json, fingerprint, system_from_dict, system_to_dict
 from .errors import ConfigurationError, MatrixFormatError
-from .exact_oracle import ClickDistribution, coherent_click_rows
+from .exact_oracle import coherent_click_rows
 from .mc_engine import MC_KERNEL, Coherent, simulate_batch
 
 _FORMAT_VERSION = 1
@@ -112,10 +112,6 @@ class ResponseMatrix:
     def num_bins(self) -> int:
         return self.rows.shape[1] - 1
 
-    @property
-    def support_mus(self) -> np.ndarray:
-        return np.array([mu for mu, p in enumerate(self.provenance) if p.kind != "interpolated"])
-
 
 def _row_seed(seed: int, mu: int) -> int:
     # Stable per-row substream; recorded in provenance so a single row can
@@ -153,10 +149,10 @@ def build_matrix(
             raise ConfigurationError(f"n_shots: must be >= 1, got {n_shots}")
 
     if support is None:
-        support_mus = list(range(mu_max + 1))
+        direct_mus = list(range(mu_max + 1))
     else:
-        support_mus = sorted({int(m) for m in support} | {0, mu_max})
-        if support_mus[0] < 0 or support_mus[-1] > mu_max:
+        direct_mus = sorted({int(m) for m in support} | {0, mu_max})
+        if direct_mus[0] < 0 or direct_mus[-1] > mu_max:
             raise ConfigurationError(f"support: values must lie in [0, {mu_max}]")
 
     weights = system.bin_weights()
@@ -165,12 +161,12 @@ def build_matrix(
     prov: list[RowProvenance] = [RowProvenance(kind="interpolated")] * (mu_max + 1)
 
     if method == "exact":
-        rows[support_mus] = coherent_click_rows(support_mus, weights, system.detector)
+        rows[direct_mus] = coherent_click_rows(direct_mus, weights, system.detector)
         exact = RowProvenance(kind="exact")
-        for mu in support_mus:
+        for mu in direct_mus:
             prov[mu] = exact
     else:
-        for mu in support_mus:
+        for mu in direct_mus:
             rs = _row_seed(seed, mu)
             batch = simulate_batch(
                 Coherent(float(mu)), weights, system.detector, n_shots, rs, workers=workers
@@ -178,7 +174,7 @@ def build_matrix(
             rows[mu] = batch.distribution
             prov[mu] = RowProvenance(kind="mc", n_shots=n_shots, seed=rs)
 
-    for lo, hi in zip(support_mus[:-1], support_mus[1:]):
+    for lo, hi in zip(direct_mus[:-1], direct_mus[1:]):
         if hi - lo < 2:
             continue
         frac = (np.arange(lo + 1, hi) - lo) / (hi - lo)
@@ -187,26 +183,6 @@ def build_matrix(
         prov[lo + 1 : hi] = [RowProvenance(kind="interpolated", mu_lo=lo, mu_hi=hi)] * (hi - lo - 1)
 
     return ResponseMatrix(system=system, rows=rows, provenance=tuple(prov), method=method)
-
-
-def interpolate_row(matrix: ResponseMatrix, mu: float) -> ClickDistribution:
-    """Click distribution at a possibly non-integer mu inside the matrix range.
-
-    Linear per click count between the two nearest support rows, then
-    renormalized. At a support point the stored row is returned.
-    """
-    if not (0.0 <= mu <= matrix.mu_max):
-        raise ValueError(f"mu must lie in [0, {matrix.mu_max}], got {mu!r}")
-    support = matrix.support_mus
-    pos = np.searchsorted(support, mu)
-    if pos < support.size and support[pos] == mu:
-        row = matrix.rows[int(mu)]
-    else:
-        lo, hi = int(support[pos - 1]), int(support[pos])
-        frac = (mu - lo) / (hi - lo)
-        row = (1.0 - frac) * matrix.rows[lo] + frac * matrix.rows[hi]
-        row = row / row.sum()
-    return ClickDistribution(probs=row.copy(), source=Coherent(float(mu)))
 
 
 def validate_interpolation(
@@ -227,7 +203,7 @@ def save_matrix(matrix: ResponseMatrix, path: str | Path) -> None:
         lines = [
             f"# binflux-matrix v{_FORMAT_VERSION}, fingerprint={matrix.fingerprint}, "
             f"mu_max={matrix.mu_max}, bins={matrix.num_bins}, method={matrix.method}",
-            "# config: " + json.dumps(system_to_dict(matrix.system), sort_keys=True, separators=(",", ":")),
+            "# config: " + canonical_json(matrix.system),
             "# provenance: " + ";".join(p.token() for p in matrix.provenance),
             "mu," + ",".join(f"p{k}" for k in range(matrix.num_bins + 1)),
         ]

@@ -1,9 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import binflux
 import binflux.cli as cli
 import binflux.inference as inference
 from binflux import (
@@ -32,6 +34,16 @@ def matrix_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("matrix") / "rapid32.csv"
     assert main(["matrix", "--preset", "rapid32", "--mu-max", "400", "-o", str(path)]) == 0
     return path
+
+
+def test_version_agrees_across_package_project_and_cli(capsys):
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert binflux.__version__ == declared == "0.3.0"
+    assert capsys.readouterr().out == "binflux 0.3.0\n"
 
 
 def test_presets_listing(capsys):
@@ -163,7 +175,7 @@ def test_infer_single_count(matrix_file, capsys):
     assert (doc["interval"]["lo"], doc["interval"]["hi"]) == (1, 33)
     assert doc["interval"]["width"] == 33
     assert doc["max_admissible_n"] == 16
-    assert doc["energy_j"] == pytest.approx(4.23e-18, rel=0.01)
+    assert doc["energy_j"] == pytest.approx(4.23e-18, rel=0.01, abs=0)
     assert doc["n_observations"] == 1
 
 

@@ -19,7 +19,6 @@ from binflux import (
     UniformLoss,
     build_bin_weights,
     click_distribution,
-    click_probability,
     coherent_click_distribution,
     effective_efficiency,
     fock_click_distribution,
@@ -76,7 +75,8 @@ def test_coherent_mean_and_distribution_properties(rapid32, rapid32_weights):
     assert d.num_bins == 32
     # Frozen: mean click count at mu=100 on the 32-bin system.
     assert d.mean == pytest.approx(9.83725253962943, rel=1e-10)
-    assert d.variance > 0
+    k = np.arange(d.probs.size)
+    assert d.probs @ k**2 - d.mean**2 > 0
 
 
 def test_coherent_mean_saturates_below_bin_count(rapid32, rapid32_weights):
@@ -113,6 +113,11 @@ def test_fock_one_photon_lossy(lossy_small):
     assert d.mean == pytest.approx(expect, rel=1e-12)
 
 
+def _click_probability(k, eta, dark):
+    """A gate's click probability with k photons reaching it: 1 - (1 - dark) * (1 - eta)**k."""
+    return 1 - (1 - dark) * (1 - eta) ** k
+
+
 def _brute_force_fock(n, weights, det):
     """Direct enumeration over all photon-to-cell assignments."""
     q = weights.weights
@@ -124,7 +129,7 @@ def _brute_force_fock(n, weights, det):
     for assign in itertools.product(range(b + 1), repeat=n):
         w = math.prod(cells[c] for c in assign)
         counts = [assign.count(j) for j in range(b)]
-        bin_click_p = [click_probability(k, eta, darks[j]) for j, k in enumerate(counts)]
+        bin_click_p = [_click_probability(k, eta, darks[j]) for j, k in enumerate(counts)]
         out += w * poisson_binomial_pmf(np.array(bin_click_p))
     return out
 
@@ -160,7 +165,7 @@ def _routing_loop_fock(n, weights, det):
         for r in range(n + 1):
             for k in range(r + 1):
                 w = math.comb(r, k) * share**k * (1.0 - share) ** (r - k)
-                pc = click_probability(k, eta, float(dark[j]))
+                pc = _click_probability(k, eta, float(dark[j]))
                 new[r - k, :] += dp[r] * (w * (1.0 - pc))
                 new[r - k, 1:] += dp[r, :-1] * (w * pc)
         dp = new
@@ -241,7 +246,7 @@ def _brute_force_mechanistic_fock(n, weights, det):
     for assign in itertools.combinations_with_replacement(range(b + 1), n):
         counts = [assign.count(c) for c in range(b + 1)]
         w = math.factorial(n) * math.prod(cells[c] ** k / math.factorial(k) for c, k in enumerate(counts))
-        p = np.array([click_probability(counts[j], det.efficiency, darks[j]) for j in range(b)])
+        p = np.array([_click_probability(counts[j], det.efficiency, darks[j]) for j in range(b)])
         out += w * brute_force_mechanistic(p, weights.detector_of_bin, det.undershoot.p_miss_next)[0]
     return out
 

@@ -113,9 +113,12 @@ def test_single_shot_anchors_rapid32(rapid32_matrix400):
 
 
 def test_multi_shot_anchor_rapid32(rapid32_matrix400):
-    post = posterior_multi(rapid32_matrix400, [8])
-    single = posterior_single(rapid32_matrix400, 8)
-    assert np.allclose(post.probs, single.probs, atol=1e-12)
+    # One shot is posterior_single, the flat prior's 1 / (mu_max + 1) in log_evidence included.
+    for n in (0, 1, 5, 8, 16):
+        post = posterior_multi(rapid32_matrix400, [n])
+        single = posterior_single(rapid32_matrix400, n)
+        assert post.probs == pytest.approx(single.probs, rel=1e-12, abs=0)
+        assert post.log_evidence == pytest.approx(single.log_evidence, rel=1e-12, abs=0)
 
 
 def test_posterior_multi_order_invariant(rapid32_matrix400):
@@ -159,9 +162,9 @@ def test_posterior_multi_degenerate():
 
 
 def test_interval_to_energy_single_photon():
-    # h * c / lambda at 1550 nm.
-    assert interval_to_energy(1) == pytest.approx(1.2815773043631424e-19, rel=1e-12)
-    assert interval_to_energy(33) == pytest.approx(4.229e-18, rel=1e-3)
+    # h * c / lambda at 1550 nm, from the exact SI values of h and c.
+    assert interval_to_energy(1) == pytest.approx(6.62607015e-34 * 2.99792458e8 / 1.55e-6, rel=1e-12, abs=0)
+    assert interval_to_energy(33) == pytest.approx(4.229e-18, rel=1e-3, abs=0)
     assert interval_to_energy(0) == 0.0
     with pytest.raises(ValueError):
         interval_to_energy(-1)

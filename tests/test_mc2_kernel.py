@@ -33,7 +33,6 @@ from binflux import (
     poisson_binomial_pmf,
     get_preset,
     simulate_batch,
-    simulate_shot,
     total_variation,
 )
 from binflux._rng import lane_threshold, philox_key, uniform_lanes
@@ -360,6 +359,18 @@ def test_fock_hits_at_the_lost_cell_threshold():
     _assert_fock_hits_equal_full_routing(kernel, _lanes_around(kernel.route, 3))
 
 
+def test_fock_dark_lanes_at_the_dark_threshold(monkeypatch):
+    # A dark lane equal to dark[b] stays silent; one below it clicks.
+    system = get_preset("rapid32")
+    kernel = mc_engine._Kernel(Fock(0), system.bin_weights(), system.detector)
+    assert kernel.dark.min() > 0
+    lanes = np.stack([kernel.dark, kernel.dark - 1])
+    monkeypatch.setattr(mc_engine, "uniform_lanes", lambda key, start, n, width: lanes)
+    clicks, totals, photons = kernel.run(philox_key(0), 0, 2)
+    assert not clicks[:, 0].any() and clicks[:, 1].all()
+    assert totals.tolist() == [0, kernel.n_bins] and photons.sum() == 0
+
+
 def test_fock_hits_with_a_zero_weight_last_bin(lossy_small):
     _, detector = lossy_small
     kernel = mc_engine._Kernel(Fock(4), _weights([0.3, 0.2, 0.1, 0.0]), detector)
@@ -434,7 +445,7 @@ def reference_kernel(source, weights, detector, seed, start_shot, n_shots):
     return clicks, clicks.sum(axis=1), photons
 
 
-def _assert_kernel_equals_reference(source, weights, detector, seed, start, n, chunk_size, workers, probe):
+def _assert_kernel_equals_reference(source, weights, detector, seed, start, n, chunk_size, workers):
     ref_clicks, ref_totals, ref_photons = reference_kernel(source, weights, detector, seed, start, n)
     batch = simulate_batch(
         source, weights, detector, n, seed, start_shot=start, chunk_size=chunk_size, workers=workers,
@@ -450,9 +461,6 @@ def _assert_kernel_equals_reference(source, weights, detector, seed, start, n, c
         assert np.array_equal(batch.photon_sum, ref_photons)
     clicks, _, _ = mc_engine._Kernel(source, weights, detector).run(philox_key(seed), start, n)
     assert np.array_equal(clicks.T, ref_clicks)
-    shot = simulate_shot(source, weights, detector, seed, start + probe)
-    assert np.array_equal(shot.pattern, ref_clicks[probe])
-    assert shot.n == ref_totals[probe]
 
 
 @st.composite
@@ -471,7 +479,7 @@ def reference_runs(draw):
     return dict(
         source=source, weights=weights, detector=detector, seed=draw(st.integers(0, 2**32 - 1)),
         start=draw(st.integers(0, 10**9)), n=n, chunk_size=draw(st.integers(1, n + 5)),
-        workers=draw(st.sampled_from([1, 2])), probe=draw(st.integers(0, n - 1)),
+        workers=draw(st.sampled_from([1, 2])),
     )
 
 
@@ -498,4 +506,4 @@ def _mechanistic(system):
 def test_kernel_equals_float_reference_on_presets(source, preset, mechanistic):
     system = get_preset(preset)
     detector = _mechanistic(system) if mechanistic else system.detector
-    _assert_kernel_equals_reference(source, system.bin_weights(), detector, 2026, 12_345, 700, 256, 2, 699)
+    _assert_kernel_equals_reference(source, system.bin_weights(), detector, 2026, 12_345, 700, 256, 2)

@@ -12,7 +12,6 @@ from binflux import (
     get_preset,
     per_bin_click_probabilities,
     simulate_batch,
-    simulate_shot,
     total_variation,
 )
 from binflux.mc_engine import FOCK_MC_CAP
@@ -59,17 +58,22 @@ def test_bad_workers_env(rapid32, rapid32_weights, monkeypatch):
 
 
 def test_single_shot_matches_batch_slice(rapid32, rapid32_weights):
+    # Shot i alone is simulate_batch(..., start_shot=i, n_shots=1).
     batch = simulate_batch(
         Coherent(100.0), rapid32_weights, rapid32.detector, 50, seed=11,
         start_shot=200, store_totals=True,
     )
     shots = [
-        simulate_shot(Coherent(100.0), rapid32_weights, rapid32.detector, seed=11, shot_index=200 + i)
+        simulate_batch(
+            Coherent(100.0), rapid32_weights, rapid32.detector, 1, seed=11,
+            start_shot=200 + i, store_totals=True,
+        )
         for i in range(50)
     ]
-    assert [rec.shot_index for rec in shots] == list(range(200, 250))
-    assert [rec.n for rec in shots] == batch.click_totals.tolist()
-    patterns = np.array([rec.pattern for rec in shots])
+    assert [int(rec.click_totals[0]) for rec in shots] == batch.click_totals.tolist()
+    patterns = np.array([rec.bin_click_counts for rec in shots])
+    assert np.all((patterns == 0) | (patterns == 1))
+    assert np.array_equal(patterns.sum(axis=1), batch.click_totals)
     assert np.array_equal(patterns.sum(axis=0), batch.bin_click_counts)
 
 

@@ -19,7 +19,6 @@ from binflux import (
     coherent_click_distribution,
     fingerprint,
     get_preset,
-    interpolate_row,
     load_matrix,
     save_matrix,
     system_to_dict,
@@ -87,7 +86,7 @@ def test_support_includes_endpoints(rapid32):
     assert m.provenance[20].kind == "exact"
     assert m.provenance[5].kind == "interpolated"
     assert m.provenance[5].mu_lo == 0 and m.provenance[5].mu_hi == 10
-    assert sorted(m.support_mus.tolist()) == [0, 10, 20]
+    assert [mu for mu, p in enumerate(m.provenance) if p.kind != "interpolated"] == [0, 10, 20]
 
 
 def test_support_out_of_range(rapid32):
@@ -116,19 +115,19 @@ def test_validate_interpolation_on_mechanistic_matrix(mechanistic32):
     assert 0.0 < max(tv for _, tv in tvs) < 1.0
 
 
-def test_interpolate_row_at_support_returns_stored(small_matrix):
-    row = interpolate_row(small_matrix, 7.0)
-    assert np.array_equal(row.probs, small_matrix.rows[7])
+def test_interpolate_row_at_support_returns_stored(rapid32, small_matrix):
+    # A support row of a sparse matrix is the dense matrix's row, untouched.
+    sparse = build_matrix(rapid32, 40, "exact", support=[7, 20])
+    for mu in (0, 7, 20, 40):
+        assert np.array_equal(sparse.rows[mu], small_matrix.rows[mu])
 
 
-def test_interpolate_row_midpoint(small_matrix):
-    mid = interpolate_row(small_matrix, 7.5)
-    blend = 0.5 * (small_matrix.rows[7] + small_matrix.rows[8])
-    assert np.allclose(mid.probs, blend / blend.sum(), atol=1e-15)
-    with pytest.raises(ValueError):
-        interpolate_row(small_matrix, 41.0)
-    with pytest.raises(ValueError):
-        interpolate_row(small_matrix, -0.5)
+def test_interpolate_row_midpoint(rapid32, small_matrix):
+    sparse = build_matrix(rapid32, 40, "exact", support=[7, 9])
+    assert sparse.provenance[8] == RowProvenance(kind="interpolated", mu_lo=7, mu_hi=9)
+    blend = 0.5 * (small_matrix.rows[7] + small_matrix.rows[9])
+    assert np.allclose(sparse.rows[8], blend / blend.sum(), atol=1e-15)
+    assert not np.allclose(sparse.rows[8], small_matrix.rows[8], atol=1e-6)
 
 
 @pytest.mark.parametrize("ext", ["csv", "json"])
