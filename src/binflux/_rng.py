@@ -43,10 +43,6 @@ def derive_seed(seed: int, *stream: int) -> int:
     return int(np.random.SeedSequence([int(seed), *map(int, stream)]).generate_state(1, np.uint64)[0])
 
 
-def lanes_to_steps(lanes: int) -> int:
-    return -(-lanes // _OUTPUTS_PER_COUNTER)
-
-
 def lane_threshold(p) -> np.ndarray:
     """ceil(p * 2**53) as uint64: lane >= lane_threshold(p) exactly when u >= p.
 
@@ -67,7 +63,7 @@ def uniform_lanes(key: np.ndarray, start_shot: int, n_shots: int, lanes: int) ->
         raise ValueError(f"lanes must be positive, got {lanes}")
     if n_shots < 0 or start_shot < 0:
         raise ValueError("shot range must be nonnegative")
-    steps = lanes_to_steps(lanes)
+    steps = -(-lanes // _OUTPUTS_PER_COUNTER)
     block = np.random.Philox(counter=start_shot * steps, key=key).random_raw(
         n_shots * steps * _OUTPUTS_PER_COUNTER
     )

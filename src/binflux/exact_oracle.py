@@ -27,7 +27,7 @@ from .detector_model import (
 from .mc_engine import Coherent, Fock, Source
 from .multiplexer import BinWeights
 
-# The transfer matrices take (n + 1)**2 doubles per bin.
+# One gate's (n + 1)**2 transfer is held at a time.
 FOCK_EXACT_CAP = 1000
 
 
@@ -72,8 +72,6 @@ def poisson_binomial_pmf(click_probs: np.ndarray) -> np.ndarray:
         fired = dist[: j + 1] * pj
         dist[: j + 2] *= 1.0 - pj
         dist[1 : j + 2] += fired
-    # Roundoff can leave tiny negatives.
-    np.clip(dist, 0.0, None, out=dist)
     dist = np.ascontiguousarray(dist.T)  # normalised as (m, B + 1) rows: numpy's summation order
     dist /= dist.sum(axis=1, keepdims=True)
     return dist.reshape(p.shape[:-1] + (n_gates + 1,))
@@ -164,6 +162,18 @@ def coherent_click_distribution(mu: float, weights: BinWeights, detector: Detect
     return ClickDistribution(probs=coherent_click_rows(mu, weights, detector), source=Coherent(mu))
 
 
+def _binomial_transfer(n: int, s: float) -> np.ndarray:
+    """t[r, r'] = P(r' of r photons left by a gate that takes each with probability s).
+
+    Pascal's rule builds row r, the Binomial(r, 1 - s) law, from row r - 1.
+    """
+    t = np.zeros((n + 1, n + 1))
+    t[0, 0] = 1.0
+    for r in range(1, n + 1):
+        t[r, : r + 1] = np.convolve(t[r - 1, :r], (s, 1.0 - s))
+    return t
+
+
 def fock_click_distribution(n_photons: int, weights: BinWeights, detector: DetectorSpec) -> ClickDistribution:
     """Exact click-count law for an n-photon pulse, for every detector model.
 
@@ -173,10 +183,10 @@ def fock_click_distribution(n_photons: int, weights: BinWeights, detector: Detec
     _undershoot_chain_pmf with the photons not yet detected added:
     state[c, k, r]. Of r photons left, gate j takes a Binomial(r, s_j) share
     with s_j = eta * q_j / (1 - eta * sum_{i<j} q_i), the sum over the gates
-    before it in that order; routing by these shares is exact in any bin
-    order. One lower-triangular transfer matrix per gate. The gate wants to
-    click when a photon lands or, when none does, on its dark count; right
-    after a click on the gate before it then misses with miss_j.
+    before it in that order, moved by _binomial_transfer; routing by these
+    shares is exact in any bin order. The gate wants to click when a photon
+    lands or, when none does, on its dark count; right after a click on the
+    gate before it then misses with miss_j.
     """
     source = Fock(n_photons)
     if n_photons > FOCK_EXACT_CAP:
@@ -189,28 +199,18 @@ def fock_click_distribution(n_photons: int, weights: BinWeights, detector: Detec
     shares = np.clip(detected / np.maximum(remaining, np.finfo(float).tiny), 0.0, 1.0)
     dark = per_bin_dark_probabilities(weights, detector)[order]
 
-    # Transfer matrix: [r', r] = C(r, m) s^m (1 - s)^r' when m = r - r' of r photons land.
-    left = np.arange(n_photons + 1)[:, None]
-    landing = left.T - left
-    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, n_photons + 1)))])
-    log_comb = np.where(landing >= 0, log_fact[left.T] - log_fact[np.maximum(landing, 0)] - log_fact[left], -np.inf)
-
     state = np.zeros((2, weights.num_bins + 1, n_photons + 1))
     state[0, 0, n_photons] = 1.0
     for j, (s, dark_j, miss_j) in enumerate(zip(shares, dark, miss)):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_t = log_comb + np.where(landing > 0, landing * np.log(s), 0.0)
-            log_t += np.where(left > 0, left * np.log1p(-s), 0.0)
-        wants = np.exp(log_t)
+        wants = _binomial_transfer(n_photons, s)
         # With no photon landing (the diagonal) the gate wants to click only on a dark count.
         none_land = np.diagonal(wants).copy()
         np.fill_diagonal(wants, none_land * dark_j)
         silent, clicked = state[:, : j + 2]
         quiet = (silent[:-1] + clicked[:-1]) * ((1.0 - dark_j) * none_land)
-        _gate_step(silent, clicked, quiet, *(state[:, : j + 1] @ wants.T), miss_j)
+        _gate_step(silent, clicked, quiet, *(state[:, : j + 1] @ wants), miss_j)
 
     probs = state.sum(axis=(0, 2))
-    np.clip(probs, 0.0, None, out=probs)
     return ClickDistribution(probs=probs / probs.sum(), source=source)
 
 

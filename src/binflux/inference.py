@@ -73,10 +73,17 @@ class CredibleInterval:
         return self.hi - self.lo + 1
 
 
+def _click_count(n, num_bins: int) -> int:
+    """n as an int, checked to be an integer click count in [0, num_bins]."""
+    # bool is an int subclass, but True is not a click count.
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n <= num_bins:
+        raise ValueError(f"click count must be an integer in [0, {num_bins}], got {n!r}")
+    return int(n)
+
+
 def posterior_single(matrix: ResponseMatrix, n: int) -> Posterior:
     """Posterior after observing a single shot with n clicks."""
-    if not (0 <= n <= matrix.num_bins):
-        raise ValueError(f"n must lie in [0, {matrix.num_bins}], got {n}")
+    n = _click_count(n, matrix.num_bins)
     col = matrix.rows[:, n]
     total = col.sum()
     if total == 0.0:
@@ -96,11 +103,9 @@ def posterior_multi(
     front: such counts carry posterior mass beyond the mu grid and their
     columns are not trustworthy (see stability_max_n).
     """
-    obs = np.asarray(list(observations), dtype=np.int64)
+    obs = np.array([_click_count(n, matrix.num_bins) for n in observations], dtype=np.int64)
     if obs.size == 0:
         raise ValueError("observations must contain at least one click count")
-    if obs.min() < 0 or obs.max() > matrix.num_bins:
-        raise ValueError(f"click counts must lie in [0, {matrix.num_bins}]")
     if max_admissible_n is not None and obs.max() > max_admissible_n:
         raise ValueError(
             f"click count {int(obs.max())} exceeds the stability cutoff {max_admissible_n}: "

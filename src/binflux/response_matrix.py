@@ -113,14 +113,6 @@ class ResponseMatrix:
         return self.rows.shape[1] - 1
 
 
-def _row_seed(seed: int, mu: int) -> int:
-    # Stable per-row substream; recorded in provenance so a single row can
-    # be reproduced with simulate_batch alone. It depends on seed and mu
-    # only, never on mu_max, so an MC matrix on [0, m] is the first m + 1
-    # rows of the one on [0, 2m] built with the same seed and n_shots.
-    return derive_seed(seed, mu)
-
-
 def build_matrix(
     system: SystemConfig,
     mu_max: int,
@@ -167,7 +159,9 @@ def build_matrix(
             prov[mu] = exact
     else:
         for mu in direct_mus:
-            rs = _row_seed(seed, mu)
+            # The row's seed, recorded in its provenance, depends on seed and mu only, never on
+            # mu_max: an MC matrix on [0, m] is the first m + 1 rows of the one on [0, 2m].
+            rs = derive_seed(seed, mu)
             batch = simulate_batch(
                 Coherent(float(mu)), weights, system.detector, n_shots, rs, workers=workers
             )

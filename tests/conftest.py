@@ -14,6 +14,34 @@ from binflux import (
 )
 
 
+_approx = pytest.approx
+
+
+def _approx_with_a_stated_abs(expected, rel=None, abs=None, nan_ok=False):
+    """pytest.approx that fails when its default abs of 1e-12 swamps the rel it states.
+
+    With abs left out, approx accepts anything within max(rel * |expected|,
+    1e-12), rel 1e-6 by default. Below 1e-12 / rel the stated rel is then
+    not what is checked: on a nonzero expected value that small, a test must
+    give abs itself, abs=0 for a purely relative check.
+    """
+    values = list(expected.values()) if isinstance(expected, dict) else expected
+    try:
+        magnitudes = np.abs(np.asarray(values, dtype=float)).ravel()
+    except (TypeError, ValueError):
+        magnitudes = np.empty(0)
+    nonzero = magnitudes[np.isfinite(magnitudes) & (magnitudes > 0.0)]
+    if abs is None and nonzero.size and 1e-12 > (1e-6 if rel is None else rel) * nonzero.min():
+        pytest.fail(
+            f"approx({expected!r}, rel={rel!r}) leaves abs at its default 1e-12, which is larger "
+            "than the relative tolerance there; state abs (abs=0 for a purely relative check)"
+        )
+    return _approx(expected, rel=rel, abs=abs, nan_ok=nan_ok)
+
+
+pytest.approx = _approx_with_a_stated_abs
+
+
 @pytest.fixture(scope="session")
 def rapid32():
     return get_preset("rapid32")

@@ -175,7 +175,7 @@ def test_criterion_7_timing_arithmetic(rapid32, conventional16):
     ok = (
         slow.deadtime_ok
         and fast.deadtime_ok
-        and slow.train_length == pytest.approx(45e-6, rel=1e-9)
+        and slow.train_length == pytest.approx(45e-6, rel=1e-9, abs=0)
         and round(slow.max_rep_rate / 1e3) == 22
         and fast.train_length <= 167e-9
         and fast.max_rep_rate >= 6e6

@@ -41,7 +41,7 @@ def test_click_probability_zero_photons_is_dark_only():
 
 def test_click_probability_formula():
     # 1 - (1 - dark) * (1 - eta)**k, frozen from direct evaluation.
-    assert click_probability(3, 0.165, 1e-5) == pytest.approx(0.4178229468287501, rel=1e-12)
+    assert click_probability(3, 0.165, 1e-5) == pytest.approx(0.4178229468287501, rel=1e-12, abs=0)
     assert click_probability(1, 0.5, 0.0) == pytest.approx(0.5)
     assert click_probability(2, 0.5, 0.1) == pytest.approx(1 - 0.9 * 0.25)
 
@@ -104,9 +104,9 @@ def test_shot_dark_probability_rapid32():
     det = make_detector()
     # 16 gates per detector at 1e-5 and 5e-5 per gate.
     got = shot_dark_probability(det, 16)
-    assert got == pytest.approx(0.0009595601281325861, rel=1e-12)
+    assert got == pytest.approx(0.0009595601281325861, rel=1e-12, abs=0)
     expected = 1 - (1 - 1e-5) ** 16 * (1 - 5e-5) ** 16
-    assert got == pytest.approx(expected, rel=1e-15)
+    assert got == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 def test_shot_dark_probability_zero_bins():

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from binflux import (
     poisson_binomial_pmf,
     total_variation,
 )
-from binflux.exact_oracle import _gate_order, coherent_click_rows
+from binflux.exact_oracle import _binomial_transfer, _gate_order, coherent_click_rows
 
 
 def test_poisson_binomial_equal_p_matches_binomial():
@@ -110,7 +111,7 @@ def test_fock_one_photon_lossy(lossy_small):
     # event or when the single photon lands there and is detected.
     darks = per_bin_dark_probabilities(weights, det)
     expect = float(np.sum(darks + (1 - darks) * weights.weights * det.efficiency))
-    assert d.mean == pytest.approx(expect, rel=1e-12)
+    assert d.mean == pytest.approx(expect, rel=1e-12, abs=0)
 
 
 def _click_probability(k, eta, dark):
@@ -181,6 +182,29 @@ def test_fock_transfer_matches_routing_loop(system, request):
     for n in (0, 1, 2, 5, 12):
         got = fock_click_distribution(n, weights, det).probs
         assert np.allclose(got, _routing_loop_fock(n, weights, det), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("s", [0, Fraction(1, 100), Fraction(3, 10), Fraction(1, 2), Fraction(97, 100), 1])
+def test_binomial_transfer_matches_exact_rationals(s):
+    # Row r of the transfer against C(r, r') s^(r - r') (1 - s)^r' in exact
+    # rationals at the float s the oracle is given, n = 1000 (the cap).
+    n = 1000
+    s_float = float(s)
+    t = _binomial_transfer(n, s_float)
+    land, den = Fraction(s_float).as_integer_ratio()
+    land_pow, stay_pow = [1], [1]
+    for _ in range(n):
+        land_pow.append(land_pow[-1] * land)
+        stay_pow.append(stay_pow[-1] * (den - land))
+    for r in (1, 2, 37, 250, 1000):
+        # int / int rounds the exact ratio once.
+        exact = np.array([math.comb(r, k) * land_pow[r - k] * stay_pow[k] / den**r for k in range(r + 1)])
+        got = t[r, : r + 1]
+        big = exact >= 1e-300
+        assert big.any()
+        assert np.all(np.abs(got[big] - exact[big]) <= 1e-12 * exact[big]), (r, s)
+        assert np.all(np.abs(got[~big] - exact[~big]) <= 1e-300), (r, s)
+        assert np.all(t[r, r + 1 :] == 0.0)
 
 
 def test_coherent_is_poisson_mixture_of_fock(lossy_small):

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -153,6 +154,35 @@ def test_posterior_multi_validation(rapid32_matrix400):
     # At or below the cutoff the same sequence is accepted.
     post = posterior_multi(rapid32_matrix400, [5, 16], max_admissible_n=16)
     assert post.probs.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, 2.5, True, False, np.float64(2.0), np.bool_(True), "3", None])
+def test_posterior_rejects_a_click_count_that_is_not_an_integer(rapid32_matrix400, bad):
+    # A float, bool or string is never read as a click count: the error names the value.
+    message = "^click count must be an integer in \\[0, 32\\], got " + re.escape(repr(bad)) + "$"
+    with pytest.raises(ValueError, match=message):
+        posterior_single(rapid32_matrix400, bad)
+    with pytest.raises(ValueError, match=message):
+        posterior_multi(rapid32_matrix400, [3, bad])
+    with pytest.raises(ValueError, match=message):
+        posterior_multi(rapid32_matrix400, [bad, 1])
+
+
+def test_posterior_rejects_a_non_integer_array(rapid32_matrix400):
+    for obs in (np.array([3.9, 1.0]), np.array(["3", "2"]), np.array([True, False])):
+        with pytest.raises(ValueError, match="^click count must be an integer in "):
+            posterior_multi(rapid32_matrix400, obs)
+
+
+def test_posterior_accepts_numpy_integers(rapid32_matrix400):
+    ref = posterior_multi(rapid32_matrix400, [3, 5, 4])
+    for obs in (np.array([3, 5, 4]), np.array([3, 5, 4], dtype=np.uint8), [np.int64(3), np.int32(5), 4]):
+        post = posterior_multi(rapid32_matrix400, obs)
+        assert np.array_equal(post.probs, ref.probs)
+        assert post.log_evidence == ref.log_evidence
+    single = posterior_single(rapid32_matrix400, 4)
+    for n in (np.int64(4), np.uint8(4), np.array([4])[0]):
+        assert np.array_equal(posterior_single(rapid32_matrix400, n).probs, single.probs)
 
 
 def test_posterior_multi_degenerate():

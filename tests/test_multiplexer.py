@@ -104,8 +104,8 @@ def test_timing_report_basic():
     spec = MultiplexerSpec(loop_delays=(1e-9, 2e-9, 4e-9))
     w = build_bin_weights(spec)
     report = validate_timing(w, deadtime=1e-9)
-    assert report.min_spacing == pytest.approx(1e-9)
-    assert report.train_length == pytest.approx(8e-9)  # 7 ns span + 1 ns guard
+    assert report.min_spacing == pytest.approx(1e-9, rel=1e-12, abs=0)
+    assert report.train_length == pytest.approx(8e-9, rel=1e-12, abs=0)  # 7 ns span + 1 ns guard
     assert report.max_rep_rate == pytest.approx(1.25e8)
     assert report.deadtime_ok
 
@@ -126,7 +126,7 @@ def test_timing_guard_overrides_deadtime():
     spec = MultiplexerSpec(loop_delays=(1e-9,))
     w = build_bin_weights(spec)
     report = validate_timing(w, deadtime=1e-9, guard=5e-9)
-    assert report.train_length == pytest.approx(6e-9)
+    assert report.train_length == pytest.approx(6e-9, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("value", [-1e-9, math.nan, math.inf])

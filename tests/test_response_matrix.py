@@ -259,6 +259,17 @@ def test_in_memory_matrix_rejects_unnormalized_row(small_matrix):
     assert _rewrap(small_matrix).rows.flags.writeable is False
 
 
+def test_row_sum_tolerance_is_1e_9(small_matrix):
+    # A row may sum to 1 within 1e-9 (what renormalised float rows need), not further.
+    rows = small_matrix.rows.copy()
+    rows[3] /= rows[3].sum()
+    rows[3, 0] += 5e-10
+    _rewrap(small_matrix, rows=rows.copy())
+    rows[3, 0] += 1.5e-9
+    with pytest.raises(MatrixFormatError, match="row 3: probabilities sum to .* expected 1 within 1e-09"):
+        _rewrap(small_matrix, rows=rows)
+
+
 def test_replace_derives_mu_max_and_fingerprint(small_matrix):
     for k in (1, 7, 39):
         head = dataclasses.replace(
