@@ -10,14 +10,12 @@ benchmarks the result against a conventional attenuated single-pixel
 measurement.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .baseline import (
-    SinglePixelSpec,
     Z_90,
     attenuation_for_target,
     baseline_error_curve,
-    estimate_mu,
     optimal_detection_probability,
     relative_error_factor,
     shots_to_relative_error,
@@ -53,8 +51,6 @@ from .exact_oracle import (
     click_distribution,
     coherent_click_distribution,
     fock_click_distribution,
-    per_bin_click_probabilities,
-    poisson_binomial_pmf,
     total_variation,
 )
 from .inference import (

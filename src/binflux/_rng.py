@@ -25,13 +25,12 @@ _OUTPUTS_PER_COUNTER = 4
 _LANE_BITS = 53
 
 
-def philox_key(seed: int, *stream: int) -> np.ndarray:
-    """Derive a 128-bit Philox key from a user seed and optional stream ids.
+def philox_key(seed: int) -> np.ndarray:
+    """Derive a 128-bit Philox key from a user seed.
 
-    Distinct stream ids give statistically independent streams for the same
-    seed (per-trial or per-row substreams).
+    Per-trial or per-row substreams take their seed from derive_seed.
     """
-    return np.random.SeedSequence([int(seed), *map(int, stream)]).generate_state(2, np.uint64)
+    return np.random.SeedSequence([int(seed)]).generate_state(2, np.uint64)
 
 
 def derive_seed(seed: int, *stream: int) -> int:

@@ -15,30 +15,15 @@ margin instead. Both appear in the literature; see the README discussion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import derive_seed, lane_threshold, philox_key, uniform_lanes
-from .errors import ConfigurationError, DegenerateEvidenceError
+from .errors import ConfigurationError
 
 Z_90 = 1.645  # two-sided 90% normal quantile, one tail at 5%
 
 _CONVENTION_FACTOR = {"half": 1.0, "full": 2.0}
-
-
-@dataclass(frozen=True)
-class SinglePixelSpec:
-    """Detector efficiency plus the power transmission of the attenuator."""
-
-    efficiency: float
-    attenuation: float = 1.0
-
-    def validate(self) -> None:
-        if not (0.0 < self.efficiency <= 1.0):
-            raise ConfigurationError(f"efficiency: must lie in (0, 1], got {self.efficiency!r}")
-        if not (0.0 < self.attenuation <= 1.0):
-            raise ConfigurationError(f"attenuation: must lie in (0, 1], got {self.attenuation!r}")
 
 
 def _z_factor(convention: str) -> float:
@@ -61,28 +46,6 @@ def attenuation_for_target(mu: float, efficiency: float, p_target: float = 0.5) 
             f"would need transmission {alpha:.4g} > 1; the pulse is too dim to attenuate to target"
         )
     return alpha
-
-
-def estimate_mu(n_detected: int, n_gates: int, spec: SinglePixelSpec) -> tuple[float, float]:
-    """Invert the click fraction; returns (mu_hat, half-width of the 90% interval).
-
-    The margin propagates the Poissonian counting error of n_detected
-    through the inversion: z * sqrt(n_detected) / n_gates / ((1 - p) * eta * alpha).
-    """
-    spec.validate()
-    if n_gates < 1:
-        raise ValueError(f"n_gates must be >= 1, got {n_gates}")
-    if not (0 <= n_detected <= n_gates):
-        raise ValueError(f"n_detected must lie in [0, {n_gates}], got {n_detected}")
-    p_hat = n_detected / n_gates
-    if p_hat == 0.0 or p_hat == 1.0:
-        raise DegenerateEvidenceError(
-            f"click fraction {p_hat:.0f} carries no invertible information (saturated or silent)"
-        )
-    scale = spec.attenuation * spec.efficiency
-    mu_hat = -math.log(1.0 - p_hat) / scale
-    delta = Z_90 * math.sqrt(n_detected) / n_gates / ((1.0 - p_hat) * scale)
-    return mu_hat, delta
 
 
 def relative_error_factor(p: float) -> float:
@@ -146,9 +109,10 @@ def simulate_baseline(
     """Monte Carlo version of the error curve, shape (n_trials, max_shots).
 
     Each trial runs the actual protocol: attenuate to the target click
-    probability, draw gate outcomes, and at each prefix propagate the
-    counting error through the inversion. Entries where the click record
-    is still saturated or silent are NaN.
+    probability, draw gate outcomes, and at each prefix of k gates with
+    n_det clicks propagate the Poissonian counting error sqrt(n_det)
+    through the inversion: z * sqrt(n_det) / k / ((1 - p_hat) * eta * alpha).
+    Entries where the click record is still saturated or silent are NaN.
     """
     _check_mu_bright(mu_true)
     if max_shots < 1 or n_trials < 1:

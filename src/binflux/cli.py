@@ -34,6 +34,7 @@ from .errors import (
 )
 from .exact_oracle import coherent_click_rows
 from .inference import (
+    _click_count,
     _stability_build,
     credible_interval,
     interval_to_energy,
@@ -198,12 +199,8 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
     if (args.n is None) == (args.obs is None):
         raise UsageError("give exactly one of --n or --obs")
-    observations = [args.n] if args.n is not None else _read_observations(args.obs)
-    for n in observations:
-        if not (0 <= n <= matrix.num_bins):
-            raise UsageError(
-                f"click count {n} is impossible for this system (0..{matrix.num_bins} bins)"
-            )
+    raw = [args.n] if args.n is not None else _read_observations(args.obs)
+    observations = [_click_count(n, matrix.num_bins) for n in raw]
 
     if args.max_n is not None:
         if args.max_n < 0:

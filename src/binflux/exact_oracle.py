@@ -33,17 +33,12 @@ FOCK_EXACT_CAP = 1000
 
 @dataclass
 class ClickDistribution:
-    """Probability of observing k clicks, k = 0..num_bins."""
+    """Probability of observing k clicks, k = 0..B."""
 
     probs: np.ndarray
-    source: Source
 
     def __post_init__(self) -> None:
         self.probs.setflags(write=False)
-
-    @property
-    def num_bins(self) -> int:
-        return self.probs.size - 1
 
     @property
     def mean(self) -> float:
@@ -130,16 +125,6 @@ def _undershoot_chain_pmf(click_probs, miss: np.ndarray) -> np.ndarray:
     return dist.reshape(p.shape[:-1] + (n_gates + 1,))
 
 
-def per_bin_click_probabilities(mu, weights: BinWeights, detector: DetectorSpec) -> np.ndarray:
-    """Click probability of each gate under a coherent pulse of mean mu.
-
-    One minus detector_model.no_click_probabilities, the threshold the Monte
-    Carlo kernel tests coherent shots against. A scalar mu gives shape (B,);
-    a vector of m values gives (m, B).
-    """
-    return 1.0 - no_click_probabilities(mu, weights, detector)
-
-
 def coherent_click_rows(mus, weights: BinWeights, detector: DetectorSpec) -> np.ndarray:
     """Exact click-count laws for coherent pulses, one row per mean in mus.
 
@@ -150,7 +135,8 @@ def coherent_click_rows(mus, weights: BinWeights, detector: DetectorSpec) -> np.
     mu = np.asarray(mus, dtype=float)
     if not np.isfinite(mu).all() or (mu < 0.0).any():
         raise ValueError(f"mu must be finite and >= 0, got {mus!r}")
-    p = per_bin_click_probabilities(mu, weights, detector)
+    # Each gate's click probability: one minus the no-click threshold the Monte Carlo kernel uses.
+    p = 1.0 - no_click_probabilities(mu, weights, detector)
     if detector.history_dependent:
         order, miss = _gate_order(weights, detector)
         return _undershoot_chain_pmf(p[..., order], miss)
@@ -159,7 +145,7 @@ def coherent_click_rows(mus, weights: BinWeights, detector: DetectorSpec) -> np.
 
 def coherent_click_distribution(mu: float, weights: BinWeights, detector: DetectorSpec) -> ClickDistribution:
     """Exact click-count law for a coherent pulse."""
-    return ClickDistribution(probs=coherent_click_rows(mu, weights, detector), source=Coherent(mu))
+    return ClickDistribution(probs=coherent_click_rows(mu, weights, detector))
 
 
 def _binomial_transfer(n: int, s: float) -> np.ndarray:
@@ -188,7 +174,7 @@ def fock_click_distribution(n_photons: int, weights: BinWeights, detector: Detec
     lands or, when none does, on its dark count; right after a click on the
     gate before it then misses with miss_j.
     """
-    source = Fock(n_photons)
+    n_photons = Fock(n_photons).n_photons  # rejects a bad photon number before any work
     if n_photons > FOCK_EXACT_CAP:
         raise ValueError(f"n_photons={n_photons} exceeds the exact-method cap of {FOCK_EXACT_CAP}")
     detector.validate()
@@ -211,7 +197,7 @@ def fock_click_distribution(n_photons: int, weights: BinWeights, detector: Detec
         _gate_step(silent, clicked, quiet, *(state[:, : j + 1] @ wants), miss_j)
 
     probs = state.sum(axis=(0, 2))
-    return ClickDistribution(probs=probs / probs.sum(), source=source)
+    return ClickDistribution(probs=probs / probs.sum())
 
 
 def click_distribution(source: Source, weights: BinWeights, detector: DetectorSpec) -> ClickDistribution:

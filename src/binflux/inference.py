@@ -44,10 +44,6 @@ class Posterior:
         self.probs.setflags(write=False)
 
     @property
-    def mu_max(self) -> int:
-        return self.probs.size - 1
-
-    @property
     def mode(self) -> int:
         # argmax breaks ties toward the smaller mu.
         return int(np.argmax(self.probs))
@@ -65,7 +61,6 @@ class CredibleInterval:
     lo: int
     hi: int
     mass: float
-    mode: int
 
     @property
     def width(self) -> int:
@@ -223,7 +218,7 @@ def credible_interval(posterior: Posterior, level: float = 0.90) -> CredibleInte
     _check_level(level)
     p = posterior.probs
     lo, hi = (int(x[0]) for x in _hpd_rows(p[None, :], level))
-    return CredibleInterval(level=level, lo=lo, hi=hi, mass=float(p[lo : hi + 1].sum()), mode=posterior.mode)
+    return CredibleInterval(level=level, lo=lo, hi=hi, mass=float(p[lo : hi + 1].sum()))
 
 
 def interval_to_energy(width_photons: float, wavelength: float = 1.55e-6) -> float:
@@ -293,10 +288,6 @@ class RelativeErrorCurve:
     level: float
     rel_err: np.ndarray
     max_admissible_n: int | None
-
-    @property
-    def max_shots(self) -> int:
-        return self.rel_err.shape[1]
 
     def median(self) -> np.ndarray:
         return np.median(self.rel_err, axis=0)

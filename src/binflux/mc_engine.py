@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +104,6 @@ class BatchResult:
 
     histogram: np.ndarray
     n_shots: int
-    bin_click_counts: np.ndarray
     photon_sum: np.ndarray | None
     click_totals: np.ndarray | None = None
 
@@ -264,26 +262,25 @@ def simulate_batch(
 
     def process(job: tuple[int, int]):
         s, m = job
-        clicks, totals, photons = kernel.run(key, s, m)
+        _, totals, photons = kernel.run(key, s, m)
         hist = np.bincount(totals, minlength=kernel.n_bins + 1)
-        bin_clicks = np.array([np.count_nonzero(row) for row in clicks], dtype=np.int64)
-        return hist, bin_clicks, photons, totals.astype(np.int64) if store_totals else None
+        return hist, photons, totals.astype(np.int64) if store_totals else None
 
     jobs = list(zip(starts, sizes))
     n_workers = min(_resolve_workers(workers), len(jobs))
     if n_workers == 1:
         parts = [process(j) for j in jobs]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only a pool pays for this import
+
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             parts = list(pool.map(process, jobs))
 
     histogram = np.zeros(kernel.n_bins + 1, dtype=np.int64)
-    bin_clicks = np.zeros(kernel.n_bins, dtype=np.int64)
     photon_sum = None if isinstance(source, Coherent) else np.zeros(kernel.n_bins, dtype=np.int64)
     totals_parts: list[np.ndarray] = []
-    for hist, bc, ps, totals in parts:
+    for hist, ps, totals in parts:
         histogram += hist
-        bin_clicks += bc
         if ps is not None:
             photon_sum += ps
         if totals is not None:
@@ -291,7 +288,6 @@ def simulate_batch(
     return BatchResult(
         histogram=histogram,
         n_shots=n_shots,
-        bin_click_counts=bin_clicks,
         photon_sum=photon_sum,
         click_totals=np.concatenate(totals_parts) if totals_parts else None,
     )

@@ -175,10 +175,10 @@ MUTANTS = (
         ("test_response_matrix.py",),
     ),
     Mutant(
-        "baseline.estimate_mu_binomial_error",
+        "baseline.simulated_margin_binomial_error",
         "baseline.py",
-        "delta = Z_90 * math.sqrt(n_detected) / n_gates",
-        "delta = Z_90 * math.sqrt(n_detected * (1.0 - p_hat)) / n_gates",
+        "z * np.sqrt(n_det) / k",
+        "z * np.sqrt(n_det * (1.0 - p_hat)) / k",
         ("test_baseline.py",),
     ),
     Mutant(

@@ -6,11 +6,8 @@ import pytest
 
 from binflux import (
     ConfigurationError,
-    DegenerateEvidenceError,
-    SinglePixelSpec,
     attenuation_for_target,
     baseline_error_curve,
-    estimate_mu,
     optimal_detection_probability,
     relative_error_factor,
     shots_to_relative_error,
@@ -98,37 +95,6 @@ def test_attenuation_argument_validation():
         attenuation_for_target(0.0, 0.165)
     with pytest.raises(ValueError):
         attenuation_for_target(100.0, 0.0)
-
-
-def test_estimate_mu_inverts_exactly():
-    spec = SinglePixelSpec(efficiency=0.165, attenuation=0.04200892003393608)
-    mu_hat, delta = estimate_mu(500, 1000, spec)
-    assert mu_hat == pytest.approx(100.0, rel=1e-12)
-    expected = Z_90 * math.sqrt(500) / 1000 / (0.5 * 0.165 * 0.04200892003393608)
-    assert delta == pytest.approx(expected, rel=1e-12)
-
-
-def test_estimate_mu_degenerate_fractions():
-    spec = SinglePixelSpec(efficiency=0.5)
-    with pytest.raises(DegenerateEvidenceError):
-        estimate_mu(0, 100, spec)
-    with pytest.raises(DegenerateEvidenceError):
-        estimate_mu(100, 100, spec)
-
-
-def test_estimate_mu_argument_validation():
-    spec = SinglePixelSpec(efficiency=0.5)
-    with pytest.raises(ValueError):
-        estimate_mu(5, 0, spec)
-    with pytest.raises(ValueError):
-        estimate_mu(11, 10, spec)
-
-
-def test_spec_validation():
-    with pytest.raises(ConfigurationError):
-        SinglePixelSpec(efficiency=0.0).validate()
-    with pytest.raises(ConfigurationError):
-        SinglePixelSpec(efficiency=0.5, attenuation=1.5).validate()
 
 
 def test_simulated_curve_matches_analytic():

@@ -27,12 +27,12 @@ from binflux import (
     UniformLoss,
     build_matrix,
     credible_interval,
-    poisson_binomial_pmf,
     posterior_single,
     relative_error_curve,
     stability_max_n,
     validate_interpolation,
 )
+from binflux.exact_oracle import poisson_binomial_pmf
 from binflux.inference import _hpd_rows, _stability_tv
 
 

@@ -42,8 +42,8 @@ def test_version_agrees_across_package_project_and_cli(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    assert binflux.__version__ == declared == "0.3.0"
-    assert capsys.readouterr().out == "binflux 0.3.0\n"
+    assert binflux.__version__ == declared == "0.4.0"
+    assert capsys.readouterr().out == "binflux 0.4.0\n"
 
 
 def test_presets_listing(capsys):
@@ -191,7 +191,25 @@ def test_infer_cutoff_override(matrix_file):
 
 def test_infer_impossible_count(matrix_file, capsys):
     assert main(["infer", "-m", str(matrix_file), "--n", "99"]) == 2
-    assert "impossible" in capsys.readouterr().err
+    assert capsys.readouterr().err == "binflux: usage error: click count must be an integer in [0, 32], got 99\n"
+
+
+@pytest.mark.parametrize("source", ["n", "obs"])
+def test_infer_count_past_the_bins_is_a_usage_error_before_the_cutoff(matrix_file, tmp_path, capsys, source):
+    # 33 clicks on 32 bins is also above the cutoff 16, which would exit 4;
+    # the count rule (inference._click_count) is checked first and writes nothing.
+    out, post = tmp_path / "out" / "result.json", tmp_path / "out" / "post.csv"
+    out.parent.mkdir()
+    if source == "n":
+        given = ["--n", "33"]
+    else:
+        obs = tmp_path / "obs.txt"
+        obs.write_text("1\n33\n")
+        given = ["--obs", str(obs)]
+    rc = main(["infer", "-m", str(matrix_file), *given, "-o", str(out), "--posterior", str(post)])
+    assert rc == 2
+    assert capsys.readouterr().err == "binflux: usage error: click count must be an integer in [0, 32], got 33\n"
+    assert list(out.parent.iterdir()) == []
 
 
 def test_infer_requires_one_observation_source(matrix_file, tmp_path):

@@ -23,12 +23,11 @@ from binflux import (
     coherent_click_distribution,
     effective_efficiency,
     fock_click_distribution,
-    per_bin_click_probabilities,
+    no_click_probabilities,
     per_bin_dark_probabilities,
-    poisson_binomial_pmf,
     total_variation,
 )
-from binflux.exact_oracle import _binomial_transfer, _gate_order, coherent_click_rows
+from binflux.exact_oracle import _binomial_transfer, _gate_order, coherent_click_rows, poisson_binomial_pmf
 
 
 def test_poisson_binomial_equal_p_matches_binomial():
@@ -49,7 +48,7 @@ def test_poisson_binomial_mixed_p_brute_force():
 
 
 def test_per_bin_click_probabilities(rapid32, rapid32_weights):
-    p = per_bin_click_probabilities(100.0, rapid32_weights, rapid32.detector)
+    p = 1.0 - no_click_probabilities(100.0, rapid32_weights, rapid32.detector)
     eta = effective_efficiency(rapid32.detector, 100.0)
     q = rapid32_weights.weights[0]
     assert p[0] == pytest.approx(1 - (1 - 1e-5) * math.exp(-100 * q * eta))
@@ -73,7 +72,7 @@ def test_coherent_mean_and_distribution_properties(rapid32, rapid32_weights):
     d = coherent_click_distribution(100.0, rapid32_weights, rapid32.detector)
     assert d.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(d.probs >= 0)
-    assert d.num_bins == 32
+    assert d.probs.size == 33
     # Frozen: mean click count at mu=100 on the 32-bin system.
     assert d.mean == pytest.approx(9.83725253962943, rel=1e-10)
     k = np.arange(d.probs.size)
@@ -299,7 +298,7 @@ def test_coherent_row_is_poisson_mixture_of_fock_rows(system, mu):
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_undershoot_chain_matches_enumeration(system, mu):
     weights, detector = system
-    p = per_bin_click_probabilities(mu, weights, detector)
+    p = 1.0 - no_click_probabilities(mu, weights, detector)
     hist, _ = brute_force_mechanistic(p, weights.detector_of_bin, detector.undershoot.p_miss_next)
     got = coherent_click_distribution(mu, weights, detector).probs
     assert np.allclose(got, hist, rtol=0, atol=1e-12)
@@ -321,7 +320,8 @@ def test_undershoot_chain_is_continuous_at_zero(rapid32):
 def test_click_distribution_dispatch(tiny_weights, ideal_detector):
     c = click_distribution(Coherent(1.0), tiny_weights, ideal_detector)
     f = click_distribution(Fock(2), tiny_weights, ideal_detector)
-    assert isinstance(c.source, Coherent) and isinstance(f.source, Fock)
+    assert np.array_equal(c.probs, coherent_click_distribution(1.0, tiny_weights, ideal_detector).probs)
+    assert np.array_equal(f.probs, fock_click_distribution(2, tiny_weights, ideal_detector).probs)
 
 
 def test_negative_mu_rejected(tiny_weights, ideal_detector):

@@ -9,9 +9,14 @@ of an N-shot histogram over B + 1 cells, and 4 standard errors for per-bin
 click frequencies.
 """
 
+import concurrent.futures
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -29,8 +34,6 @@ from binflux import (
     MechanisticUndershoot,
     coherent_click_distribution,
     fock_click_distribution,
-    per_bin_click_probabilities,
-    poisson_binomial_pmf,
     get_preset,
     simulate_batch,
     total_variation,
@@ -41,6 +44,7 @@ from binflux.detector_model import (
     no_click_probabilities,
     per_bin_dark_probabilities,
 )
+from binflux.exact_oracle import poisson_binomial_pmf
 
 N_SHOTS = 20_000
 
@@ -73,9 +77,11 @@ def small_systems(draw, max_bins=12, mechanistic=False):
     return weights, detector
 
 
-def _assert_per_bin_within_4se(batch, p):
-    se = np.sqrt(p * (1.0 - p) / batch.n_shots)
-    assert np.all(np.abs(batch.bin_click_counts / batch.n_shots - p) <= 4 * se)
+def _assert_per_bin_within_4se(source, weights, detector, seed, p):
+    """Per-bin click frequencies of the first N_SHOTS shots, read from the kernel's clicks."""
+    clicks, _, _ = mc_engine._Kernel(source, weights, detector).run(philox_key(seed), 0, N_SHOTS)
+    se = np.sqrt(p * (1.0 - p) / N_SHOTS)
+    assert np.all(np.abs(clicks.sum(axis=1) / N_SHOTS - p) <= 4 * se)
 
 
 @given(system=small_systems(), mu=st.floats(0.0, 40.0), seed=st.integers(0, 2**32 - 1))
@@ -85,7 +91,8 @@ def test_coherent_kernel_matches_exact_law(system, mu, seed):
     batch = simulate_batch(Coherent(mu), weights, detector, N_SHOTS, seed)
     exact = coherent_click_distribution(mu, weights, detector).probs
     assert total_variation(batch.distribution, exact) <= math.sqrt(weights.num_bins / N_SHOTS)
-    _assert_per_bin_within_4se(batch, per_bin_click_probabilities(mu, weights, detector))
+    p = 1.0 - no_click_probabilities(mu, weights, detector)
+    _assert_per_bin_within_4se(Coherent(mu), weights, detector, seed, p)
 
 
 @given(
@@ -132,17 +139,17 @@ def brute_force_mechanistic(p, detector_of_bin, p_miss):
 @settings(max_examples=25, deadline=None, derandomize=True)
 def test_mechanistic_kernel_matches_enumeration(system, mu, seed):
     weights, detector = system
-    p = per_bin_click_probabilities(mu, weights, detector)
+    p = 1.0 - no_click_probabilities(mu, weights, detector)
     hist, per_bin = brute_force_mechanistic(p, weights.detector_of_bin, detector.undershoot.p_miss_next)
     batch = simulate_batch(Coherent(mu), weights, detector, N_SHOTS, seed)
     assert total_variation(batch.distribution, hist) <= math.sqrt(weights.num_bins / N_SHOTS)
-    _assert_per_bin_within_4se(batch, per_bin)
+    _assert_per_bin_within_4se(Coherent(mu), weights, detector, seed, per_bin)
 
 
 def test_brute_force_reduces_to_independent_gates(lossy_small):
     # With p_miss = 0 the enumeration is the Poisson-binomial law.
     weights, detector = lossy_small
-    p = per_bin_click_probabilities(3.0, weights, detector)[:6]
+    p = 1.0 - no_click_probabilities(3.0, weights, detector)[:6]
     hist, per_bin = brute_force_mechanistic(p, weights.detector_of_bin[:6], 0.0)
     assert np.allclose(hist, poisson_binomial_pmf(p), rtol=0, atol=1e-14)
     assert np.allclose(per_bin, p, rtol=0, atol=1e-14)
@@ -182,7 +189,6 @@ def test_outputs_do_not_depend_on_how_the_run_is_split(run):
         if m > 0
     ]
     assert np.array_equal(sum(p.histogram for p in parts), ref.histogram)
-    assert np.array_equal(sum(p.bin_click_counts for p in parts), ref.bin_click_counts)
     assert np.array_equal(np.concatenate([p.click_totals for p in parts]), ref.click_totals)
     if ref.photon_sum is None:
         assert all(p.photon_sum is None for p in parts)
@@ -194,18 +200,27 @@ def test_outputs_do_not_depend_on_how_the_run_is_split(run):
 def test_workers_clamped_to_chunk_count(lossy_small, n_shots, chunk_size, workers, pool_size):
     weights, detector = lossy_small
     sizes = []
-    real_pool = mc_engine.ThreadPoolExecutor
+    real_pool = concurrent.futures.ThreadPoolExecutor
 
     def recording_pool(max_workers):
         sizes.append(max_workers)
         return real_pool(max_workers=max_workers)
 
-    with mock.patch.object(mc_engine, "ThreadPoolExecutor", recording_pool):
+    with mock.patch.object(concurrent.futures, "ThreadPoolExecutor", recording_pool):
         batch = simulate_batch(
             Coherent(2.0), weights, detector, n_shots, 3, chunk_size=chunk_size, workers=workers
         )
     assert batch.histogram.sum() == n_shots
     assert sizes == ([] if pool_size is None else [pool_size])
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    # workers=1 never starts a pool, so importing binflux does not pay for concurrent.futures.
+    src = str(Path(mc_engine.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, binflux; print('concurrent.futures' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "False\n"
 
 
 @pytest.mark.parametrize(
@@ -454,7 +469,6 @@ def _assert_kernel_equals_reference(source, weights, detector, seed, start, n, c
     assert np.array_equal(batch.click_totals, ref_totals)
     assert batch.click_totals.dtype == np.int64
     assert np.array_equal(batch.histogram, np.bincount(ref_totals, minlength=weights.num_bins + 1))
-    assert np.array_equal(batch.bin_click_counts, ref_clicks.sum(axis=0))
     if ref_photons is None:
         assert batch.photon_sum is None
     else:

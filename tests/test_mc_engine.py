@@ -10,18 +10,19 @@ from binflux import (
     coherent_click_distribution,
     fock_click_distribution,
     get_preset,
-    per_bin_click_probabilities,
+    no_click_probabilities,
     simulate_batch,
     total_variation,
 )
-from binflux.mc_engine import FOCK_MC_CAP
+from binflux._rng import philox_key
+from binflux.mc_engine import FOCK_MC_CAP, _Kernel
 
 
 def test_same_seed_same_result(rapid32, rapid32_weights):
-    a = simulate_batch(Coherent(50.0), rapid32_weights, rapid32.detector, 5000, seed=1)
-    b = simulate_batch(Coherent(50.0), rapid32_weights, rapid32.detector, 5000, seed=1)
+    a = simulate_batch(Coherent(50.0), rapid32_weights, rapid32.detector, 5000, seed=1, store_totals=True)
+    b = simulate_batch(Coherent(50.0), rapid32_weights, rapid32.detector, 5000, seed=1, store_totals=True)
     assert np.array_equal(a.histogram, b.histogram)
-    assert np.array_equal(a.bin_click_counts, b.bin_click_counts)
+    assert np.array_equal(a.click_totals, b.click_totals)
     # Coherent shots draw no photon numbers.
     assert a.photon_sum is None and b.photon_sum is None
 
@@ -33,13 +34,14 @@ def test_different_seed_different_result(rapid32, rapid32_weights):
 
 
 def test_chunk_size_and_workers_do_not_change_results(rapid32, rapid32_weights):
-    kwargs = dict(n_shots=20000, seed=7)
+    kwargs = dict(n_shots=20000, seed=7, store_totals=True)
     a = simulate_batch(Coherent(100.0), rapid32_weights, rapid32.detector, chunk_size=999, **kwargs)
     b = simulate_batch(Coherent(100.0), rapid32_weights, rapid32.detector, chunk_size=4096, workers=4, **kwargs)
     c = simulate_batch(Coherent(100.0), rapid32_weights, rapid32.detector, chunk_size=20000, **kwargs)
     assert np.array_equal(a.histogram, b.histogram)
     assert np.array_equal(a.histogram, c.histogram)
-    assert np.array_equal(a.bin_click_counts, b.bin_click_counts)
+    assert np.array_equal(a.click_totals, b.click_totals)
+    assert np.array_equal(a.click_totals, c.click_totals)
 
 
 def test_workers_env_cap(rapid32, rapid32_weights, monkeypatch):
@@ -71,10 +73,10 @@ def test_single_shot_matches_batch_slice(rapid32, rapid32_weights):
         for i in range(50)
     ]
     assert [int(rec.click_totals[0]) for rec in shots] == batch.click_totals.tolist()
-    patterns = np.array([rec.bin_click_counts for rec in shots])
-    assert np.all((patterns == 0) | (patterns == 1))
-    assert np.array_equal(patterns.sum(axis=1), batch.click_totals)
-    assert np.array_equal(patterns.sum(axis=0), batch.bin_click_counts)
+    kernel = _Kernel(Coherent(100.0), rapid32_weights, rapid32.detector)
+    patterns = np.concatenate([kernel.run(philox_key(11), 200 + i, 1)[0] for i in range(50)], axis=1)
+    assert np.array_equal(patterns, kernel.run(philox_key(11), 200, 50)[0])
+    assert np.array_equal(patterns.sum(axis=0), batch.click_totals)
 
 
 def test_records_and_totals_consistent(rapid32, rapid32_weights):
@@ -83,7 +85,8 @@ def test_records_and_totals_consistent(rapid32, rapid32_weights):
         store_totals=True, chunk_size=100,
     )
     assert batch.click_totals.shape == (500,)
-    assert batch.click_totals.sum() == batch.bin_click_counts.sum()
+    clicks, _, _ = _Kernel(Coherent(20.0), rapid32_weights, rapid32.detector).run(philox_key(5), 0, 500)
+    assert batch.click_totals.sum() == clicks.sum()
     hist = np.bincount(batch.click_totals, minlength=33)
     assert np.array_equal(hist, batch.histogram)
     assert batch.distribution.sum() == pytest.approx(1.0)
@@ -101,10 +104,10 @@ def test_per_bin_click_frequency_within_4se(rapid32, rapid32_weights):
     # p_b = 1 - (1 - d_b) * exp(-mu * q_b * eta_eff); per-bin click
     # frequencies must sit within 4 standard errors of it.
     mu, n = 100.0, 200_000
-    batch = simulate_batch(Coherent(mu), rapid32_weights, rapid32.detector, n, seed=17)
-    p = per_bin_click_probabilities(mu, rapid32_weights, rapid32.detector)
+    clicks, _, _ = _Kernel(Coherent(mu), rapid32_weights, rapid32.detector).run(philox_key(17), 0, n)
+    p = 1.0 - no_click_probabilities(mu, rapid32_weights, rapid32.detector)
     se = np.sqrt(p * (1.0 - p) / n)
-    assert np.all(np.abs(batch.bin_click_counts / n - p) < 4 * se)
+    assert np.all(np.abs(clicks.sum(axis=1) / n - p) < 4 * se)
 
 
 def test_mean_clicks_monotone_in_mu(rapid32, rapid32_weights):
@@ -148,7 +151,6 @@ def test_fock_large_photon_number_path(lossy_small, n_photons, chunk_size):
     assert np.array_equal(np.bincount(batch.click_totals, minlength=weights.num_bins + 1), batch.histogram)
     ref = simulate_batch(Fock(n_photons), weights, det, 50, seed=37, store_totals=True, chunk_size=1)
     assert np.array_equal(batch.click_totals, ref.click_totals)
-    assert np.array_equal(batch.bin_click_counts, ref.bin_click_counts)
     assert np.array_equal(batch.photon_sum, ref.photon_sum)
     assert 0 < batch.photon_sum.sum() <= 50 * n_photons
 
