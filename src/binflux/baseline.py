@@ -70,9 +70,12 @@ def optimal_detection_probability(grid: np.ndarray | None = None) -> float:
 
 def shots_to_relative_error(target: float, p: float = 0.5, convention: str = "full") -> int:
     """Gates needed before the expected relative width drops to the target."""
-    if target <= 0.0:
-        raise ValueError(f"target must be > 0, got {target!r}")
-    return math.ceil((_z_factor(convention) * relative_error_factor(p) / target) ** 2)
+    if not 0.0 < target < math.inf:
+        raise ValueError(f"target must be finite and > 0, got {target!r}")
+    try:
+        return math.ceil((_z_factor(convention) * relative_error_factor(p) / target) ** 2)
+    except OverflowError:
+        raise ValueError(f"target {target!r} is so small that its gate count overflows a float") from None
 
 
 def _check_mu_bright(mu_true: float) -> None:

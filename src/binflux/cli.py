@@ -15,7 +15,6 @@ a missing or unreadable file, 4 computation unsupported by the model,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import platform
 import sys
@@ -35,6 +34,7 @@ from .errors import (
 from .exact_oracle import coherent_click_rows
 from .inference import (
     _click_count,
+    _refuse_above_cutoff,
     _stability_build,
     credible_interval,
     interval_to_energy,
@@ -54,13 +54,7 @@ class UsageError(Exception):
 
 
 def _resolve_system(args: argparse.Namespace) -> SystemConfig:
-    if getattr(args, "preset", None) and getattr(args, "config", None):
-        raise UsageError("give either --preset or --config, not both")
-    if getattr(args, "preset", None):
-        return get_preset(args.preset)
-    if getattr(args, "config", None):
-        return load_system(args.config)
-    raise UsageError("one of --preset or --config is required")
+    return get_preset(args.preset) if args.preset is not None else load_system(args.config)
 
 
 def _int_list(text: str) -> list[int] | None:
@@ -104,9 +98,10 @@ def _write_lines(out: Path, header: str, rows) -> None:
     out.write_text("\n".join([header, *rows]) + "\n")
 
 
-def _add_system_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", help=f"built-in configuration ({', '.join(PRESET_NAMES)})")
-    p.add_argument("--config", help="path to a system configuration JSON file")
+def _add_system_args(p: argparse.ArgumentParser, required: bool = True) -> None:
+    group = p.add_mutually_exclusive_group(required=required)
+    group.add_argument("--preset", help=f"built-in configuration ({', '.join(PRESET_NAMES)})")
+    group.add_argument("--config", help="path to a system configuration JSON file")
 
 
 def _cmd_presets(args: argparse.Namespace) -> int:
@@ -127,8 +122,6 @@ def _cmd_presets(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     system = _resolve_system(args)
-    if (args.mu is None) == (args.fock is None):
-        raise UsageError("give exactly one of --mu or --fock")
     source = Coherent(args.mu) if args.mu is not None else Fock(args.fock)
     weights = system.bin_weights()
     batch = simulate_batch(
@@ -188,7 +181,7 @@ def _read_observations(path: str) -> list[int]:
 
 def _cmd_infer(args: argparse.Namespace) -> int:
     matrix = load_matrix(args.matrix)
-    if args.preset or args.config:
+    if args.preset is not None or args.config is not None:
         system = _resolve_system(args)
         fp = fingerprint(system)
         if fp != matrix.fingerprint and not args.force:
@@ -197,8 +190,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
                 f"configuration ({fp[:12]}...); pass --force to use it anyway"
             )
 
-    if (args.n is None) == (args.obs is None):
-        raise UsageError("give exactly one of --n or --obs")
     raw = [args.n] if args.n is not None else _read_observations(args.obs)
     observations = [_click_count(n, matrix.num_bins) for n in raw]
 
@@ -210,19 +201,12 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         cutoff = None
     else:
         cutoff = stability_max_n(matrix.system, matrix.mu_max, args.tolerance)
-    if cutoff is not None:
-        worst = max(observations)
-        if worst > cutoff:
-            raise ModelUnsupportedError(
-                f"click count {worst} exceeds the stability cutoff {cutoff} for mu_max="
-                f"{matrix.mu_max}: its posterior would change materially on a larger mu grid, "
-                "so this count should be discarded rather than inverted"
-            )
+    _refuse_above_cutoff(max(observations), cutoff, matrix.mu_max)
 
     if len(observations) == 1:
         posterior = posterior_single(matrix, observations[0])
     else:
-        posterior = posterior_multi(matrix, observations, max_admissible_n=cutoff)
+        posterior = posterior_multi(matrix, observations)
     interval = credible_interval(posterior, args.level)
     result = {
         "energy_j": interval_to_energy(interval.width, args.wavelength),
@@ -253,14 +237,9 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
 
 def _convergence(args: argparse.Namespace, system: SystemConfig, max_shots: int):
-    """Exact matrix, stability cutoff and relative-error curve shared by compare and sweep.
-
-    One exact build on [0, 2 * mu_max] gives the cutoff, and its first
-    mu_max + 1 rows are the [0, mu_max] matrix the curve inverts with.
-    """
-    wide, cutoff = _stability_build(system, args.mu_max, args.tolerance)
-    head = slice(0, args.mu_max + 1)
-    matrix = dataclasses.replace(wide, rows=wide.rows[head], provenance=wide.provenance[head])
+    """Relative-error curve shared by compare and sweep, inverted with the exact
+    [0, mu_max] matrix at its stability cutoff (one exact build gives both)."""
+    matrix, cutoff = _stability_build(system, args.mu_max, args.tolerance)
     return relative_error_curve(
         system,
         matrix,
@@ -296,14 +275,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    values = args.values  # parsed by _int_list: None when the list is empty
-    if not values:
+    if not args.values:  # parsed by _int_list: None when the list is empty
         raise UsageError("--values must name at least one integer")
+    values = sorted(set(args.values))  # the grid both modes walk
     if args.over == "shots":
         if args.mu is None:
             raise UsageError("--mu is required with --over shots")
-        if min(values) < 1:
-            raise UsageError(f"--values: shot counts must be >= 1, got {min(values)}")
+        if values[0] < 1:
+            raise UsageError(f"--values: shot counts must be >= 1, got {values[0]}")
     system = _resolve_system(args)
     weights = system.bin_weights()
     out = Path(args.output)
@@ -318,15 +297,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 lines.append(f"{mu},{n},{c},{_fmt(c / batch.n_shots)},{_fmt(probs[n])}")
         _write_lines(out, "mu,n,count,probability,probability_exact", lines)
     else:
-        curve = _convergence(args, system, max(values))
+        curve = _convergence(args, system, values[-1])
         med, q25, q75 = curve.median(), curve.quantile(0.25), curve.quantile(0.75)
-        rows = (
-            f"{k},{_fmt(med[k - 1])},{_fmt(q25[k - 1])},{_fmt(q75[k - 1])}"
-            for k in sorted(set(values))
-        )
+        rows = (f"{k},{_fmt(med[k - 1])},{_fmt(q25[k - 1])},{_fmt(q75[k - 1])}" for k in values)
         _write_lines(out, "shots,median_rel_err,q25_rel_err,q75_rel_err", rows)
     _write_manifest(out, args, system)
-    print(f"wrote {out}: sweep over {args.over} at {len(set(values))} points")
+    print(f"wrote {out}: sweep over {args.over} at {len(values)} points")
     return 0
 
 
@@ -344,8 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo click histogram for one source")
     _add_system_args(p)
-    p.add_argument("--mu", type=float, help="coherent source mean photon number")
-    p.add_argument("--fock", type=int, help="exact photon number instead of --mu")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--mu", type=float, help="coherent source mean photon number")
+    source.add_argument("--fock", type=int, help="exact photon number instead of --mu")
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--seed", type=int, required=True, help="reproducibility seed (no default)")
     p.add_argument("--workers", type=int, default=None, help="thread cap (default: BINFLUX_THREADS or 1)")
@@ -367,10 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser("infer", help="posterior pulse energy from click counts")
-    _add_system_args(p)
+    _add_system_args(p, required=False)
     p.add_argument("-m", "--matrix", required=True, help="matrix file from the matrix subcommand")
-    p.add_argument("--n", type=int, default=None, help="single observed click count")
-    p.add_argument("--obs", default=None, help="file with one click count per line")
+    counts = p.add_mutually_exclusive_group(required=True)
+    counts.add_argument("--n", type=int, default=None, help="single observed click count")
+    counts.add_argument("--obs", default=None, help="file with one click count per line")
     p.add_argument("--level", type=float, default=0.90)
     p.add_argument("--tolerance", type=float, default=0.01, help="stability tolerance")
     p.add_argument("--max-n", type=int, default=None, help="override the stability cutoff")

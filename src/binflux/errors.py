@@ -13,15 +13,19 @@ class ConfigurationError(BinfluxError):
 
 
 class ModelUnsupportedError(BinfluxError):
-    """The requested computation is not available for this model.
+    """A click count lies above the stability cutoff, where inversion would depend on the grid bound.
 
-    Raised when a click count lies above the stability cutoff, where
-    inversion would depend on the grid bound.
+    posterior_multi raises it for a count above its max_admissible_n, and
+    the infer command for a count above the cutoff it applies.
     """
 
 
 class DegenerateEvidenceError(BinfluxError):
-    """The observed data has zero probability under every candidate value."""
+    """The observed data has zero probability under every candidate value.
+
+    relative_error_curve also raises it when the stability cutoff rejects
+    nearly every simulated shot.
+    """
 
 
 class MatrixFormatError(BinfluxError):

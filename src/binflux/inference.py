@@ -21,7 +21,7 @@ import numpy as np
 
 from ._rng import derive_seed
 from .config import SystemConfig
-from .errors import DegenerateEvidenceError
+from .errors import DegenerateEvidenceError, ModelUnsupportedError
 from .mc_engine import Coherent, simulate_batch
 from .response_matrix import ResponseMatrix, build_matrix
 
@@ -76,6 +76,16 @@ def _click_count(n, num_bins: int) -> int:
     return int(n)
 
 
+def _refuse_above_cutoff(worst: int, cutoff: int | None, mu_max: int) -> None:
+    """Raise ModelUnsupportedError if the largest click count lies above the cutoff (None: no cutoff)."""
+    if cutoff is not None and worst > cutoff:
+        raise ModelUnsupportedError(
+            f"click count {worst} exceeds the stability cutoff {cutoff} for mu_max="
+            f"{mu_max}: its posterior would change materially on a larger mu grid, "
+            "so this count should be discarded rather than inverted"
+        )
+
+
 def posterior_single(matrix: ResponseMatrix, n: int) -> Posterior:
     """Posterior after observing a single shot with n clicks."""
     n = _click_count(n, matrix.num_bins)
@@ -95,18 +105,14 @@ def posterior_multi(
 
     Columns multiply, so the result does not depend on observation order.
     When max_admissible_n is given, any larger click count is rejected up
-    front: such counts carry posterior mass beyond the mu grid and their
-    columns are not trustworthy (see stability_max_n).
+    front with ModelUnsupportedError: such counts carry posterior mass
+    beyond the mu grid and their columns are not trustworthy (see
+    stability_max_n).
     """
     obs = np.array([_click_count(n, matrix.num_bins) for n in observations], dtype=np.int64)
     if obs.size == 0:
         raise ValueError("observations must contain at least one click count")
-    if max_admissible_n is not None and obs.max() > max_admissible_n:
-        raise ValueError(
-            f"click count {int(obs.max())} exceeds the stability cutoff {max_admissible_n}: "
-            f"the posterior for such counts leaks beyond mu_max={matrix.mu_max} and the "
-            "grid answer would be an artifact of the truncation"
-        )
+    _refuse_above_cutoff(int(obs.max()), max_admissible_n, matrix.mu_max)
     with np.errstate(divide="ignore"):
         logp = np.log(matrix.rows[:, obs]).sum(axis=1)
     top = logp.max()
@@ -264,30 +270,29 @@ def stability_max_n(system: SystemConfig, mu_max: int, tolerance: float = 0.01) 
 
 
 def _stability_build(system: SystemConfig, mu_max: int, tolerance: float) -> tuple[ResponseMatrix, int]:
-    """The [0, 2 * mu_max] matrix stability_max_n builds, and the cutoff it gives.
+    """The exact [0, mu_max] matrix and the stability cutoff, from one build on [0, 2 * mu_max].
 
-    Callers that also need the [0, mu_max] matrix take its first
-    mu_max + 1 rows instead of building it again.
+    The [0, mu_max] matrix is the wide build's first mu_max + 1 rows, so a
+    caller that also inverts with it needs no second build.
     """
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance!r}")
     wide = build_matrix(system, 2 * mu_max)
     unstable = np.flatnonzero(~(_stability_tv(wide.rows, mu_max) < tolerance))
-    return wide, int(unstable[0]) - 1 if unstable.size else wide.num_bins
+    cutoff = int(unstable[0]) - 1 if unstable.size else wide.num_bins
+    head = slice(0, mu_max + 1)
+    return ResponseMatrix(wide.system, wide.rows[head], wide.provenance[head], wide.method), cutoff
 
 
 @dataclass
 class RelativeErrorCurve:
     """Credible-interval width against accumulated shots, over repeated trials.
 
-    rel_err[t, k - 1] is the 90% interval width divided by the true mu
-    after k shots in trial t.
+    rel_err[t, k - 1] is the credible-interval width divided by the true
+    mu after k shots in trial t.
     """
 
-    mu_true: float
-    level: float
     rel_err: np.ndarray
-    max_admissible_n: int | None
 
     def median(self) -> np.ndarray:
         return np.median(self.rel_err, axis=0)
@@ -375,4 +380,4 @@ def relative_error_curve(
         post /= post.sum(axis=1, keepdims=True)
         lo, hi = _hpd_rows(post, level)
         rel_err[t] = (hi - lo + 1) / mu_true
-    return RelativeErrorCurve(mu_true=mu_true, level=level, rel_err=rel_err, max_admissible_n=max_admissible_n)
+    return RelativeErrorCurve(rel_err)

@@ -161,6 +161,13 @@ MUTANTS = (
         ("test_inference.py", "test_inference_stream.py"),
     ),
     Mutant(
+        "inference.refusal_rejects_the_cutoff_count",
+        "inference.py",
+        "if cutoff is not None and worst > cutoff:",
+        "if cutoff is not None and worst >= cutoff:",
+        ("test_inference.py::test_posterior_multi_validation", "test_cli.py::test_infer_cutoff_override"),
+    ),
+    Mutant(
         "response_matrix.interpolation_fraction",
         "response_matrix.py",
         "frac = (np.arange(lo + 1, hi) - lo) / (hi - lo)",

@@ -53,6 +53,10 @@ def test_shots_to_target_validation():
         shots_to_relative_error(0.0)
     with pytest.raises(ValueError):
         shots_to_relative_error(0.1, convention="double")
+    # No gate count exists for a non-finite target, and below about 5e-154 (full width) it overflows a float.
+    for target in (math.nan, math.inf, 1e-200, 5e-324):
+        with pytest.raises(ValueError, match="target"):
+            shots_to_relative_error(target)
 
 
 def test_relative_error_after_matches_curve():

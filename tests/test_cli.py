@@ -11,6 +11,7 @@ import binflux.inference as inference
 from binflux import (
     Coherent,
     DetectorSpec,
+    ModelUnsupportedError,
     MultiplexerSpec,
     ResponseMatrix,
     SystemConfig,
@@ -19,6 +20,7 @@ from binflux import (
     coherent_click_distribution,
     fingerprint,
     load_matrix,
+    posterior_multi,
     relative_error_curve,
     save_matrix,
     save_system,
@@ -26,6 +28,7 @@ from binflux import (
     stability_max_n,
 )
 from binflux.cli import _fmt, main
+from binflux.exact_oracle import coherent_click_rows
 from binflux.response_matrix import RowProvenance
 
 
@@ -42,8 +45,8 @@ def test_version_agrees_across_package_project_and_cli(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    assert binflux.__version__ == declared == "0.4.0"
-    assert capsys.readouterr().out == "binflux 0.4.0\n"
+    assert binflux.__version__ == declared == "0.5.0"
+    assert capsys.readouterr().out == "binflux 0.5.0\n"
 
 
 def test_presets_listing(capsys):
@@ -117,20 +120,32 @@ def test_simulate_json_output(tmp_path):
     assert max(i for i, c in enumerate(doc["histogram"]) if c) <= 4
 
 
-def test_simulate_source_usage_errors(tmp_path):
+def _parser_error(argv, capsys) -> str:
+    """stderr of an option conflict, which the parser reports with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+def test_simulate_source_usage_errors(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     base = ["simulate", "--preset", "rapid32", "--shots", "10", "--seed", "1", "-o", out]
-    assert main(base) == 2
-    assert main(base + ["--mu", "2", "--fock", "3"]) == 2
+    assert "one of the arguments --mu --fock is required" in _parser_error(base, capsys)
+    err = _parser_error(base + ["--mu", "2", "--fock", "3"], capsys)
+    assert "argument --fock: not allowed with argument --mu" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
-def test_system_source_usage_errors(tmp_path):
+def test_system_source_usage_errors(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     cfg = tmp_path / "sys.json"
     save_system(preset("rapid32"), cfg)
     args = ["simulate", "--mu", "2", "--shots", "10", "--seed", "1", "-o", out]
-    assert main(args) == 2
-    assert main(args + ["--preset", "rapid32", "--config", str(cfg)]) == 2
+    assert "one of the arguments --preset --config is required" in _parser_error(args, capsys)
+    err = _parser_error(args + ["--preset", "rapid32", "--config", str(cfg)], capsys)
+    assert "argument --config: not allowed with argument --preset" in err
+    assert not (tmp_path / "x.csv").exists()
     assert main(args + ["--config", str(cfg)]) == 0
 
 
@@ -184,6 +199,18 @@ def test_infer_count_above_cutoff(matrix_file, capsys):
     assert "stability cutoff" in capsys.readouterr().err
 
 
+def test_infer_refusal_is_the_library_refusal(matrix_file, tmp_path, capsys):
+    # infer --obs prints, after its label, the message posterior_multi raises for the same counts.
+    obs = tmp_path / "obs.txt"
+    obs.write_text("5\n17\n")
+    assert main(["infer", "-m", str(matrix_file), "--obs", str(obs)]) == 4
+    err = capsys.readouterr().err
+    matrix = load_matrix(matrix_file)
+    with pytest.raises(ModelUnsupportedError, match="stability cutoff") as exc:
+        posterior_multi(matrix, [5, 17], max_admissible_n=stability_max_n(matrix.system, matrix.mu_max))
+    assert err == f"binflux: unsupported by this model: {exc.value}\n"
+
+
 def test_infer_cutoff_override(matrix_file):
     assert main(["infer", "-m", str(matrix_file), "--n", "20", "--max-n", "20"]) == 0
     assert main(["infer", "-m", str(matrix_file), "--n", "20", "--no-stability"]) == 0
@@ -212,11 +239,12 @@ def test_infer_count_past_the_bins_is_a_usage_error_before_the_cutoff(matrix_fil
     assert list(out.parent.iterdir()) == []
 
 
-def test_infer_requires_one_observation_source(matrix_file, tmp_path):
-    assert main(["infer", "-m", str(matrix_file)]) == 2
+def test_infer_requires_one_observation_source(matrix_file, tmp_path, capsys):
+    assert "one of the arguments --n --obs is required" in _parser_error(["infer", "-m", str(matrix_file)], capsys)
     obs = tmp_path / "obs.txt"
     obs.write_text("1\n")
-    assert main(["infer", "-m", str(matrix_file), "--n", "1", "--obs", str(obs)]) == 2
+    err = _parser_error(["infer", "-m", str(matrix_file), "--n", "1", "--obs", str(obs)], capsys)
+    assert "argument --obs: not allowed with argument --n" in err
 
 
 def test_infer_nan_matrix_cell_is_format_error(matrix_file, tmp_path, capsys):
@@ -358,7 +386,7 @@ def test_compare_smoke(tmp_path, capsys):
     assert (tmp_path / "compare.csv.manifest.json").exists()
 
 
-@pytest.mark.parametrize("target", ["0", "-0.5"])
+@pytest.mark.parametrize("target", ["0", "-0.5", "nan", "inf", "1e-200"])
 def test_compare_rejects_target_before_writing(tmp_path, capsys, target):
     out = tmp_path / "compare.csv"
     rc = main(
@@ -571,7 +599,6 @@ def test_convergence_curve_equals_separate_builds(rapid32):
     ref = relative_error_curve(
         rapid32, build_matrix(rapid32, 150), 80.0, 60, 4, 6, level=0.90, max_admissible_n=cutoff
     )
-    assert curve.max_admissible_n == cutoff
     assert np.array_equal(curve.rel_err, ref.rel_err)
 
 
@@ -587,18 +614,35 @@ def test_mc_matrix_records_the_mc2_stream(tmp_path):
 
 
 def test_sweep_over_mu_csv_matches_per_value_construction(rapid32, tmp_path):
-    # One all-mu exact call gives the same bytes as one exact row per value.
+    # One all-mu exact call gives the same bytes as one exact row per value,
+    # also for an unsorted list with a repeat; sweep walks the sorted distinct values.
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--preset", "rapid32", "--over", "mu", "--values", "0,1,10,100,400,10"]
     assert main(argv + ["--shots", "500", "--seed", "5", "-o", str(out)]) == 0
     weights = rapid32.bin_weights()
+    given = (0, 1, 10, 100, 400, 10)
+    exact = {mu: coherent_click_distribution(float(mu), weights, rapid32.detector).probs for mu in given}
+    for mu, row in zip(given, coherent_click_rows(given, weights, rapid32.detector)):
+        assert np.array_equal(row, exact[mu])
     lines = ["mu,n,count,probability,probability_exact"]
-    for mu in (0, 1, 10, 100, 400, 10):
+    for mu in sorted(set(given)):
         batch = simulate_batch(Coherent(float(mu)), weights, rapid32.detector, 500, 5)
-        exact = coherent_click_distribution(float(mu), weights, rapid32.detector).probs
         for n, c in enumerate(batch.histogram):
-            lines.append(f"{mu},{n},{c},{_fmt(c / batch.n_shots)},{_fmt(exact[n])}")
+            lines.append(f"{mu},{n},{c},{_fmt(c / batch.n_shots)},{_fmt(exact[mu][n])}")
     assert out.read_text() == "\n".join(lines) + "\n"
+
+
+def test_sweep_over_mu_walks_sorted_distinct_values(tmp_path, capsys):
+    # --over mu walks the same grid as --over shots: a repeat adds no block, and the order is ascending.
+    argv = ["sweep", "--preset", "conventional16", "--over", "mu", "--shots", "200", "--seed", "4"]
+    once, twice, reversed_ = tmp_path / "once.csv", tmp_path / "twice.csv", tmp_path / "reversed.csv"
+    assert main([*argv, "--values", "1,5", "-o", str(once)]) == 0
+    assert capsys.readouterr().out.endswith("sweep over mu at 2 points\n")
+    assert main([*argv, "--values", "5,1,5", "-o", str(twice)]) == 0
+    assert capsys.readouterr().out.endswith("sweep over mu at 2 points\n")
+    assert main([*argv, "--values", "5,1", "-o", str(reversed_)]) == 0
+    assert twice.read_bytes() == reversed_.read_bytes() == once.read_bytes()
+    assert len(once.read_text().splitlines()) == 1 + 2 * 17
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ import pytest
 from binflux import (
     DegenerateEvidenceError,
     DetectorSpec,
+    ModelUnsupportedError,
     MultiplexerSpec,
     Posterior,
     ResponseMatrix,
@@ -149,7 +150,7 @@ def test_posterior_multi_validation(rapid32_matrix400):
         posterior_multi(rapid32_matrix400, [])
     with pytest.raises(ValueError, match=r"\[0, 32\]"):
         posterior_multi(rapid32_matrix400, [33])
-    with pytest.raises(ValueError, match="stability cutoff"):
+    with pytest.raises(ModelUnsupportedError, match="stability cutoff"):
         posterior_multi(rapid32_matrix400, [5, 17], max_admissible_n=16)
     # At or below the cutoff the same sequence is accepted.
     post = posterior_multi(rapid32_matrix400, [5, 16], max_admissible_n=16)
