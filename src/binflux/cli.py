@@ -265,8 +265,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     rows = (f"{i + 1},{_fmt(med[i])},{_fmt(base[i])}" for i in range(args.max_shots))
     _write_lines(out, "shots,rel_err_multiplexed,rel_err_single_pixel", rows)
     _write_manifest(out, args, system)
-    head = f"wrote {out}: to reach {args.target:.0%} relative width at mu={args.mu}: "
-    single = f"single-pixel {base_shots} shots ({args.baseline_convention} width)"
+    head = f"wrote {out}: to reach {100 * args.target:.3g}% relative width at mu={args.mu}: "
+    gates = f"{base_shots:.4g}" if base_shots >= 10**6 else base_shots
+    single = f"single-pixel {gates} shots ({args.baseline_convention} width)"
     if np.isinf(mux_shots):
         print(f"{head}multiplexed (median) not reached within --max-shots {args.max_shots}, {single}")
     else:
@@ -283,6 +284,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise UsageError("--mu is required with --over shots")
         if values[0] < 1:
             raise UsageError(f"--values: shot counts must be >= 1, got {values[0]}")
+    elif values[0] < 0:
+        raise UsageError(f"--values: mu must be >= 0, got {values[0]}")
     system = _resolve_system(args)
     weights = system.bin_weights()
     out = Path(args.output)

@@ -128,8 +128,10 @@ def posterior_multi(
 # temporaries at a few (rows, cap) arrays whatever the row width.
 _HPD_FIRST_WINDOW = 8
 _HPD_MAX_WINDOW = 64
-# float64 exp is exactly 0.0 at or below this (2**-1075 = exp(-745.13...)).
-_EXP_FLOOR = -746.0
+# Log posteriors at or below this, relative to their row's peak, skip exp.
+# Above it exp is a normal double, > 9.9e-305, and stays one divided by its
+# row sum (at most the grid size) on grids of up to 4430 values.
+_EXP_FLOOR = -700.0
 
 
 def _hpd_rows(P: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
@@ -326,8 +328,12 @@ def relative_error_curve(
     interval width after every accumulated shot. A trial's max_shots
     posteriors are built as one (shots, mu) array and their intervals found
     together by the same greedy rule credible_interval applies. Log
-    posteriors at or below _EXP_FLOOR, where exp is exactly 0, are set to 0
-    without calling exp, whose underflowing and denormal results are slow.
+    posteriors 700 or more below their row's peak (_EXP_FLOOR) are set to 0
+    without calling exp: on grids of up to 4430 values every kept cell and
+    its normalised value is then a normal double, and no arithmetic runs on
+    slow subnormals. Dropped cells lie below e^-700 of the peak cell, which
+    is 1, so in every case tested they change neither a row sum nor an
+    interval (verified, not proven for every row).
     """
     if mu_true <= 0.0:
         raise ValueError(f"mu_true must be > 0, got {mu_true!r}")

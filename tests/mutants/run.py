@@ -168,6 +168,14 @@ MUTANTS = (
         ("test_inference.py::test_posterior_multi_validation", "test_cli.py::test_infer_cutoff_override"),
     ),
     Mutant(
+        "inference.exp_floor_where_exp_underflows",
+        "inference.py",
+        "_EXP_FLOOR = -700.0",
+        "_EXP_FLOOR = -746.0",
+        # rel_err is the same under this mutant: only the posterior it hands _hpd_rows can show it.
+        ("test_batched.py::test_relative_error_curve_hands_hpd_no_subnormal_cell",),
+    ),
+    Mutant(
         "response_matrix.interpolation_fraction",
         "response_matrix.py",
         "frac = (np.arange(lo + 1, hi) - lo) / (hi - lo)",

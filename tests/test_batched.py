@@ -372,25 +372,114 @@ def test_running_mass_hpd_matches_scalar_loop_on_wide_rows(kind, n):
         assert (int(lo[0]), int(hi[0])) == reference_hpd(p, level)[:2]
 
 
-def test_exp_floor_is_where_exp_is_exactly_zero():
+def test_exp_floor_keeps_normal_doubles_and_drops_cells_700_below_the_peak():
     floor = inference._EXP_FLOOR
-    at_or_below = np.array([-np.inf, -1e300, -1000.0, floor - 1e-9, np.nextafter(floor, -np.inf), floor])
-    assert np.all(np.exp(at_or_below) == 0.0)
-    # A sweep across the normal (> -708.4), denormal and underflow ranges,
-    # exponentiated the way relative_error_curve does it.
-    x = np.concatenate([np.linspace(-800.0, 0.0, 400_001), at_or_below])
+    # Log posteriors are taken relative to their row's peak, so a dropped
+    # cell lies at least 700 below it.
+    assert floor <= -700.0
+    # A sweep across the normal (> -708.4), subnormal and underflow ranges,
+    # exponentiated the way relative_error_curve does it. A row sum is at
+    # most the grid size, so on a 4430-value grid a kept cell normalises to
+    # at least its exp / 4430.
+    x = np.concatenate([np.linspace(-800.0, 0.0, 400_001), [np.nextafter(floor, 0.0), floor]])
     post = x.copy()
     keep = post > floor
     np.exp(post, out=post, where=keep)
     np.copyto(post, 0.0, where=~keep)
-    expected = np.exp(x)
-    assert np.array_equal(post, expected)
-    assert ((expected > 0.0) & (expected < np.finfo(float).tiny)).any() and (expected == 0.0).any()
+    tiny = np.finfo(float).tiny
+    assert post[keep].min() >= tiny and (post[keep] / 4430.0).min() >= tiny
+    assert np.all(post[~keep] == 0.0)
+    assert ((np.exp(x) > 0.0) & (np.exp(x) < tiny)).any()
 
 
-def test_relative_error_curve_is_unchanged_by_the_exp_floor(monkeypatch, rapid32, rapid32_matrix400):
-    # With no floor, every finite log posterior goes through exp.
-    args = (rapid32, rapid32_matrix400, 100.0, 200, 4)
-    floored = relative_error_curve(*args, seed=5, max_admissible_n=16).rel_err
-    monkeypatch.setattr(inference, "_EXP_FLOOR", -np.inf)
-    assert np.array_equal(relative_error_curve(*args, seed=5, max_admissible_n=16).rel_err, floored)
+def _curve_posteriors(log_cols, counts, floor):
+    """The normalised posteriors after 1, 2, ... shots and their row sums, built as relative_error_curve does."""
+    post = log_cols[counts]
+    np.cumsum(post, axis=0, out=post)
+    post -= post.max(axis=1, keepdims=True)
+    keep = post > floor
+    np.exp(post, out=post, where=keep)
+    np.copyto(post, 0.0, where=~keep)
+    total = post.sum(axis=1, keepdims=True)
+    return post / total, total
+
+
+@pytest.fixture(scope="module")
+def curve_likelihoods(rapid32, conventional16, mechanistic32):
+    """Per system: log columns of the exact [0, 400] matrix, its rows and the stability cutoff."""
+    cases = {}
+    for system in (rapid32, conventional16, mechanistic32):
+        matrix, cutoff = inference._stability_build(system, 400, 0.01)
+        with np.errstate(divide="ignore"):
+            cases[system.name] = (np.ascontiguousarray(np.log(matrix.rows).T), matrix.rows, cutoff)
+    return cases
+
+
+@given(
+    name=st.sampled_from(["rapid32", "conventional16", "rapid32-mechanistic"]),
+    mu=st.integers(1, 400),
+    shots=st.integers(1, 400),
+    uniform=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_exp_floor_leaves_row_sums_and_intervals_of_real_posteriors_unchanged(
+    curve_likelihoods, name, mu, shots, uniform, seed
+):
+    log_cols, rows, cutoff = curve_likelihoods[name]
+    # Counts up to the cutoff, as the curve keeps them: drawn from the exact
+    # law at mu, or uniformly, which gives far more lopsided posteriors.
+    law = None if uniform else rows[mu, : cutoff + 1] / rows[mu, : cutoff + 1].sum()
+    counts = np.random.default_rng(seed).choice(cutoff + 1, size=shots, p=law)
+    floored, total = _curve_posteriors(log_cols, counts, inference._EXP_FLOOR)
+    unfloored, unfloored_total = _curve_posteriors(log_cols, counts, -np.inf)
+    assert np.array_equal(total, unfloored_total)
+    for level in (0.5, 0.9, 0.99):
+        for a, b in zip(_hpd_rows(floored, level), _hpd_rows(unfloored, level)):
+            assert np.array_equal(a, b)
+    # Every kept cell is a normal double, and every dropped one lay at
+    # least 700 below its row's peak.
+    assert not ((floored > 0.0) & (floored < np.finfo(float).tiny)).any()
+    log_post = np.cumsum(log_cols[counts], axis=0)
+    log_post -= log_post.max(axis=1, keepdims=True)
+    dropped = (floored == 0.0) & np.isfinite(log_post)
+    assert np.all(log_post[dropped] <= -700.0)
+
+
+def _capture_posteriors(monkeypatch):
+    """Record a copy of every posterior array relative_error_curve hands to _hpd_rows."""
+    seen = []
+    original = inference._hpd_rows
+
+    def capturing(P, level):
+        seen.append(P.copy())
+        return original(P, level)
+
+    monkeypatch.setattr(inference, "_hpd_rows", capturing)
+    return seen
+
+
+def test_relative_error_curve_is_unchanged_by_the_exp_floor(monkeypatch, rapid32, conventional16, mechanistic32):
+    # With no floor, every finite log posterior goes through exp. The last
+    # case puts mu near the grid edge, where the posterior's upper tail is cut.
+    seen = _capture_posteriors(monkeypatch)
+    floor = inference._EXP_FLOOR
+    for system, mu in ((rapid32, 100.0), (conventional16, 100.0), (mechanistic32, 100.0), (rapid32, 300.0)):
+        matrix, cutoff = inference._stability_build(system, 400, 0.01)
+        curves = []
+        for f in (floor, -np.inf):
+            monkeypatch.setattr(inference, "_EXP_FLOOR", f)
+            curves.append(relative_error_curve(system, matrix, mu, 200, 4, seed=5, max_admissible_n=cutoff).rel_err)
+        assert np.array_equal(curves[0], curves[1]), (system.name, mu)
+        # The floor does drop cells that exp keeps as nonzero: the
+        # posteriors differ, the widths do not.
+        assert any(not np.array_equal(a, b) for a, b in zip(seen[:4], seen[4:])), (system.name, mu)
+        seen.clear()
+
+
+def test_relative_error_curve_hands_hpd_no_subnormal_cell(monkeypatch, rapid32, rapid32_matrix400):
+    seen = _capture_posteriors(monkeypatch)
+    relative_error_curve(rapid32, rapid32_matrix400, 100.0, 400, 3, seed=1, max_admissible_n=16)
+    assert len(seen) == 3
+    for P in seen:
+        assert not ((P > 0.0) & (P < np.finfo(float).tiny)).any()

@@ -441,6 +441,28 @@ def test_compare_rejects_nan_tolerance_before_writing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "target, percent, gates",
+    [
+        ("0.1", "10%", "4506"), ("0.05", "5%", "18024"), ("7e-3", "0.7%", "919549"),
+        ("6.7e-3", "0.67%", "1.004e+06"), ("1e-3", "0.1%", "4.506e+07"), ("1e-150", "1e-148%", "4.506e+301"),
+    ],
+)
+def test_compare_summary_stays_readable_for_tiny_targets(tmp_path, capsys, target, percent, gates):
+    # The target reads as a percentage to 3 significant digits, and a gate
+    # count of 10**6 or more in 4 significant digits rather than every digit.
+    out = tmp_path / "compare.csv"
+    rc = main(
+        ["compare", "--preset", "rapid32", "--mu", "100", "--max-shots", "5", "--trials", "2",
+         "--seed", "3", f"--target={target}", "-o", str(out)]
+    )
+    assert rc == 0
+    summary = capsys.readouterr().out
+    assert f"to reach {percent} relative width at mu=100.0: " in summary
+    assert f"single-pixel {gates} shots (full width)" in summary
+    assert not re.search(r"\d{8}", summary)
+
+
 def test_sweep_over_mu(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = main(
@@ -490,6 +512,20 @@ def test_sweep_over_shots_rejects_values_below_one(tmp_path, capsys, values):
     assert rc == 2
     assert "shot counts must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("values", ["-1,5", "5,-1", "-7,-1"])
+def test_sweep_over_mu_rejects_negative_values(tmp_path, capsys, values):
+    # The message names the option and the smallest value, not the whole list.
+    out = tmp_path / "s.csv"
+    rc = main(
+        ["sweep", "--preset", "rapid32", "--over", "mu", f"--values={values}", "--shots", "10",
+         "--seed", "2", "-o", str(out)]
+    )
+    assert rc == 2
+    smallest = min(int(v) for v in values.split(","))
+    assert f"--values: mu must be >= 0, got {smallest}\n" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "s.csv.manifest.json").exists()
 
 
 def test_infer_inconsistent_matrix_is_format_error(matrix_file, tmp_path, capsys):
