@@ -1,20 +1,27 @@
 """Counter-based random numbers with a fixed per-shot budget.
 
 Reproducibility contract: a shot is addressed by (seed, shot_index) alone.
-Each shot owns a fixed number of "lanes" decided up front by the source and
-system, and lane j of shot i is always drawn from the same Philox counters,
-so batch size, chunking, and worker count cannot change a shot's outcome.
+Each shot owns a fixed number of "lanes", 64-bit Philox words decided up
+front by the source and system, and lane j of shot i is always drawn from
+the same Philox counters, so batch size, chunking, and worker count cannot
+change a shot's outcome.
 
 Philox emits 4 64-bit words per counter, so a shot with L lanes reserves
 ceil(L / 4) counters. Shot i uses counters [i * steps, (i + 1) * steps);
 unused tail lanes are reserved but never read.
 
-A lane is a 53-bit integer, the word w shifted right by 11 bits. numpy's
-Generator.random turns the same word into the double (w >> 11) * 2**-53,
-and that product is exact, so u >= p holds exactly when
-lane >= lane_threshold(p). Every decision the kernels make is such an
-integer comparison: they draw the same stream as the float uniforms and
-reach the same outcome for every shot.
+A lane serves either one full decision or two gate decisions:
+
+* Full: the lane's top 53 bits, w >> 11, the integer behind
+  Generator.random's double (w >> 11) * 2**-53. u >= p holds exactly when
+  (w >> 11) >= lane_threshold(p). Photon routing reads full lanes.
+* Half: each 32-bit half-word h, low half first, decides one Bernoulli
+  gate. The event of probability p happens when h < ceil(p * 2**32)
+  (gate_threshold), with probability ceil(p * 2**32) * 2**-32, which lies
+  in [p, p + 2**-32). Coupling h with an exact-p uniform, B such decisions
+  differ from exact-probability ones with probability below B * 2**-32,
+  so the law of their click total is within that total variation of the
+  exact law.
 """
 
 from __future__ import annotations
@@ -23,6 +30,15 @@ import numpy as np
 
 _OUTPUTS_PER_COUNTER = 4
 _LANE_BITS = 53
+_HALF_BITS = 32
+
+
+def _check_seed(seed) -> int:
+    """seed as an int, checked to be an integer >= 0."""
+    # bool is an int subclass, but True is not a seed.
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
 
 
 def philox_key(seed: int) -> np.ndarray:
@@ -30,7 +46,7 @@ def philox_key(seed: int) -> np.ndarray:
 
     Per-trial or per-row substreams take their seed from derive_seed.
     """
-    return np.random.SeedSequence([int(seed)]).generate_state(2, np.uint64)
+    return np.random.SeedSequence([_check_seed(seed)]).generate_state(2, np.uint64)
 
 
 def derive_seed(seed: int, *stream: int) -> int:
@@ -39,24 +55,42 @@ def derive_seed(seed: int, *stream: int) -> int:
     Used where a component (a matrix row, a repeated trial) needs its own
     recordable seed that is still a pure function of the user seed.
     """
-    return int(np.random.SeedSequence([int(seed), *map(int, stream)]).generate_state(1, np.uint64)[0])
+    return int(np.random.SeedSequence([_check_seed(seed), *map(int, stream)]).generate_state(1, np.uint64)[0])
 
 
 def lane_threshold(p) -> np.ndarray:
-    """ceil(p * 2**53) as uint64: lane >= lane_threshold(p) exactly when u >= p.
+    """ceil(p * 2**53) as uint64: (w >> 11) >= lane_threshold(p) exactly when u >= p.
 
     p * 2**53 is exact in float64, so the ceiling loses nothing. p >= 1
-    maps to 2**53 or more, above every lane.
+    maps to 2**53 or more, above every full lane.
     """
     return np.ceil(np.ldexp(np.asarray(p, dtype=float), _LANE_BITS)).astype(np.uint64)
 
 
-def uniform_lanes(key: np.ndarray, start_shot: int, n_shots: int, lanes: int) -> np.ndarray:
-    """53-bit integer lanes (uint64), shape (n_shots, lanes), for a contiguous shot range.
+def gate_threshold(p) -> tuple[np.ndarray, np.ndarray]:
+    """(t, full) with h < ceil(p * 2**32) exactly when (h < t) | full, for every half-word h.
 
-    Lane j of row i is the j-th word of shot start_shot + i shifted right
-    by 11 bits, the integer behind Generator.random's uniform on the same
-    counter. Rows are independent of how the overall run is split into calls.
+    ceil(p * 2**32) is 2**32 for p > 1 - 2**-32, one past the uint32 range:
+    every half-word lies below it. t clips it to 2**32 - 1 and full marks
+    those gates, so p = 1 stays certain. p = 0 gives t = 0, below no
+    half-word.
+    """
+    ceil = np.ceil(np.ldexp(np.asarray(p, dtype=float), _HALF_BITS))
+    full = ceil >= 2.0**_HALF_BITS
+    return np.minimum(ceil, 2.0**_HALF_BITS - 1).astype(np.uint32), full
+
+
+def half_words(lanes: np.ndarray) -> np.ndarray:
+    """The 32-bit halves of lanes (..., L) as (..., 2L) uint32, low half first; a view on little-endian hosts."""
+    return lanes.astype("<u8", copy=False).view("<u4")
+
+
+def uniform_lanes(key: np.ndarray, start_shot: int, n_shots: int, lanes: int) -> np.ndarray:
+    """Raw Philox words (uint64), shape (n_shots, lanes), for a contiguous shot range.
+
+    Lane j of row i is the j-th word of shot start_shot + i. The rows are
+    a view of one freshly drawn block, so callers may shift them in place.
+    Rows are independent of how the overall run is split into calls.
     """
     if lanes <= 0:
         raise ValueError(f"lanes must be positive, got {lanes}")
@@ -66,5 +100,4 @@ def uniform_lanes(key: np.ndarray, start_shot: int, n_shots: int, lanes: int) ->
     block = np.random.Philox(counter=start_shot * steps, key=key).random_raw(
         n_shots * steps * _OUTPUTS_PER_COUNTER
     )
-    block >>= 64 - _LANE_BITS
     return block.reshape(n_shots, steps * _OUTPUTS_PER_COUNTER)[:, :lanes]

@@ -2,28 +2,33 @@
 
 Every shot draws its randomness from fixed Philox counter lanes (see _rng),
 so results are bit-identical across chunk sizes and worker counts. The lane
-layout is versioned as the "mc2" stream (MC_KERNEL), which matrix
-provenance and CLI manifests record. Lane layout per shot:
+layout is versioned as the "mc3" stream (MC_KERNEL), which matrix
+provenance and CLI manifests record. Gate decisions read 32-bit half-words,
+two per lane, low half first. Lane layout per shot:
 
-* Coherent source, B bins: lane b in [0, B) clicks gate b when
-  u_b >= (1 - d_b) * exp(-mu * q_b * eta), the gate's no-click probability
-  with its dark count folded in (detector_model.no_click_probabilities;
-  no photon number is drawn). [B, 2B) undershoot suppression, reserved only
-  for a history-dependent detector.
-* Fock source with n photons: lanes [0, n) route photons to bins, then
-  [n, n + B) dark clicks, and [n + B, n + 2B) undershoot suppression, again
-  only for a history-dependent detector.
+* Coherent source, B bins: half-word b in [0, B) clicks gate b when
+  h_b >= ceil(s_b * 2**32), s_b = (1 - d_b) * exp(-mu * q_b * eta) the
+  gate's no-click probability with its dark count folded in
+  (detector_model.no_click_probabilities; no photon number is drawn).
+  Half-words [B, 2B) are undershoot misses, reserved only for a
+  history-dependent detector. That is ceil(B / 2) or B lanes.
+* Fock source with n photons: lanes [0, n) route photons to bins, each a
+  full 53-bit lane, then the gate half-words: [0, B) dark clicks and
+  [B, 2B) undershoot misses, again only for a history-dependent detector.
 
-The kernel never forms the uniforms u. Lanes are 53-bit integers, and each
-probability above becomes an integer threshold once per call
-(_rng.lane_threshold), so every test is an exact integer comparison with
-the outcome the float test gives: the stream is the same mc2 stream, bit
-for bit. Photons are routed by a bucket table over the top 12 lane bits
-instead of a binary search. A photon lane at or above the lost cell's
-threshold reaches no bin; one comparison drops those lanes (about 89 % of
-a Fock(200) pulse on rapid32), so only the detected photons are routed.
-Clicks are kept one row per bin, and chunks hold about 2**19 lanes so that
-their arrays stay cache-sized.
+A dark click or a miss of probability p happens when h < ceil(p * 2**32).
+Each probability becomes an integer threshold once per call
+(_rng.gate_threshold, _rng.lane_threshold), so every decision is an
+integer comparison, equal to the float test u >= s or u < p on
+u = h * 2**-32 or u = (w >> 11) * 2**-53. A gate's event then has
+probability within 2**-32 of its exact p, and p = 0 and p = 1 stay
+certain; the click total's law is within B * 2**-32 of the exact law
+(2B * 2**-32 with undershoot misses). Photons are routed by a bucket table
+over the top 12 bits of a full lane instead of a binary search. A photon
+lane at or above the lost cell's threshold reaches no bin; one comparison
+drops those lanes (about 89 % of a Fock(200) pulse on rapid32), so only
+the detected photons are routed. Clicks are kept one row per bin, and
+chunks hold about 2**19 lanes so that their arrays stay cache-sized.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import lane_threshold, philox_key, uniform_lanes
+from ._rng import _LANE_BITS, gate_threshold, half_words, lane_threshold, philox_key, uniform_lanes
 from .detector_model import (
     DetectorSpec,
     effective_efficiency,
@@ -47,7 +52,7 @@ FOCK_MC_CAP = 1_000_000
 
 # Version of the lane layout above. Seeds recorded under another version
 # do not reproduce their rows with this kernel.
-MC_KERNEL = "mc2"
+MC_KERNEL = "mc3"
 
 # Lanes per chunk: 4 MB of uint64, so a chunk's lanes and the arrays made
 # from them stay near the CPU caches whatever the lane layout.
@@ -150,32 +155,33 @@ class _Kernel:
         self.n_bins = b
         self.source = source
         if isinstance(source, Coherent):
-            self.silent = lane_threshold(no_click_probabilities(source.mu, weights, detector))
-            self.lanes = b
+            self.silent = gate_threshold(no_click_probabilities(source.mu, weights, detector))
+            self.gate_off = 0
         else:
             if source.n_photons > FOCK_MC_CAP:
                 raise ValueError(
                     f"Fock.n_photons={source.n_photons} exceeds the Monte Carlo cap of {FOCK_MC_CAP}"
                 )
             eta = effective_efficiency(detector, float(source.n_photons))
-            self.dark = lane_threshold(per_bin_dark_probabilities(weights, detector))
+            self.dark = gate_threshold(per_bin_dark_probabilities(weights, detector))
             cells = np.append(weights.weights * eta, max(0.0, 1.0 - eta * weights.weights.sum()))
             route_cum = np.cumsum(cells)
             route_cum[-1] = max(route_cum[-1], 1.0)
             self.route = lane_threshold(route_cum)
             self.route_table, self.route_span = _routing_table(self.route)
-            self.lanes = source.n_photons + b
-        self.us_off = self.lanes
+            self.gate_off = source.n_photons
         if detector.history_dependent:
-            self.lanes += b
-            self.miss = lane_threshold(detector.undershoot.p_miss_next)
+            self.miss = gate_threshold(np.full(b, detector.undershoot.p_miss_next))
             self.det_bins = [np.flatnonzero(weights.detector_of_bin == d) for d in (0, 1)]
         else:
             self.miss = None
             self.det_bins = []
+        # Two gate decisions per lane: B half-words, and B more for undershoot misses.
+        gates = b if self.miss is None else 2 * b
+        self.lanes = self.gate_off + -(-gates // 2)
 
     def _fock_hits(self, lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Route photon lanes (shots, n): (photon hit mask (shots, B), detected photons per bin).
+        """Route full photon lanes (shots, n): (photon hit mask (shots, B), detected photons per bin).
 
         A lane at or above the lost cell's threshold route[B - 1] lands in
         the lost cell, so only the lanes below it are routed and counted.
@@ -183,11 +189,45 @@ class _Kernel:
         (m, n), b = lanes.shape, self.n_bins
         pos = np.flatnonzero(lanes < self.route[b - 1])
         shot = pos // n
-        idx = _route(lanes[shot, pos - shot * n], self.route, self.route_table, self.route_span)
+        pos -= shot * n
+        detected = lanes[shot, pos]
+        del pos  # one array fewer alive while routing: the chunk's peak memory
+        idx = _route(detected, self.route, self.route_table, self.route_span)
         photons = np.bincount(idx, minlength=b)
         hit = np.zeros((m, b), dtype=bool)
         hit.ravel()[shot * b + idx] = True
         return hit, photons
+
+    def _decide(
+        self, key: np.ndarray, start_shot: int, n_shots: int
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """Per-shot clicks before undershoot (shots, B), misses (shots, B) or None, and detected photons.
+
+        The lanes die on return, so a chunk's word block is freed before
+        run makes the per-bin rows.
+        """
+        lanes = uniform_lanes(key, start_shot, n_shots, self.lanes)
+        gates = half_words(lanes[:, self.gate_off :])
+        b = self.n_bins
+        if isinstance(self.source, Coherent):
+            photons = None
+            t, full = self.silent
+            clicks = gates[:, :b] >= t
+            clicks[:, full] = False
+        else:
+            photon_lanes = lanes[:, : self.gate_off]
+            photon_lanes >>= 64 - _LANE_BITS
+            hit, photons = self._fock_hits(photon_lanes)
+            t, full = self.dark
+            clicks = gates[:, :b] < t
+            clicks[:, full] = True
+            clicks |= hit
+        if self.miss is None:
+            return clicks, None, photons
+        t, full = self.miss
+        miss = gates[:, b : 2 * b] < t
+        miss[:, full] = True
+        return clicks, miss, photons
 
     def run(self, key: np.ndarray, start_shot: int, n_shots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Simulate shots [start_shot, start_shot + n_shots).
@@ -196,23 +236,14 @@ class _Kernel:
         totals as uint8 (uint32 past 255 bins) and, for Fock sources, the
         detected photons per bin summed over the shots.
         """
-        lanes = uniform_lanes(key, start_shot, n_shots, self.lanes)
-        b = self.n_bins
-        if isinstance(self.source, Coherent):
-            photons = None
-            clicks = lanes[:, :b] >= self.silent
-        else:
-            n = self.source.n_photons
-            hit, photons = self._fock_hits(lanes[:, :n])
-            clicks = lanes[:, n : n + b] < self.dark
-            clicks |= hit
+        clicks, miss, photons = self._decide(key, start_shot, n_shots)
         clicks = np.ascontiguousarray(clicks.T)
-        if self.miss is not None:
-            miss = np.ascontiguousarray((lanes[:, self.us_off : self.us_off + b] < self.miss).T)
+        if miss is not None:
+            miss = np.ascontiguousarray(miss.T)
             for bins in self.det_bins:
                 for prev, j in zip(bins[:-1], bins[1:]):
                     clicks[j] &= ~(clicks[prev] & miss[j])
-        totals = np.add.reduce(clicks.view(np.uint8), axis=0, dtype=np.uint8 if b < 256 else np.uint32)
+        totals = np.add.reduce(clicks.view(np.uint8), axis=0, dtype=np.uint8 if self.n_bins < 256 else np.uint32)
         return clicks, totals, photons
 
 

@@ -41,8 +41,8 @@ _HEADER_RE = re.compile(
 )
 
 
-# The v1 Monte Carlo stream wrote "mc:<shots>:<seed>"; its rows still load.
-_LEGACY_MC_KERNEL = "mc"
+# Retired Monte Carlo streams, v1 first: their "<kernel>:<shots>:<seed>" rows still load.
+_RETIRED_MC_KERNELS = ("mc", "mc2")
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class RowProvenance:
         try:
             if parts[0] == "exact" and len(parts) == 1:
                 return RowProvenance(kind="exact")
-            if parts[0] in (MC_KERNEL, _LEGACY_MC_KERNEL) and len(parts) == 3:
+            if parts[0] in (MC_KERNEL, *_RETIRED_MC_KERNELS) and len(parts) == 3:
                 return RowProvenance(kind="mc", n_shots=int(parts[1]), seed=int(parts[2]), kernel=parts[0])
             if parts[0] == "interp" and len(parts) == 3:
                 return RowProvenance(kind="interpolated", mu_lo=int(parts[1]), mu_hi=int(parts[2]))
@@ -373,11 +373,14 @@ def load_matrix(path: str | Path) -> ResponseMatrix:
             f"configuration ({matrix.fingerprint[:12]}...); trusting the embedded configuration",
             stacklevel=2,
         )
-    stale = sum(p.kind == "mc" and p.kernel != MC_KERNEL for p in prov)
+    stale = [p.kernel for p in prov if p.kind == "mc" and p.kernel != MC_KERNEL]
     if stale:
+        found = " and ".join(
+            f"v{i + 1} Monte Carlo tokens ('{k}:')" for i, k in enumerate(_RETIRED_MC_KERNELS) if k in stale
+        )
         warnings.warn(
-            f"{path}: {stale} of {len(prov)} rows carry v1 Monte Carlo tokens ('{_LEGACY_MC_KERNEL}:'); "
-            f"this version draws the {MC_KERNEL} stream and cannot reproduce those rows from their seeds",
+            f"{path}: {len(stale)} of {len(prov)} rows carry {found}; this version draws the "
+            f"{MC_KERNEL} stream and cannot reproduce those rows from their seeds",
             stacklevel=2,
         )
     return matrix

@@ -48,17 +48,59 @@ MUTANTS = (
         ("test_mc2_kernel.py",),
     ),
     Mutant(
-        "rng.lane_bits_shift",
+        "rng.gate_threshold_floor",
         "_rng.py",
-        "block >>= 64 - _LANE_BITS",
-        "block >>= 63 - _LANE_BITS",
+        "ceil = np.ceil(np.ldexp(",
+        "ceil = np.floor(np.ldexp(",
+        ("test_mc2_kernel.py",),
+    ),
+    Mutant(
+        "rng.seed_accepts_bool",
+        "_rng.py",
+        "if isinstance(seed, bool) or not isinstance(seed, (int, np.integer))",
+        "if not isinstance(seed, (int, np.integer))",
+        ("test_mc_engine.py",),
+    ),
+    Mutant(
+        "rng.lane_bits_shift",
+        "mc_engine.py",
+        "photon_lanes >>= 64 - _LANE_BITS",
+        "photon_lanes >>= 63 - _LANE_BITS",
         ("test_mc_stream.py",),
     ),
     Mutant(
         "mc_engine.fock_dark_lane_at_threshold",
         "mc_engine.py",
-        "clicks = lanes[:, n : n + b] < self.dark",
-        "clicks = lanes[:, n : n + b] <= self.dark",
+        "clicks = gates[:, :b] < t",
+        "clicks = gates[:, :b] <= t",
+        ("test_mc2_kernel.py",),
+    ),
+    Mutant(
+        "mc_engine.coherent_half_word_at_threshold",
+        "mc_engine.py",
+        "clicks = gates[:, :b] >= t",
+        "clicks = gates[:, :b] > t",
+        ("test_mc2_kernel.py",),
+    ),
+    Mutant(
+        "mc_engine.silent_gate_clicks_on_the_top_half_word",
+        "mc_engine.py",
+        "clicks[:, full] = False",
+        "pass",
+        ("test_mc2_kernel.py",),
+    ),
+    Mutant(
+        "mc_engine.certain_dark_count_misses_the_top_half_word",
+        "mc_engine.py",
+        "clicks[:, full] = True",
+        "pass",
+        ("test_mc2_kernel.py",),
+    ),
+    Mutant(
+        "mc_engine.certain_miss_misses_the_top_half_word",
+        "mc_engine.py",
+        "miss[:, full] = True",
+        "pass",
         ("test_mc2_kernel.py",),
     ),
     Mutant(

@@ -45,8 +45,8 @@ def test_version_agrees_across_package_project_and_cli(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    assert binflux.__version__ == declared == "0.5.0"
-    assert capsys.readouterr().out == "binflux 0.5.0\n"
+    assert binflux.__version__ == declared == "0.6.0"
+    assert capsys.readouterr().out == "binflux 0.6.0\n"
 
 
 def test_presets_listing(capsys):
@@ -639,14 +639,33 @@ def test_convergence_curve_equals_separate_builds(rapid32):
 
 
 def test_mc_matrix_records_the_mc2_stream(tmp_path):
+    # The stream is mc3 since two gate decisions share a Philox word; the test keeps its name.
     out = tmp_path / "mc.csv"
     args = ["matrix", "--preset", "rapid32", "--mu-max", "20", "--method", "mc", "--shots", "2000", "--seed", "3"]
     assert main([*args, "-o", str(out)]) == 0
     tokens = out.read_text().splitlines()[2].removeprefix("# provenance: ").split(";")
-    assert len(tokens) == 21 and all(t.startswith("mc2:2000:") for t in tokens)
+    assert len(tokens) == 21 and all(t.startswith("mc3:2000:") for t in tokens)
     manifest = json.loads((tmp_path / "mc.csv.manifest.json").read_text())
-    assert manifest["versions"]["kernel"] == "mc2"
+    assert manifest["versions"]["kernel"] == "mc3"
     assert main(["infer", "-m", str(out), "--n", "3", "--no-stability", "-o", str(tmp_path / "r.json")]) == 0
+
+
+SEEDED_COMMANDS = {
+    "simulate": ["simulate", "--preset", "rapid32", "--mu", "5", "--shots", "10"],
+    "matrix": ["matrix", "--preset", "rapid32", "--mu-max", "5", "--method", "mc", "--shots", "10"],
+    "compare": ["compare", "--preset", "rapid32", "--mu", "100", "--trials", "2", "--max-shots", "5"],
+    "sweep-mu": ["sweep", "--preset", "rapid32", "--over", "mu", "--values", "1,5", "--shots", "10"],
+    "sweep-shots": ["sweep", "--preset", "rapid32", "--over", "shots", "--values", "1,5", "--mu", "100"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
+def test_negative_seed_exits_2_and_names_the_seed(tmp_path, capsys, command):
+    # Before, numpy's "expected non-negative integer" escaped, naming neither the seed nor its value.
+    out = tmp_path / "out.csv"
+    assert main([*SEEDED_COMMANDS[command], "--seed", "-1", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "binflux: usage error: seed must be an integer >= 0, got -1\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_over_mu_csv_matches_per_value_construction(rapid32, tmp_path):

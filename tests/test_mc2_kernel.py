@@ -1,6 +1,7 @@
-"""The mc2 Monte Carlo kernel: equal in distribution to the exact laws,
+"""The mc3 Monte Carlo kernel: equal in distribution to the exact laws,
 independent of how a run is split into chunks, workers and calls, and equal
-shot for shot to a float reference kernel.
+shot for shot to a float reference kernel. The law of its gate decisions is
+within B * 2**-32 of the exact law (2B * 2**-32 with undershoot misses).
 
 The statistical checks run at fixed examples (derandomized) and fixed
 seeds, so they are deterministic. Their bounds are TV <= sqrt(B / N) for
@@ -12,6 +13,7 @@ click frequencies.
 import concurrent.futures
 import dataclasses
 import itertools
+from fractions import Fraction
 import math
 import os
 import subprocess
@@ -38,7 +40,7 @@ from binflux import (
     simulate_batch,
     total_variation,
 )
-from binflux._rng import lane_threshold, philox_key, uniform_lanes
+from binflux._rng import gate_threshold, half_words, lane_threshold, philox_key, uniform_lanes
 from binflux.detector_model import (
     effective_efficiency,
     no_click_probabilities,
@@ -224,12 +226,14 @@ def test_import_leaves_the_thread_pool_unloaded():
 
 
 @pytest.mark.parametrize(
-    "source, mechanistic, lanes",
+    "source, mechanistic, decisions",
     [(Coherent(5.0), False, 8), (Coherent(5.0), True, 16), (Fock(7), False, 15), (Fock(7), True, 23)],
 )
-def test_lane_layout(lossy_small, source, mechanistic, lanes):
-    # B lanes per coherent shot and n + B per Fock shot, plus B undershoot
-    # lanes only for a history-dependent detector (lossy_small has B = 8).
+def test_lane_layout(lossy_small, source, mechanistic, decisions):
+    # Decisions per shot: B gates per coherent shot and n photons + B gates
+    # per Fock shot, plus B undershoot misses only for a history-dependent
+    # detector (lossy_small has B = 8). A photon takes a full lane and a
+    # gate decision half of one: 4, 8, 11 and 15 lanes.
     weights, detector = lossy_small
     if mechanistic:
         detector = DetectorSpec(
@@ -239,7 +243,8 @@ def test_lane_layout(lossy_small, source, mechanistic, lanes):
             deadtime=detector.deadtime,
             undershoot=MechanisticUndershoot(0.4),
         )
-    assert mc_engine._Kernel(source, weights, detector).lanes == lanes
+    photons = source.n_photons if isinstance(source, Fock) else 0
+    assert mc_engine._Kernel(source, weights, detector).lanes == photons + (decisions - photons) // 2
 
 
 # ------------------------------------------------ integer lanes and thresholds
@@ -291,6 +296,42 @@ def test_lane_threshold_values():
         0, 1, 1, 2**52, 2**53 - 1, 2**53,
     ]
     assert int(lane_threshold(float(np.nextafter(1.0, 2.0)))) == 2**53 + 2
+
+
+HALF_MAX = 2**32 - 1
+
+
+def _p_below(p) -> Fraction:
+    """P(h < ceil(p * 2**32)) for a uniform 32-bit h, as the kernel decides it: (h < t) | full."""
+    t, full = gate_threshold(p)
+    return Fraction(1) if bool(full) else Fraction(int(t), 2**32)
+
+
+@given(p=st.one_of(probabilities(), st.floats(1.0 - 2.0**-30, 1.0), st.integers(0, 2**32).map(lambda k: k * 2.0**-32)))
+@settings(max_examples=500, deadline=None)
+def test_gate_threshold_is_within_two_to_the_minus_32_of_p(p):
+    # Exact rational arithmetic: the half-word event has probability in [p, p + 2**-32), p <= 1.
+    below, exact = _p_below(p), Fraction(min(p, 1.0))
+    assert exact <= below < exact + Fraction(1, 2**32)
+    assert abs((1 - below) - (1 - exact)) < Fraction(1, 2**32)  # P(h >= ceil(p * 2**32)) against 1 - p
+
+
+@given(p=probabilities(), halves=st.lists(st.integers(0, HALF_MAX), max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_gate_threshold_decides_like_the_float_half_word(p, halves):
+    # Half-words on both sides of p * 2**32 and at the ends of the range, plus random ones.
+    edge = math.floor(math.ldexp(p, 32))
+    h = np.array([v for v in [edge + d for d in (-1, 0, 1, 2)] + halves + [0, HALF_MAX] if 0 <= v <= HALF_MAX],
+                 dtype=np.uint32)
+    t, full = gate_threshold(p)
+    assert t.dtype == np.uint32 and full.dtype == bool
+    assert np.array_equal((h < t) | full, h * 2.0**-32 < p)
+
+
+def test_gate_threshold_values():
+    t, full = gate_threshold([0.0, 5e-324, 2.0**-32, 0.5, 1.0 - 2.0**-32, 1.0 - 2.0**-53, 1.0, 1.5])
+    assert t.tolist() == [0, 1, 1, 2**31, HALF_MAX, HALF_MAX, HALF_MAX, HALF_MAX]
+    assert full.tolist() == [False, False, False, False, False, True, True, True]
 
 
 @st.composite
@@ -374,13 +415,27 @@ def test_fock_hits_at_the_lost_cell_threshold():
     _assert_fock_hits_equal_full_routing(kernel, _lanes_around(kernel.route, 3))
 
 
+def _lanes_of_halves(halves) -> np.ndarray:
+    """Pack half-words (shots, 2L), low half first, into lanes (shots, L), independently of half_words."""
+    h = np.asarray(halves, dtype=np.uint64)
+    return h[:, 0::2] | (h[:, 1::2] << np.uint64(32))
+
+
+def test_half_words_are_low_half_first():
+    lanes = np.array([[0x0123456789ABCDEF, 2**64 - 1], [1, 2**32]], dtype=np.uint64)
+    assert half_words(lanes).tolist() == [[0x89ABCDEF, 0x01234567, 2**32 - 1, 2**32 - 1], [1, 0, 0, 1]]
+    halves = np.arange(12, dtype=np.uint32).reshape(2, 6) * 0x10001
+    assert np.array_equal(half_words(_lanes_of_halves(halves)), halves)
+
+
 def test_fock_dark_lanes_at_the_dark_threshold(monkeypatch):
-    # A dark lane equal to dark[b] stays silent; one below it clicks.
+    # A dark half-word equal to its threshold stays silent; one below it clicks.
     system = get_preset("rapid32")
     kernel = mc_engine._Kernel(Fock(0), system.bin_weights(), system.detector)
-    assert kernel.dark.min() > 0
-    lanes = np.stack([kernel.dark, kernel.dark - 1])
-    monkeypatch.setattr(mc_engine, "uniform_lanes", lambda key, start, n, width: lanes)
+    t, full = kernel.dark
+    assert t.min() > 0 and not full.any()
+    lanes = _lanes_of_halves(np.stack([t, t - 1]))
+    monkeypatch.setattr(mc_engine, "uniform_lanes", lambda key, start, n, width: lanes.copy())
     clicks, totals, photons = kernel.run(philox_key(0), 0, 2)
     assert not clicks[:, 0].any() and clicks[:, 1].all()
     assert totals.tolist() == [0, kernel.n_bins] and photons.sum() == 0
@@ -408,7 +463,7 @@ def test_fock_hits_lose_no_lane_on_a_lossless_system(tiny_weights, ideal_detecto
 def test_fock_hits_on_philox_lanes(n_photons):
     system = get_preset("rapid32")
     kernel = mc_engine._Kernel(Fock(n_photons), system.bin_weights(), system.detector)
-    lanes = uniform_lanes(philox_key(9), 100, 300, kernel.lanes)[:, :n_photons]
+    lanes = uniform_lanes(philox_key(9), 100, 300, kernel.lanes)[:, :n_photons] >> 11
     _assert_fock_hits_equal_full_routing(kernel, lanes)
     _assert_fock_hits_equal_full_routing(kernel, _lanes_around(kernel.route, n_photons))
 
@@ -416,48 +471,62 @@ def test_fock_hits_on_philox_lanes(n_photons):
 # ------------------------------------------------ float reference kernel
 
 
-def reference_kernel(source, weights, detector, seed, start_shot, n_shots):
-    """The float kernel the integer lanes replaced, kept as a test oracle.
+def reference_layout(source, weights, detector):
+    """(lanes per shot, photon lanes, gate decisions) of the mc3 layout, from its definition."""
+    b = weights.num_bins
+    n = source.n_photons if isinstance(source, Fock) else 0
+    gates = 2 * b if detector.history_dependent else b
+    return n + (gates + 1) // 2, n, gates
 
-    Draws uniforms with Generator.random, routes photons with searchsorted
-    and suppresses gates column by column. Returns per-shot clicks
-    (n_shots, B), click totals and detected photons per bin (None for
-    coherent sources).
+
+def reference_clicks(words, source, weights, detector):
+    """The float kernel, kept as a test oracle, on raw words (shots, lanes).
+
+    Photon lane j gives u = (w >> 11) * 2**-53, Generator.random's double;
+    gate decision g reads half g % 2 of lane n + g // 2 (low half first) as
+    u = h * 2**-32. Coherent gate b clicks when u >= its no-click
+    probability, a Fock gate's dark count fires when u < its dark
+    probability and an undershoot miss when u < p_miss_next. Photons are
+    routed with searchsorted and gates suppressed column by column.
+    Returns per-shot clicks (shots, B), click totals and detected photons
+    per bin (None for coherent sources).
     """
     b = weights.num_bins
+    n_shots = words.shape[0]
+    _, n, gates = reference_layout(source, weights, detector)
+    g = np.arange(gates)
+    halves = (words[:, n + g // 2] >> (32 * (g % 2)).astype(np.uint64)) & np.uint64(2**32 - 1)
+    u_gate = halves.astype(float) * 2.0**-32
     if isinstance(source, Coherent):
-        silent = no_click_probabilities(source.mu, weights, detector)
-        lanes = b
+        photons = None
+        clicks = u_gate[:, :b] >= no_click_probabilities(source.mu, weights, detector)
     else:
-        n = source.n_photons
         eta = effective_efficiency(detector, float(n))
-        dark = per_bin_dark_probabilities(weights, detector)
         cells = np.append(weights.weights * eta, max(0.0, 1.0 - eta * weights.weights.sum()))
         route_cum = np.cumsum(cells)
         route_cum[-1] = max(route_cum[-1], 1.0)
-        lanes = n + b
-    us_off = lanes
-    if detector.history_dependent:
-        lanes += b
-    steps = -(-lanes // 4)
-    bitgen = np.random.Philox(counter=start_shot * steps, key=philox_key(seed))
-    u = np.random.Generator(bitgen).random(n_shots * steps * 4).reshape(n_shots, steps * 4)[:, :lanes]
-    if isinstance(source, Coherent):
-        photons = None
-        clicks = u[:, :b] >= silent
-    else:
-        idx = np.searchsorted(route_cum, u[:, :n], side="right") + (b + 1) * np.arange(n_shots)[:, None]
+        u_photon = (words[:, :n] >> np.uint64(11)).astype(float) * 2.0**-53
+        idx = np.searchsorted(route_cum, u_photon, side="right") + (b + 1) * np.arange(n_shots)[:, None]
         counts = np.bincount(idx.ravel(), minlength=n_shots * (b + 1)).reshape(n_shots, b + 1)[:, :b]
         photons = counts.sum(axis=0)
-        clicks = (counts > 0) | (u[:, n : n + b] < dark)
+        clicks = (counts > 0) | (u_gate[:, :b] < per_bin_dark_probabilities(weights, detector))
     if detector.history_dependent:
         p_miss = detector.undershoot.p_miss_next
         for d in (0, 1):
             prev = np.zeros(n_shots, dtype=bool)
             for j in np.flatnonzero(weights.detector_of_bin == d):
-                clicks[:, j] &= ~(prev & (u[:, us_off + j] < p_miss))
+                clicks[:, j] &= ~(prev & (u_gate[:, b + j] < p_miss))
                 prev = clicks[:, j]
     return clicks, clicks.sum(axis=1), photons
+
+
+def reference_kernel(source, weights, detector, seed, start_shot, n_shots):
+    """reference_clicks on the words Philox gives shots [start_shot, start_shot + n_shots)."""
+    lanes, _, _ = reference_layout(source, weights, detector)
+    steps = -(-lanes // 4)
+    bitgen = np.random.Philox(counter=start_shot * steps, key=philox_key(seed))
+    words = bitgen.random_raw(n_shots * steps * 4).reshape(n_shots, steps * 4)
+    return reference_clicks(words, source, weights, detector)
 
 
 def _assert_kernel_equals_reference(source, weights, detector, seed, start, n, chunk_size, workers):
@@ -521,3 +590,136 @@ def test_kernel_equals_float_reference_on_presets(source, preset, mechanistic):
     system = get_preset(preset)
     detector = _mechanistic(system) if mechanistic else system.detector
     _assert_kernel_equals_reference(source, system.bin_weights(), detector, 2026, 12_345, 700, 256, 2)
+
+
+# ------------------------------------------------ the B * 2**-32 bound and the certain gates
+
+
+def _mc3_below(p):
+    """P(h < ceil(p * 2**32)) per gate, as floats (t * 2**-32 is exact)."""
+    t, full = gate_threshold(p)
+    return np.where(full, 1.0, t * 2.0**-32)
+
+
+@pytest.mark.parametrize("preset", ["rapid32", "conventional16"])
+@pytest.mark.parametrize("mu", [0.0, 1e-3, 1.0, 10.0, 100.0, 400.0, 4000.0])
+def test_coherent_click_law_within_b_times_two_to_the_minus_32(preset, mu):
+    # A gate clicks when h >= ceil(q * 2**32), q its no-click probability, so
+    # the mc3 click total is Poisson-binomial in 1 - P(h < ceil(q * 2**32)).
+    system = get_preset(preset)
+    weights = system.bin_weights()
+    q = no_click_probabilities(mu, weights, system.detector)
+    mc3 = poisson_binomial_pmf(1.0 - _mc3_below(q))
+    exact = coherent_click_distribution(mu, weights, system.detector).probs
+    assert total_variation(mc3, exact) <= weights.num_bins * 2.0**-32
+
+
+@given(system=small_systems(max_bins=6, mechanistic=True), mu=st.floats(0.0, 40.0))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_mechanistic_click_law_within_2b_times_two_to_the_minus_32(system, mu):
+    weights, detector = system
+    q = no_click_probabilities(mu, weights, detector)
+    p_miss = detector.undershoot.p_miss_next
+    mc3, _ = brute_force_mechanistic(1.0 - _mc3_below(q), weights.detector_of_bin, float(_mc3_below(p_miss)))
+    exact, _ = brute_force_mechanistic(1.0 - q, weights.detector_of_bin, p_miss)
+    assert total_variation(mc3, exact) <= 2 * weights.num_bins * 2.0**-32
+
+
+# Largest dark probability a detector accepts: its threshold is 2**32, so the gate is certain.
+DARK_MAX = float(np.nextafter(1.0, 0.0))
+
+
+def _detector(system, dark=None, p_miss=None):
+    detector = system.detector
+    if dark is not None:
+        detector = dataclasses.replace(detector, dark_prob_per_gate=(dark, dark))
+    if p_miss is not None:
+        detector = dataclasses.replace(detector, undershoot=MechanisticUndershoot(p_miss))
+    return detector
+
+
+def _alternate(detector_of_bin):
+    """Clicks left when every gate fires and every miss comes up: every other gate of each detector."""
+    return sum(-(-int(np.sum(detector_of_bin == d)) // 2) for d in (0, 1))
+
+
+R32_BINS = get_preset("rapid32").bin_weights()
+CERTAIN_CASES = {
+    "coherent0-no-dark": (Coherent(0.0), dict(dark=0.0), 0),
+    "coherent1e308": (Coherent(1e308), {}, 32),
+    "fock0-no-dark": (Fock(0), dict(dark=0.0), 0),
+    "fock0-dark-max": (Fock(0), dict(dark=DARK_MAX), 32),
+    "fock3-dark-max": (Fock(3), dict(dark=DARK_MAX), 32),
+    "coherent1e308-miss0": (Coherent(1e308), dict(p_miss=0.0), 32),
+    "coherent1e308-miss1": (Coherent(1e308), dict(p_miss=1.0), _alternate(R32_BINS.detector_of_bin)),
+    "coherent0-no-dark-miss1": (Coherent(0.0), dict(dark=0.0, p_miss=1.0), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTAIN_CASES))
+def test_certain_gates_stay_certain(name, monkeypatch):
+    # p = 0 and p = 1 give the same clicks in every shot, on Philox words and on
+    # the extreme words, whose half-words are all 0 or all 2**32 - 1.
+    source, tweaks, total = CERTAIN_CASES[name]
+    system = get_preset("rapid32")
+    weights, detector = system.bin_weights(), _detector(system, **tweaks)
+    batch = simulate_batch(source, weights, detector, 3000, 5, store_totals=True)
+    assert np.all(batch.click_totals == total)
+    kernel = mc_engine._Kernel(source, weights, detector)
+    for word in (0, 2**64 - 1):
+        lanes = np.full((4, kernel.lanes), word, dtype=np.uint64)
+        monkeypatch.setattr(mc_engine, "uniform_lanes", lambda key, start, n, width: lanes.copy())
+        clicks, totals, _ = kernel.run(philox_key(0), 0, 4)
+        assert np.all(totals == total) and np.array_equal(clicks.T, reference_clicks(lanes, source, weights, detector)[0])
+
+
+def _threshold_words(kernel, source, weights, detector, rows=10):
+    """Lanes whose half-words sit at each gate's threshold, one either side and at the ends of the range,
+    and whose photon lanes sit at the routing thresholds; low bits below a full lane vary by row."""
+    _, n, gates = reference_layout(source, weights, detector)
+    if isinstance(source, Coherent):
+        parts = [kernel.silent]
+    else:
+        parts = [kernel.dark]
+    if kernel.miss is not None:
+        parts.append(kernel.miss)
+    t = np.concatenate([p[0] for p in parts]).astype(np.int64)
+    candidates = np.stack([t - 1, t, t + 1, np.zeros_like(t), np.full_like(t, HALF_MAX)])
+    halves = np.clip(candidates[(np.arange(rows)[:, None] + np.arange(gates)) % 5, np.arange(gates)], 0, HALF_MAX)
+    if gates % 2:
+        halves = np.hstack([halves, np.zeros((rows, 1), dtype=np.int64)])
+    words = _lanes_of_halves(halves)
+    if n:
+        full = np.resize(_lanes_around(kernel.route, n), (rows, n))
+        low = (np.arange(rows, dtype=np.uint64) * np.uint64(377) % np.uint64(2048))[:, None]
+        words = np.hstack([(full << np.uint64(11)) | low, words])
+    return words
+
+
+THRESHOLD_CASES = {
+    "coherent100": (Coherent(100.0), {}),
+    "coherent3-mech": (Coherent(3.0), dict(p_miss=0.3)),
+    "coherent0-no-dark": (Coherent(0.0), dict(dark=0.0)),
+    "coherent100-miss1": (Coherent(100.0), dict(p_miss=1.0)),
+    "fock3": (Fock(3), {}),
+    "fock3-dark-max": (Fock(3), dict(dark=DARK_MAX)),
+    "fock40-mech": (Fock(40), dict(p_miss=0.3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THRESHOLD_CASES))
+def test_kernel_equals_float_reference_at_the_thresholds(name, monkeypatch):
+    # Philox words almost never land on a threshold; these words do on every gate.
+    source, tweaks = THRESHOLD_CASES[name]
+    system = get_preset("rapid32")
+    weights, detector = system.bin_weights(), _detector(system, **tweaks)
+    kernel = mc_engine._Kernel(source, weights, detector)
+    words = _threshold_words(kernel, source, weights, detector)
+    assert words.shape[1] == kernel.lanes
+    ref_clicks, ref_totals, ref_photons = reference_clicks(words, source, weights, detector)
+    monkeypatch.setattr(mc_engine, "uniform_lanes", lambda key, start, n, width: words.copy())
+    clicks, totals, photons = kernel.run(philox_key(0), 0, words.shape[0])
+    assert np.array_equal(clicks.T, ref_clicks) and np.array_equal(totals, ref_totals)
+    assert (photons is None) == (ref_photons is None)
+    if photons is not None:
+        assert np.array_equal(photons, ref_photons)

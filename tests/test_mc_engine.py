@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -11,10 +13,13 @@ from binflux import (
     fock_click_distribution,
     get_preset,
     no_click_probabilities,
+    build_matrix,
+    relative_error_curve,
+    simulate_baseline,
     simulate_batch,
     total_variation,
 )
-from binflux._rng import philox_key
+from binflux._rng import derive_seed, philox_key
 from binflux.mc_engine import FOCK_MC_CAP, _Kernel
 
 
@@ -50,6 +55,36 @@ def test_workers_env_cap(rapid32, rapid32_weights, monkeypatch):
     monkeypatch.delenv("BINFLUX_THREADS")
     b = simulate_batch(Coherent(10.0), rapid32_weights, rapid32.detector, 8000, seed=3, chunk_size=1000)
     assert np.array_equal(a.histogram, b.histogram)
+
+
+BAD_SEEDS = [2.5, True, False, -1, np.float64(2.0), "3"]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+def test_bad_seed_is_refused_not_truncated(rapid32, rapid32_weights, seed):
+    # int(seed) once ran seed=2.5 as seed 2 and seed=True as seed 1.
+    message = re.escape(f"seed must be an integer >= 0, got {seed!r}")
+    calls = [
+        lambda: simulate_batch(Coherent(1.0), rapid32_weights, rapid32.detector, 10, seed),
+        lambda: build_matrix(rapid32, 3, "mc", n_shots=10, seed=seed),
+        lambda: relative_error_curve(rapid32, build_matrix(rapid32, 20), 5.0, 3, 2, seed, max_admissible_n=4),
+        lambda: simulate_baseline(100.0, 0.165, 5, 2, seed),
+        lambda: philox_key(seed),
+        lambda: derive_seed(seed, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
+def test_integer_seed_types_agree(rapid32, rapid32_weights):
+    # numpy integers and ints past 64 bits are seeds like any other int.
+    runs = [
+        simulate_batch(Coherent(20.0), rapid32_weights, rapid32.detector, 300, s, store_totals=True).click_totals
+        for s in (7, np.int64(7), np.uint64(7))
+    ]
+    assert all(np.array_equal(r, runs[0]) for r in runs)
+    assert derive_seed(2**70, 3) == derive_seed(2**70, 3) != derive_seed(2**70 + 1, 3)
 
 
 def test_bad_workers_env(rapid32, rapid32_weights, monkeypatch):

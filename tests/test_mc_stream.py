@@ -1,11 +1,13 @@
-"""Pinned Monte Carlo streams (the mc2 lane layout).
+"""Pinned Monte Carlo streams (the mc3 lane layout).
 
 The README promises that an MC row can be reproduced standalone from its
-recorded seed. These digests of per-shot click totals were recorded once,
-when the mc2 kernel replaced the v1 layout; any change to the lane layout
-or to how a lane becomes a click changes them, so a kernel rewrite that is
-meant to keep every output bit fails here if it does not. A change that
-alters the stream on purpose is a new kernel version (mc_engine.MC_KERNEL).
+recorded seed. These digests of per-shot click totals were recorded when
+the mc3 kernel, two 32-bit gate decisions per Philox word, replaced the
+mc2 layout of one word per decision; any change to the lane layout or to
+how a lane or half-word becomes a click changes them, so a kernel rewrite
+that is meant to keep every output bit fails here if it does not. A change
+that alters the stream on purpose is a new kernel version
+(mc_engine.MC_KERNEL).
 The mechanistic and large-Fock cases are also checked against the exact
 oracle, and so is Fock(200) on the mechanistic system.
 """
@@ -42,31 +44,31 @@ def _mechanistic():
 CASES = {
     "coherent.rapid32.mu100": (
         Coherent(100.0), lambda: get_preset("rapid32"), 1001,
-        "c62847aaac89b1e95669204bb5687b3c71f1a98df93be5808e1d16f5e33706a3",
+        "11a89394f165e223a3b3f9d28b2ef38bd5b5cbeed7a4fece550c47bd34c89f33",
     ),
     "coherent.conventional16.mu10": (
         Coherent(10.0), lambda: get_preset("conventional16"), 1002,
-        "ae00db2b43a25ad97463c80b3d853f506f8c66d4b52db974bec1d7cb61acf282",
+        "08473b9473e654db633d04ac6c6a3d48f4ecf8276301658345c1970df01d1027",
     ),
     "mechanistic.rapid32.mu100": (
         Coherent(100.0), _mechanistic, 1003,
-        "420572974eedd517f14153de39de9fe64b6c0d75be63871e289cc4ffd534cfd1",
+        "889f77bfdeb814ffe793942c7d0413f1b81c369d19a83124a9837b8cf129250f",
     ),
     "fock5.lossy_small": (
         Fock(5), None, 1004,
-        "c7bc35a39e40027df214c94686614c71aaba7cc81dc101a060785218a9a7d947",
+        "0eb74d47c915839d530c3987ab0d4362b9ff905782ccfede8c3836e927ed5c75",
     ),
     "fock80.rapid32": (
         Fock(80), lambda: get_preset("rapid32"), 1005,
-        "4893035c7f7e23f13bb22f9d6cb057bd26dc9ee73baa8cfbb299d1e579548320",
+        "5dc4718ca54a4b5bffb5d59813d19ee5a42b61bf14c4d69215c48f7652559179",
     ),
     "fock200.rapid32": (
         Fock(200), lambda: get_preset("rapid32"), 1006,
-        "1a62fde87e96389c8e51e48a4909089e9646c1b32f30b4746b98677fe6bc880d",
+        "f0a50e9e36d2b7cf49cd7c57fc844dd23cc1adeae0c608229f2f4316fd4d6f3f",
     ),
     "fock200.mechanistic.rapid32": (
         Fock(200), _mechanistic, 1007,
-        "37c44d366ad7eaf59480ac2a82d230d228e30e10f46d6ef73bab639ea9972172",
+        "d03c1be599db2bb784b7f4b3a52e3f9f4a5213308e615fcbef78c194e485639d",
     ),
 }
 
