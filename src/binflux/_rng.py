@@ -1,14 +1,12 @@
-"""Counter-based random numbers with a fixed per-shot budget.
+"""Random words with a fixed per-shot budget.
 
 Reproducibility contract: a shot is addressed by (seed, shot_index) alone.
-Each shot owns a fixed number of "lanes", 64-bit Philox words decided up
-front by the source and system, and lane j of shot i is always drawn from
-the same Philox counters, so batch size, chunking, and worker count cannot
-change a shot's outcome.
-
-Philox emits 4 64-bit words per counter, so a shot with L lanes reserves
-ceil(L / 4) counters. Shot i uses counters [i * steps, (i + 1) * steps);
-unused tail lanes are reserved but never read.
+Each shot owns a fixed number of "lanes", 64-bit words decided up front by
+the source and system. One PCG64DXSM stream per seed, seeded by
+SeedSequence([seed]), gives every word: shot i with L lanes reads words
+[i * L, (i + 1) * L), reached with advance(), which takes O(log) steps.
+Every word drawn is a lane of some shot, and batch size, chunking, and
+worker count cannot change a shot's outcome.
 
 A lane serves either one full decision or two gate decisions:
 
@@ -28,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_OUTPUTS_PER_COUNTER = 4
 _LANE_BITS = 53
 _HALF_BITS = 32
 
@@ -41,12 +38,12 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
-def philox_key(seed: int) -> np.ndarray:
-    """Derive a 128-bit Philox key from a user seed.
+def seed_sequence(seed: int) -> np.random.SeedSequence:
+    """The SeedSequence that seeds a user seed's stream.
 
     Per-trial or per-row substreams take their seed from derive_seed.
     """
-    return np.random.SeedSequence([_check_seed(seed)]).generate_state(2, np.uint64)
+    return np.random.SeedSequence([_check_seed(seed)])
 
 
 def derive_seed(seed: int, *stream: int) -> int:
@@ -85,19 +82,16 @@ def half_words(lanes: np.ndarray) -> np.ndarray:
     return lanes.astype("<u8", copy=False).view("<u4")
 
 
-def uniform_lanes(key: np.ndarray, start_shot: int, n_shots: int, lanes: int) -> np.ndarray:
-    """Raw Philox words (uint64), shape (n_shots, lanes), for a contiguous shot range.
+def uniform_lanes(seq: np.random.SeedSequence, start_shot: int, n_shots: int, lanes: int) -> np.ndarray:
+    """Raw stream words (uint64), shape (n_shots, lanes), for a contiguous shot range.
 
-    Lane j of row i is the j-th word of shot start_shot + i. The rows are
-    a view of one freshly drawn block, so callers may shift them in place.
-    Rows are independent of how the overall run is split into calls.
+    Lane j of row i is word (start_shot + i) * lanes + j of the stream.
+    The rows are one freshly drawn block, so callers may shift them in
+    place. Rows are independent of how the overall run is split into calls.
     """
     if lanes <= 0:
         raise ValueError(f"lanes must be positive, got {lanes}")
     if n_shots < 0 or start_shot < 0:
         raise ValueError("shot range must be nonnegative")
-    steps = -(-lanes // _OUTPUTS_PER_COUNTER)
-    block = np.random.Philox(counter=start_shot * steps, key=key).random_raw(
-        n_shots * steps * _OUTPUTS_PER_COUNTER
-    )
-    return block.reshape(n_shots, steps * _OUTPUTS_PER_COUNTER)[:, :lanes]
+    bitgen = np.random.PCG64DXSM(seq).advance(start_shot * lanes)
+    return bitgen.random_raw(n_shots * lanes).reshape(n_shots, lanes)

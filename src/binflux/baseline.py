@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from ._rng import _LANE_BITS, derive_seed, lane_threshold, philox_key, uniform_lanes
+from ._rng import _LANE_BITS, derive_seed, lane_threshold, seed_sequence, uniform_lanes
 from .errors import ConfigurationError
 
 Z_90 = 1.645  # two-sided 90% normal quantile, one tail at 5%
@@ -127,7 +127,7 @@ def simulate_baseline(
     k = np.arange(1, max_shots + 1, dtype=float)
     detect = lane_threshold(p_target)
     for t in range(n_trials):
-        lanes = uniform_lanes(philox_key(derive_seed(seed, t)), 0, max_shots, 1)[:, 0] >> (64 - _LANE_BITS)
+        lanes = uniform_lanes(seed_sequence(derive_seed(seed, t)), 0, max_shots, 1)[:, 0] >> (64 - _LANE_BITS)
         n_det = np.cumsum(lanes < detect)
         p_hat = n_det / k
         good = (n_det > 0) & (n_det < k)

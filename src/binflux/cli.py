@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._rng import derive_seed
 from .baseline import baseline_error_curve, shots_to_relative_error
 from .config import SystemConfig, fingerprint, load_system, system_to_dict
 from .errors import (
@@ -293,8 +294,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         exact = coherent_click_rows(values, weights, system.detector)
         lines = []
         for mu, probs in zip(values, exact):
+            # Row mu is seeded as matrix --method mc seeds it, from the seed and mu alone.
             batch = simulate_batch(
-                Coherent(float(mu)), weights, system.detector, args.shots, args.seed, workers=args.workers
+                Coherent(float(mu)), weights, system.detector, args.shots, derive_seed(args.seed, mu),
+                workers=args.workers,
             )
             for n, c in enumerate(batch.histogram):
                 lines.append(f"{mu},{n},{c},{_fmt(c / batch.n_shots)},{_fmt(probs[n])}")

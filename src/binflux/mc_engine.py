@@ -1,10 +1,10 @@
 """Monte Carlo simulation of click patterns, deterministic per (seed, shot).
 
-Every shot draws its randomness from fixed Philox counter lanes (see _rng),
-so results are bit-identical across chunk sizes and worker counts. The lane
-layout is versioned as the "mc3" stream (MC_KERNEL), which matrix
-provenance and CLI manifests record. Gate decisions read 32-bit half-words,
-two per lane, low half first. Lane layout per shot:
+Every shot draws its randomness from fixed words of one PCG64DXSM stream
+(see _rng), so results are bit-identical across chunk sizes and worker
+counts. The lane layout is versioned as the "mc4" stream (MC_KERNEL), which
+matrix provenance and CLI manifests record. Gate decisions read 32-bit
+half-words, two per lane, low half first. Lane layout per shot:
 
 * Coherent source, B bins: half-word b in [0, B) clicks gate b when
   h_b >= ceil(s_b * 2**32), s_b = (1 - d_b) * exp(-mu * q_b * eta) the
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import _LANE_BITS, gate_threshold, half_words, lane_threshold, philox_key, uniform_lanes
+from ._rng import _LANE_BITS, gate_threshold, half_words, lane_threshold, seed_sequence, uniform_lanes
 from .detector_model import (
     DetectorSpec,
     effective_efficiency,
@@ -52,7 +52,7 @@ FOCK_MC_CAP = 1_000_000
 
 # Version of the lane layout above. Seeds recorded under another version
 # do not reproduce their rows with this kernel.
-MC_KERNEL = "mc3"
+MC_KERNEL = "mc4"
 
 # Lanes per chunk: 4 MB of uint64, so a chunk's lanes and the arrays made
 # from them stay near the CPU caches whatever the lane layout.
@@ -199,14 +199,14 @@ class _Kernel:
         return hit, photons
 
     def _decide(
-        self, key: np.ndarray, start_shot: int, n_shots: int
+        self, seq: np.random.SeedSequence, start_shot: int, n_shots: int
     ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
         """Per-shot clicks before undershoot (shots, B), misses (shots, B) or None, and detected photons.
 
         The lanes die on return, so a chunk's word block is freed before
         run makes the per-bin rows.
         """
-        lanes = uniform_lanes(key, start_shot, n_shots, self.lanes)
+        lanes = uniform_lanes(seq, start_shot, n_shots, self.lanes)
         gates = half_words(lanes[:, self.gate_off :])
         b = self.n_bins
         if isinstance(self.source, Coherent):
@@ -229,14 +229,16 @@ class _Kernel:
         miss[:, full] = True
         return clicks, miss, photons
 
-    def run(self, key: np.ndarray, start_shot: int, n_shots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    def run(
+        self, seq: np.random.SeedSequence, start_shot: int, n_shots: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Simulate shots [start_shot, start_shot + n_shots).
 
         Returns the clicks with one row per bin (B, n_shots), the click
         totals as uint8 (uint32 past 255 bins) and, for Fock sources, the
         detected photons per bin summed over the shots.
         """
-        clicks, miss, photons = self._decide(key, start_shot, n_shots)
+        clicks, miss, photons = self._decide(seq, start_shot, n_shots)
         clicks = np.ascontiguousarray(clicks.T)
         if miss is not None:
             miss = np.ascontiguousarray(miss.T)
@@ -286,14 +288,14 @@ def simulate_batch(
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     kernel = _Kernel(source, weights, detector)
-    key = philox_key(seed)
+    seq = seed_sequence(seed)
     chunk = max(1, min(chunk_size, _CHUNK_LANES // kernel.lanes))
     starts = list(range(start_shot, start_shot + n_shots, chunk))
     sizes = [min(chunk, start_shot + n_shots - s) for s in starts]
 
     def process(job: tuple[int, int]):
         s, m = job
-        _, totals, photons = kernel.run(key, s, m)
+        _, totals, photons = kernel.run(seq, s, m)
         hist = np.bincount(totals, minlength=kernel.n_bins + 1)
         return hist, photons, totals.astype(np.int64) if store_totals else None
 

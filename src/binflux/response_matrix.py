@@ -42,7 +42,7 @@ _HEADER_RE = re.compile(
 
 
 # Retired Monte Carlo streams, v1 first: their "<kernel>:<shots>:<seed>" rows still load.
-_RETIRED_MC_KERNELS = ("mc", "mc2")
+_RETIRED_MC_KERNELS = ("mc", "mc2", "mc3")
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,13 @@ MUTANTS = (
         ("test_mc_engine.py",),
     ),
     Mutant(
+        "rng.advance_by_shots_not_words",
+        "_rng.py",
+        "advance(start_shot * lanes)",
+        "advance(start_shot)",
+        ("test_mc2_kernel.py::test_lanes_are_consecutive_words_of_one_stream",),
+    ),
+    Mutant(
         "rng.lane_bits_shift",
         "mc_engine.py",
         "photon_lanes >>= 64 - _LANE_BITS",

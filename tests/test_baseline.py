@@ -126,14 +126,15 @@ def test_simulated_curve_nan_while_degenerate():
 
 
 # sha256 of simulate_baseline's output as <f8 (NaN where the record is
-# still degenerate), recorded when each gate's click was the float test
-# u < p_target; the integer-lane test must give the same curves bit for bit.
+# still degenerate), recorded for the mc4 stream from the float test
+# u < p_target, u = (w >> 11) * 2**-53 on each trial's stream words w; the
+# integer-lane test must give the same curves bit for bit.
 BASELINE_PINS = [
-    ((100.0, 0.5, 400, 20, 7), {}, "d4675f886759314ce13d7f3ffacefa1a934ee439351373a42c3de44b4d7993b2"),
+    ((100.0, 0.5, 400, 20, 7), {}, "38ec8a067de1ceb82a6592b062077b42234c65a26865212ecc91fa59e3c4c2d1"),
     (
         (37.5, 0.8, 1000, 5, 2026),
         {"p_target": 0.3, "convention": "half"},
-        "17f2cde129cf6399c290cf51cc041cbf79608495401542e715358e40e503f03b",
+        "443f87fd5ad3aac1dcbaaa50b15665fa4ce94c8e141f933e6420843e70c09f3f",
     ),
 ]
 

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from binflux import (
     build_matrix,
     coherent_click_distribution,
     fingerprint,
+    fock_click_distribution,
     load_matrix,
     posterior_multi,
     relative_error_curve,
@@ -26,7 +28,9 @@ from binflux import (
     save_system,
     simulate_batch,
     stability_max_n,
+    total_variation,
 )
+from binflux._rng import derive_seed
 from binflux.cli import _fmt, main
 from binflux.exact_oracle import coherent_click_rows
 from binflux.response_matrix import RowProvenance
@@ -45,8 +49,8 @@ def test_version_agrees_across_package_project_and_cli(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    assert binflux.__version__ == declared == "0.6.0"
-    assert capsys.readouterr().out == "binflux 0.6.0\n"
+    assert binflux.__version__ == declared == "0.7.0"
+    assert capsys.readouterr().out == "binflux 0.7.0\n"
 
 
 def test_presets_listing(capsys):
@@ -639,14 +643,14 @@ def test_convergence_curve_equals_separate_builds(rapid32):
 
 
 def test_mc_matrix_records_the_mc2_stream(tmp_path):
-    # The stream is mc3 since two gate decisions share a Philox word; the test keeps its name.
+    # The stream is mc4 since its words come from PCG64DXSM; the test keeps its name.
     out = tmp_path / "mc.csv"
     args = ["matrix", "--preset", "rapid32", "--mu-max", "20", "--method", "mc", "--shots", "2000", "--seed", "3"]
     assert main([*args, "-o", str(out)]) == 0
     tokens = out.read_text().splitlines()[2].removeprefix("# provenance: ").split(";")
-    assert len(tokens) == 21 and all(t.startswith("mc3:2000:") for t in tokens)
+    assert len(tokens) == 21 and all(t.startswith("mc4:2000:") for t in tokens)
     manifest = json.loads((tmp_path / "mc.csv.manifest.json").read_text())
-    assert manifest["versions"]["kernel"] == "mc3"
+    assert manifest["versions"]["kernel"] == "mc4"
     assert main(["infer", "-m", str(out), "--n", "3", "--no-stability", "-o", str(tmp_path / "r.json")]) == 0
 
 
@@ -670,7 +674,8 @@ def test_negative_seed_exits_2_and_names_the_seed(tmp_path, capsys, command):
 
 def test_sweep_over_mu_csv_matches_per_value_construction(rapid32, tmp_path):
     # One all-mu exact call gives the same bytes as one exact row per value,
-    # also for an unsorted list with a repeat; sweep walks the sorted distinct values.
+    # also for an unsorted list with a repeat; sweep walks the sorted distinct values
+    # and seeds value mu with derive_seed(seed, mu), as matrix --method mc seeds row mu.
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--preset", "rapid32", "--over", "mu", "--values", "0,1,10,100,400,10"]
     assert main(argv + ["--shots", "500", "--seed", "5", "-o", str(out)]) == 0
@@ -681,7 +686,7 @@ def test_sweep_over_mu_csv_matches_per_value_construction(rapid32, tmp_path):
         assert np.array_equal(row, exact[mu])
     lines = ["mu,n,count,probability,probability_exact"]
     for mu in sorted(set(given)):
-        batch = simulate_batch(Coherent(float(mu)), weights, rapid32.detector, 500, 5)
+        batch = simulate_batch(Coherent(float(mu)), weights, rapid32.detector, 500, derive_seed(5, mu))
         for n, c in enumerate(batch.histogram):
             lines.append(f"{mu},{n},{c},{_fmt(c / batch.n_shots)},{_fmt(exact[mu][n])}")
     assert out.read_text() == "\n".join(lines) + "\n"
@@ -758,6 +763,31 @@ def test_sweep_over_mu_on_mechanistic_writes_exact_column(mechanistic_config, me
     assert lines[0] == "mu,n,count,probability,probability_exact"
     exact = np.array([float(line.split(",")[4]) for line in lines[1:]]).reshape(2, 33)
     assert np.array_equal(exact, build_matrix(mechanistic32, 100).rows[[1, 100]])
+
+
+def test_sweep_over_mu_rows_equal_the_mc_matrix_rows(rapid32, tmp_path):
+    # One seeding rule: sweep value mu and matrix --method mc row mu both draw from derive_seed(seed, mu).
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--preset", "rapid32", "--over", "mu", "--values", "0,3,7,20"]
+    assert main(argv + ["--shots", "400", "--seed", "9", "-o", str(out)]) == 0
+    probs = [float(line.split(",")[3]) for line in out.read_text().splitlines()[1:]]
+    matrix = build_matrix(rapid32, 20, "mc", n_shots=400, seed=9)
+    assert np.array(probs).tobytes() == matrix.rows[[0, 3, 7, 20]].tobytes()
+
+
+@pytest.mark.parametrize("name", ["rapid32", "mechanistic"])
+def test_simulate_fock200_is_within_the_oracle_bound(name, rapid32, mechanistic32, mechanistic_config, tmp_path):
+    # The simulated Fock(200) click histogram against the exact Fock law: TV <= sqrt(33 / N) over
+    # its 33 click-count cells and N = 20000 shots.
+    system, where = (rapid32, ["--preset", "rapid32"]) if name == "rapid32" else (
+        mechanistic32, ["--config", str(mechanistic_config)]
+    )
+    out = tmp_path / f"{name}.json"
+    argv = ["simulate", *where, "--fock", "200", "--shots", "20000", "--seed", "1", "--format", "json"]
+    assert main(argv + ["-o", str(out)]) == 0
+    hist = np.array(json.loads(out.read_text())["histogram"])
+    exact = fock_click_distribution(200, system.bin_weights(), system.detector).probs
+    assert total_variation(hist / hist.sum(), exact) <= math.sqrt(33 / 20000)
 
 
 @pytest.mark.parametrize("mu_field", ["inf", "1.9", "nan"])

@@ -5,7 +5,7 @@ cutoff and the convergence curve were computed array-at-once. Any change
 to the order of the floating-point operations behind them changes a
 digest, so a rewrite that is meant to keep every output bit fails here if
 it does not. The sparse MC matrix and the convergence curve draw Monte
-Carlo shots; their digests were recorded again for the mc3 stream.
+Carlo shots; their digests were recorded again for the mc4 stream.
 """
 
 import hashlib
@@ -58,8 +58,8 @@ def test_sparse_exact_matrix_is_pinned(rapid32):
 
 def test_sparse_mc_matrix_is_pinned(rapid32):
     m = build_matrix(rapid32, 400, "mc", n_shots=20_000, seed=11, support=SPARSE_MC_SUPPORT, workers=1)
-    assert _digest(m.rows) == "73526f7612a418bdd993460a48be86dcbd2c234bd186c3789f32c6f5474eb82a"
-    assert _provenance_digest(m) == "fd744e5ed6d44e6d499609a8c5da23b9623434ce26830a78c7634e5e241fd8de"
+    assert _digest(m.rows) == "a77ffc4bd7512629a701ddf3eda9f147470a4af3a497762175f087bf6465b523"
+    assert _provenance_digest(m) == "ef67c880a026a53af087dc189ef0463fc7800f9ab1811bf37d207b066cef9379"
 
 
 @pytest.mark.parametrize(
@@ -75,4 +75,4 @@ def test_relative_error_curve_is_pinned(rapid32, rapid32_matrix400):
         rapid32, rapid32_matrix400, 100.0, 400, 10, 42, max_admissible_n=16, workers=1
     )
     assert curve.rel_err.shape == (10, 400)
-    assert _digest(curve.rel_err) == "53804824d9f5343efeff764ebad0f9840fb34fecc740be607efced7b322cb567"
+    assert _digest(curve.rel_err) == "978441dd4750fb39c3b5e969315e8a9bd97700f0ead7a2cb6f9a90452d34de08"

@@ -1,4 +1,4 @@
-"""The mc3 Monte Carlo kernel: equal in distribution to the exact laws,
+"""The mc4 Monte Carlo kernel: equal in distribution to the exact laws,
 independent of how a run is split into chunks, workers and calls, and equal
 shot for shot to a float reference kernel. The law of its gate decisions is
 within B * 2**-32 of the exact law (2B * 2**-32 with undershoot misses).
@@ -40,7 +40,7 @@ from binflux import (
     simulate_batch,
     total_variation,
 )
-from binflux._rng import gate_threshold, half_words, lane_threshold, philox_key, uniform_lanes
+from binflux._rng import gate_threshold, half_words, lane_threshold, seed_sequence, uniform_lanes
 from binflux.detector_model import (
     effective_efficiency,
     no_click_probabilities,
@@ -81,7 +81,7 @@ def small_systems(draw, max_bins=12, mechanistic=False):
 
 def _assert_per_bin_within_4se(source, weights, detector, seed, p):
     """Per-bin click frequencies of the first N_SHOTS shots, read from the kernel's clicks."""
-    clicks, _, _ = mc_engine._Kernel(source, weights, detector).run(philox_key(seed), 0, N_SHOTS)
+    clicks, _, _ = mc_engine._Kernel(source, weights, detector).run(seed_sequence(seed), 0, N_SHOTS)
     se = np.sqrt(p * (1.0 - p) / N_SHOTS)
     assert np.all(np.abs(clicks.sum(axis=1) / N_SHOTS - p) <= 4 * se)
 
@@ -436,7 +436,7 @@ def test_fock_dark_lanes_at_the_dark_threshold(monkeypatch):
     assert t.min() > 0 and not full.any()
     lanes = _lanes_of_halves(np.stack([t, t - 1]))
     monkeypatch.setattr(mc_engine, "uniform_lanes", lambda key, start, n, width: lanes.copy())
-    clicks, totals, photons = kernel.run(philox_key(0), 0, 2)
+    clicks, totals, photons = kernel.run(seed_sequence(0), 0, 2)
     assert not clicks[:, 0].any() and clicks[:, 1].all()
     assert totals.tolist() == [0, kernel.n_bins] and photons.sum() == 0
 
@@ -463,7 +463,7 @@ def test_fock_hits_lose_no_lane_on_a_lossless_system(tiny_weights, ideal_detecto
 def test_fock_hits_on_philox_lanes(n_photons):
     system = get_preset("rapid32")
     kernel = mc_engine._Kernel(Fock(n_photons), system.bin_weights(), system.detector)
-    lanes = uniform_lanes(philox_key(9), 100, 300, kernel.lanes)[:, :n_photons] >> 11
+    lanes = uniform_lanes(seed_sequence(9), 100, 300, kernel.lanes)[:, :n_photons] >> 11
     _assert_fock_hits_equal_full_routing(kernel, lanes)
     _assert_fock_hits_equal_full_routing(kernel, _lanes_around(kernel.route, n_photons))
 
@@ -472,7 +472,7 @@ def test_fock_hits_on_philox_lanes(n_photons):
 
 
 def reference_layout(source, weights, detector):
-    """(lanes per shot, photon lanes, gate decisions) of the mc3 layout, from its definition."""
+    """(lanes per shot, photon lanes, gate decisions) of the mc4 layout, from its definition."""
     b = weights.num_bins
     n = source.n_photons if isinstance(source, Fock) else 0
     gates = 2 * b if detector.history_dependent else b
@@ -520,13 +520,32 @@ def reference_clicks(words, source, weights, detector):
     return clicks, clicks.sum(axis=1), photons
 
 
+def stream_words(seed, n_words):
+    """The first n_words words of a seed's stream, from its definition: PCG64DXSM on SeedSequence([seed])."""
+    return np.random.PCG64DXSM(np.random.SeedSequence([seed])).random_raw(n_words)
+
+
 def reference_kernel(source, weights, detector, seed, start_shot, n_shots):
-    """reference_clicks on the words Philox gives shots [start_shot, start_shot + n_shots)."""
+    """reference_clicks on shots [start_shot, start_shot + n_shots): shot i reads words [i * L, (i + 1) * L)."""
     lanes, _, _ = reference_layout(source, weights, detector)
-    steps = -(-lanes // 4)
-    bitgen = np.random.Philox(counter=start_shot * steps, key=philox_key(seed))
-    words = bitgen.random_raw(n_shots * steps * 4).reshape(n_shots, steps * 4)
-    return reference_clicks(words, source, weights, detector)
+    words = stream_words(seed, (start_shot + n_shots) * lanes)[start_shot * lanes :]
+    return reference_clicks(words.reshape(n_shots, lanes), source, weights, detector)
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 8, 16, 28, 216])
+def test_lanes_are_consecutive_words_of_one_stream(lanes):
+    # No word is reserved or skipped: shot i reads words [i * L, (i + 1) * L), for any L.
+    seed, shots = 2026, 50
+    words = stream_words(seed, shots * lanes).reshape(shots, lanes)
+    for start in (0, 1, 2, 3, 5, 7, 13, 49):
+        rows = uniform_lanes(seed_sequence(seed), start, shots - start, lanes)
+        assert rows.dtype == np.uint64 and np.array_equal(rows, words[start:])
+    for start in (0, 10**12 + 3):
+        bulk = uniform_lanes(seed_sequence(seed), start, shots, lanes)
+        cuts = [0, 1, 6, 7, 22, 23, shots]
+        split = [uniform_lanes(seed_sequence(seed), start + a, b - a, lanes) for a, b in zip(cuts[:-1], cuts[1:])]
+        assert np.array_equal(np.concatenate(split), bulk)
+    assert uniform_lanes(seed_sequence(seed), 5, 0, lanes).shape == (0, lanes)
 
 
 def _assert_kernel_equals_reference(source, weights, detector, seed, start, n, chunk_size, workers):
@@ -542,7 +561,7 @@ def _assert_kernel_equals_reference(source, weights, detector, seed, start, n, c
         assert batch.photon_sum is None
     else:
         assert np.array_equal(batch.photon_sum, ref_photons)
-    clicks, _, _ = mc_engine._Kernel(source, weights, detector).run(philox_key(seed), start, n)
+    clicks, _, _ = mc_engine._Kernel(source, weights, detector).run(seed_sequence(seed), start, n)
     assert np.array_equal(clicks.T, ref_clicks)
 
 
@@ -561,7 +580,9 @@ def reference_runs(draw):
     n = draw(st.integers(1, 400))
     return dict(
         source=source, weights=weights, detector=detector, seed=draw(st.integers(0, 2**32 - 1)),
-        start=draw(st.integers(0, 10**9)), n=n, chunk_size=draw(st.integers(1, n + 5)),
+        # The reference draws every word from the stream's start; test_lanes_are_consecutive_words_of_one_stream
+        # covers far starts.
+        start=draw(st.integers(0, 5000)), n=n, chunk_size=draw(st.integers(1, n + 5)),
         workers=draw(st.sampled_from([1, 2])),
     )
 
@@ -658,7 +679,7 @@ CERTAIN_CASES = {
 
 @pytest.mark.parametrize("name", sorted(CERTAIN_CASES))
 def test_certain_gates_stay_certain(name, monkeypatch):
-    # p = 0 and p = 1 give the same clicks in every shot, on Philox words and on
+    # p = 0 and p = 1 give the same clicks in every shot, on stream words and on
     # the extreme words, whose half-words are all 0 or all 2**32 - 1.
     source, tweaks, total = CERTAIN_CASES[name]
     system = get_preset("rapid32")
@@ -669,7 +690,7 @@ def test_certain_gates_stay_certain(name, monkeypatch):
     for word in (0, 2**64 - 1):
         lanes = np.full((4, kernel.lanes), word, dtype=np.uint64)
         monkeypatch.setattr(mc_engine, "uniform_lanes", lambda key, start, n, width: lanes.copy())
-        clicks, totals, _ = kernel.run(philox_key(0), 0, 4)
+        clicks, totals, _ = kernel.run(seed_sequence(0), 0, 4)
         assert np.all(totals == total) and np.array_equal(clicks.T, reference_clicks(lanes, source, weights, detector)[0])
 
 
@@ -709,7 +730,7 @@ THRESHOLD_CASES = {
 
 @pytest.mark.parametrize("name", sorted(THRESHOLD_CASES))
 def test_kernel_equals_float_reference_at_the_thresholds(name, monkeypatch):
-    # Philox words almost never land on a threshold; these words do on every gate.
+    # Stream words almost never land on a threshold; these words do on every gate.
     source, tweaks = THRESHOLD_CASES[name]
     system = get_preset("rapid32")
     weights, detector = system.bin_weights(), _detector(system, **tweaks)
@@ -718,7 +739,7 @@ def test_kernel_equals_float_reference_at_the_thresholds(name, monkeypatch):
     assert words.shape[1] == kernel.lanes
     ref_clicks, ref_totals, ref_photons = reference_clicks(words, source, weights, detector)
     monkeypatch.setattr(mc_engine, "uniform_lanes", lambda key, start, n, width: words.copy())
-    clicks, totals, photons = kernel.run(philox_key(0), 0, words.shape[0])
+    clicks, totals, photons = kernel.run(seed_sequence(0), 0, words.shape[0])
     assert np.array_equal(clicks.T, ref_clicks) and np.array_equal(totals, ref_totals)
     assert (photons is None) == (ref_photons is None)
     if photons is not None:

@@ -19,7 +19,7 @@ from binflux import (
     simulate_batch,
     total_variation,
 )
-from binflux._rng import derive_seed, philox_key
+from binflux._rng import derive_seed, seed_sequence
 from binflux.mc_engine import FOCK_MC_CAP, _Kernel
 
 
@@ -69,7 +69,7 @@ def test_bad_seed_is_refused_not_truncated(rapid32, rapid32_weights, seed):
         lambda: build_matrix(rapid32, 3, "mc", n_shots=10, seed=seed),
         lambda: relative_error_curve(rapid32, build_matrix(rapid32, 20), 5.0, 3, 2, seed, max_admissible_n=4),
         lambda: simulate_baseline(100.0, 0.165, 5, 2, seed),
-        lambda: philox_key(seed),
+        lambda: seed_sequence(seed),
         lambda: derive_seed(seed, 1),
     ]
     for call in calls:
@@ -109,8 +109,8 @@ def test_single_shot_matches_batch_slice(rapid32, rapid32_weights):
     ]
     assert [int(rec.click_totals[0]) for rec in shots] == batch.click_totals.tolist()
     kernel = _Kernel(Coherent(100.0), rapid32_weights, rapid32.detector)
-    patterns = np.concatenate([kernel.run(philox_key(11), 200 + i, 1)[0] for i in range(50)], axis=1)
-    assert np.array_equal(patterns, kernel.run(philox_key(11), 200, 50)[0])
+    patterns = np.concatenate([kernel.run(seed_sequence(11), 200 + i, 1)[0] for i in range(50)], axis=1)
+    assert np.array_equal(patterns, kernel.run(seed_sequence(11), 200, 50)[0])
     assert np.array_equal(patterns.sum(axis=0), batch.click_totals)
 
 
@@ -120,7 +120,7 @@ def test_records_and_totals_consistent(rapid32, rapid32_weights):
         store_totals=True, chunk_size=100,
     )
     assert batch.click_totals.shape == (500,)
-    clicks, _, _ = _Kernel(Coherent(20.0), rapid32_weights, rapid32.detector).run(philox_key(5), 0, 500)
+    clicks, _, _ = _Kernel(Coherent(20.0), rapid32_weights, rapid32.detector).run(seed_sequence(5), 0, 500)
     assert batch.click_totals.sum() == clicks.sum()
     hist = np.bincount(batch.click_totals, minlength=33)
     assert np.array_equal(hist, batch.histogram)
@@ -139,7 +139,7 @@ def test_per_bin_click_frequency_within_4se(rapid32, rapid32_weights):
     # p_b = 1 - (1 - d_b) * exp(-mu * q_b * eta_eff); per-bin click
     # frequencies must sit within 4 standard errors of it.
     mu, n = 100.0, 200_000
-    clicks, _, _ = _Kernel(Coherent(mu), rapid32_weights, rapid32.detector).run(philox_key(17), 0, n)
+    clicks, _, _ = _Kernel(Coherent(mu), rapid32_weights, rapid32.detector).run(seed_sequence(17), 0, n)
     p = 1.0 - no_click_probabilities(mu, rapid32_weights, rapid32.detector)
     se = np.sqrt(p * (1.0 - p) / n)
     assert np.all(np.abs(clicks.sum(axis=1) / n - p) < 4 * se)

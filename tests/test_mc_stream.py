@@ -1,9 +1,9 @@
-"""Pinned Monte Carlo streams (the mc3 lane layout).
+"""Pinned Monte Carlo streams (the mc4 stream).
 
 The README promises that an MC row can be reproduced standalone from its
 recorded seed. These digests of per-shot click totals were recorded when
-the mc3 kernel, two 32-bit gate decisions per Philox word, replaced the
-mc2 layout of one word per decision; any change to the lane layout or to
+the mc4 stream, mc3's lane layout on PCG64DXSM words, replaced mc3's
+Philox words; any change to the word source, to the lane layout or to
 how a lane or half-word becomes a click changes them, so a kernel rewrite
 that is meant to keep every output bit fails here if it does not. A change
 that alters the stream on purpose is a new kernel version
@@ -44,31 +44,31 @@ def _mechanistic():
 CASES = {
     "coherent.rapid32.mu100": (
         Coherent(100.0), lambda: get_preset("rapid32"), 1001,
-        "11a89394f165e223a3b3f9d28b2ef38bd5b5cbeed7a4fece550c47bd34c89f33",
+        "b20c6b3ae17265df224f40a5fd815bf3e3631f309adcdc675fd9f90672592532",
     ),
     "coherent.conventional16.mu10": (
         Coherent(10.0), lambda: get_preset("conventional16"), 1002,
-        "08473b9473e654db633d04ac6c6a3d48f4ecf8276301658345c1970df01d1027",
+        "310ea11e6999e013d04f519bdc127e437590ec8fd2ba78990ad09e6466dd5fcf",
     ),
     "mechanistic.rapid32.mu100": (
         Coherent(100.0), _mechanistic, 1003,
-        "889f77bfdeb814ffe793942c7d0413f1b81c369d19a83124a9837b8cf129250f",
+        "0b1f14af1d80bbb7c2d4ceb85669e08218796b168a85b19b639f677d85e9495f",
     ),
     "fock5.lossy_small": (
         Fock(5), None, 1004,
-        "0eb74d47c915839d530c3987ab0d4362b9ff905782ccfede8c3836e927ed5c75",
+        "617b2472f70e7fcca92560476623e5ed2a8c9e8d190b9fdd0d0d9bae94b6b162",
     ),
     "fock80.rapid32": (
         Fock(80), lambda: get_preset("rapid32"), 1005,
-        "5dc4718ca54a4b5bffb5d59813d19ee5a42b61bf14c4d69215c48f7652559179",
+        "3f19680d13dfc42cb4894f6f0f78a8b1433633f37913f32f3e4038eaf7b9ad9c",
     ),
     "fock200.rapid32": (
         Fock(200), lambda: get_preset("rapid32"), 1006,
-        "f0a50e9e36d2b7cf49cd7c57fc844dd23cc1adeae0c608229f2f4316fd4d6f3f",
+        "540f90ed6807e550b58a64788824699f5e49eab22b3be1248e6edb4f1cb84104",
     ),
     "fock200.mechanistic.rapid32": (
         Fock(200), _mechanistic, 1007,
-        "d03c1be599db2bb784b7f4b3a52e3f9f4a5213308e615fcbef78c194e485639d",
+        "49da242719380768d6b4668df99101633ebd559908a55bb4eab6845e96050335",
     ),
 }
 

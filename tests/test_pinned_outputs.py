@@ -24,19 +24,19 @@ from binflux.cli import main
 PINS = {
     "simulate/coherent.csv": (
         ["simulate", "--preset", "rapid32", "--mu", "100", "--shots", "20000", "--seed", "1"],
-        "e99a85e57f2b84563f8fe4ac16b41561aafb7518492a9ac2c8b8750468683e31",
+        "c21a33b9b9ec7b13742813a5b174f09d9c8dd4c165b6d72b7be26d15a1bf91ab",
     ),
     "simulate/fock200.csv": (
         ["simulate", "--preset", "rapid32", "--fock", "200", "--shots", "20000", "--seed", "1"],
-        "dcaa1642d4cac2bb30b7526259a1c18024e1f1e729e1ae86ec8b0ad1decaa485",
+        "9a0e4c8e3dcf631e71416fc7b7ecbb110abcaf0bb3260fcfd13adcf561d4f4f9",
     ),
     "simulate/mech.csv": (
         ["simulate", "--config", "{mech}", "--mu", "100", "--shots", "20000", "--seed", "1"],
-        "fc4716a40901107caa023eefc8dcb4e7d61d263218b0e97abb2082c496c73a94",
+        "b15f019925ad91049080730ba5bc2b5f248db8d7b686219555aa8960cfe8843b",
     ),
     "simulate/mech_fock200.csv": (
         ["simulate", "--config", "{mech}", "--fock", "200", "--shots", "20000", "--seed", "1"],
-        "eaadd92bd4d79de31ef4b111e62e37fa881354ad4889e654a753ea71df72ba90",
+        "acc5f288a05ce25204863b71e8fdb641ff939bcb6a3f58d17dc66a3d3d99ad22",
     ),
     "matrix/rapid32.csv": (
         ["matrix", "--preset", "rapid32", "--mu-max", "400"],
@@ -60,11 +60,11 @@ PINS = {
     ),
     "matrix/compare.csv": (
         ["compare", "--preset", "rapid32", "--mu", "100", "--trials", "10", "--seed", "1"],
-        "ada2502ba004dbcc792737e3f062c0611a242f1a64d345ac26813308e9a59e2e",
+        "8a821edd658f7e3c6c297e1f4799bd39d1878c035c896b9758fd16c8be95092f",
     ),
     "sweep/sweep.csv": (
         ["sweep", "--preset", "rapid32", "--over", "shots", "--values", "1,10,100,400", "--mu", "100", "--seed", "1"],
-        "e75c8c531a0791dedb3572916711bfe6d78d54a3281cfa58b70f23740984fc80",
+        "02bb45722fafd8fa58476ee0409f63778f80956489abccecd03d629d55f54f14",
     ),
 }
 

@@ -323,7 +323,7 @@ def test_tampered_fingerprint_is_derived_and_warns_the_caller(small_matrix, tmp_
 def test_legacy_mc_warning_names_the_caller(small_mc_matrix, tmp_path, ext):
     p = tmp_path / f"legacy.{ext}"
     save_matrix(small_mc_matrix, p)
-    p.write_text(p.read_text().replace("mc3:", "mc:"))
+    p.write_text(p.read_text().replace("mc4:", "mc:"))
     with pytest.warns(UserWarning, match="v1 Monte Carlo tokens") as caught:
         load_matrix(p)
     assert [w.filename for w in caught] == [__file__]
@@ -554,7 +554,7 @@ def random_matrices(draw):
         if method == "exact"
         else st.builds(
             lambda n, seed, kernel: RowProvenance(kind="mc", n_shots=n, seed=seed, kernel=kernel),
-            st.integers(1, 10**9), ints, st.sampled_from(["mc3", "mc2", "mc"]),
+            st.integers(1, 10**9), ints, st.sampled_from(["mc4", "mc3", "mc2", "mc"]),
         )
     )
     interp = st.builds(lambda lo, hi: RowProvenance(kind="interpolated", mu_lo=lo, mu_hi=hi), ints, ints)
@@ -577,17 +577,17 @@ def test_random_matrix_save_load_round_trip(matrix, ext):
         assert p2.read_bytes() == ref.read_bytes()
     assert loaded.rows.tobytes() == matrix.rows.tobytes()  # bit for bit, -0.0 included
     assert loaded.provenance == matrix.provenance
-    legacy = any(p.kind == "mc" and p.kernel != "mc3" for p in matrix.provenance)
+    legacy = any(p.kind == "mc" and p.kernel != "mc4" for p in matrix.provenance)
     assert len(caught) == (1 if legacy else 0)
 
 
 @pytest.mark.parametrize("ext", ["csv", "json"])
 def test_legacy_mc_file_loads_warns_once_and_resaves_identically(small_mc_matrix, tmp_path, ext):
-    # A file the v1 kernel wrote differs from an mc3 one only in its tokens.
+    # A file the v1 kernel wrote differs from an mc4 one only in its tokens.
     current, legacy, resaved = (tmp_path / f"{name}.{ext}" for name in ("current", "legacy", "resaved"))
     save_matrix(small_mc_matrix, current)
-    assert "mc3:" in current.read_text()
-    legacy.write_text(current.read_text().replace("mc3:", "mc:"))
+    assert "mc4:" in current.read_text()
+    legacy.write_text(current.read_text().replace("mc4:", "mc:"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert [p.token() for p in load_matrix(current).provenance] == [
@@ -604,31 +604,49 @@ def test_legacy_mc_file_loads_warns_once_and_resaves_identically(small_mc_matrix
     assert resaved.read_bytes() == legacy.read_bytes()
 
 
-MC2_FILE = Path(__file__).parent / "data" / "mc2_rapid32_mu6.csv"
+DATA = Path(__file__).parent / "data"
+MC2_FILE = DATA / "mc2_rapid32_mu6.csv"
+MC3_FILE = DATA / "mc3_rapid32_mu6.csv"
+
+
+def _assert_retired_file_loads_unchanged(path, tmp_path, kernels, found):
+    """One warning naming each retired stream of the file, rows bit-equal to its numbers, re-save byte-identical."""
+    with pytest.warns(UserWarning) as caught:
+        loaded = load_matrix(path)
+    assert len(caught) == 1
+    message = str(caught[0].message)
+    assert f"3 of 7 rows carry {found};" in message and "cannot reproduce" in message
+    lines = path.read_text().splitlines()
+    rows = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[4:]])
+    assert loaded.rows.tobytes() == rows.tobytes()
+    assert [p.kernel for p in loaded.provenance if p.kind == "mc"] == kernels  # rows 0, 3 and 6
+    resaved = tmp_path / "resaved.csv"
+    save_matrix(loaded, resaved)
+    assert resaved.read_bytes() == path.read_bytes()
 
 
 def test_mc2_file_loads_with_one_warning_and_unchanged_rows(tmp_path):
     # Written by binflux 0.5.0 (the mc2 stream): build_matrix(rapid32, 6, "mc", n_shots=500, seed=4, support=[3]).
-    with pytest.warns(UserWarning) as caught:
-        loaded = load_matrix(MC2_FILE)
-    assert len(caught) == 1
-    message = str(caught[0].message)
-    assert "3 of 7 rows carry v2 Monte Carlo tokens ('mc2:')" in message and "cannot reproduce" in message
-    assert "v1" not in message
-    lines = MC2_FILE.read_text().splitlines()
-    rows = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[4:]])
-    assert loaded.rows.tobytes() == rows.tobytes()
-    assert [p.kernel for p in loaded.provenance if p.kind == "mc"] == ["mc2"] * 3  # rows 0, 3 and 6
-    resaved = tmp_path / "resaved.csv"
-    save_matrix(loaded, resaved)
-    assert resaved.read_bytes() == MC2_FILE.read_bytes()
+    _assert_retired_file_loads_unchanged(MC2_FILE, tmp_path, ["mc2"] * 3, "v2 Monte Carlo tokens ('mc2:')")
+
+
+def test_mc3_file_loads_with_one_warning_and_unchanged_rows(tmp_path):
+    # Written by binflux 0.6.0 (the mc3 stream) with the same call as the mc2 file.
+    _assert_retired_file_loads_unchanged(MC3_FILE, tmp_path, ["mc3"] * 3, "v3 Monte Carlo tokens ('mc3:')")
+
+
+def test_file_with_mc2_and_mc3_rows_names_both_in_one_warning(tmp_path):
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text(MC3_FILE.read_text().replace("mc3:", "mc2:", 1))
+    found = "v2 Monte Carlo tokens ('mc2:') and v3 Monte Carlo tokens ('mc3:')"
+    _assert_retired_file_loads_unchanged(mixed, tmp_path, ["mc2", "mc3", "mc3"], found)
 
 
 def test_file_with_both_retired_streams_names_each_in_one_warning(small_mc_matrix, tmp_path):
     p = tmp_path / "mixed.csv"
     save_matrix(small_mc_matrix, p)
     text = p.read_text()
-    p.write_text(text.replace("mc3:", "mc:", 1).replace("mc3:", "mc2:"))
+    p.write_text(text.replace("mc4:", "mc:", 1).replace("mc4:", "mc2:"))
     with pytest.warns(UserWarning) as caught:
         load_matrix(p)
     assert len(caught) == 1
@@ -717,8 +735,8 @@ def sparse_mc_matrix400():
 MATRIX_FILE_DIGESTS = {
     ("exact", "csv"): "5c397ed3d9e560c22e453dab8749714bd9712a08113d233a6dcda4935e9d79a1",
     ("exact", "json"): "002d3129b653e727f31c6b4083fef2f90e9e4294faa86d792d884458996dfd0a",
-    ("mc", "csv"): "e6aa04c94acd755b310083d58ece482d8a6c2317e72a2f5128009e0bfc5a47eb",
-    ("mc", "json"): "955b04cf3a1a6705c382cc1c039126dbfe6f1ad4849352e1d8f5859808bd17e5",
+    ("mc", "csv"): "d9fef4c77f36e42bc537cb1cf4be771235a43759fb75107473671b5c7a4dc1b9",
+    ("mc", "json"): "73e08f022a607d88ec2ffc80c4b62901800382a4b64e1549c783187e305755f5",
 }
 
 
