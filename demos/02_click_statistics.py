@@ -47,7 +47,7 @@ print("== dark floor (mu=0)")
 print(f"   P(0 clicks) = {dark.probs[0]:.6f}, P(>=1 click) = {1.0 - dark.probs[0]:.3e}")
 
 # Determinism: the same seed reproduces the histogram bit for bit,
-# independent of chunking or thread count.
-a = simulate_batch(Coherent(mu), weights, det, 100_000, seed=7, chunk_size=1024)
-b = simulate_batch(Coherent(mu), weights, det, 100_000, seed=7, chunk_size=65536, workers=2)
-print(f"== determinism: chunked/threaded rerun identical: {bool(np.array_equal(a.histogram, b.histogram))}")
+# independent of the thread count.
+a = simulate_batch(Coherent(mu), weights, det, 100_000, seed=7, workers=1)
+b = simulate_batch(Coherent(mu), weights, det, 100_000, seed=7, workers=2)
+print(f"== determinism: threaded rerun identical: {bool(np.array_equal(a.histogram, b.histogram))}")

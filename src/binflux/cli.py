@@ -7,9 +7,12 @@ system fingerprint, and library versions together with the Monte Carlo
 stream version (versions.kernel; no timestamps, so a rerun of the same
 command yields byte-identical files).
 
-Exit codes: 0 success, 2 usage, 3 configuration or file-format problem or
-a missing or unreadable file, 4 computation unsupported by the model,
-5 degenerate evidence.
+Exit codes, from the table _EXITS: 0 success; 2 a bad option or argument
+value, or an observations file that is not UTF-8 or holds a line that is
+not an integer; 3 a bad configuration, a malformed or non-UTF-8 config or
+matrix file, or a file that cannot be read or written; 4 a computation
+the model does not support; 5 degenerate evidence. Each error message
+names the option, field or file at fault.
 """
 
 from __future__ import annotations
@@ -48,10 +51,6 @@ from .mc_engine import MC_KERNEL, Coherent, Fock, describe_source, simulate_batc
 from .multiplexer import validate_timing
 from .presets import PRESET_NAMES, get_preset
 from .response_matrix import build_matrix, load_matrix, save_matrix
-
-
-class UsageError(Exception):
-    pass
 
 
 def _resolve_system(args: argparse.Namespace) -> SystemConfig:
@@ -147,8 +146,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
     system = _resolve_system(args)
-    if args.method == "mc" and args.seed is None:
-        raise UsageError("--seed is required when --method mc")
     matrix = build_matrix(
         system,
         args.mu_max,
@@ -166,17 +163,21 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _read_observations(path: str) -> list[int]:
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     values: list[int] = []
-    for i, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for i, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         try:
             values.append(int(body))
         except ValueError:
-            raise UsageError(f"{path}:{i}: expected an integer click count, got {body!r}") from None
+            raise ValueError(f"{path}:{i}: expected an integer click count, got {body!r}") from None
     if not values:
-        raise UsageError(f"{path}: no observations found")
+        raise ValueError(f"{path}: no observations found")
     return values
 
 
@@ -196,7 +197,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
     if args.max_n is not None:
         if args.max_n < 0:
-            raise UsageError(f"--max-n must be >= 0, got {args.max_n}")
+            raise ValueError(f"--max-n must be >= 0, got {args.max_n}")
         cutoff: int | None = args.max_n
     elif args.no_stability:
         cutoff = None
@@ -278,15 +279,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if not args.values:  # parsed by _int_list: None when the list is empty
-        raise UsageError("--values must name at least one integer")
+        raise ValueError("--values must name at least one integer")
     values = sorted(set(args.values))  # the grid both modes walk
     if args.over == "shots":
         if args.mu is None:
-            raise UsageError("--mu is required with --over shots")
+            raise ValueError("--mu is required with --over shots")
         if values[0] < 1:
-            raise UsageError(f"--values: shot counts must be >= 1, got {values[0]}")
+            raise ValueError(f"--values: shot counts must be >= 1, got {values[0]}")
     elif values[0] < 0:
-        raise UsageError(f"--values: mu must be >= 0, got {values[0]}")
+        raise ValueError(f"--values: mu must be >= 0, got {values[0]}")
     system = _resolve_system(args)
     weights = system.bin_weights()
     out = Path(args.output)
@@ -398,32 +399,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code and stderr label of each error type. main takes the first entry
+# the error is an instance of; ValueError, which every bad argument raises,
+# comes last so that it never shadows a narrower entry.
+_EXITS = (
+    (ConfigurationError, 3, "configuration error"),
+    (MatrixFormatError, 3, "matrix file error"),
+    (OSError, 3, "file error"),
+    (ModelUnsupportedError, 4, "unsupported by this model"),
+    (DegenerateEvidenceError, 5, "degenerate evidence"),
+    (ValueError, 2, "usage error"),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"binflux: usage error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigurationError as exc:
-        print(f"binflux: configuration error: {exc}", file=sys.stderr)
-        return 3
-    except MatrixFormatError as exc:
-        print(f"binflux: matrix file error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"binflux: file error: {exc}", file=sys.stderr)
-        return 3
-    except ModelUnsupportedError as exc:
-        print(f"binflux: unsupported by this model: {exc}", file=sys.stderr)
-        return 4
-    except DegenerateEvidenceError as exc:
-        print(f"binflux: degenerate evidence: {exc}", file=sys.stderr)
-        return 5
-    except ValueError as exc:
-        print(f"binflux: usage error: {exc}", file=sys.stderr)
-        return 2
+    except tuple(kind for kind, _, _ in _EXITS) as exc:
+        code, label = next((code, label) for kind, code, label in _EXITS if isinstance(exc, kind))
+        print(f"binflux: {label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -211,6 +211,6 @@ def save_system(system: SystemConfig, path: str | Path) -> None:
 def load_system(path: str | Path) -> SystemConfig:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"config file {path}: invalid JSON ({exc})") from exc
     return system_from_dict(data)

@@ -8,7 +8,8 @@ class BinfluxError(Exception):
 class ConfigurationError(BinfluxError):
     """A configuration value is out of range or inconsistent.
 
-    The message names the offending field.
+    The message names the offending field. A bad function argument raises
+    ValueError instead.
     """
 
 

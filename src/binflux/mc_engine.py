@@ -274,22 +274,19 @@ def simulate_batch(
     seed: int,
     *,
     start_shot: int = 0,
-    chunk_size: int = 65536,
     workers: int | None = None,
     store_totals: bool = False,
 ) -> BatchResult:
     """Simulate n_shots pulses and aggregate their click statistics.
 
-    Results depend only on (seed, shot indices): chunk_size and workers are
-    performance knobs that never change the outcome.
+    Results depend only on (seed, shot indices): workers is a performance
+    knob that never changes the outcome.
     """
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     kernel = _Kernel(source, weights, detector)
     seq = seed_sequence(seed)
-    chunk = max(1, min(chunk_size, _CHUNK_LANES // kernel.lanes))
+    chunk = max(1, _CHUNK_LANES // kernel.lanes)
     starts = list(range(start_shot, start_shot + n_shots, chunk))
     sizes = [min(chunk, start_shot + n_shots - s) for s in starts]
 

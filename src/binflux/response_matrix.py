@@ -127,25 +127,26 @@ def build_matrix(
 
     support restricts direct computation to the given mu values (0 and
     mu_max are always added); remaining rows are interpolated per click
-    count and renormalized. method "mc" needs a seed.
+    count and renormalized. method "mc" needs a seed. A bad argument raises
+    ValueError, a bad system ConfigurationError.
     """
     system.validate()
     if mu_max < 1:
-        raise ConfigurationError(f"mu_max: must be >= 1, got {mu_max}")
+        raise ValueError(f"mu_max: must be >= 1, got {mu_max}")
     if method not in ("exact", "mc"):
-        raise ConfigurationError(f"method: expected 'exact' or 'mc', got {method!r}")
+        raise ValueError(f"method: expected 'exact' or 'mc', got {method!r}")
     if method == "mc":
         if seed is None:
-            raise ConfigurationError("seed: required when method='mc'")
+            raise ValueError("seed: required when method='mc'")
         if n_shots < 1:
-            raise ConfigurationError(f"n_shots: must be >= 1, got {n_shots}")
+            raise ValueError(f"n_shots: must be >= 1, got {n_shots}")
 
     if support is None:
         direct_mus = list(range(mu_max + 1))
     else:
         direct_mus = sorted({int(m) for m in support} | {0, mu_max})
         if direct_mus[0] < 0 or direct_mus[-1] > mu_max:
-            raise ConfigurationError(f"support: values must lie in [0, {mu_max}]")
+            raise ValueError(f"support: values must lie in [0, {mu_max}]")
 
     weights = system.bin_weights()
     n_bins = weights.num_bins
@@ -348,7 +349,10 @@ def load_matrix(path: str | Path) -> ResponseMatrix:
     Monte Carlo rows from an older stream load, with one warning per file.
     """
     path = Path(path)
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"{path}: {exc}") from exc
     parse = {".csv": _parse_csv, ".json": _parse_json}.get(path.suffix)
     if parse is None:
         raise ValueError(f"unsupported matrix extension {path.suffix!r} (use .csv or .json)")

@@ -1,8 +1,10 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import binflux.mc_engine as mc_engine
 from binflux import (
     DetectorSpec,
     MechanisticUndershoot,
@@ -62,6 +64,18 @@ def conventional16():
 @pytest.fixture(scope="session")
 def rapid32_weights(rapid32):
     return rapid32.bin_weights()
+
+
+@pytest.fixture(scope="session")
+def simulate_in_chunks():
+    """simulate_batch with `chunk` shots per chunk, set by patching mc_engine._CHUNK_LANES for the call."""
+
+    def run(chunk, source, weights, detector, *args, **kwargs):
+        lanes = mc_engine._Kernel(source, weights, detector).lanes
+        with mock.patch.object(mc_engine, "_CHUNK_LANES", chunk * lanes):
+            return mc_engine.simulate_batch(source, weights, detector, *args, **kwargs)
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -253,6 +253,20 @@ MUTANTS = (
         ("test_baseline.py",),
     ),
     Mutant(
+        "response_matrix.non_utf8_file_escapes_as_a_usage_error",
+        "response_matrix.py",
+        "except UnicodeDecodeError as exc:",
+        "except () as exc:",
+        ("test_cli.py::test_non_utf8_input_file_is_named_in_the_error",),
+    ),
+    Mutant(
+        "cli.unsupported_exit_code",
+        "cli.py",
+        '(ModelUnsupportedError, 4, "unsupported by this model")',
+        '(ModelUnsupportedError, 5, "unsupported by this model")',
+        ("test_cli.py::test_infer_count_above_cutoff", "test_cli.py::test_infer_on_mechanistic_matrix_enforces_cutoff"),
+    ),
+    Mutant(
         "cli.energy_from_width_minus_one",
         "cli.py",
         '"energy_j": interval_to_energy(interval.width, args.wavelength)',

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +38,23 @@ from binflux.response_matrix import RowProvenance
 
 
 @pytest.fixture(scope="module")
-def matrix_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("matrix") / "rapid32.csv"
-    assert main(["matrix", "--preset", "rapid32", "--mu-max", "400", "-o", str(path)]) == 0
-    return path
+def rapid32_matrix_file(tmp_path_factory):
+    """The file `matrix --preset rapid32 --mu-max <mu_max> -o rapid32.<suffix>` writes, made once per module."""
+    made = {}
+
+    def get(mu_max, suffix="csv"):
+        if (mu_max, suffix) not in made:
+            path = tmp_path_factory.mktemp(f"matrix{mu_max}") / f"rapid32.{suffix}"
+            assert main(["matrix", "--preset", "rapid32", "--mu-max", str(mu_max), "-o", str(path)]) == 0
+            made[mu_max, suffix] = path
+        return made[mu_max, suffix]
+
+    return get
+
+
+@pytest.fixture(scope="module")
+def matrix_file(rapid32_matrix_file):
+    return rapid32_matrix_file(400)
 
 
 def test_version_agrees_across_package_project_and_cli(capsys):
@@ -49,8 +63,8 @@ def test_version_agrees_across_package_project_and_cli(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    assert binflux.__version__ == declared == "0.7.0"
-    assert capsys.readouterr().out == "binflux 0.7.0\n"
+    assert binflux.__version__ == declared == "0.8.0"
+    assert capsys.readouterr().out == "binflux 0.8.0\n"
 
 
 def test_presets_listing(capsys):
@@ -390,12 +404,16 @@ def test_compare_smoke(tmp_path, capsys):
     assert (tmp_path / "compare.csv.manifest.json").exists()
 
 
-@pytest.mark.parametrize("target", ["0", "-0.5", "nan", "inf", "1e-200"])
-def test_compare_rejects_target_before_writing(tmp_path, capsys, target):
+@pytest.mark.parametrize(
+    "target, seed",
+    [("0", "3"), ("-0.5", "3"), ("nan", "3"), ("inf", "3"), ("1e-200", "3"), ("inf", "1"), ("nan", "1")],
+    ids=["0", "-0.5", "nan", "inf", "1e-200", "inf-seed-1", "nan-seed-1"],
+)
+def test_compare_rejects_target_before_writing(tmp_path, capsys, target, seed):
     out = tmp_path / "compare.csv"
     rc = main(
         ["compare", "--preset", "rapid32", "--mu", "100", "--max-shots", "5", "--trials", "2",
-         "--seed", "3", f"--target={target}", "-o", str(out)]
+         "--seed", seed, f"--target={target}", "-o", str(out)]
     )
     assert rc == 2
     assert "target" in capsys.readouterr().err
@@ -420,21 +438,82 @@ def test_convergence_rejects_level_before_writing(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "mu_max, argv, message",
+    [
+        (400, ["--n", "1", "--wavelength", "nan", "--posterior", "{tmp}/post.csv"], "wavelength must be finite"),
+        (400, ["--n", "1", "--wavelength", "inf", "--posterior", "{tmp}/post.csv"], "wavelength must be finite"),
+        (400, ["--n", "1", "--tolerance", "nan", "--posterior", "{tmp}/post.csv"], "tolerance must be finite"),
+        (400, ["--n", "1", "--max-n", "-1", "--posterior", "{tmp}/post.csv"], "--max-n must be >= 0"),
+        (100, ["--n", "3", "--wavelength", "nan"], "wavelength must be finite"),
+        (100, ["--n", "3", "--tolerance", "nan"], "tolerance must be finite"),
+        (100, ["--n", "3", "--max-n", "-1"], "--max-n must be >= 0"),
+    ],
+    ids=[
+        "wavelength-nan", "wavelength-inf", "tolerance-nan", "max-n-negative",
+        "mu-max-100-wavelength-nan", "mu-max-100-tolerance-nan", "mu-max-100-max-n-negative",
+    ],
+)
+def test_infer_rejects_bad_numbers_before_writing(rapid32_matrix_file, tmp_path, capsys, mu_max, argv, message):
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    rc = main(["infer", "-m", str(rapid32_matrix_file(mu_max)), *argv, "-o", str(tmp_path / "result.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"binflux: usage error: {message}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_infer_warns_once_on_a_tampered_fingerprint(rapid32_matrix_file, tmp_path):
+    # The stored fingerprint only checks the embedded configuration, which infer trusts:
+    # a file whose fingerprint is zeroed warns once and gives the clean file's result.
+    clean = rapid32_matrix_file(100)
+    tampered = tmp_path / "tampered.csv"
+    tampered.write_text(re.sub("fingerprint=[0-9a-f]*", "fingerprint=" + "0" * 64, clean.read_text(), count=1))
+    assert main(["infer", "-m", str(clean), "--n", "3", "-o", str(tmp_path / "clean.json")]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["infer", "-m", str(tampered), "--n", "3", "-o", str(tmp_path / "tampered.json")]) == 0
+    assert sum("does not match the embedded configuration" in str(w.message) for w in caught) == 1
+    assert (tmp_path / "tampered.json").read_bytes() == (tmp_path / "clean.json").read_bytes()
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
-        (["--wavelength", "nan"], "wavelength must be finite"),
-        (["--wavelength", "inf"], "wavelength must be finite"),
-        (["--tolerance", "nan"], "tolerance must be finite"),
-        (["--max-n", "-1"], "--max-n must be >= 0"),
+        (["matrix", "--mu-max", "0"], "mu_max: must be >= 1, got 0"),
+        (["compare", "--mu", "100", "--trials", "2", "--max-shots", "5", "--seed", "1", "--mu-max", "0"],
+         "mu_max: must be >= 1, got 0"),
+        (["sweep", "--over", "shots", "--values", "1,5", "--mu", "100", "--seed", "1", "--mu-max", "0"],
+         "mu_max: must be >= 1, got 0"),
+        (["matrix", "--mu-max", "5", "--method", "mc", "--seed", "1", "--shots", "0"], "n_shots: must be >= 1, got 0"),
+        (["matrix", "--support", "3,9", "--mu-max", "5"], "support: values must lie in [0, 5]"),
     ],
-    ids=["wavelength-nan", "wavelength-inf", "tolerance-nan", "max-n-negative"],
+    ids=["matrix-mu-max", "compare-mu-max", "sweep-mu-max", "matrix-shots", "matrix-support"],
 )
-def test_infer_rejects_bad_numbers_before_writing(matrix_file, tmp_path, capsys, argv, message):
-    out, post = tmp_path / "result.json", tmp_path / "post.csv"
-    rc = main(["infer", "-m", str(matrix_file), "--n", "1", *argv, "-o", str(out), "--posterior", str(post)])
-    assert rc == 2
-    assert message in capsys.readouterr().err
+def test_bad_build_matrix_argument_exits_2_before_writing(tmp_path, capsys, argv, message):
+    # Before, build_matrix raised ConfigurationError for these, so they exited 3 as a configuration error.
+    assert main([*argv, "--preset", "rapid32", "-o", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == f"binflux: usage error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, code, label",
+    [
+        (["infer", "-m", "{bad}.csv", "--n", "1"], 3, "matrix file error"),
+        (["matrix", "--config", "{bad}.json", "--mu-max", "5"], 3, "configuration error"),
+        (["infer", "-m", "{matrix}", "--obs", "{bad}.txt"], 2, "usage error"),
+    ],
+    ids=["matrix", "config", "obs"],
+)
+def test_non_utf8_input_file_is_named_in_the_error(matrix_file, tmp_path, capsys, argv, code, label):
+    # Before, each exited 2 with the bare decoder message, which names no file.
+    bad = tmp_path / "bad"
+    argv = [a.format(bad=bad, matrix=matrix_file) for a in argv]
+    path = next(a for a in argv if a.startswith(str(bad)))
+    Path(path).write_bytes(b"\xff1\n")
+    assert main([*argv, "-o", str(tmp_path / "out.json")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"binflux: {label}: ") and path in err and "can't decode byte 0xff" in err
+    assert list(tmp_path.iterdir()) == [Path(path)]
 
 
 def test_compare_rejects_nan_tolerance_before_writing(tmp_path, capsys):
@@ -731,8 +810,9 @@ def test_infer_on_mechanistic_matrix_enforces_cutoff(mechanistic_matrix, capsys)
     captured = capsys.readouterr()
     assert json.loads(captured.out)["max_admissible_n"] == 3
     assert captured.err == ""
-    assert main(["infer", "-m", str(mechanistic_matrix), "--n", "4"]) == 4
-    assert "stability cutoff 3" in capsys.readouterr().err
+    for n in ("4", "20"):
+        assert main(["infer", "-m", str(mechanistic_matrix), "--n", n]) == 4
+        assert "stability cutoff 3" in capsys.readouterr().err
 
 
 def test_compare_on_mechanistic_config(mechanistic_config, tmp_path):
@@ -790,39 +870,52 @@ def test_simulate_fock200_is_within_the_oracle_bound(name, rapid32, mechanistic3
     assert total_variation(hist / hist.sum(), exact) <= math.sqrt(33 / 20000)
 
 
-@pytest.mark.parametrize("mu_field", ["inf", "1.9", "nan"])
-def test_infer_bad_csv_mu_field_exits_3(matrix_file, tmp_path, capsys, mu_field):
+@pytest.mark.parametrize(
+    "mu_field, mu_max",
+    [("inf", 400), ("1.9", 400), ("nan", 400), ("inf", 40), ("1.9", 40)],
+    ids=["inf", "1.9", "nan", "inf-mu-max-40", "1.9-mu-max-40"],
+)
+def test_infer_bad_csv_mu_field_exits_3(rapid32_matrix_file, tmp_path, capsys, mu_field, mu_max):
     # Before, "inf" ended in a traceback (exit 1), "nan" in a usage error
     # (exit 2) and "1.9" loaded as row 1.
     bad = tmp_path / "mu.csv"
-    lines = matrix_file.read_text().splitlines()
+    lines = rapid32_matrix_file(mu_max).read_text().splitlines()
     lines[5] = mu_field + lines[5][lines[5].index(","):]
     bad.write_text("\n".join(lines) + "\n")
     assert main(["infer", "-m", str(bad), "--n", "1"]) == 3
-    assert f"{bad}:6: expected mu=1, got {mu_field}" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"binflux: matrix file error: {bad}:6: expected mu=1, got {mu_field}")
 
 
-def test_infer_quoted_json_cell_exits_3(matrix_file, tmp_path, capsys):
-    bad = tmp_path / "quoted.json"
-    save_matrix(load_matrix(matrix_file), bad)
-    doc = json.loads(bad.read_text())
-    doc["rows"][7][3] = str(doc["rows"][7][3])
+def _json_matrix_with_cell(source: Path, bad: Path, row: int, col: int, value) -> None:
+    """Write the JSON matrix source to bad, with cell (row, col) replaced by value(cell)."""
+    doc = json.loads(source.read_text())
+    doc["rows"][row][col] = value(doc["rows"][row][col])
     bad.write_text(json.dumps(doc))
-    assert main(["infer", "-m", str(bad), "--n", "1"]) == 3
-    assert f"{bad}: row 7: expected 33 JSON numbers" in capsys.readouterr().err
 
 
-def test_infer_json_cell_past_the_double_range_exits_3(matrix_file, tmp_path, capsys):
+# (mu_max, row, column) of each edited cell: two grids, two places in the file.
+JSON_CELLS = [(400, 7, 3), (40, 3, 2)]
+
+
+def test_infer_quoted_json_cell_exits_3(rapid32_matrix_file, tmp_path, capsys):
+    bad = tmp_path / "quoted.json"
+    for mu_max, row, col in JSON_CELLS:
+        _json_matrix_with_cell(rapid32_matrix_file(mu_max, "json"), bad, row, col, str)
+        assert main(["infer", "-m", str(bad), "--n", "1"]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"binflux: matrix file error: {bad}: row {row}: expected 33 JSON numbers"
+        )
+
+
+def test_infer_json_cell_past_the_double_range_exits_3(rapid32_matrix_file, tmp_path, capsys):
     # Before, the OverflowError from the float conversion ended in a traceback (exit 1).
     bad = tmp_path / "huge.json"
-    save_matrix(load_matrix(matrix_file), bad)
-    doc = json.loads(bad.read_text())
-    doc["rows"][7][3] = 10**400
-    bad.write_text(json.dumps(doc))
-    assert main(["infer", "-m", str(bad), "--n", "1"]) == 3
-    assert capsys.readouterr().err.startswith(
-        f"binflux: matrix file error: {bad}: row 7: number too large for a double"
-    )
+    for mu_max, row, col in JSON_CELLS:
+        _json_matrix_with_cell(rapid32_matrix_file(mu_max, "json"), bad, row, col, lambda _: 10**400)
+        assert main(["infer", "-m", str(bad), "--n", "1"]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"binflux: matrix file error: {bad}: row {row}: number too large for a double"
+        )
 
 
 def test_matrix_file_and_config_errors_have_their_own_labels(matrix_file, tmp_path, capsys):

@@ -178,14 +178,14 @@ def split_runs(draw):
 
 @given(run=split_runs())
 @settings(max_examples=60, deadline=None)
-def test_outputs_do_not_depend_on_how_the_run_is_split(run):
+def test_outputs_do_not_depend_on_how_the_run_is_split(simulate_in_chunks, run):
     source, weights, detector, seed = run["source"], run["weights"], run["detector"], run["seed"]
     start, n, split = run["start_shot"], run["n_shots"], run["split"]
     ref = simulate_batch(source, weights, detector, n, seed, start_shot=start, store_totals=True, workers=1)
     parts = [
-        simulate_batch(
-            source, weights, detector, m, seed, start_shot=s, store_totals=True,
-            chunk_size=run["chunk_size"], workers=run["workers"],
+        simulate_in_chunks(
+            run["chunk_size"], source, weights, detector, m, seed, start_shot=s, store_totals=True,
+            workers=run["workers"],
         )
         for s, m in ((start, split), (start + split, n - split))
         if m > 0
@@ -199,7 +199,7 @@ def test_outputs_do_not_depend_on_how_the_run_is_split(run):
 
 
 @pytest.mark.parametrize("n_shots, chunk_size, workers, pool_size", [(30, 10, 8, 3), (30, 64, 2, None)])
-def test_workers_clamped_to_chunk_count(lossy_small, n_shots, chunk_size, workers, pool_size):
+def test_workers_clamped_to_chunk_count(lossy_small, simulate_in_chunks, n_shots, chunk_size, workers, pool_size):
     weights, detector = lossy_small
     sizes = []
     real_pool = concurrent.futures.ThreadPoolExecutor
@@ -209,9 +209,7 @@ def test_workers_clamped_to_chunk_count(lossy_small, n_shots, chunk_size, worker
         return real_pool(max_workers=max_workers)
 
     with mock.patch.object(concurrent.futures, "ThreadPoolExecutor", recording_pool):
-        batch = simulate_batch(
-            Coherent(2.0), weights, detector, n_shots, 3, chunk_size=chunk_size, workers=workers
-        )
+        batch = simulate_in_chunks(chunk_size, Coherent(2.0), weights, detector, n_shots, 3, workers=workers)
     assert batch.histogram.sum() == n_shots
     assert sizes == ([] if pool_size is None else [pool_size])
 
@@ -548,11 +546,12 @@ def test_lanes_are_consecutive_words_of_one_stream(lanes):
     assert uniform_lanes(seed_sequence(seed), 5, 0, lanes).shape == (0, lanes)
 
 
-def _assert_kernel_equals_reference(source, weights, detector, seed, start, n, chunk_size, workers):
+def _assert_kernel_equals_reference(
+    simulate_in_chunks, source, weights, detector, seed, start, n, chunk_size, workers
+):
     ref_clicks, ref_totals, ref_photons = reference_kernel(source, weights, detector, seed, start, n)
-    batch = simulate_batch(
-        source, weights, detector, n, seed, start_shot=start, chunk_size=chunk_size, workers=workers,
-        store_totals=True,
+    batch = simulate_in_chunks(
+        chunk_size, source, weights, detector, n, seed, start_shot=start, workers=workers, store_totals=True
     )
     assert np.array_equal(batch.click_totals, ref_totals)
     assert batch.click_totals.dtype == np.int64
@@ -589,8 +588,8 @@ def reference_runs(draw):
 
 @given(run=reference_runs())
 @settings(max_examples=80, deadline=None)
-def test_kernel_equals_float_reference_shot_for_shot(run):
-    _assert_kernel_equals_reference(**run)
+def test_kernel_equals_float_reference_shot_for_shot(simulate_in_chunks, run):
+    _assert_kernel_equals_reference(simulate_in_chunks, **run)
 
 
 def _mechanistic(system):
@@ -607,10 +606,12 @@ def _mechanistic(system):
         (Fock(200), "rapid32", True),
     ],
 )
-def test_kernel_equals_float_reference_on_presets(source, preset, mechanistic):
+def test_kernel_equals_float_reference_on_presets(simulate_in_chunks, source, preset, mechanistic):
     system = get_preset(preset)
     detector = _mechanistic(system) if mechanistic else system.detector
-    _assert_kernel_equals_reference(source, system.bin_weights(), detector, 2026, 12_345, 700, 256, 2)
+    _assert_kernel_equals_reference(
+        simulate_in_chunks, source, system.bin_weights(), detector, 2026, 12_345, 700, 256, 2
+    )
 
 
 # ------------------------------------------------ the B * 2**-32 bound and the certain gates

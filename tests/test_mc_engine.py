@@ -38,22 +38,22 @@ def test_different_seed_different_result(rapid32, rapid32_weights):
     assert not np.array_equal(a.histogram, b.histogram)
 
 
-def test_chunk_size_and_workers_do_not_change_results(rapid32, rapid32_weights):
-    kwargs = dict(n_shots=20000, seed=7, store_totals=True)
-    a = simulate_batch(Coherent(100.0), rapid32_weights, rapid32.detector, chunk_size=999, **kwargs)
-    b = simulate_batch(Coherent(100.0), rapid32_weights, rapid32.detector, chunk_size=4096, workers=4, **kwargs)
-    c = simulate_batch(Coherent(100.0), rapid32_weights, rapid32.detector, chunk_size=20000, **kwargs)
+def test_chunk_size_and_workers_do_not_change_results(rapid32, rapid32_weights, simulate_in_chunks):
+    args = (Coherent(100.0), rapid32_weights, rapid32.detector, 20000, 7)
+    a = simulate_in_chunks(999, *args, store_totals=True)
+    b = simulate_in_chunks(4096, *args, store_totals=True, workers=4)
+    c = simulate_in_chunks(20000, *args, store_totals=True)
     assert np.array_equal(a.histogram, b.histogram)
     assert np.array_equal(a.histogram, c.histogram)
     assert np.array_equal(a.click_totals, b.click_totals)
     assert np.array_equal(a.click_totals, c.click_totals)
 
 
-def test_workers_env_cap(rapid32, rapid32_weights, monkeypatch):
+def test_workers_env_cap(rapid32, rapid32_weights, monkeypatch, simulate_in_chunks):
     monkeypatch.setenv("BINFLUX_THREADS", "3")
-    a = simulate_batch(Coherent(10.0), rapid32_weights, rapid32.detector, 8000, seed=3, chunk_size=1000)
+    a = simulate_in_chunks(1000, Coherent(10.0), rapid32_weights, rapid32.detector, 8000, seed=3)
     monkeypatch.delenv("BINFLUX_THREADS")
-    b = simulate_batch(Coherent(10.0), rapid32_weights, rapid32.detector, 8000, seed=3, chunk_size=1000)
+    b = simulate_in_chunks(1000, Coherent(10.0), rapid32_weights, rapid32.detector, 8000, seed=3)
     assert np.array_equal(a.histogram, b.histogram)
 
 
@@ -114,11 +114,8 @@ def test_single_shot_matches_batch_slice(rapid32, rapid32_weights):
     assert np.array_equal(patterns.sum(axis=0), batch.click_totals)
 
 
-def test_records_and_totals_consistent(rapid32, rapid32_weights):
-    batch = simulate_batch(
-        Coherent(20.0), rapid32_weights, rapid32.detector, 500, seed=5,
-        store_totals=True, chunk_size=100,
-    )
+def test_records_and_totals_consistent(rapid32, rapid32_weights, simulate_in_chunks):
+    batch = simulate_in_chunks(100, Coherent(20.0), rapid32_weights, rapid32.detector, 500, seed=5, store_totals=True)
     assert batch.click_totals.shape == (500,)
     clicks, _, _ = _Kernel(Coherent(20.0), rapid32_weights, rapid32.detector).run(seed_sequence(5), 0, 500)
     assert batch.click_totals.sum() == clicks.sum()
@@ -176,15 +173,15 @@ def test_fock_zero_photons_dark_only_mc(lossy_small):
 
 @pytest.mark.parametrize("chunk_size", [7, 65536])
 @pytest.mark.parametrize("n_photons", [5, 64, 65, 200])
-def test_fock_large_photon_number_path(lossy_small, n_photons, chunk_size):
+def test_fock_large_photon_number_path(lossy_small, n_photons, chunk_size, simulate_in_chunks):
     # Photon numbers on both sides of 64 and of the chunk length all go
     # through the same routing; one shot per chunk is the reference.
     weights, det = lossy_small
-    batch = simulate_batch(Fock(n_photons), weights, det, 50, seed=37, store_totals=True, chunk_size=chunk_size)
+    batch = simulate_in_chunks(chunk_size, Fock(n_photons), weights, det, 50, seed=37, store_totals=True)
     assert batch.n_shots == 50
     assert batch.histogram.sum() == 50
     assert np.array_equal(np.bincount(batch.click_totals, minlength=weights.num_bins + 1), batch.histogram)
-    ref = simulate_batch(Fock(n_photons), weights, det, 50, seed=37, store_totals=True, chunk_size=1)
+    ref = simulate_in_chunks(1, Fock(n_photons), weights, det, 50, seed=37, store_totals=True)
     assert np.array_equal(batch.click_totals, ref.click_totals)
     assert np.array_equal(batch.photon_sum, ref.photon_sum)
     assert 0 < batch.photon_sum.sum() <= 50 * n_photons
@@ -302,10 +299,3 @@ def test_fock_accepts_numpy_integers(lossy_small):
     a = simulate_batch(source, weights, det, 500, seed=4)
     b = simulate_batch(Fock(5), weights, det, 500, seed=4)
     assert np.array_equal(a.histogram, b.histogram)
-
-
-@pytest.mark.parametrize("chunk_size", [0, -3])
-def test_chunk_size_must_be_positive(rapid32, rapid32_weights, chunk_size):
-    # Before, such a value ran one shot per chunk.
-    with pytest.raises(ValueError, match=f"^chunk_size must be >= 1, got {chunk_size}$"):
-        simulate_batch(Coherent(1.0), rapid32_weights, rapid32.detector, 10, seed=0, chunk_size=chunk_size)

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binflux import (
-    ConfigurationError,
     MatrixFormatError,
     ResponseMatrix,
     build_matrix,
@@ -52,14 +51,14 @@ def test_expected_clicks_strictly_increasing(rapid32_matrix400):
 
 
 def test_mu_max_validation(rapid32):
-    with pytest.raises(ConfigurationError, match="mu_max"):
+    with pytest.raises(ValueError, match="mu_max"):
         build_matrix(rapid32, 0, "exact")
-    with pytest.raises(ConfigurationError, match="method"):
+    with pytest.raises(ValueError, match="method"):
         build_matrix(rapid32, 10, "fast")
 
 
 def test_mc_method_requires_seed(rapid32):
-    with pytest.raises(ConfigurationError, match="seed"):
+    with pytest.raises(ValueError, match="seed"):
         build_matrix(rapid32, 5, "mc")
 
 
@@ -90,7 +89,7 @@ def test_support_includes_endpoints(rapid32):
 
 
 def test_support_out_of_range(rapid32):
-    with pytest.raises(ConfigurationError, match="support"):
+    with pytest.raises(ValueError, match="support"):
         build_matrix(rapid32, 20, "exact", support=[25])
 
 
