@@ -19,7 +19,6 @@ import math
 import numpy as np
 
 from ._rng import _LANE_BITS, derive_seed, lane_threshold, seed_sequence, uniform_lanes
-from .errors import ConfigurationError
 
 Z_90 = 1.645  # two-sided 90% normal quantile, one tail at 5%
 
@@ -41,7 +40,7 @@ def attenuation_for_target(mu: float, efficiency: float, p_target: float = 0.5) 
         raise ValueError("mu must be > 0 and efficiency in (0, 1]")
     alpha = -math.log(1.0 - p_target) / (mu * efficiency)
     if alpha > 1.0:
-        raise ConfigurationError(
+        raise ValueError(
             f"attenuation: reaching p={p_target} at mu={mu} with efficiency {efficiency} "
             f"would need transmission {alpha:.4g} > 1; the pulse is too dim to attenuate to target"
         )

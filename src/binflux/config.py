@@ -33,9 +33,7 @@ class SystemConfig:
     detector: DetectorSpec
     guard: float | None = None
 
-    def validate(self) -> None:
-        self.multiplexer.validate()
-        self.detector.validate()
+    def __post_init__(self) -> None:
         if self.guard is not None and not (0.0 <= self.guard < math.inf):
             raise ConfigurationError(f"guard: must be >= 0 and finite, got {self.guard!r}")
 
@@ -185,14 +183,12 @@ def system_from_dict(data: dict[str, Any]) -> SystemConfig:
         ),
     )
 
-    system = SystemConfig(
+    return SystemConfig(
         name=str(data.get("name", "custom")),
         multiplexer=mux,
         detector=det,
         guard=_field(data, "guard", "config", float, None),
     )
-    system.validate()
-    return system
 
 
 def canonical_json(system: SystemConfig) -> str:

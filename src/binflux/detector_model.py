@@ -32,7 +32,7 @@ class GlobalEfficiency:
 
     points: tuple[tuple[float, float], ...]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if len(self.points) == 0:
             raise ConfigurationError("undershoot.points: need at least one anchor")
         last_mu = -math.inf
@@ -59,7 +59,7 @@ class MechanisticUndershoot:
 
     p_miss_next: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (0.0 <= self.p_miss_next <= 1.0):
             raise ConfigurationError(f"undershoot.p_miss_next: must lie in [0, 1], got {self.p_miss_next!r}")
 
@@ -80,7 +80,7 @@ class DetectorSpec:
     undershoot: GlobalEfficiency | MechanisticUndershoot | None = None
     afterpulse_metadata: tuple[tuple[str, float], ...] | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (0.0 < self.efficiency <= 1.0):
             raise ConfigurationError(f"efficiency: must lie in (0, 1], got {self.efficiency!r}")
         if len(self.dark_prob_per_gate) != 2:
@@ -92,8 +92,8 @@ class DetectorSpec:
             raise ConfigurationError(f"gate_width: must be positive and finite, got {self.gate_width!r}")
         if self.deadtime < 0.0 or not math.isfinite(self.deadtime):
             raise ConfigurationError(f"deadtime: must be >= 0 and finite, got {self.deadtime!r}")
-        if self.undershoot is not None:
-            self.undershoot.validate()
+        if not isinstance(self.undershoot, (GlobalEfficiency, MechanisticUndershoot, type(None))):
+            raise ConfigurationError(f"undershoot: unsupported type {type(self.undershoot).__name__}")
         for key, value in self.afterpulse_metadata or ():
             if not math.isfinite(value):
                 raise ConfigurationError(f"afterpulse_metadata.{key}: must be finite, got {value!r}")
@@ -145,3 +145,19 @@ def shot_dark_probability(spec: DetectorSpec, bins_per_detector: int) -> float:
     for d in spec.dark_prob_per_gate:
         quiet *= (1.0 - d) ** bins_per_detector
     return 1.0 - quiet
+
+
+def _gate_order(weights: BinWeights, detector: DetectorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The gates detector-major, each detector's in time order, and each gate's miss probability.
+
+    The undershoot couples a gate only to the previous gate of its own
+    detector. In this order that gate is the one just before, or none at a
+    detector's first gate, so the outcome of the last gate is the whole
+    undershoot state. miss is p_miss_next, the chance that a gate right
+    after a click misses; it is 0 at each detector's first gate and
+    everywhere for independent gates.
+    """
+    order = np.argsort(weights.detector_of_bin, kind="stable")
+    miss = np.full(order.size, detector.undershoot.p_miss_next if detector.history_dependent else 0.0)
+    miss[np.diff(weights.detector_of_bin[order], prepend=-1) != 0] = 0.0
+    return order, miss

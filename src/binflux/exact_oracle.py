@@ -20,6 +20,7 @@ import numpy as np
 
 from .detector_model import (
     DetectorSpec,
+    _gate_order,
     effective_efficiency,
     no_click_probabilities,
     per_bin_dark_probabilities,
@@ -70,22 +71,6 @@ def poisson_binomial_pmf(click_probs: np.ndarray) -> np.ndarray:
     dist = np.ascontiguousarray(dist.T)  # normalised as (m, B + 1) rows: numpy's summation order
     dist /= dist.sum(axis=1, keepdims=True)
     return dist.reshape(p.shape[:-1] + (n_gates + 1,))
-
-
-def _gate_order(weights: BinWeights, detector: DetectorSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The gates detector-major, each detector's in time order, and each gate's miss probability.
-
-    The undershoot couples a gate only to the previous gate of its own
-    detector. In this order that gate is the one just before, or none at a
-    detector's first gate, so the outcome of the last gate is the whole
-    undershoot state. miss is p_miss_next, the chance that a gate right
-    after a click misses; it is 0 at each detector's first gate and
-    everywhere for independent gates.
-    """
-    order = np.argsort(weights.detector_of_bin, kind="stable")
-    miss = np.full(order.size, detector.undershoot.p_miss_next if detector.history_dependent else 0.0)
-    miss[np.diff(weights.detector_of_bin[order], prepend=-1) != 0] = 0.0
-    return order, miss
 
 
 def _gate_step(silent, clicked, quiet, fired_silent, fired_clicked, miss: float) -> None:
@@ -177,7 +162,6 @@ def fock_click_distribution(n_photons: int, weights: BinWeights, detector: Detec
     n_photons = Fock(n_photons).n_photons  # rejects a bad photon number before any work
     if n_photons > FOCK_EXACT_CAP:
         raise ValueError(f"n_photons={n_photons} exceeds the exact-method cap of {FOCK_EXACT_CAP}")
-    detector.validate()
 
     order, miss = _gate_order(weights, detector)
     detected = effective_efficiency(detector, float(n_photons)) * weights.weights[order]

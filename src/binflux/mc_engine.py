@@ -42,6 +42,7 @@ import numpy as np
 from ._rng import _LANE_BITS, gate_threshold, half_words, lane_threshold, seed_sequence, uniform_lanes
 from .detector_model import (
     DetectorSpec,
+    _gate_order,
     effective_efficiency,
     no_click_probabilities,
     per_bin_dark_probabilities,
@@ -150,7 +151,6 @@ class _Kernel:
     """Integer thresholds and routing tables plus the per-chunk simulation pass."""
 
     def __init__(self, source: Source, weights: BinWeights, detector: DetectorSpec):
-        detector.validate()
         b = weights.num_bins
         self.n_bins = b
         self.source = source
@@ -170,12 +170,11 @@ class _Kernel:
             self.route = lane_threshold(route_cum)
             self.route_table, self.route_span = _routing_table(self.route)
             self.gate_off = source.n_photons
+        self.miss = None
         if detector.history_dependent:
             self.miss = gate_threshold(np.full(b, detector.undershoot.p_miss_next))
-            self.det_bins = [np.flatnonzero(weights.detector_of_bin == d) for d in (0, 1)]
-        else:
-            self.miss = None
-            self.det_bins = []
+            order, miss = _gate_order(weights, detector)
+            self.chain = [(order[j - 1], order[j]) for j in np.flatnonzero(miss)]
         # Two gate decisions per lane: B half-words, and B more for undershoot misses.
         gates = b if self.miss is None else 2 * b
         self.lanes = self.gate_off + -(-gates // 2)
@@ -242,9 +241,8 @@ class _Kernel:
         clicks = np.ascontiguousarray(clicks.T)
         if miss is not None:
             miss = np.ascontiguousarray(miss.T)
-            for bins in self.det_bins:
-                for prev, j in zip(bins[:-1], bins[1:]):
-                    clicks[j] &= ~(clicks[prev] & miss[j])
+            for prev, j in self.chain:
+                clicks[j] &= ~(clicks[prev] & miss[j])
         totals = np.add.reduce(clicks.view(np.uint8), axis=0, dtype=np.uint8 if self.n_bins < 256 else np.uint32)
         return clicks, totals, photons
 

@@ -63,7 +63,7 @@ class MultiplexerSpec:
             return (0.5,) * (self.num_loops + 1)
         return self.coupler_ratios
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if len(self.loop_delays) == 0:
             raise ConfigurationError("loop_delays: need at least one loop")
         for i, d in enumerate(self.loop_delays):
@@ -117,7 +117,8 @@ class BinWeights:
     weights[b] is the probability that a photon entering the multiplexer
     exits in bin b (coupler path probability times bin transmission), so the
     total can fall below 1 when the fibers are lossy. arrival_times is
-    nondecreasing; detector_of_bin holds 0 or 1.
+    nondecreasing; detector_of_bin holds 0 or 1. A table that breaks any of
+    these raises ValueError when it is built.
     """
 
     weights: np.ndarray
@@ -125,7 +126,17 @@ class BinWeights:
     detector_of_bin: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.weights, self.arrival_times, self.detector_of_bin):
+        w, t, d = self.weights, self.arrival_times, self.detector_of_bin
+        if not (w.ndim == t.ndim == d.ndim == 1 and w.size == t.size == d.size):
+            raise ValueError("BinWeights: weights, arrival_times and detector_of_bin must be 1-D and of one length")
+        # A NaN weight fails the first test and an infinite one the second.
+        if not ((w >= 0.0).all() and w.sum() <= 1.0 + 1e-12):
+            raise ValueError(f"BinWeights.weights: must be finite and >= 0 and sum to at most 1, got sum {w.sum()!r}")
+        if not (t[1:] >= t[:-1]).all():
+            raise ValueError("BinWeights.arrival_times: must not decrease")
+        if d.dtype.kind not in "iu" or not ((d == 0) | (d == 1)).all():
+            raise ValueError("BinWeights.detector_of_bin: entries must be the integers 0 or 1")
+        for arr in (w, t, d):
             arr.setflags(write=False)
 
     @property
@@ -150,7 +161,6 @@ class TimingReport:
 
 def build_bin_weights(spec: MultiplexerSpec) -> BinWeights:
     """Enumerate all coupler paths and return the sorted bin table."""
-    spec.validate()
     m = spec.num_loops
     n_bins = spec.num_bins
     ratios = spec.ratios()
@@ -201,11 +211,11 @@ def validate_timing(weights: BinWeights, deadtime: float, guard: float | None = 
     (back-to-back gating is the designed operating point).
     """
     if not (0.0 <= deadtime < math.inf):
-        raise ConfigurationError(f"deadtime: must be >= 0 and finite, got {deadtime!r}")
+        raise ValueError(f"deadtime: must be >= 0 and finite, got {deadtime!r}")
     if guard is None:
         guard = deadtime
     if not (0.0 <= guard < math.inf):
-        raise ConfigurationError(f"guard: must be >= 0 and finite, got {guard!r}")
+        raise ValueError(f"guard: must be >= 0 and finite, got {guard!r}")
 
     min_spacing = math.inf
     for det in (0, 1):

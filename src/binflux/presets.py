@@ -71,6 +71,4 @@ def get_preset(name: str) -> SystemConfig:
         raise ConfigurationError(
             f"preset: unknown name {name!r} (available: {', '.join(PRESET_NAMES)})"
         ) from None
-    system = builder()
-    system.validate()
-    return system
+    return builder()

@@ -128,9 +128,8 @@ def build_matrix(
     support restricts direct computation to the given mu values (0 and
     mu_max are always added); remaining rows are interpolated per click
     count and renormalized. method "mc" needs a seed. A bad argument raises
-    ValueError, a bad system ConfigurationError.
+    ValueError.
     """
-    system.validate()
     if mu_max < 1:
         raise ValueError(f"mu_max: must be >= 1, got {mu_max}")
     if method not in ("exact", "mc"):

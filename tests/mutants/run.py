@@ -125,8 +125,8 @@ MUTANTS = (
         ("test_exact_oracle.py",),
     ),
     Mutant(
-        "exact_oracle.undershoot_in_time_order_across_detectors",
-        "exact_oracle.py",
+        "detector_model.undershoot_in_time_order_across_detectors",
+        "detector_model.py",
         'order = np.argsort(weights.detector_of_bin, kind="stable")',
         "order = np.arange(weights.num_bins)",
         ("test_exact_oracle.py",),
@@ -158,6 +158,20 @@ MUTANTS = (
         "np.fill_diagonal(wants, none_land * dark_j)",
         "np.fill_diagonal(wants, none_land)",
         ("test_exact_oracle.py",),
+    ),
+    Mutant(
+        "detector_model.undershoot_type_unchecked",
+        "detector_model.py",
+        "if not isinstance(self.undershoot, (GlobalEfficiency, MechanisticUndershoot, type(None))):",
+        "if False:",
+        ("test_detector_model.py::test_a_spec_checks_itself_when_built",),
+    ),
+    Mutant(
+        "multiplexer.bin_weights_sum_unchecked",
+        "multiplexer.py",
+        "w.sum() <= 1.0 + 1e-12",
+        "np.isfinite(w.sum())",
+        ("test_multiplexer.py::test_bin_weights_check_themselves_when_built",),
     ),
     Mutant(
         "inference.click_count_accepts_bool",

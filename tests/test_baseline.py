@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from binflux import (
-    ConfigurationError,
     attenuation_for_target,
     baseline_error_curve,
     optimal_detection_probability,
@@ -88,7 +87,7 @@ def test_attenuation_for_target_value():
 
 def test_attenuation_unreachable_target():
     # A dim pulse cannot be attenuated *up* to a 50% click rate.
-    with pytest.raises(ConfigurationError, match="transmission"):
+    with pytest.raises(ValueError, match="transmission"):
         attenuation_for_target(1.0, 0.165)
 
 

@@ -63,8 +63,8 @@ def test_version_agrees_across_package_project_and_cli(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    assert binflux.__version__ == declared == "0.8.0"
-    assert capsys.readouterr().out == "binflux 0.8.0\n"
+    assert binflux.__version__ == declared == "0.9.0"
+    assert capsys.readouterr().out == "binflux 0.9.0\n"
 
 
 def test_presets_listing(capsys):

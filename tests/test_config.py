@@ -137,9 +137,8 @@ def test_from_dict_validates_resulting_system():
 
 def test_guard_validation():
     base = get_preset("rapid32")
-    bad = dataclasses.replace(base, guard=-1.0)
     with pytest.raises(ConfigurationError, match="guard"):
-        bad.validate()
+        dataclasses.replace(base, guard=-1.0)
 
 
 AFTERPULSE_KEY = "afterpulse_prob_one_deadtime_after_click"
@@ -166,14 +165,11 @@ def test_non_finite_config_numbers_are_rejected(tmp_path, path, value, message):
     with pytest.raises(ConfigurationError, match=f"^{message}"):
         load_system(_non_finite_config(tmp_path, path, value))
     base = get_preset("rapid32")
-    if path == "config.guard":
-        bad = dataclasses.replace(base, guard=value)
-    else:
-        bad = dataclasses.replace(
-            base, detector=dataclasses.replace(base.detector, afterpulse_metadata=((AFTERPULSE_KEY, value),))
-        )
     with pytest.raises(ConfigurationError, match=f"^{message}"):
-        bad.validate()
+        if path == "config.guard":
+            dataclasses.replace(base, guard=value)
+        else:
+            dataclasses.replace(base.detector, afterpulse_metadata=((AFTERPULSE_KEY, value),))
 
 
 @pytest.mark.parametrize("path, value, message", NON_FINITE_FIELDS, ids=NON_FINITE_IDS)

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from binflux import (
     MechanisticUndershoot,
     effective_efficiency,
     fock_click_distribution,
+    get_preset,
     per_bin_dark_probabilities,
     shot_dark_probability,
 )
@@ -129,12 +133,50 @@ def test_history_dependence_flag():
         (dict(dark_prob_per_gate=(0.1, 1.0)), "dark_prob_per_gate\\[1\\]"),
         (dict(gate_width=0.0), "gate_width"),
         (dict(deadtime=-1.0), "deadtime"),
-        (dict(undershoot=MechanisticUndershoot(1.5)), "p_miss_next"),
-        (dict(undershoot=GlobalEfficiency(points=())), "points"),
-        (dict(undershoot=GlobalEfficiency(points=((5.0, 0.1), (2.0, 0.2)))), "increasing"),
-        (dict(undershoot=GlobalEfficiency(points=((5.0, 0.0),))), "eta"),
+        # An invalid undershoot raises as soon as it is built, so these are built inside the test.
+        (dict(undershoot=lambda: MechanisticUndershoot(1.5)), "p_miss_next"),
+        (dict(undershoot=lambda: GlobalEfficiency(points=())), "points"),
+        (dict(undershoot=lambda: GlobalEfficiency(points=((5.0, 0.1), (2.0, 0.2)))), "increasing"),
+        (dict(undershoot=lambda: GlobalEfficiency(points=((5.0, 0.0),))), "eta"),
     ],
 )
 def test_detector_validation(overrides, field):
     with pytest.raises(ConfigurationError, match=field):
-        make_detector(**overrides).validate()
+        make_detector(**{k: v() if callable(v) else v for k, v in overrides.items()})
+
+
+RAPID32 = get_preset("rapid32")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # Unchecked, the exact oracle turns these two detectors into negative "probabilities".
+        (
+            lambda: dataclasses.replace(RAPID32.detector, dark_prob_per_gate=(1.5, -0.2)),
+            "dark_prob_per_gate[0]: must lie in [0, 1), got 1.5",
+        ),
+        (
+            lambda: dataclasses.replace(RAPID32.detector, undershoot=MechanisticUndershoot(1.7)),
+            "undershoot.p_miss_next: must lie in [0, 1], got 1.7",
+        ),
+        # A dict is not an undershoot model; unchecked, it would act as no undershoot at all.
+        (
+            lambda: dataclasses.replace(RAPID32.detector, undershoot={"kind": "mechanistic", "p_miss_next": 0.3}),
+            "undershoot: unsupported type dict",
+        ),
+        (
+            lambda: dataclasses.replace(RAPID32.detector.undershoot, points=()),
+            "undershoot.points: need at least one anchor",
+        ),
+        (
+            lambda: dataclasses.replace(RAPID32.multiplexer, coupler_ratios=(0.5, 0.5)),
+            "coupler_ratios: expected 5 entries",
+        ),
+        (lambda: dataclasses.replace(RAPID32, guard=-1.0), "guard: must be >= 0 and finite, got -1.0"),
+    ],
+    ids=["dark-1.5", "p-miss-1.7", "undershoot-dict", "no-anchor", "coupler-ratios", "guard"],
+)
+def test_a_spec_checks_itself_when_built(build, message):
+    with pytest.raises(ConfigurationError, match="^" + re.escape(message)):
+        build()

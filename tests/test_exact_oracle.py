@@ -27,7 +27,8 @@ from binflux import (
     per_bin_dark_probabilities,
     total_variation,
 )
-from binflux.exact_oracle import _binomial_transfer, _gate_order, coherent_click_rows, poisson_binomial_pmf
+from binflux.detector_model import _gate_order
+from binflux.exact_oracle import _binomial_transfer, coherent_click_rows, poisson_binomial_pmf
 
 
 def test_poisson_binomial_equal_p_matches_binomial():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binflux import (
+    BinWeights,
     ConfigurationError,
     ExplicitTransmission,
     MultiplexerSpec,
@@ -100,6 +102,33 @@ def test_validation_names_offending_field(kwargs, field):
         build_bin_weights(MultiplexerSpec(**kwargs))
 
 
+# (array to replace, its replacement made from the 32-bin array, start of the ValueError message)
+BAD_BIN_TABLES = {
+    "weights-2d": ("weights", lambda a: a.reshape(4, 8), "BinWeights: weights, arrival_times and detector_of_bin"),
+    "short-times": ("arrival_times", lambda a: a[:-1], "BinWeights: weights, arrival_times and detector_of_bin"),
+    "sum-6.4": ("weights", lambda a: np.full(32, 0.2), "BinWeights.weights: must be finite"),
+    "negative": ("weights", lambda a: np.where(np.arange(32) == 3, -1e-3, a), "BinWeights.weights: must be finite"),
+    "nan": ("weights", lambda a: np.where(np.arange(32) == 3, np.nan, a), "BinWeights.weights: must be finite"),
+    "inf": ("weights", lambda a: np.where(np.arange(32) == 3, np.inf, a), "BinWeights.weights: must be finite"),
+    "times-decrease": ("arrival_times", lambda a: a[::-1], "BinWeights.arrival_times: must not decrease"),
+    "detector-2": ("detector_of_bin", lambda a: np.where(np.arange(32) == 5, 2, a), "BinWeights.detector_of_bin"),
+    # Float or bool entries cannot index the per-detector dark probabilities.
+    "detector-float": ("detector_of_bin", lambda a: a.astype(float), "BinWeights.detector_of_bin"),
+    "detector-bool": ("detector_of_bin", lambda a: a.astype(bool), "BinWeights.detector_of_bin"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_BIN_TABLES))
+def test_bin_weights_check_themselves_when_built(name):
+    field, bad, message = BAD_BIN_TABLES[name]
+    w = build_bin_weights(MultiplexerSpec(loop_delays=(1.0, 2.0, 4.0, 8.0)))
+    arrays = {"weights": w.weights, "arrival_times": w.arrival_times, "detector_of_bin": w.detector_of_bin}
+    BinWeights(**{k: np.array(a) for k, a in arrays.items()})  # the copies themselves are a valid table
+    arrays[field] = bad(np.array(arrays[field]))
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        BinWeights(**arrays)
+
+
 def test_timing_report_basic():
     spec = MultiplexerSpec(loop_delays=(1e-9, 2e-9, 4e-9))
     w = build_bin_weights(spec)
@@ -132,10 +161,10 @@ def test_timing_guard_overrides_deadtime():
 @pytest.mark.parametrize("value", [-1e-9, math.nan, math.inf])
 def test_timing_rejects_negative_or_non_finite_times(value):
     w = build_bin_weights(MultiplexerSpec(loop_delays=(1e-9,)))
-    with pytest.raises(ConfigurationError, match="^guard: must be >= 0 and finite"):
+    with pytest.raises(ValueError, match="^guard: must be >= 0 and finite"):
         validate_timing(w, deadtime=1e-9, guard=value)
     # The guard defaults to the deadtime; the message names the field given.
-    with pytest.raises(ConfigurationError, match="^deadtime: must be >= 0 and finite"):
+    with pytest.raises(ValueError, match="^deadtime: must be >= 0 and finite"):
         validate_timing(w, deadtime=value)
 
 
