@@ -19,11 +19,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .multiplexer import BinWeights
+
+
+def _pair(entry, field: str, shape: str) -> tuple:
+    """entry unpacked as two items, or ConfigurationError naming field."""
+    try:
+        first, second = entry
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{field}: expected a {shape} pair, got {entry!r}") from None
+    return first, second
 
 
 @dataclass(frozen=True)
@@ -36,7 +46,10 @@ class GlobalEfficiency:
         if len(self.points) == 0:
             raise ConfigurationError("undershoot.points: need at least one anchor")
         last_mu = -math.inf
-        for i, (mu, eta) in enumerate(self.points):
+        for i, point in enumerate(self.points):
+            mu, eta = _pair(point, f"undershoot.points[{i}]", "(mu, eta)")
+            if not isinstance(mu, Real) or not isinstance(eta, Real):
+                raise ConfigurationError(f"undershoot.points[{i}]: mu and eta must be real numbers, got {point!r}")
             if not math.isfinite(mu) or mu < 0.0:
                 raise ConfigurationError(f"undershoot.points[{i}]: mu must be finite and >= 0, got {mu!r}")
             if mu <= last_mu:
@@ -94,8 +107,9 @@ class DetectorSpec:
             raise ConfigurationError(f"deadtime: must be >= 0 and finite, got {self.deadtime!r}")
         if not isinstance(self.undershoot, (GlobalEfficiency, MechanisticUndershoot, type(None))):
             raise ConfigurationError(f"undershoot: unsupported type {type(self.undershoot).__name__}")
-        for key, value in self.afterpulse_metadata or ():
-            if not math.isfinite(value):
+        for i, entry in enumerate(self.afterpulse_metadata or ()):
+            key, value = _pair(entry, f"afterpulse_metadata[{i}]", "(name, value)")
+            if not isinstance(value, Real) or not math.isfinite(value):
                 raise ConfigurationError(f"afterpulse_metadata.{key}: must be finite, got {value!r}")
 
     @property

@@ -26,9 +26,15 @@ certain; the click total's law is within B * 2**-32 of the exact law
 (2B * 2**-32 with undershoot misses). Photons are routed by a bucket table
 over the top 12 bits of a full lane instead of a binary search. A photon
 lane at or above the lost cell's threshold reaches no bin; one comparison
-drops those lanes (about 89 % of a Fock(200) pulse on rapid32), so only
-the detected photons are routed. Clicks are kept one row per bin, and
-chunks hold about 2**19 lanes so that their arrays stay cache-sized.
+on the raw words drops those lanes (about 89 % of a Fock(200) pulse on
+rapid32), so only the detected photons are shifted to lanes and routed.
+
+Clicks are kept one row per shot, one byte per gate, each row padded with
+zero bytes to whole 64-bit words. A shot's click total is then the sum of
+its words' byte counts, (w * 0x0101010101010101) >> 56 per word, with no
+copy of the clicks. Only the undershoot chain, which walks the gates one
+after another, makes a copy with one row per gate. Chunks hold about
+2**19 lanes so that their arrays stay cache-sized.
 """
 
 from __future__ import annotations
@@ -61,6 +67,8 @@ _CHUNK_LANES = 1 << 19
 # Fock routing buckets: the top 12 of a lane's 53 bits pick the bucket.
 _ROUTE_SHIFT = 41
 _ROUTE_BUCKETS = 1 << 12
+# Times a 64-bit word of 0/1 bytes, its top byte is the word's byte count.
+_BYTE_ONES = np.uint64(0x0101010101010101)
 
 
 @dataclass(frozen=True)
@@ -147,6 +155,18 @@ def _route(lanes: np.ndarray, route: np.ndarray, table: np.ndarray, span: int) -
     return idx
 
 
+def _click_totals(rows: np.ndarray, dtype) -> np.ndarray:
+    """Per-row sums of (shots, 8k) clicks whose pad bytes are zero: the byte counts of each row's words, added."""
+    counts = rows.view(np.uint64) * _BYTE_ONES
+    counts >>= 56
+    # Added in uint64 and cast once: adding each column into the narrow total casts it on
+    # every add, 0.21 against 0.15 ms per rapid32 chunk.
+    totals = counts[:, 0].copy()
+    for c in range(1, counts.shape[1]):
+        totals += counts[:, c]
+    return totals.astype(dtype)
+
+
 class _Kernel:
     """Integer thresholds and routing tables plus the per-chunk simulation pass."""
 
@@ -169,6 +189,9 @@ class _Kernel:
             route_cum[-1] = max(route_cum[-1], 1.0)
             self.route = lane_threshold(route_cum)
             self.route_table, self.route_span = _routing_table(self.route)
+            # The lost cell's threshold on raw words, a Python int: 2**64 or more, above every
+            # word, when no photon is lost (numpy compares an int past uint64 exactly).
+            self.lost = int(self.route[b - 1]) << (64 - _LANE_BITS)
             self.gate_off = source.n_photons
         self.miss = None
         if detector.history_dependent:
@@ -178,19 +201,24 @@ class _Kernel:
         # Two gate decisions per lane: B half-words, and B more for undershoot misses.
         gates = b if self.miss is None else 2 * b
         self.lanes = self.gate_off + -(-gates // 2)
+        self.row_bytes = -(-b // 8) * 8
+        self.total_type = np.uint8 if b < 256 else np.uint32
 
-    def _fock_hits(self, lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Route full photon lanes (shots, n): (photon hit mask (shots, B), detected photons per bin).
+    def _fock_hits(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Route raw photon words (shots, n): (photon hit mask (shots, B), detected photons per bin).
 
-        A lane at or above the lost cell's threshold route[B - 1] lands in
-        the lost cell, so only the lanes below it are routed and counted.
+        A photon's lane is its word's top 53 bits, w >> 11. A lane at or
+        above the lost cell's threshold route[B - 1] lands in the lost cell,
+        which on the raw word is w >= route[B - 1] << 11. Only the words
+        below that are shifted to lanes, routed and counted.
         """
-        (m, n), b = lanes.shape, self.n_bins
-        pos = np.flatnonzero(lanes < self.route[b - 1])
+        (m, n), b = words.shape, self.n_bins
+        pos = np.flatnonzero(words < self.lost)
         shot = pos // n
         pos -= shot * n
-        detected = lanes[shot, pos]
+        detected = words[shot, pos]
         del pos  # one array fewer alive while routing: the chunk's peak memory
+        detected >>= 64 - _LANE_BITS
         idx = _route(detected, self.route, self.route_table, self.route_span)
         photons = np.bincount(idx, minlength=b)
         hit = np.zeros((m, b), dtype=bool)
@@ -200,51 +228,58 @@ class _Kernel:
     def _decide(
         self, seq: np.random.SeedSequence, start_shot: int, n_shots: int
     ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        """Per-shot clicks before undershoot (shots, B), misses (shots, B) or None, and detected photons.
+        """Clicks before undershoot, misses (shots, B) or None, and detected photons.
 
-        The lanes die on return, so a chunk's word block is freed before
-        run makes the per-bin rows.
+        The clicks are rows of row_bytes bytes, (shots, row_bytes), whose
+        bytes past B are zero. The lanes die on return, so a chunk's word
+        block is freed before run totals the clicks.
         """
         lanes = uniform_lanes(seq, start_shot, n_shots, self.lanes)
         gates = half_words(lanes[:, self.gate_off :])
         b = self.n_bins
-        if isinstance(self.source, Coherent):
-            photons = None
+        photons = None
+        if isinstance(self.source, Fock):
+            # Routed before the rows exist: the routing arrays set the chunk's peak memory.
+            hit, photons = self._fock_hits(lanes[:, : self.gate_off])
+        rows = np.empty((n_shots, self.row_bytes), dtype=bool)
+        rows[:, b:] = False
+        clicks = rows[:, :b]
+        if photons is None:
             t, full = self.silent
-            clicks = gates[:, :b] >= t
+            np.greater_equal(gates[:, :b], t, out=clicks)
             clicks[:, full] = False
         else:
-            photon_lanes = lanes[:, : self.gate_off]
-            photon_lanes >>= 64 - _LANE_BITS
-            hit, photons = self._fock_hits(photon_lanes)
             t, full = self.dark
-            clicks = gates[:, :b] < t
+            np.less(gates[:, :b], t, out=clicks)
             clicks[:, full] = True
             clicks |= hit
         if self.miss is None:
-            return clicks, None, photons
+            return rows, None, photons
         t, full = self.miss
         miss = gates[:, b : 2 * b] < t
         miss[:, full] = True
-        return clicks, miss, photons
+        return rows, miss, photons
 
     def run(
         self, seq: np.random.SeedSequence, start_shot: int, n_shots: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Simulate shots [start_shot, start_shot + n_shots).
 
-        Returns the clicks with one row per bin (B, n_shots), the click
+        Returns the clicks with one row per shot (n_shots, B), the click
         totals as uint8 (uint32 past 255 bins) and, for Fock sources, the
-        detected photons per bin summed over the shots.
+        detected photons per bin summed over the shots. Independent gates
+        are totalled in their shot rows. The undershoot chain runs on a
+        copy with one row per gate, whose transpose is returned.
         """
-        clicks, miss, photons = self._decide(seq, start_shot, n_shots)
-        clicks = np.ascontiguousarray(clicks.T)
-        if miss is not None:
-            miss = np.ascontiguousarray(miss.T)
-            for prev, j in self.chain:
-                clicks[j] &= ~(clicks[prev] & miss[j])
-        totals = np.add.reduce(clicks.view(np.uint8), axis=0, dtype=np.uint8 if self.n_bins < 256 else np.uint32)
-        return clicks, totals, photons
+        rows, miss, photons = self._decide(seq, start_shot, n_shots)
+        if miss is None:
+            return rows[:, : self.n_bins], _click_totals(rows, self.total_type), photons
+        clicks = np.ascontiguousarray(rows[:, : self.n_bins].T)
+        miss = np.ascontiguousarray(miss.T)
+        for prev, j in self.chain:
+            clicks[j] &= ~(clicks[prev] & miss[j])
+        totals = np.add.reduce(clicks.view(np.uint8), axis=0, dtype=self.total_type)
+        return clicks.T, totals, photons
 
 
 def _resolve_workers(workers: int | None) -> int:

@@ -71,22 +71,50 @@ MUTANTS = (
     Mutant(
         "rng.lane_bits_shift",
         "mc_engine.py",
-        "photon_lanes >>= 64 - _LANE_BITS",
-        "photon_lanes >>= 63 - _LANE_BITS",
+        "detected >>= 64 - _LANE_BITS",
+        "detected >>= 63 - _LANE_BITS",
         ("test_mc_stream.py",),
+    ),
+    Mutant(
+        "mc_engine.lost_cell_lifted_by_ten_bits",
+        "mc_engine.py",
+        "self.lost = int(self.route[b - 1]) << (64 - _LANE_BITS)",
+        "self.lost = int(self.route[b - 1]) << (63 - _LANE_BITS)",
+        ("test_mc2_kernel.py::test_fock_hits_at_the_lost_cell_threshold",),
+    ),
+    Mutant(
+        "mc_engine.lost_cell_word_detected",
+        "mc_engine.py",
+        "pos = np.flatnonzero(words < self.lost)",
+        "pos = np.flatnonzero(words <= self.lost)",
+        ("test_mc2_kernel.py::test_fock_hits_at_the_lost_cell_threshold",),
+    ),
+    Mutant(
+        "mc_engine.click_totals_drop_the_last_word",
+        "mc_engine.py",
+        "for c in range(1, counts.shape[1]):",
+        "for c in range(1, counts.shape[1] - 1):",
+        ("test_mc2_kernel.py::test_click_totals_equal_the_summed_clicks",),
+    ),
+    Mutant(
+        "mc_engine.pad_bytes_left_unset",
+        "mc_engine.py",
+        "rows[:, b:] = False",
+        "pass",
+        ("test_mc2_kernel.py::test_click_totals_equal_the_summed_clicks",),
     ),
     Mutant(
         "mc_engine.fock_dark_lane_at_threshold",
         "mc_engine.py",
-        "clicks = gates[:, :b] < t",
-        "clicks = gates[:, :b] <= t",
+        "np.less(gates[:, :b], t, out=clicks)",
+        "np.less_equal(gates[:, :b], t, out=clicks)",
         ("test_mc2_kernel.py",),
     ),
     Mutant(
         "mc_engine.coherent_half_word_at_threshold",
         "mc_engine.py",
-        "clicks = gates[:, :b] >= t",
-        "clicks = gates[:, :b] > t",
+        "np.greater_equal(gates[:, :b], t, out=clicks)",
+        "np.greater(gates[:, :b], t, out=clicks)",
         ("test_mc2_kernel.py",),
     ),
     Mutant(

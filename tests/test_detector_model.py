@@ -174,8 +174,28 @@ RAPID32 = get_preset("rapid32")
             "coupler_ratios: expected 5 entries",
         ),
         (lambda: dataclasses.replace(RAPID32, guard=-1.0), "guard: must be >= 0 and finite, got -1.0"),
+        # Malformed fields of a spec built in code name the field instead of escaping as Python's own errors.
+        (
+            lambda: GlobalEfficiency(points=((1.0, 0.1, 5.0),)),
+            "undershoot.points[0]: expected a (mu, eta) pair, got (1.0, 0.1, 5.0)",
+        ),
+        (
+            lambda: GlobalEfficiency(points=(("a", 0.5),)),
+            "undershoot.points[0]: mu and eta must be real numbers, got ('a', 0.5)",
+        ),
+        (
+            lambda: DetectorSpec(0.1, (0.0, 0.0), 1e-9, 0.0, afterpulse_metadata=(("a", "x"),)),
+            "afterpulse_metadata.a: must be finite, got 'x'",
+        ),
+        (
+            lambda: DetectorSpec(0.1, (0.0, 0.0), 1e-9, 0.0, afterpulse_metadata=(("a",),)),
+            "afterpulse_metadata[0]: expected a (name, value) pair, got ('a',)",
+        ),
     ],
-    ids=["dark-1.5", "p-miss-1.7", "undershoot-dict", "no-anchor", "coupler-ratios", "guard"],
+    ids=[
+        "dark-1.5", "p-miss-1.7", "undershoot-dict", "no-anchor", "coupler-ratios", "guard",
+        "point-triple", "point-str", "afterpulse-str", "afterpulse-single",
+    ],
 )
 def test_a_spec_checks_itself_when_built(build, message):
     with pytest.raises(ConfigurationError, match="^" + re.escape(message)):

@@ -34,6 +34,9 @@ from binflux import (
     Fock,
     GlobalEfficiency,
     MechanisticUndershoot,
+    MultiplexerSpec,
+    UniformLoss,
+    build_bin_weights,
     coherent_click_distribution,
     fock_click_distribution,
     get_preset,
@@ -83,7 +86,7 @@ def _assert_per_bin_within_4se(source, weights, detector, seed, p):
     """Per-bin click frequencies of the first N_SHOTS shots, read from the kernel's clicks."""
     clicks, _, _ = mc_engine._Kernel(source, weights, detector).run(seed_sequence(seed), 0, N_SHOTS)
     se = np.sqrt(p * (1.0 - p) / N_SHOTS)
-    assert np.all(np.abs(clicks.sum(axis=1) / N_SHOTS - p) <= 4 * se)
+    assert np.all(np.abs(clicks.sum(axis=0) / N_SHOTS - p) <= 4 * se)
 
 
 @given(system=small_systems(), mu=st.floats(0.0, 40.0), seed=st.integers(0, 2**32 - 1))
@@ -380,22 +383,35 @@ def test_routing_span_is_one_on_the_presets(preset, n_photons):
 # ------------------------------------------------ routing only the detected photons
 
 
-def _assert_fock_hits_equal_full_routing(kernel, lanes):
-    """_fock_hits against np.searchsorted over every lane, the lost cell B dropped afterwards."""
-    m, b = lanes.shape[0], kernel.n_bins
-    cells = np.searchsorted(kernel.route, lanes, side="right")
+def _assert_fock_hits_equal_full_routing(kernel, words):
+    """_fock_hits on raw words against np.searchsorted over every lane w >> 11, the lost cell B dropped afterwards."""
+    m, b = words.shape[0], kernel.n_bins
+    cells = np.searchsorted(kernel.route, words >> np.uint64(11), side="right")
     expected = np.zeros((m, b + 1), dtype=bool)
     expected[np.arange(m)[:, None], cells] = True
-    hit, photons = kernel._fock_hits(lanes)
+    hit, photons = kernel._fock_hits(words)
     assert np.array_equal(hit, expected[:, :b])
     assert np.array_equal(photons, np.bincount(cells.ravel(), minlength=b + 1)[:b])
 
 
+# Low 11 bits under a photon lane: none set, all set, and mixed ones.
+LOW_BITS = (0, 2047, 1, 1024, 377)
+
+
+def _raw(lanes, low):
+    """Raw words (lane << 11) | low for 53-bit lanes."""
+    return (np.asarray(lanes, dtype=np.uint64) << np.uint64(11)) | np.asarray(low, dtype=np.uint64)
+
+
 def _lanes_around(thresholds, n):
-    """Each threshold and its two neighbours, plus the lane extremes, cycled through rows of n photon lanes."""
+    """Raw words of each threshold lane, its two neighbours and the lane extremes, cycled through rows
+    of n photon words. Every lane comes with every low-bit pattern of LOW_BITS, and the pattern changes
+    from one word to the next."""
     values = [int(t) + d for t in thresholds for d in (-1, 0, 1)] + [0, LANE_MAX]
-    values = np.array([v for v in values if 0 <= v <= LANE_MAX], dtype=np.uint64)
-    return np.resize(values, (values.size, n))
+    lanes = np.array([v for v in values if 0 <= v <= LANE_MAX], dtype=np.uint64)
+    k = np.arange(lanes.size * len(LOW_BITS))
+    words = _raw(lanes[k % lanes.size], np.array(LOW_BITS)[(k // lanes.size + k) % len(LOW_BITS)])
+    return np.resize(words, (words.size, n))
 
 
 def _weights(w):
@@ -403,13 +419,14 @@ def _weights(w):
 
 
 def test_fock_hits_at_the_lost_cell_threshold():
-    # A lane equal to route[B - 1] is lost; one below it lands in bin B - 1.
+    # A lane equal to route[B - 1] is lost, whatever its low bits; one below it lands in bin B - 1.
     system = get_preset("rapid32")
     kernel = mc_engine._Kernel(Fock(3), system.bin_weights(), system.detector)
     b = kernel.n_bins
-    lost = kernel.route[b - 1]
-    hit, photons = kernel._fock_hits(np.array([[lost - 1, lost, lost + 1]], dtype=np.uint64))
-    assert np.array_equal(np.flatnonzero(hit[0]), [b - 1]) and photons.sum() == 1
+    lost = int(kernel.route[b - 1])
+    for low in LOW_BITS:
+        hit, photons = kernel._fock_hits(_raw([[lost - 1, lost, lost + 1]], low))
+        assert np.array_equal(np.flatnonzero(hit[0]), [b - 1]) and photons.sum() == 1
     _assert_fock_hits_equal_full_routing(kernel, _lanes_around(kernel.route, 3))
 
 
@@ -435,7 +452,7 @@ def test_fock_dark_lanes_at_the_dark_threshold(monkeypatch):
     lanes = _lanes_of_halves(np.stack([t, t - 1]))
     monkeypatch.setattr(mc_engine, "uniform_lanes", lambda key, start, n, width: lanes.copy())
     clicks, totals, photons = kernel.run(seed_sequence(0), 0, 2)
-    assert not clicks[:, 0].any() and clicks[:, 1].all()
+    assert not clicks[0].any() and clicks[1].all()
     assert totals.tolist() == [0, kernel.n_bins] and photons.sum() == 0
 
 
@@ -458,11 +475,11 @@ def test_fock_hits_lose_no_lane_on_a_lossless_system(tiny_weights, ideal_detecto
 
 
 @pytest.mark.parametrize("n_photons", [0, 1, 200])
-def test_fock_hits_on_philox_lanes(n_photons):
+def test_fock_hits_on_stream_lanes(n_photons):
     system = get_preset("rapid32")
     kernel = mc_engine._Kernel(Fock(n_photons), system.bin_weights(), system.detector)
-    lanes = uniform_lanes(seed_sequence(9), 100, 300, kernel.lanes)[:, :n_photons] >> 11
-    _assert_fock_hits_equal_full_routing(kernel, lanes)
+    words = uniform_lanes(seed_sequence(9), 100, 300, kernel.lanes)[:, :n_photons]
+    _assert_fock_hits_equal_full_routing(kernel, words)
     _assert_fock_hits_equal_full_routing(kernel, _lanes_around(kernel.route, n_photons))
 
 
@@ -561,7 +578,7 @@ def _assert_kernel_equals_reference(
     else:
         assert np.array_equal(batch.photon_sum, ref_photons)
     clicks, _, _ = mc_engine._Kernel(source, weights, detector).run(seed_sequence(seed), start, n)
-    assert np.array_equal(clicks.T, ref_clicks)
+    assert np.array_equal(clicks, ref_clicks)
 
 
 @st.composite
@@ -612,6 +629,43 @@ def test_kernel_equals_float_reference_on_presets(simulate_in_chunks, source, pr
     _assert_kernel_equals_reference(
         simulate_in_chunks, source, system.bin_weights(), detector, 2026, 12_345, 700, 256, 2
     )
+
+
+# ------------------------------------------------ click totals in shot rows
+
+
+TOTALS_SOURCES = {
+    # About 0.7 and 8 detected photons per bin on average: mixed and nearly full totals.
+    "dim": lambda b: Coherent(2.0 * b),
+    "bright": lambda b: Coherent(25.0 * b),
+    "fock": lambda b: Fock(2 * b),
+}
+
+
+@pytest.mark.parametrize("loops", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("kind", sorted(TOTALS_SOURCES))
+@pytest.mark.parametrize("mechanistic", [False, True])
+def test_click_totals_equal_the_summed_clicks(simulate_in_chunks, loops, kind, mechanistic):
+    # B = 4, 8, 16, 32 and 256: rows of 4 gates are padded to a whole word, 256 gates total past uint8.
+    weights = build_bin_weights(
+        MultiplexerSpec(loop_delays=tuple(2.0**i * 1e-9 for i in range(loops)), transmission=UniformLoss(0.8))
+    )
+    b = weights.num_bins
+    detector = DetectorSpec(
+        efficiency=0.4, dark_prob_per_gate=(0.01, 0.002), gate_width=1e-9, deadtime=0.0,
+        undershoot=MechanisticUndershoot(0.3) if mechanistic else None,
+    )
+    source, seed, start, n = TOTALS_SOURCES[kind](b), 31, 57, 300
+    # Free a block of 0xFF bytes the size of the kernel's padded rows, so that rows carved from it
+    # show any pad byte left unset.
+    junk = np.full(n * -(-b // 8) * 8, 0xFF, dtype=np.uint8)
+    del junk
+    clicks, totals, _ = mc_engine._Kernel(source, weights, detector).run(seed_sequence(seed), start, n)
+    assert clicks.shape == (n, b) and clicks.dtype == bool
+    assert totals.dtype == (np.uint8 if b < 256 else np.uint32)
+    assert np.array_equal(totals, clicks.sum(axis=1))
+    for chunk_size in (7, n):
+        _assert_kernel_equals_reference(simulate_in_chunks, source, weights, detector, seed, start, n, chunk_size, 1)
 
 
 # ------------------------------------------------ the B * 2**-32 bound and the certain gates
@@ -692,12 +746,12 @@ def test_certain_gates_stay_certain(name, monkeypatch):
         lanes = np.full((4, kernel.lanes), word, dtype=np.uint64)
         monkeypatch.setattr(mc_engine, "uniform_lanes", lambda key, start, n, width: lanes.copy())
         clicks, totals, _ = kernel.run(seed_sequence(0), 0, 4)
-        assert np.all(totals == total) and np.array_equal(clicks.T, reference_clicks(lanes, source, weights, detector)[0])
+        assert np.all(totals == total) and np.array_equal(clicks, reference_clicks(lanes, source, weights, detector)[0])
 
 
 def _threshold_words(kernel, source, weights, detector, rows=10):
     """Lanes whose half-words sit at each gate's threshold, one either side and at the ends of the range,
-    and whose photon lanes sit at the routing thresholds; low bits below a full lane vary by row."""
+    and whose photon words sit at the routing thresholds with varied low bits."""
     _, n, gates = reference_layout(source, weights, detector)
     if isinstance(source, Coherent):
         parts = [kernel.silent]
@@ -712,9 +766,7 @@ def _threshold_words(kernel, source, weights, detector, rows=10):
         halves = np.hstack([halves, np.zeros((rows, 1), dtype=np.int64)])
     words = _lanes_of_halves(halves)
     if n:
-        full = np.resize(_lanes_around(kernel.route, n), (rows, n))
-        low = (np.arange(rows, dtype=np.uint64) * np.uint64(377) % np.uint64(2048))[:, None]
-        words = np.hstack([(full << np.uint64(11)) | low, words])
+        words = np.hstack([np.resize(_lanes_around(kernel.route, n), (rows, n)), words])
     return words
 
 
@@ -741,7 +793,7 @@ def test_kernel_equals_float_reference_at_the_thresholds(name, monkeypatch):
     ref_clicks, ref_totals, ref_photons = reference_clicks(words, source, weights, detector)
     monkeypatch.setattr(mc_engine, "uniform_lanes", lambda key, start, n, width: words.copy())
     clicks, totals, photons = kernel.run(seed_sequence(0), 0, words.shape[0])
-    assert np.array_equal(clicks.T, ref_clicks) and np.array_equal(totals, ref_totals)
+    assert np.array_equal(clicks, ref_clicks) and np.array_equal(totals, ref_totals)
     assert (photons is None) == (ref_photons is None)
     if photons is not None:
         assert np.array_equal(photons, ref_photons)

@@ -109,16 +109,17 @@ def test_single_shot_matches_batch_slice(rapid32, rapid32_weights):
     ]
     assert [int(rec.click_totals[0]) for rec in shots] == batch.click_totals.tolist()
     kernel = _Kernel(Coherent(100.0), rapid32_weights, rapid32.detector)
-    patterns = np.concatenate([kernel.run(seed_sequence(11), 200 + i, 1)[0] for i in range(50)], axis=1)
+    patterns = np.concatenate([kernel.run(seed_sequence(11), 200 + i, 1)[0] for i in range(50)])
+    assert patterns.shape == (50, 32)
     assert np.array_equal(patterns, kernel.run(seed_sequence(11), 200, 50)[0])
-    assert np.array_equal(patterns.sum(axis=0), batch.click_totals)
+    assert np.array_equal(patterns.sum(axis=1), batch.click_totals)
 
 
 def test_records_and_totals_consistent(rapid32, rapid32_weights, simulate_in_chunks):
     batch = simulate_in_chunks(100, Coherent(20.0), rapid32_weights, rapid32.detector, 500, seed=5, store_totals=True)
     assert batch.click_totals.shape == (500,)
     clicks, _, _ = _Kernel(Coherent(20.0), rapid32_weights, rapid32.detector).run(seed_sequence(5), 0, 500)
-    assert batch.click_totals.sum() == clicks.sum()
+    assert np.array_equal(batch.click_totals, clicks.sum(axis=1))
     hist = np.bincount(batch.click_totals, minlength=33)
     assert np.array_equal(hist, batch.histogram)
     assert batch.distribution.sum() == pytest.approx(1.0)
@@ -139,7 +140,8 @@ def test_per_bin_click_frequency_within_4se(rapid32, rapid32_weights):
     clicks, _, _ = _Kernel(Coherent(mu), rapid32_weights, rapid32.detector).run(seed_sequence(17), 0, n)
     p = 1.0 - no_click_probabilities(mu, rapid32_weights, rapid32.detector)
     se = np.sqrt(p * (1.0 - p) / n)
-    assert np.all(np.abs(clicks.sum(axis=1) / n - p) < 4 * se)
+    assert clicks.shape == (n, 32)
+    assert np.all(np.abs(clicks.sum(axis=0) / n - p) < 4 * se)
 
 
 def test_mean_clicks_monotone_in_mu(rapid32, rapid32_weights):
