@@ -36,8 +36,8 @@ def attenuation_for_target(mu: float, efficiency: float, p_target: float = 0.5) 
     """Attenuator transmission that puts the gate at the target click probability."""
     if not (0.0 < p_target < 1.0):
         raise ValueError(f"p_target must lie in (0, 1), got {p_target!r}")
-    if mu <= 0.0 or not (0.0 < efficiency <= 1.0):
-        raise ValueError("mu must be > 0 and efficiency in (0, 1]")
+    if not (0.0 < mu < math.inf and 0.0 < efficiency <= 1.0):
+        raise ValueError(f"mu must be finite and > 0 and efficiency in (0, 1], got {mu!r}, {efficiency!r}")
     alpha = -math.log(1.0 - p_target) / (mu * efficiency)
     if alpha > 1.0:
         raise ValueError(
@@ -81,9 +81,9 @@ def _check_mu_bright(mu_true: float) -> None:
     # Below a few photons per pulse the attenuate-to-50% recipe stops making
     # sense (the required transmission exceeds 1), so the comparison is only
     # defined for bright pulses.
-    if mu_true <= 4.0:
+    if not 4.0 < mu_true < math.inf:
         raise ValueError(
-            f"mu_true must exceed 4 for the attenuated single-pixel scheme, got {mu_true!r}"
+            f"mu_true must be finite and exceed 4 for the attenuated single-pixel scheme, got {mu_true!r}"
         )
 
 

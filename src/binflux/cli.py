@@ -37,13 +37,10 @@ from .errors import (
 )
 from .exact_oracle import coherent_click_rows
 from .inference import (
-    _click_count,
-    _refuse_above_cutoff,
     _stability_build,
     credible_interval,
     interval_to_energy,
     posterior_multi,
-    posterior_single,
     relative_error_curve,
     stability_max_n,
 )
@@ -192,9 +189,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
                 f"configuration ({fp[:12]}...); pass --force to use it anyway"
             )
 
-    raw = [args.n] if args.n is not None else _read_observations(args.obs)
-    observations = [_click_count(n, matrix.num_bins) for n in raw]
-
+    observations = [args.n] if args.n is not None else _read_observations(args.obs)
     if args.max_n is not None:
         if args.max_n < 0:
             raise ValueError(f"--max-n must be >= 0, got {args.max_n}")
@@ -203,12 +198,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         cutoff = None
     else:
         cutoff = stability_max_n(matrix.system, matrix.mu_max, args.tolerance)
-    _refuse_above_cutoff(max(observations), cutoff, matrix.mu_max)
-
-    if len(observations) == 1:
-        posterior = posterior_single(matrix, observations[0])
-    else:
-        posterior = posterior_multi(matrix, observations)
+    posterior = posterior_multi(matrix, observations, max_admissible_n=cutoff)
     interval = credible_interval(posterior, args.level)
     result = {
         "energy_j": interval_to_energy(interval.width, args.wavelength),
@@ -257,11 +247,11 @@ def _convergence(args: argparse.Namespace, system: SystemConfig, max_shots: int)
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     system = _resolve_system(args)
-    # Checks --target before the curve is computed and before any file is written.
+    # Checks --target and --mu before the curve is computed and before any file is written.
     base_shots = shots_to_relative_error(args.target, convention=args.baseline_convention)
+    base = baseline_error_curve(args.mu, args.max_shots, convention=args.baseline_convention)
     curve = _convergence(args, system, args.max_shots)
     mux_shots = curve.shots_to(args.target)
-    base = baseline_error_curve(args.mu, args.max_shots, convention=args.baseline_convention)
     med = curve.median()
     out = Path(args.output)
     rows = (f"{i + 1},{_fmt(med[i])},{_fmt(base[i])}" for i in range(args.max_shots))

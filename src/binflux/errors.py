@@ -16,8 +16,8 @@ class ConfigurationError(BinfluxError):
 class ModelUnsupportedError(BinfluxError):
     """A click count lies above the stability cutoff, where inversion would depend on the grid bound.
 
-    posterior_multi raises it for a count above its max_admissible_n, and
-    the infer command for a count above the cutoff it applies.
+    posterior_multi raises it for a count above its max_admissible_n, which
+    the infer command sets to the cutoff it applies.
     """
 
 

@@ -3,7 +3,7 @@
 The response matrix plays the role of the likelihood: column n holds
 P(n clicks | mu) on the integer mu grid. With a flat prior over that grid
 the posterior after one shot is just the renormalized column; repeated
-shots multiply columns (summed in log space).
+shots multiply columns, so their click histogram is all posterior_multi needs.
 
 Interval convention: credible intervals live on the integer mu grid and
 their width counts the number of grid values covered, hi - lo + 1. A
@@ -76,24 +76,35 @@ def _click_count(n, num_bins: int) -> int:
     return int(n)
 
 
-def _refuse_above_cutoff(worst: int, cutoff: int | None, mu_max: int) -> None:
-    """Raise ModelUnsupportedError if the largest click count lies above the cutoff (None: no cutoff)."""
-    if cutoff is not None and worst > cutoff:
-        raise ModelUnsupportedError(
-            f"click count {worst} exceeds the stability cutoff {cutoff} for mu_max="
-            f"{mu_max}: its posterior would change materially on a larger mu grid, "
-            "so this count should be discarded rather than inverted"
-        )
+_EXP_FLOOR = -700.0
+
+
+def _normalise(logp: np.ndarray) -> np.ndarray:
+    """Normalise each row of the log posteriors logp in place; return the rows' log normalisers.
+
+    Cells _EXP_FLOOR or more below their row's peak are set to 0 without
+    calling exp. Every kept cell is then a normal double, > 9.9e-305, and
+    stays one divided by its row sum (at most the grid size) on grids of
+    up to 4430 values, so no arithmetic runs on slow subnormals. Dropped
+    cells lie below e^-700 of the peak cell, which is 1; in every case
+    tested they change neither a row sum nor an interval (verified, not
+    proven for every row).
+    """
+    top = logp.max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all():
+        raise DegenerateEvidenceError("the observed sequence has zero probability for every mu on the grid")
+    logp -= top
+    keep = logp > _EXP_FLOOR
+    np.exp(logp, out=logp, where=keep)
+    np.copyto(logp, 0.0, where=~keep)
+    total = logp.sum(axis=-1, keepdims=True)
+    logp /= total
+    return top + np.log(total)
 
 
 def posterior_single(matrix: ResponseMatrix, n: int) -> Posterior:
-    """Posterior after observing a single shot with n clicks."""
-    n = _click_count(n, matrix.num_bins)
-    col = matrix.rows[:, n]
-    total = col.sum()
-    if total == 0.0:
-        raise DegenerateEvidenceError(f"{n} clicks has zero probability for every mu in the matrix")
-    return Posterior(probs=col / total, log_evidence=math.log(total) - math.log(col.size))
+    """Posterior after observing a single shot with n clicks: posterior_multi's one-shot case."""
+    return posterior_multi(matrix, [n])
 
 
 def posterior_multi(
@@ -103,24 +114,37 @@ def posterior_multi(
 ) -> Posterior:
     """Posterior after a sequence of independent shots.
 
-    Columns multiply, so the result does not depend on observation order.
-    When max_admissible_n is given, any larger click count is rejected up
-    front with ModelUnsupportedError: such counts carry posterior mass
-    beyond the mu grid and their columns are not trustworthy (see
-    stability_max_n).
+    One shot gives the renormalised column. More multiply their columns, so
+    the click histogram h is a sufficient statistic: the log posterior sums
+    h[n] * log P(n | mu) over the counts seen, in O(mu_max * B) memory
+    whatever the shot count and independent of observation order. When
+    max_admissible_n is given, any larger click count is rejected up front
+    with ModelUnsupportedError: such counts carry posterior mass beyond the
+    mu grid and their columns are not trustworthy (see stability_max_n).
     """
-    obs = np.array([_click_count(n, matrix.num_bins) for n in observations], dtype=np.int64)
+    obs = np.fromiter((_click_count(n, matrix.num_bins) for n in observations), dtype=np.int64)
     if obs.size == 0:
         raise ValueError("observations must contain at least one click count")
-    _refuse_above_cutoff(int(obs.max()), max_admissible_n, matrix.mu_max)
+    worst = int(obs.max())
+    if max_admissible_n is not None and worst > max_admissible_n:
+        raise ModelUnsupportedError(
+            f"click count {worst} exceeds the stability cutoff {max_admissible_n} for mu_max="
+            f"{matrix.mu_max}: its posterior would change materially on a larger mu grid, "
+            "so this count should be discarded rather than inverted"
+        )
+    if obs.size == 1:
+        col = matrix.rows[:, worst]
+        total = col.sum()
+        if total == 0.0:
+            raise DegenerateEvidenceError(f"{worst} clicks has zero probability for every mu in the matrix")
+        return Posterior(probs=col / total, log_evidence=math.log(total) - math.log(col.size))
+    h = np.bincount(obs)
+    used = np.flatnonzero(h)
+    # Elementwise, not a matrix product, so no BLAS build can change the bytes.
     with np.errstate(divide="ignore"):
-        logp = np.log(matrix.rows[:, obs]).sum(axis=1)
-    top = logp.max()
-    if not np.isfinite(top):
-        raise DegenerateEvidenceError("the observed sequence has zero probability for every mu")
-    post = np.exp(logp - top)
-    total = post.sum()
-    return Posterior(probs=post / total, log_evidence=float(top + math.log(total) - math.log(post.size)))
+        post = (np.log(matrix.rows[:, used]) * h[used]).sum(axis=1)
+    log_norm = _normalise(post)
+    return Posterior(probs=post, log_evidence=float(log_norm[0]) - math.log(post.size))
 
 
 # Greedy steps _hpd_rows takes per pass: the first pass looks this far
@@ -128,10 +152,6 @@ def posterior_multi(
 # temporaries at a few (rows, cap) arrays whatever the row width.
 _HPD_FIRST_WINDOW = 8
 _HPD_MAX_WINDOW = 64
-# Log posteriors at or below this, relative to their row's peak, skip exp.
-# Above it exp is a normal double, > 9.9e-305, and stays one divided by its
-# row sum (at most the grid size) on grids of up to 4430 values.
-_EXP_FLOOR = -700.0
 
 
 def _hpd_rows(P: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
@@ -327,13 +347,8 @@ def relative_error_curve(
     stability cutoff (drawing replacements), and records the posterior
     interval width after every accumulated shot. A trial's max_shots
     posteriors are built as one (shots, mu) array and their intervals found
-    together by the same greedy rule credible_interval applies. Log
-    posteriors 700 or more below their row's peak (_EXP_FLOOR) are set to 0
-    without calling exp: on grids of up to 4430 values every kept cell and
-    its normalised value is then a normal double, and no arithmetic runs on
-    slow subnormals. Dropped cells lie below e^-700 of the peak cell, which
-    is 1, so in every case tested they change neither a row sum nor an
-    interval (verified, not proven for every row).
+    together by the same greedy rule credible_interval applies, once
+    _normalise (posterior_multi's too) has made them probabilities.
     """
     if mu_true <= 0.0:
         raise ValueError(f"mu_true must be > 0, got {mu_true!r}")
@@ -376,14 +391,7 @@ def relative_error_curve(
         # post[k] is the posterior after k + 1 shots; every step works in place.
         post = log_cols[counts]
         np.cumsum(post, axis=0, out=post)
-        top = post.max(axis=1, keepdims=True)
-        if not np.isfinite(top).all():
-            raise DegenerateEvidenceError("observed sequence impossible for every mu on the grid")
-        post -= top
-        keep = post > _EXP_FLOOR
-        np.exp(post, out=post, where=keep)
-        np.copyto(post, 0.0, where=~keep)
-        post /= post.sum(axis=1, keepdims=True)
+        _normalise(post)
         lo, hi = _hpd_rows(post, level)
         rel_err[t] = (hi - lo + 1) / mu_true
     return RelativeErrorCurve(rel_err)

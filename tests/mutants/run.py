@@ -225,9 +225,33 @@ MUTANTS = (
     Mutant(
         "inference.posterior_multi_drops_the_flat_prior",
         "inference.py",
-        "log_evidence=float(top + math.log(total) - math.log(post.size))",
-        "log_evidence=float(top + math.log(total))",
+        "log_evidence=float(log_norm[0]) - math.log(post.size)",
+        "log_evidence=float(log_norm[0])",
         ("test_inference.py",),
+    ),
+    Mutant(
+        "inference.histogram_drops_the_count_weight",
+        "inference.py",
+        "(np.log(matrix.rows[:, used]) * h[used]).sum(axis=1)",
+        "np.log(matrix.rows[:, used]).sum(axis=1)",
+        (
+            "test_inference.py::test_posterior_multi_weights_repeated_counts_past_zero_cells",
+            "test_inference.py::test_histogram_posterior_matches_the_per_observation_log_sum",
+        ),
+    ),
+    Mutant(
+        "inference.histogram_drops_the_first_shot",
+        "inference.py",
+        "h = np.bincount(obs)",
+        "h = np.bincount(obs[1:])",
+        ("test_inference.py::test_histogram_posterior_matches_the_per_observation_log_sum",),
+    ),
+    Mutant(
+        "inference.one_shot_branch_takes_two_shots",
+        "inference.py",
+        "if obs.size == 1:",
+        "if obs.size <= 2:",
+        ("test_inference.py::test_histogram_posterior_matches_the_per_observation_log_sum",),
     ),
     Mutant(
         "inference.hpd_stops_only_above_level",
@@ -254,8 +278,8 @@ MUTANTS = (
     Mutant(
         "inference.refusal_rejects_the_cutoff_count",
         "inference.py",
-        "if cutoff is not None and worst > cutoff:",
-        "if cutoff is not None and worst >= cutoff:",
+        "if max_admissible_n is not None and worst > max_admissible_n:",
+        "if max_admissible_n is not None and worst >= max_admissible_n:",
         ("test_inference.py::test_posterior_multi_validation", "test_cli.py::test_infer_cutoff_override"),
     ),
     Mutant(

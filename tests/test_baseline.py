@@ -79,6 +79,22 @@ def test_curve_requires_bright_pulse():
         simulate_baseline(1.0, 0.165, 10, 1, seed=1)
 
 
+@pytest.mark.parametrize("mu", [math.nan, math.inf], ids=["nan", "inf"])
+def test_baseline_curves_reject_a_non_finite_mean(mu):
+    # NaN once passed "<= 4" and gave a finite curve or all-NaN trials.
+    with pytest.raises(ValueError, match="^mu_true must be finite and exceed 4"):
+        baseline_error_curve(mu, 3)
+    with pytest.raises(ValueError, match="^mu_true must be finite and exceed 4"):
+        simulate_baseline(mu, 0.1, 3, 1, seed=1)
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf], ids=["nan", "inf"])
+def test_attenuation_rejects_a_non_finite_mean(mu):
+    # NaN once gave a NaN transmission and inf a transmission of 0.
+    with pytest.raises(ValueError, match="^mu must be finite and > 0"):
+        attenuation_for_target(mu, 0.1)
+
+
 def test_attenuation_for_target_value():
     alpha = attenuation_for_target(100.0, 0.165)
     assert alpha == pytest.approx(0.04200892003393608, abs=1e-15)

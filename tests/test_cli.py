@@ -18,6 +18,7 @@ from binflux import (
     ResponseMatrix,
     SystemConfig,
     UniformLoss,
+    baseline_error_curve,
     build_matrix,
     coherent_click_distribution,
     fingerprint,
@@ -418,6 +419,19 @@ def test_compare_rejects_target_before_writing(tmp_path, capsys, target, seed):
     assert rc == 2
     assert "target" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "compare.csv.manifest.json").exists()
+
+
+def test_compare_rejects_a_dim_mu_before_the_curve(tmp_path, capsys, monkeypatch):
+    def no_curve(*args, **kwargs):
+        raise AssertionError("the curve was computed for a --mu the baseline rejects")
+
+    monkeypatch.setattr(cli, "relative_error_curve", no_curve)
+    out = tmp_path / "compare.csv"
+    assert main(["compare", "--preset", "rapid32", "--mu", "3", "--seed", "1", "-o", str(out)]) == 2
+    with pytest.raises(ValueError) as exc:
+        baseline_error_curve(3.0, 400)
+    assert capsys.readouterr().err == f"binflux: usage error: {exc.value}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

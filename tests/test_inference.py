@@ -1,9 +1,12 @@
 import inspect
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binflux import (
     DegenerateEvidenceError,
@@ -23,7 +26,8 @@ from binflux import (
     stability_max_n,
     total_variation,
 )
-from binflux.response_matrix import RowProvenance
+from binflux.cli import main
+from binflux.response_matrix import RowProvenance, save_matrix
 
 
 def _hand_matrix(rows):
@@ -46,6 +50,8 @@ def test_posterior_single_normalizes_column():
     post = posterior_single(m, 1)
     assert np.allclose(post.probs, np.array([0.5, 0.8, 0.9]) / 2.2)
     assert post.probs.sum() == pytest.approx(1.0)
+    # The evidence under the flat prior 1/3 over the three rows.
+    assert post.log_evidence == pytest.approx(math.log(2.2 / 3), rel=1e-12, abs=0)
 
 
 def test_posterior_identical_rows_is_uniform():
@@ -119,15 +125,18 @@ def test_multi_shot_anchor_rapid32(rapid32_matrix400):
     for n in (0, 1, 5, 8, 16):
         post = posterior_multi(rapid32_matrix400, [n])
         single = posterior_single(rapid32_matrix400, n)
-        assert post.probs == pytest.approx(single.probs, rel=1e-12, abs=0)
-        assert post.log_evidence == pytest.approx(single.log_evidence, rel=1e-12, abs=0)
+        column = rapid32_matrix400.rows[:, n]
+        assert np.array_equal(post.probs, single.probs)
+        assert np.array_equal(post.probs, column / column.sum())
+        assert post.log_evidence == single.log_evidence
 
 
 def test_posterior_multi_order_invariant(rapid32_matrix400):
     a = posterior_multi(rapid32_matrix400, [5, 3, 4, 5])
     b = posterior_multi(rapid32_matrix400, [5, 5, 4, 3])
-    assert np.allclose(a.probs, b.probs, atol=1e-15)
-    assert a.log_evidence == pytest.approx(b.log_evidence)
+    # Both reduce to the same click histogram, so they agree to the bit.
+    assert np.array_equal(a.probs, b.probs)
+    assert a.log_evidence == b.log_evidence
 
 
 def test_posterior_multi_narrows_with_evidence(rapid32_matrix400):
@@ -184,6 +193,65 @@ def test_posterior_accepts_numpy_integers(rapid32_matrix400):
     single = posterior_single(rapid32_matrix400, 4)
     for n in (np.int64(4), np.uint8(4), np.array([4])[0]):
         assert np.array_equal(posterior_single(rapid32_matrix400, n).probs, single.probs)
+
+
+def _log_sum_posterior(matrix, obs):
+    """The posterior and the log posterior built from one log column per observation."""
+    with np.errstate(divide="ignore"):
+        logp = np.log(matrix.rows[:, obs]).sum(axis=1)
+    post = np.exp(logp - logp.max())
+    return Posterior(probs=post / post.sum(), log_evidence=0.0), logp
+
+
+@given(obs=st.lists(st.integers(0, 32), min_size=2, max_size=300))
+@settings(max_examples=60, deadline=None)
+def test_histogram_posterior_matches_the_per_observation_log_sum(rapid32_matrix400, obs):
+    post = posterior_multi(rapid32_matrix400, obs)
+    ref, logp = _log_sum_posterior(rapid32_matrix400, obs)
+    kept = post.probs > 0.0
+    # Every cell dropped by the exp floor lay at least 700 below the peak.
+    assert np.all(logp[~kept] - logp.max() <= -700.0)
+    # The log posterior the result implies is the per-observation sum.
+    log_norm = post.log_evidence + math.log(post.probs.size)
+    got = np.log(post.probs[kept]) + log_norm
+    assert np.allclose(got, logp[kept], rtol=1e-12, atol=0.0)
+    lse = logp.max() + math.log(np.exp(logp - logp.max()).sum())
+    assert log_norm == pytest.approx(lse, rel=1e-12, abs=0)
+    assert post.mode == ref.mode
+    for level in (0.5, 0.9, 0.99):
+        a, b = credible_interval(post, level), credible_interval(ref, level)
+        assert (a.lo, a.hi) == (b.lo, b.hi)
+
+
+def test_posterior_multi_weights_repeated_counts_past_zero_cells():
+    # Row 0 cannot give 2 clicks: its log likelihood is -inf times a count.
+    m = _hand_matrix([[0.5, 0.5, 0.0], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6]])
+    post = posterior_multi(m, [2, 1, 2, 2])
+    joint = np.array([0.0, 0.5 * 0.3**3, 0.3 * 0.6**3])
+    assert post.probs[0] == 0.0
+    assert post.probs == pytest.approx(joint / joint.sum(), rel=1e-12, abs=0)
+    assert post.log_evidence == pytest.approx(math.log(joint.sum() / 3), rel=1e-12, abs=0)
+    # A count repeated is its column to that power, not its column once.
+    assert not np.allclose(posterior_multi(m, [2, 1]).probs, post.probs)
+
+
+def test_infer_obs_memory_does_not_grow_with_the_shot_count(rapid32_matrix400, tmp_path, capsys):
+    # 10^5 observations took about 644 MB when every shot had its own
+    # column; the histogram needs a few (mu, B) arrays.
+    path = tmp_path / "rapid32.json"
+    save_matrix(rapid32_matrix400, path)
+    law = rapid32_matrix400.rows[30, :17] / rapid32_matrix400.rows[30, :17].sum()
+    obs = np.random.default_rng(30).choice(17, size=100_000, p=law)
+    (tmp_path / "obs.txt").write_text("\n".join(map(str, obs)) + "\n")
+    tracemalloc.start()
+    try:
+        rc = main(["infer", "-m", str(path), "--obs", str(tmp_path / "obs.txt")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert '"n_observations": 100000' in capsys.readouterr().out
+    assert peak < 32 * 2**20, peak
 
 
 def test_posterior_multi_degenerate():
