@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._rng import derive_seed
 from .baseline import baseline_error_curve, shots_to_relative_error
 from .config import SystemConfig, fingerprint, load_system, system_to_dict
 from .errors import (
@@ -47,7 +46,7 @@ from .inference import (
 from .mc_engine import MC_KERNEL, Coherent, Fock, describe_source, simulate_batch
 from .multiplexer import validate_timing
 from .presets import PRESET_NAMES, get_preset
-from .response_matrix import build_matrix, load_matrix, save_matrix
+from .response_matrix import build_matrix, load_matrix, mc_rows, save_matrix
 
 
 def _resolve_system(args: argparse.Namespace) -> SystemConfig:
@@ -283,13 +282,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.output)
     if args.over == "mu":
         exact = coherent_click_rows(values, weights, system.detector)
+        # Value mu is simulated as matrix --method mc simulates row mu: every value on the
+        # shared words of derive_seed(seed), so its histogram is the matrix row's.
+        _, batches = mc_rows(system, values, args.shots, args.seed, workers=args.workers)
         lines = []
-        for mu, probs in zip(values, exact):
-            # Row mu is seeded as matrix --method mc seeds it, from the seed and mu alone.
-            batch = simulate_batch(
-                Coherent(float(mu)), weights, system.detector, args.shots, derive_seed(args.seed, mu),
-                workers=args.workers,
-            )
+        for mu, probs, batch in zip(values, exact, batches):
             for n, c in enumerate(batch.histogram):
                 lines.append(f"{mu},{n},{c},{_fmt(c / batch.n_shots)},{_fmt(probs[n])}")
         _write_lines(out, "mu,n,count,probability,probability_exact", lines)

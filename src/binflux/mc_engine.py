@@ -30,11 +30,17 @@ on the raw words drops those lanes (about 89 % of a Fock(200) pulse on
 rapid32), so only the detected photons are shifted to lanes and routed.
 
 Clicks are kept one row per shot, one byte per gate, each row padded with
-zero bytes to whole 64-bit words. A shot's click total is then the sum of
-its words' byte counts, (w * 0x0101010101010101) >> 56 per word, with no
-copy of the clicks. Only the undershoot chain, which walks the gates one
-after another, makes a copy with one row per gate. Chunks hold about
-2**19 lanes so that their arrays stay cache-sized.
+zero bytes to whole 64-bit words. A shot's click total is the byte count
+of the sum of its words, (w * 0x0101010101010101) >> 56, taken over at
+most 31 words at a time so that no byte sum reaches 256; no copy of the
+clicks is made. Only the undershoot chain, which walks the gates one
+after another, makes a copy with one row per gate.
+
+simulate_rows runs several sources with one lane layout (any coherent
+means, say) on common random numbers: each chunk of about 2**17 lanes
+(1 MB of words) is drawn once, and every source's row is decided on that
+one read-only block. Row i is bit-identical to simulate_batch of source i
+with the same seed, and simulate_batch is the one-row case of that loop.
 """
 
 from __future__ import annotations
@@ -61,9 +67,16 @@ FOCK_MC_CAP = 1_000_000
 # do not reproduce their rows with this kernel.
 MC_KERNEL = "mc4"
 
-# Lanes per chunk: 4 MB of uint64, so a chunk's lanes and the arrays made
-# from them stay near the CPU caches whatever the lane layout.
-_CHUNK_LANES = 1 << 19
+# Lanes per chunk: 1 MB of uint64, so a chunk's words, which stay alive while
+# every row sharing them is decided, and the arrays made from them stay near
+# the CPU caches whatever the lane layout.
+_CHUNK_LANES = 1 << 17
+# Shot rows per gate comparison: against thresholds tiled this many times, one
+# numpy inner loop covers that many shots wherever their rows lie contiguous.
+_TILE_ROWS = 32
+# Words of 0/1 bytes added before one byte count: 31 of them hold at most 248
+# ones, so no byte sum of the added words carries into the next byte.
+_COUNT_WORDS = 31
 # Fock routing buckets: the top 12 of a lane's 53 bits pick the bucket.
 _ROUTE_SHIFT = 41
 _ROUTE_BUCKETS = 1 << 12
@@ -156,15 +169,35 @@ def _route(lanes: np.ndarray, route: np.ndarray, table: np.ndarray, span: int) -
 
 
 def _click_totals(rows: np.ndarray, dtype) -> np.ndarray:
-    """Per-row sums of (shots, 8k) clicks whose pad bytes are zero: the byte counts of each row's words, added."""
-    counts = rows.view(np.uint64) * _BYTE_ONES
-    counts >>= 56
-    # Added in uint64 and cast once: adding each column into the narrow total casts it on
-    # every add, 0.21 against 0.15 ms per rapid32 chunk.
-    totals = counts[:, 0].copy()
-    for c in range(1, counts.shape[1]):
-        totals += counts[:, c]
+    """Per-row sums of (shots, 8k) clicks whose pad bytes are zero.
+
+    The row's words are added _COUNT_WORDS at a time, and each sum's byte
+    count is added to the total.
+    """
+    words = rows.view(np.uint64)
+    totals = None
+    for lo in range(0, words.shape[1], _COUNT_WORDS):
+        group = words[:, lo : lo + _COUNT_WORDS]
+        added = group[:, 0].copy()
+        for c in range(1, group.shape[1]):
+            added += group[:, c]
+        added *= _BYTE_ONES
+        added >>= 56
+        totals = added if totals is None else totals + added
     return totals.astype(dtype)
+
+
+def _compare(op, gates: np.ndarray, tiled: np.ndarray, out: np.ndarray) -> None:
+    """op(gates, t, out=out) for (shots, B) arrays, tiled being t in _TILE_ROWS rows.
+
+    Whole blocks of _TILE_ROWS shots are compared against the tiled rows,
+    which numpy runs as one inner loop per block where the rows of gates
+    and out lie contiguous, and the last shots against the first rows.
+    """
+    m, b = gates.shape
+    k = m - m % _TILE_ROWS
+    op(gates[:k].reshape(-1, _TILE_ROWS, b), tiled, out=out[:k].reshape(-1, _TILE_ROWS, b))
+    op(gates[k:], tiled[: m - k], out=out[k:])
 
 
 class _Kernel:
@@ -193,6 +226,9 @@ class _Kernel:
             # word, when no photon is lost (numpy compares an int past uint64 exactly).
             self.lost = int(self.route[b - 1]) << (64 - _LANE_BITS)
             self.gate_off = source.n_photons
+        # The threshold of the first B half-words (silent for coherent, dark for Fock), tiled for _compare.
+        self.tiled = np.empty((_TILE_ROWS, b), dtype=np.uint32)
+        self.tiled[:] = (self.silent if isinstance(source, Coherent) else self.dark)[0]
         self.miss = None
         if detector.history_dependent:
             self.miss = gate_threshold(np.full(b, detector.undershoot.p_miss_next))
@@ -225,33 +261,28 @@ class _Kernel:
         hit.ravel()[shot * b + idx] = True
         return hit, photons
 
-    def _decide(
-        self, seq: np.random.SeedSequence, start_shot: int, n_shots: int
-    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    def _decide(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
         """Clicks before undershoot, misses (shots, B) or None, and detected photons.
 
-        The clicks are rows of row_bytes bytes, (shots, row_bytes), whose
-        bytes past B are zero. The lanes die on return, so a chunk's word
-        block is freed before run totals the clicks.
+        words are the chunk's (shots, lanes) stream words, only read. The
+        clicks are rows of row_bytes bytes, (shots, row_bytes), whose bytes
+        past B are zero.
         """
-        lanes = uniform_lanes(seq, start_shot, n_shots, self.lanes)
-        gates = half_words(lanes[:, self.gate_off :])
+        gates = half_words(words[:, self.gate_off :])
         b = self.n_bins
         photons = None
         if isinstance(self.source, Fock):
             # Routed before the rows exist: the routing arrays set the chunk's peak memory.
-            hit, photons = self._fock_hits(lanes[:, : self.gate_off])
-        rows = np.empty((n_shots, self.row_bytes), dtype=bool)
+            hit, photons = self._fock_hits(words[:, : self.gate_off])
+        rows = np.empty((words.shape[0], self.row_bytes), dtype=bool)
         rows[:, b:] = False
         clicks = rows[:, :b]
         if photons is None:
-            t, full = self.silent
-            np.greater_equal(gates[:, :b], t, out=clicks)
-            clicks[:, full] = False
+            _compare(np.greater_equal, gates[:, :b], self.tiled, clicks)
+            clicks[:, self.silent[1]] = False
         else:
-            t, full = self.dark
-            np.less(gates[:, :b], t, out=clicks)
-            clicks[:, full] = True
+            _compare(np.less, gates[:, :b], self.tiled, clicks)
+            clicks[:, self.dark[1]] = True
             clicks |= hit
         if self.miss is None:
             return rows, None, photons
@@ -260,18 +291,16 @@ class _Kernel:
         miss[:, full] = True
         return rows, miss, photons
 
-    def run(
-        self, seq: np.random.SeedSequence, start_shot: int, n_shots: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Simulate shots [start_shot, start_shot + n_shots).
+    def run(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Simulate the shots whose stream words are the rows of words (shots, lanes).
 
-        Returns the clicks with one row per shot (n_shots, B), the click
+        Returns the clicks with one row per shot (shots, B), the click
         totals as uint8 (uint32 past 255 bins) and, for Fock sources, the
         detected photons per bin summed over the shots. Independent gates
         are totalled in their shot rows. The undershoot chain runs on a
         copy with one row per gate, whose transpose is returned.
         """
-        rows, miss, photons = self._decide(seq, start_shot, n_shots)
+        rows, miss, photons = self._decide(words)
         if miss is None:
             return rows[:, : self.n_bins], _click_totals(rows, self.total_type), photons
         clicks = np.ascontiguousarray(rows[:, : self.n_bins].T)
@@ -299,6 +328,81 @@ def _resolve_workers(workers: int | None) -> int:
     return 1
 
 
+def simulate_rows(
+    sources: list[Source],
+    weights: BinWeights,
+    detector: DetectorSpec,
+    n_shots: int,
+    seed: int,
+    *,
+    start_shot: int = 0,
+    workers: int | None = None,
+    store_totals: bool = False,
+) -> list[BatchResult]:
+    """Simulate n_shots pulses of each source, every source on the same stream words.
+
+    The sources must share one lane layout: coherent sources of any means,
+    or Fock sources of one photon number. Each chunk's words are drawn once
+    and read by every source, so result i is bit-identical to
+    simulate_batch(sources[i], ..., seed) and the rows' sampling errors are
+    correlated (common random numbers). Results depend only on (seed, shot
+    indices): workers, which splits the chunks, never changes them.
+    """
+    if n_shots < 1:
+        raise ValueError(f"n_shots must be >= 1, got {n_shots}")
+    kernels = [_Kernel(source, weights, detector) for source in sources]
+    layouts = {kernel.lanes for kernel in kernels}
+    if len(layouts) != 1:
+        raise ValueError(f"sources: expected at least one, all with one lane layout, got lanes {sorted(layouts)}")
+    (lanes,) = layouts
+    seq = seed_sequence(seed)
+    chunk = max(1, _CHUNK_LANES // lanes)
+    n_bins = weights.num_bins
+    jobs = [(s, min(chunk, start_shot + n_shots - s)) for s in range(start_shot, start_shot + n_shots, chunk)]
+
+    results = [
+        BatchResult(
+            histogram=np.zeros(n_bins + 1, dtype=np.int64),
+            n_shots=n_shots,
+            photon_sum=None if isinstance(source, Coherent) else np.zeros(n_bins, dtype=np.int64),
+        )
+        for source in sources
+    ]
+    totals_parts: list[list[np.ndarray]] = [[] for _ in sources]
+
+    def process(job: tuple[int, int]) -> list[tuple[np.ndarray, np.ndarray | None, np.ndarray]]:
+        words = uniform_lanes(seq, *job, lanes)
+        words.setflags(write=False)
+        parts = []
+        for kernel in kernels:
+            _, totals, photons = kernel.run(words)
+            parts.append((np.bincount(totals, minlength=n_bins + 1), photons, totals))
+        return parts
+
+    def add(chunks) -> None:
+        # Each chunk is added as it arrives, so memory does not grow with rows times chunks.
+        for parts in chunks:
+            for result, kept, (hist, photons, totals) in zip(results, totals_parts, parts):
+                result.histogram += hist
+                if photons is not None:
+                    result.photon_sum += photons
+                if store_totals:
+                    kept.append(totals.astype(np.int64))
+
+    n_workers = min(_resolve_workers(workers), len(jobs))
+    if n_workers == 1:
+        add(map(process, jobs))
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # only a pool pays for this import
+
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            add(pool.map(process, jobs))
+    if store_totals:
+        for result, kept in zip(results, totals_parts):
+            result.click_totals = np.concatenate(kept)
+    return results
+
+
 def simulate_batch(
     source: Source,
     weights: BinWeights,
@@ -310,47 +414,13 @@ def simulate_batch(
     workers: int | None = None,
     store_totals: bool = False,
 ) -> BatchResult:
-    """Simulate n_shots pulses and aggregate their click statistics.
+    """Simulate n_shots pulses and aggregate their click statistics: simulate_rows of one source.
 
     Results depend only on (seed, shot indices): workers is a performance
     knob that never changes the outcome.
     """
-    if n_shots < 1:
-        raise ValueError(f"n_shots must be >= 1, got {n_shots}")
-    kernel = _Kernel(source, weights, detector)
-    seq = seed_sequence(seed)
-    chunk = max(1, _CHUNK_LANES // kernel.lanes)
-    starts = list(range(start_shot, start_shot + n_shots, chunk))
-    sizes = [min(chunk, start_shot + n_shots - s) for s in starts]
-
-    def process(job: tuple[int, int]):
-        s, m = job
-        _, totals, photons = kernel.run(seq, s, m)
-        hist = np.bincount(totals, minlength=kernel.n_bins + 1)
-        return hist, photons, totals.astype(np.int64) if store_totals else None
-
-    jobs = list(zip(starts, sizes))
-    n_workers = min(_resolve_workers(workers), len(jobs))
-    if n_workers == 1:
-        parts = [process(j) for j in jobs]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only a pool pays for this import
-
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(process, jobs))
-
-    histogram = np.zeros(kernel.n_bins + 1, dtype=np.int64)
-    photon_sum = None if isinstance(source, Coherent) else np.zeros(kernel.n_bins, dtype=np.int64)
-    totals_parts: list[np.ndarray] = []
-    for hist, ps, totals in parts:
-        histogram += hist
-        if ps is not None:
-            photon_sum += ps
-        if totals is not None:
-            totals_parts.append(totals)
-    return BatchResult(
-        histogram=histogram,
-        n_shots=n_shots,
-        photon_sum=photon_sum,
-        click_totals=np.concatenate(totals_parts) if totals_parts else None,
+    (result,) = simulate_rows(
+        [source], weights, detector, n_shots, seed,
+        start_shot=start_shot, workers=workers, store_totals=store_totals,
     )
+    return result

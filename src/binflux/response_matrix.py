@@ -32,7 +32,7 @@ from ._rng import derive_seed
 from .config import SystemConfig, canonical_json, fingerprint, system_from_dict, system_to_dict
 from .errors import ConfigurationError, MatrixFormatError
 from .exact_oracle import coherent_click_rows
-from .mc_engine import MC_KERNEL, Coherent, simulate_batch
+from .mc_engine import MC_KERNEL, BatchResult, Coherent, simulate_rows
 
 _FORMAT_VERSION = 1
 _ROW_SUM_TOL = 1e-9
@@ -113,6 +113,23 @@ class ResponseMatrix:
         return self.rows.shape[1] - 1
 
 
+def mc_rows(
+    system: SystemConfig, mus: list[int], n_shots: int, seed: int, *, workers: int | None = None
+) -> tuple[int, list[BatchResult]]:
+    """Monte Carlo rows at the coherent means mus, on common random numbers: (row seed, batches).
+
+    The one seeding rule of Monte Carlo rows: every row is seeded with
+    derive_seed(seed), which depends on the user seed alone, and all rows
+    are decided on the same stream words (mc_engine.simulate_rows). Batch i
+    is bit-identical to simulate_batch(Coherent(mus[i]), ..., row seed), so
+    a row's provenance token reproduces it, and the row at mu does not
+    depend on which other means are built with it.
+    """
+    row_seed = derive_seed(seed)
+    sources = [Coherent(float(mu)) for mu in mus]
+    return row_seed, simulate_rows(sources, system.bin_weights(), system.detector, n_shots, row_seed, workers=workers)
+
+
 def build_matrix(
     system: SystemConfig,
     mu_max: int,
@@ -127,8 +144,11 @@ def build_matrix(
 
     support restricts direct computation to the given mu values (0 and
     mu_max are always added); remaining rows are interpolated per click
-    count and renormalized. method "mc" needs a seed. A bad argument raises
-    ValueError.
+    count and renormalized. method "mc" needs a seed: every direct row is
+    then seeded with derive_seed(seed) and all of them are decided on the
+    same stream words (mc_rows), so row mu is the same whatever mu_max and
+    support are, and neighbouring rows' sampling errors are positively
+    correlated. A bad argument raises ValueError.
     """
     if mu_max < 1:
         raise ValueError(f"mu_max: must be >= 1, got {mu_max}")
@@ -158,15 +178,11 @@ def build_matrix(
         for mu in direct_mus:
             prov[mu] = exact
     else:
+        row_seed, batches = mc_rows(system, direct_mus, n_shots, seed, workers=workers)
+        rows[direct_mus] = [batch.distribution for batch in batches]
+        mc = RowProvenance(kind="mc", n_shots=n_shots, seed=row_seed)
         for mu in direct_mus:
-            # The row's seed, recorded in its provenance, depends on seed and mu only, never on
-            # mu_max: an MC matrix on [0, m] is the first m + 1 rows of the one on [0, 2m].
-            rs = derive_seed(seed, mu)
-            batch = simulate_batch(
-                Coherent(float(mu)), weights, system.detector, n_shots, rs, workers=workers
-            )
-            rows[mu] = batch.distribution
-            prov[mu] = RowProvenance(kind="mc", n_shots=n_shots, seed=rs)
+            prov[mu] = mc
 
     for lo, hi in zip(direct_mus[:-1], direct_mus[1:]):
         if hi - lo < 2:

@@ -92,8 +92,8 @@ MUTANTS = (
     Mutant(
         "mc_engine.click_totals_drop_the_last_word",
         "mc_engine.py",
-        "for c in range(1, counts.shape[1]):",
-        "for c in range(1, counts.shape[1] - 1):",
+        "for c in range(1, group.shape[1]):",
+        "for c in range(1, group.shape[1] - 1):",
         ("test_mc2_kernel.py::test_click_totals_equal_the_summed_clicks",),
     ),
     Mutant(
@@ -106,28 +106,28 @@ MUTANTS = (
     Mutant(
         "mc_engine.fock_dark_lane_at_threshold",
         "mc_engine.py",
-        "np.less(gates[:, :b], t, out=clicks)",
-        "np.less_equal(gates[:, :b], t, out=clicks)",
+        "_compare(np.less, gates[:, :b], self.tiled, clicks)",
+        "_compare(np.less_equal, gates[:, :b], self.tiled, clicks)",
         ("test_mc2_kernel.py",),
     ),
     Mutant(
         "mc_engine.coherent_half_word_at_threshold",
         "mc_engine.py",
-        "np.greater_equal(gates[:, :b], t, out=clicks)",
-        "np.greater(gates[:, :b], t, out=clicks)",
+        "_compare(np.greater_equal, gates[:, :b], self.tiled, clicks)",
+        "_compare(np.greater, gates[:, :b], self.tiled, clicks)",
         ("test_mc2_kernel.py",),
     ),
     Mutant(
         "mc_engine.silent_gate_clicks_on_the_top_half_word",
         "mc_engine.py",
-        "clicks[:, full] = False",
+        "clicks[:, self.silent[1]] = False",
         "pass",
         ("test_mc2_kernel.py",),
     ),
     Mutant(
         "mc_engine.certain_dark_count_misses_the_top_half_word",
         "mc_engine.py",
-        "clicks[:, full] = True",
+        "clicks[:, self.dark[1]] = True",
         "pass",
         ("test_mc2_kernel.py",),
     ),
@@ -144,6 +144,34 @@ MUTANTS = (
         "clicks[j] &= ~(clicks[prev] & miss[j])",
         "clicks[j] &= ~miss[j]",
         ("test_mc2_kernel.py",),
+    ),
+    Mutant(
+        "mc_engine.count_group_past_the_byte_bound",
+        "mc_engine.py",
+        "_COUNT_WORDS = 31",
+        "_COUNT_WORDS = 32",
+        ("test_mc2_kernel.py::test_click_totals_count_every_gate_of_a_full_row",),
+    ),
+    Mutant(
+        "mc_engine.last_shots_left_undecided",
+        "mc_engine.py",
+        "op(gates[k:], tiled[: m - k], out=out[k:])",
+        "pass",
+        ("test_mc_stream.py",),
+    ),
+    Mutant(
+        "mc_engine.shared_rows_use_the_first_row_thresholds",
+        "mc_engine.py",
+        "for kernel in kernels:",
+        "for kernel in kernels[:1] * len(kernels):",
+        ("test_common_words.py::test_every_row_is_simulate_batch_of_its_provenance_seed",),
+    ),
+    Mutant(
+        "mc_engine.shared_rows_read_words_offset_by_their_index",
+        "mc_engine.py",
+        "_, totals, photons = kernel.run(words)",
+        "_, totals, photons = kernel.run(np.roll(words, kernels.index(kernel), axis=0))",
+        ("test_common_words.py::test_every_row_is_simulate_batch_of_its_provenance_seed",),
     ),
     Mutant(
         "exact_oracle.poisson_binomial_drops_a_click",

@@ -64,8 +64,8 @@ def test_version_agrees_across_package_project_and_cli(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    assert binflux.__version__ == declared == "0.9.0"
-    assert capsys.readouterr().out == "binflux 0.9.0\n"
+    assert binflux.__version__ == declared == "0.10.0"
+    assert capsys.readouterr().out == "binflux 0.10.0\n"
 
 
 def test_presets_listing(capsys):
@@ -768,7 +768,7 @@ def test_negative_seed_exits_2_and_names_the_seed(tmp_path, capsys, command):
 def test_sweep_over_mu_csv_matches_per_value_construction(rapid32, tmp_path):
     # One all-mu exact call gives the same bytes as one exact row per value,
     # also for an unsorted list with a repeat; sweep walks the sorted distinct values
-    # and seeds value mu with derive_seed(seed, mu), as matrix --method mc seeds row mu.
+    # and simulates value mu as matrix --method mc simulates row mu, on the words of derive_seed(seed).
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--preset", "rapid32", "--over", "mu", "--values", "0,1,10,100,400,10"]
     assert main(argv + ["--shots", "500", "--seed", "5", "-o", str(out)]) == 0
@@ -779,7 +779,7 @@ def test_sweep_over_mu_csv_matches_per_value_construction(rapid32, tmp_path):
         assert np.array_equal(row, exact[mu])
     lines = ["mu,n,count,probability,probability_exact"]
     for mu in sorted(set(given)):
-        batch = simulate_batch(Coherent(float(mu)), weights, rapid32.detector, 500, derive_seed(5, mu))
+        batch = simulate_batch(Coherent(float(mu)), weights, rapid32.detector, 500, derive_seed(5))
         for n, c in enumerate(batch.histogram):
             lines.append(f"{mu},{n},{c},{_fmt(c / batch.n_shots)},{_fmt(exact[mu][n])}")
     assert out.read_text() == "\n".join(lines) + "\n"
@@ -860,7 +860,8 @@ def test_sweep_over_mu_on_mechanistic_writes_exact_column(mechanistic_config, me
 
 
 def test_sweep_over_mu_rows_equal_the_mc_matrix_rows(rapid32, tmp_path):
-    # One seeding rule: sweep value mu and matrix --method mc row mu both draw from derive_seed(seed, mu).
+    # One seeding rule: sweep value mu and matrix --method mc row mu are both decided on the
+    # shared words of derive_seed(seed), whichever other values or rows come with them.
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--preset", "rapid32", "--over", "mu", "--values", "0,3,7,20"]
     assert main(argv + ["--shots", "400", "--seed", "9", "-o", str(out)]) == 0

@@ -82,9 +82,15 @@ def small_systems(draw, max_bins=12, mechanistic=False):
     return weights, detector
 
 
+def _run_kernel(source, weights, detector, seed, start, n):
+    """_Kernel.run on the stream words of shots [start, start + n)."""
+    kernel = mc_engine._Kernel(source, weights, detector)
+    return kernel.run(uniform_lanes(seed_sequence(seed), start, n, kernel.lanes))
+
+
 def _assert_per_bin_within_4se(source, weights, detector, seed, p):
     """Per-bin click frequencies of the first N_SHOTS shots, read from the kernel's clicks."""
-    clicks, _, _ = mc_engine._Kernel(source, weights, detector).run(seed_sequence(seed), 0, N_SHOTS)
+    clicks, _, _ = _run_kernel(source, weights, detector, seed, 0, N_SHOTS)
     se = np.sqrt(p * (1.0 - p) / N_SHOTS)
     assert np.all(np.abs(clicks.sum(axis=0) / N_SHOTS - p) <= 4 * se)
 
@@ -443,15 +449,14 @@ def test_half_words_are_low_half_first():
     assert np.array_equal(half_words(_lanes_of_halves(halves)), halves)
 
 
-def test_fock_dark_lanes_at_the_dark_threshold(monkeypatch):
+def test_fock_dark_lanes_at_the_dark_threshold():
     # A dark half-word equal to its threshold stays silent; one below it clicks.
     system = get_preset("rapid32")
     kernel = mc_engine._Kernel(Fock(0), system.bin_weights(), system.detector)
     t, full = kernel.dark
     assert t.min() > 0 and not full.any()
     lanes = _lanes_of_halves(np.stack([t, t - 1]))
-    monkeypatch.setattr(mc_engine, "uniform_lanes", lambda key, start, n, width: lanes.copy())
-    clicks, totals, photons = kernel.run(seed_sequence(0), 0, 2)
+    clicks, totals, photons = kernel.run(lanes)
     assert not clicks[0].any() and clicks[1].all()
     assert totals.tolist() == [0, kernel.n_bins] and photons.sum() == 0
 
@@ -577,7 +582,7 @@ def _assert_kernel_equals_reference(
         assert batch.photon_sum is None
     else:
         assert np.array_equal(batch.photon_sum, ref_photons)
-    clicks, _, _ = mc_engine._Kernel(source, weights, detector).run(seed_sequence(seed), start, n)
+    clicks, _, _ = _run_kernel(source, weights, detector, seed, start, n)
     assert np.array_equal(clicks, ref_clicks)
 
 
@@ -634,6 +639,17 @@ def test_kernel_equals_float_reference_on_presets(simulate_in_chunks, source, pr
 # ------------------------------------------------ click totals in shot rows
 
 
+@pytest.mark.parametrize("b", [8, 248, 249, 256, 300, 2048])
+def test_click_totals_count_every_gate_of_a_full_row(b):
+    # Words are added in groups before their byte count: a group of more than 31 words of
+    # ones would carry a byte sum of 256 out of the count. Pad bytes past B stay zero.
+    rows = np.zeros((3, -(-b // 8) * 8), dtype=bool)
+    rows[0, :b] = True
+    rows[2, : b // 2] = True
+    totals = mc_engine._click_totals(rows, np.uint8 if b < 256 else np.uint32)
+    assert totals.tolist() == [b, 0, b // 2]
+
+
 TOTALS_SOURCES = {
     # About 0.7 and 8 detected photons per bin on average: mixed and nearly full totals.
     "dim": lambda b: Coherent(2.0 * b),
@@ -660,7 +676,7 @@ def test_click_totals_equal_the_summed_clicks(simulate_in_chunks, loops, kind, m
     # show any pad byte left unset.
     junk = np.full(n * -(-b // 8) * 8, 0xFF, dtype=np.uint8)
     del junk
-    clicks, totals, _ = mc_engine._Kernel(source, weights, detector).run(seed_sequence(seed), start, n)
+    clicks, totals, _ = _run_kernel(source, weights, detector, seed, start, n)
     assert clicks.shape == (n, b) and clicks.dtype == bool
     assert totals.dtype == (np.uint8 if b < 256 else np.uint32)
     assert np.array_equal(totals, clicks.sum(axis=1))
@@ -733,7 +749,7 @@ CERTAIN_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(CERTAIN_CASES))
-def test_certain_gates_stay_certain(name, monkeypatch):
+def test_certain_gates_stay_certain(name):
     # p = 0 and p = 1 give the same clicks in every shot, on stream words and on
     # the extreme words, whose half-words are all 0 or all 2**32 - 1.
     source, tweaks, total = CERTAIN_CASES[name]
@@ -744,8 +760,7 @@ def test_certain_gates_stay_certain(name, monkeypatch):
     kernel = mc_engine._Kernel(source, weights, detector)
     for word in (0, 2**64 - 1):
         lanes = np.full((4, kernel.lanes), word, dtype=np.uint64)
-        monkeypatch.setattr(mc_engine, "uniform_lanes", lambda key, start, n, width: lanes.copy())
-        clicks, totals, _ = kernel.run(seed_sequence(0), 0, 4)
+        clicks, totals, _ = kernel.run(lanes)
         assert np.all(totals == total) and np.array_equal(clicks, reference_clicks(lanes, source, weights, detector)[0])
 
 
@@ -782,7 +797,7 @@ THRESHOLD_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(THRESHOLD_CASES))
-def test_kernel_equals_float_reference_at_the_thresholds(name, monkeypatch):
+def test_kernel_equals_float_reference_at_the_thresholds(name):
     # Stream words almost never land on a threshold; these words do on every gate.
     source, tweaks = THRESHOLD_CASES[name]
     system = get_preset("rapid32")
@@ -791,8 +806,7 @@ def test_kernel_equals_float_reference_at_the_thresholds(name, monkeypatch):
     words = _threshold_words(kernel, source, weights, detector)
     assert words.shape[1] == kernel.lanes
     ref_clicks, ref_totals, ref_photons = reference_clicks(words, source, weights, detector)
-    monkeypatch.setattr(mc_engine, "uniform_lanes", lambda key, start, n, width: words.copy())
-    clicks, totals, photons = kernel.run(seed_sequence(0), 0, words.shape[0])
+    clicks, totals, photons = kernel.run(words)
     assert np.array_equal(clicks, ref_clicks) and np.array_equal(totals, ref_totals)
     assert (photons is None) == (ref_photons is None)
     if photons is not None:

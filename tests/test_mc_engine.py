@@ -19,7 +19,7 @@ from binflux import (
     simulate_batch,
     total_variation,
 )
-from binflux._rng import derive_seed, seed_sequence
+from binflux._rng import derive_seed, seed_sequence, uniform_lanes
 from binflux.mc_engine import FOCK_MC_CAP, _Kernel
 
 
@@ -109,16 +109,19 @@ def test_single_shot_matches_batch_slice(rapid32, rapid32_weights):
     ]
     assert [int(rec.click_totals[0]) for rec in shots] == batch.click_totals.tolist()
     kernel = _Kernel(Coherent(100.0), rapid32_weights, rapid32.detector)
-    patterns = np.concatenate([kernel.run(seed_sequence(11), 200 + i, 1)[0] for i in range(50)])
+    patterns = np.concatenate(
+        [kernel.run(uniform_lanes(seed_sequence(11), 200 + i, 1, kernel.lanes))[0] for i in range(50)]
+    )
     assert patterns.shape == (50, 32)
-    assert np.array_equal(patterns, kernel.run(seed_sequence(11), 200, 50)[0])
+    assert np.array_equal(patterns, kernel.run(uniform_lanes(seed_sequence(11), 200, 50, kernel.lanes))[0])
     assert np.array_equal(patterns.sum(axis=1), batch.click_totals)
 
 
 def test_records_and_totals_consistent(rapid32, rapid32_weights, simulate_in_chunks):
     batch = simulate_in_chunks(100, Coherent(20.0), rapid32_weights, rapid32.detector, 500, seed=5, store_totals=True)
     assert batch.click_totals.shape == (500,)
-    clicks, _, _ = _Kernel(Coherent(20.0), rapid32_weights, rapid32.detector).run(seed_sequence(5), 0, 500)
+    kernel = _Kernel(Coherent(20.0), rapid32_weights, rapid32.detector)
+    clicks, _, _ = kernel.run(uniform_lanes(seed_sequence(5), 0, 500, kernel.lanes))
     assert np.array_equal(batch.click_totals, clicks.sum(axis=1))
     hist = np.bincount(batch.click_totals, minlength=33)
     assert np.array_equal(hist, batch.histogram)
@@ -137,7 +140,8 @@ def test_per_bin_click_frequency_within_4se(rapid32, rapid32_weights):
     # p_b = 1 - (1 - d_b) * exp(-mu * q_b * eta_eff); per-bin click
     # frequencies must sit within 4 standard errors of it.
     mu, n = 100.0, 200_000
-    clicks, _, _ = _Kernel(Coherent(mu), rapid32_weights, rapid32.detector).run(seed_sequence(17), 0, n)
+    kernel = _Kernel(Coherent(mu), rapid32_weights, rapid32.detector)
+    clicks, _, _ = kernel.run(uniform_lanes(seed_sequence(17), 0, n, kernel.lanes))
     p = 1.0 - no_click_probabilities(mu, rapid32_weights, rapid32.detector)
     se = np.sqrt(p * (1.0 - p) / n)
     assert clicks.shape == (n, 32)

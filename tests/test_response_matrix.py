@@ -730,12 +730,13 @@ def sparse_mc_matrix400():
     return build_matrix(get_preset("rapid32"), 400, "mc", n_shots=20_000, seed=11, support=[100, 200, 300], workers=1)
 
 
-# sha256 of the files save_matrix writes, recorded when every cell was formatted on its own.
+# sha256 of the files save_matrix writes, recorded when every cell was formatted on its own; the
+# Monte Carlo pair again when every Monte Carlo row came to share one seed and one word stream.
 MATRIX_FILE_DIGESTS = {
     ("exact", "csv"): "5c397ed3d9e560c22e453dab8749714bd9712a08113d233a6dcda4935e9d79a1",
     ("exact", "json"): "002d3129b653e727f31c6b4083fef2f90e9e4294faa86d792d884458996dfd0a",
-    ("mc", "csv"): "d9fef4c77f36e42bc537cb1cf4be771235a43759fb75107473671b5c7a4dc1b9",
-    ("mc", "json"): "73e08f022a607d88ec2ffc80c4b62901800382a4b64e1549c783187e305755f5",
+    ("mc", "csv"): "dfa3a98fde6a9afef5af61b7f1c81866c55ac02144ef3cb988d18b45ce528a6b",
+    ("mc", "json"): "cae5718e3d175a4264d9096bd009ce0c36c59bd2a9caaf20b37c85e06a16cc73",
 }
 
 
