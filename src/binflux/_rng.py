@@ -26,16 +26,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import _integer
+
 _LANE_BITS = 53
 _HALF_BITS = 32
-
-
-def _check_seed(seed) -> int:
-    """seed as an int, checked to be an integer >= 0."""
-    # bool is an int subclass, but True is not a seed.
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    return int(seed)
 
 
 def seed_sequence(seed: int) -> np.random.SeedSequence:
@@ -43,7 +37,7 @@ def seed_sequence(seed: int) -> np.random.SeedSequence:
 
     Per-trial or per-row substreams take their seed from derive_seed.
     """
-    return np.random.SeedSequence([_check_seed(seed)])
+    return np.random.SeedSequence([_integer(seed, "seed")])
 
 
 def derive_seed(seed: int, *stream: int) -> int:
@@ -52,7 +46,7 @@ def derive_seed(seed: int, *stream: int) -> int:
     Used where a component (a matrix row, a repeated trial) needs its own
     recordable seed that is still a pure function of the user seed.
     """
-    return int(np.random.SeedSequence([_check_seed(seed), *map(int, stream)]).generate_state(1, np.uint64)[0])
+    return int(np.random.SeedSequence([_integer(seed, "seed"), *map(int, stream)]).generate_state(1, np.uint64)[0])
 
 
 def lane_threshold(p) -> np.ndarray:
@@ -88,10 +82,7 @@ def uniform_lanes(seq: np.random.SeedSequence, start_shot: int, n_shots: int, la
     Lane j of row i is word (start_shot + i) * lanes + j of the stream.
     The rows are one freshly drawn block, so callers may shift them in
     place. Rows are independent of how the overall run is split into calls.
+    Callers pass checked values: start_shot, n_shots >= 0 and lanes >= 1.
     """
-    if lanes <= 0:
-        raise ValueError(f"lanes must be positive, got {lanes}")
-    if n_shots < 0 or start_shot < 0:
-        raise ValueError("shot range must be nonnegative")
     bitgen = np.random.PCG64DXSM(seq).advance(start_shot * lanes)
     return bitgen.random_raw(n_shots * lanes).reshape(n_shots, lanes)

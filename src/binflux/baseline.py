@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from ._rng import _LANE_BITS, derive_seed, lane_threshold, seed_sequence, uniform_lanes
+from .errors import _integer
 
 Z_90 = 1.645  # two-sided 90% normal quantile, one tail at 5%
 
@@ -92,9 +93,7 @@ def baseline_error_curve(
 ) -> np.ndarray:
     """Analytic relative-width curve, index k - 1 holding the value after k gates."""
     _check_mu_bright(mu_true)
-    if max_shots < 1:
-        raise ValueError(f"max_shots must be >= 1, got {max_shots}")
-    k = np.arange(1, max_shots + 1)
+    k = np.arange(1, _integer(max_shots, "max_shots", 1) + 1)
     return _z_factor(convention) * relative_error_factor(p_target) / np.sqrt(k)
 
 
@@ -117,8 +116,8 @@ def simulate_baseline(
     Entries where the click record is still saturated or silent are NaN.
     """
     _check_mu_bright(mu_true)
-    if max_shots < 1 or n_trials < 1:
-        raise ValueError("max_shots and n_trials must be >= 1")
+    max_shots = _integer(max_shots, "max_shots", 1)
+    n_trials = _integer(n_trials, "n_trials", 1)
     alpha = attenuation_for_target(mu_true, efficiency, p_target)
     scale = alpha * efficiency
     z = _z_factor(convention)

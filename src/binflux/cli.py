@@ -33,6 +33,7 @@ from .errors import (
     DegenerateEvidenceError,
     MatrixFormatError,
     ModelUnsupportedError,
+    _integer,
 )
 from .exact_oracle import coherent_click_rows
 from .inference import (
@@ -190,9 +191,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
     observations = [args.n] if args.n is not None else _read_observations(args.obs)
     if args.max_n is not None:
-        if args.max_n < 0:
-            raise ValueError(f"--max-n must be >= 0, got {args.max_n}")
-        cutoff: int | None = args.max_n
+        cutoff: int | None = _integer(args.max_n, "--max-n")
     elif args.no_stability:
         cutoff = None
     else:
@@ -273,10 +272,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.over == "shots":
         if args.mu is None:
             raise ValueError("--mu is required with --over shots")
-        if values[0] < 1:
-            raise ValueError(f"--values: shot counts must be >= 1, got {values[0]}")
-    elif values[0] < 0:
-        raise ValueError(f"--values: mu must be >= 0, got {values[0]}")
+        _integer(values[0], "--values: shot counts", 1)
+    else:
+        _integer(values[0], "--values: mu")
     system = _resolve_system(args)
     weights = system.bin_weights()
     out = Path(args.output)

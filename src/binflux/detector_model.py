@@ -23,7 +23,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _integer
 from .multiplexer import BinWeights
 
 
@@ -124,8 +124,9 @@ def effective_efficiency(spec: DetectorSpec, mean_photon_number):
     An array of mean photon numbers gives an array of efficiencies when the
     derating depends on it, and the scalar nominal efficiency otherwise.
     """
-    if np.any(np.asarray(mean_photon_number) < 0.0):
-        raise ValueError(f"mean_photon_number must be >= 0, got {mean_photon_number!r}")
+    mu = np.asarray(mean_photon_number)
+    if not np.all((mu >= 0.0) & (mu < np.inf)):
+        raise ValueError(f"mean_photon_number must be finite and >= 0, got {mean_photon_number!r}")
     if isinstance(spec.undershoot, GlobalEfficiency):
         return spec.undershoot.efficiency_at(mean_photon_number)
     return spec.efficiency
@@ -153,8 +154,7 @@ def no_click_probabilities(mu, weights: BinWeights, spec: DetectorSpec) -> np.nd
 
 def shot_dark_probability(spec: DetectorSpec, bins_per_detector: int) -> float:
     """Probability that at least one of the gates of a full train darks out."""
-    if bins_per_detector < 0:
-        raise ValueError(f"bins_per_detector must be >= 0, got {bins_per_detector}")
+    bins_per_detector = _integer(bins_per_detector, "bins_per_detector")
     quiet = 1.0
     for d in spec.dark_prob_per_gate:
         quiet *= (1.0 - d) ** bins_per_detector

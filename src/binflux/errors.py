@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for integer arguments."""
+
+import numpy as np
 
 
 class BinfluxError(Exception):
@@ -34,3 +36,20 @@ class MatrixFormatError(BinfluxError):
 
     The message carries line and field diagnostics.
     """
+
+
+def _integer(value, name: str, lo: int = 0, hi: int | None = None) -> int:
+    """value as an int, or ValueError naming name unless it is an integer in [lo, hi].
+
+    A numpy integer is an integer. bool is an int subclass, but True is no
+    seed, count or bound, and a float is refused even when it is whole.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or value < lo
+        or (hi is not None and value > hi)
+    ):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._rng import derive_seed
 from .config import SystemConfig
-from .errors import DegenerateEvidenceError, ModelUnsupportedError
+from .errors import DegenerateEvidenceError, ModelUnsupportedError, _integer
 from .mc_engine import Coherent, simulate_batch
 from .response_matrix import ResponseMatrix, build_matrix
 
@@ -66,14 +66,6 @@ class CredibleInterval:
     def width(self) -> int:
         """Number of mu values covered (a point interval has width 1)."""
         return self.hi - self.lo + 1
-
-
-def _click_count(n, num_bins: int) -> int:
-    """n as an int, checked to be an integer click count in [0, num_bins]."""
-    # bool is an int subclass, but True is not a click count.
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 0 <= n <= num_bins:
-        raise ValueError(f"click count must be an integer in [0, {num_bins}], got {n!r}")
-    return int(n)
 
 
 _EXP_FLOOR = -700.0
@@ -121,8 +113,12 @@ def posterior_multi(
     max_admissible_n is given, any larger click count is rejected up front
     with ModelUnsupportedError: such counts carry posterior mass beyond the
     mu grid and their columns are not trustworthy (see stability_max_n).
+    It is an integer >= -1: -1, what stability_max_n returns when no count
+    is stable, admits none.
     """
-    obs = np.fromiter((_click_count(n, matrix.num_bins) for n in observations), dtype=np.int64)
+    if max_admissible_n is not None:
+        max_admissible_n = _integer(max_admissible_n, "max_admissible_n", -1)
+    obs = np.fromiter((_integer(n, "click count", 0, matrix.num_bins) for n in observations), dtype=np.int64)
     if obs.size == 0:
         raise ValueError("observations must contain at least one click count")
     worst = int(obs.max())
@@ -299,6 +295,7 @@ def _stability_build(system: SystemConfig, mu_max: int, tolerance: float) -> tup
     """
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance!r}")
+    mu_max = _integer(mu_max, "mu_max", 1)
     wide = build_matrix(system, 2 * mu_max)
     unstable = np.flatnonzero(~(_stability_tv(wide.rows, mu_max) < tolerance))
     cutoff = int(unstable[0]) - 1 if unstable.size else wide.num_bins
@@ -350,13 +347,13 @@ def relative_error_curve(
     together by the same greedy rule credible_interval applies, once
     _normalise (posterior_multi's too) has made them probabilities.
     """
-    if mu_true <= 0.0:
-        raise ValueError(f"mu_true must be > 0, got {mu_true!r}")
-    if max_shots < 1 or n_trials < 1:
-        raise ValueError("max_shots and n_trials must be >= 1")
+    if not 0.0 < mu_true < math.inf:
+        raise ValueError(f"mu_true must be finite and > 0, got {mu_true!r}")
+    max_shots = _integer(max_shots, "max_shots", 1)
+    n_trials = _integer(n_trials, "n_trials", 1)
     _check_level(level)
     weights = system.bin_weights()
-    cutoff = matrix.num_bins if max_admissible_n is None else max_admissible_n
+    cutoff = matrix.num_bins if max_admissible_n is None else _integer(max_admissible_n, "max_admissible_n", -1)
     with np.errstate(divide="ignore"):
         log_cols = np.ascontiguousarray(np.log(matrix.rows).T)
 

@@ -59,6 +59,7 @@ from .detector_model import (
     no_click_probabilities,
     per_bin_dark_probabilities,
 )
+from .errors import _integer
 from .multiplexer import BinWeights
 
 FOCK_MC_CAP = 1_000_000
@@ -102,12 +103,7 @@ class Fock:
     n_photons: int
 
     def __post_init__(self) -> None:
-        # bool is an int subclass, but True is not a photon number.
-        if isinstance(self.n_photons, bool) or not isinstance(self.n_photons, (int, np.integer)):
-            raise ValueError(f"Fock.n_photons must be an integer, got {self.n_photons!r}")
-        if self.n_photons < 0:
-            raise ValueError(f"Fock.n_photons must be >= 0, got {self.n_photons!r}")
-        object.__setattr__(self, "n_photons", int(self.n_photons))
+        object.__setattr__(self, "n_photons", _integer(self.n_photons, "Fock.n_photons"))
 
 
 Source = Coherent | Fock
@@ -313,19 +309,13 @@ class _Kernel:
 
 def _resolve_workers(workers: int | None) -> int:
     if workers is not None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        return workers
-    env = os.environ.get("BINFLUX_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"BINFLUX_THREADS must be an integer, got {env!r}") from None
-        if cap < 1:
-            raise ValueError(f"BINFLUX_THREADS must be >= 1, got {env!r}")
-        return cap
-    return 1
+        return _integer(workers, "workers", 1)
+    env = os.environ.get("BINFLUX_THREADS", "").strip() or "1"
+    try:
+        cap = int(env)
+    except ValueError:
+        raise ValueError(f"BINFLUX_THREADS must be an integer, got {env!r}") from None
+    return _integer(cap, "BINFLUX_THREADS", 1)
 
 
 def simulate_rows(
@@ -348,8 +338,9 @@ def simulate_rows(
     correlated (common random numbers). Results depend only on (seed, shot
     indices): workers, which splits the chunks, never changes them.
     """
-    if n_shots < 1:
-        raise ValueError(f"n_shots must be >= 1, got {n_shots}")
+    n_shots = _integer(n_shots, "n_shots", 1)
+    start_shot = _integer(start_shot, "start_shot")
+    n_workers = _resolve_workers(workers)
     kernels = [_Kernel(source, weights, detector) for source in sources]
     layouts = {kernel.lanes for kernel in kernels}
     if len(layouts) != 1:
@@ -389,7 +380,7 @@ def simulate_rows(
                 if store_totals:
                     kept.append(totals.astype(np.int64))
 
-    n_workers = min(_resolve_workers(workers), len(jobs))
+    n_workers = min(n_workers, len(jobs))
     if n_workers == 1:
         add(map(process, jobs))
     else:

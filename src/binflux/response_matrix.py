@@ -30,7 +30,7 @@ import numpy as np
 
 from ._rng import derive_seed
 from .config import SystemConfig, canonical_json, fingerprint, system_from_dict, system_to_dict
-from .errors import ConfigurationError, MatrixFormatError
+from .errors import ConfigurationError, MatrixFormatError, _integer
 from .exact_oracle import coherent_click_rows
 from .mc_engine import MC_KERNEL, BatchResult, Coherent, simulate_rows
 
@@ -150,22 +150,18 @@ def build_matrix(
     support are, and neighbouring rows' sampling errors are positively
     correlated. A bad argument raises ValueError.
     """
-    if mu_max < 1:
-        raise ValueError(f"mu_max: must be >= 1, got {mu_max}")
+    mu_max = _integer(mu_max, "mu_max", 1)
     if method not in ("exact", "mc"):
         raise ValueError(f"method: expected 'exact' or 'mc', got {method!r}")
     if method == "mc":
         if seed is None:
             raise ValueError("seed: required when method='mc'")
-        if n_shots < 1:
-            raise ValueError(f"n_shots: must be >= 1, got {n_shots}")
+        n_shots = _integer(n_shots, "n_shots", 1)
 
     if support is None:
         direct_mus = list(range(mu_max + 1))
     else:
-        direct_mus = sorted({int(m) for m in support} | {0, mu_max})
-        if direct_mus[0] < 0 or direct_mus[-1] > mu_max:
-            raise ValueError(f"support: values must lie in [0, {mu_max}]")
+        direct_mus = sorted({_integer(m, f"support[{i}]", 0, mu_max) for i, m in enumerate(support)} | {0, mu_max})
 
     weights = system.bin_weights()
     n_bins = weights.num_bins

@@ -55,11 +55,25 @@ MUTANTS = (
         ("test_mc2_kernel.py",),
     ),
     Mutant(
-        "rng.seed_accepts_bool",
-        "_rng.py",
-        "if isinstance(seed, bool) or not isinstance(seed, (int, np.integer))",
-        "if not isinstance(seed, (int, np.integer))",
-        ("test_mc_engine.py",),
+        "errors.integer_accepts_bool",
+        "errors.py",
+        "isinstance(value, bool)\n",
+        "False\n",
+        ("test_integer_arguments.py::test_a_bad_integer_argument_names_its_parameter",),
+    ),
+    Mutant(
+        "errors.integer_accepts_float",
+        "errors.py",
+        "not isinstance(value, (int, np.integer))",
+        "not isinstance(value, (int, float, np.integer))",
+        ("test_integer_arguments.py::test_a_bad_integer_argument_names_its_parameter",),
+    ),
+    Mutant(
+        "errors.integer_accepts_one_below_lo",
+        "errors.py",
+        "or value < lo\n",
+        "or value < lo - 1\n",
+        ("test_integer_arguments.py::test_a_bad_integer_argument_names_its_parameter",),
     ),
     Mutant(
         "rng.advance_by_shots_not_words",
@@ -228,20 +242,6 @@ MUTANTS = (
         "w.sum() <= 1.0 + 1e-12",
         "np.isfinite(w.sum())",
         ("test_multiplexer.py::test_bin_weights_check_themselves_when_built",),
-    ),
-    Mutant(
-        "inference.click_count_accepts_bool",
-        "inference.py",
-        "if isinstance(n, bool) or not isinstance(n, (int, np.integer))",
-        "if not isinstance(n, (int, np.integer))",
-        ("test_inference.py",),
-    ),
-    Mutant(
-        "inference.click_count_accepts_float",
-        "inference.py",
-        "not isinstance(n, (int, np.integer))",
-        "not isinstance(n, (int, float, np.integer))",
-        ("test_inference.py",),
     ),
     Mutant(
         "inference.posterior_single_drops_the_flat_prior",

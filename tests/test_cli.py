@@ -243,7 +243,7 @@ def test_infer_impossible_count(matrix_file, capsys):
 @pytest.mark.parametrize("source", ["n", "obs"])
 def test_infer_count_past_the_bins_is_a_usage_error_before_the_cutoff(matrix_file, tmp_path, capsys, source):
     # 33 clicks on 32 bins is also above the cutoff 16, which would exit 4;
-    # the count rule (inference._click_count) is checked first and writes nothing.
+    # the count rule (errors._integer) is checked first and writes nothing.
     out, post = tmp_path / "out" / "result.json", tmp_path / "out" / "post.csv"
     out.parent.mkdir()
     if source == "n":
@@ -457,10 +457,10 @@ def test_convergence_rejects_level_before_writing(tmp_path, capsys, argv):
         (400, ["--n", "1", "--wavelength", "nan", "--posterior", "{tmp}/post.csv"], "wavelength must be finite"),
         (400, ["--n", "1", "--wavelength", "inf", "--posterior", "{tmp}/post.csv"], "wavelength must be finite"),
         (400, ["--n", "1", "--tolerance", "nan", "--posterior", "{tmp}/post.csv"], "tolerance must be finite"),
-        (400, ["--n", "1", "--max-n", "-1", "--posterior", "{tmp}/post.csv"], "--max-n must be >= 0"),
+        (400, ["--n", "1", "--max-n", "-1", "--posterior", "{tmp}/post.csv"], "--max-n must be an integer >= 0, got -1"),
         (100, ["--n", "3", "--wavelength", "nan"], "wavelength must be finite"),
         (100, ["--n", "3", "--tolerance", "nan"], "tolerance must be finite"),
-        (100, ["--n", "3", "--max-n", "-1"], "--max-n must be >= 0"),
+        (100, ["--n", "3", "--max-n", "-1"], "--max-n must be an integer >= 0, got -1"),
     ],
     ids=[
         "wavelength-nan", "wavelength-inf", "tolerance-nan", "max-n-negative",
@@ -492,13 +492,14 @@ def test_infer_warns_once_on_a_tampered_fingerprint(rapid32_matrix_file, tmp_pat
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["matrix", "--mu-max", "0"], "mu_max: must be >= 1, got 0"),
+        (["matrix", "--mu-max", "0"], "mu_max must be an integer >= 1, got 0"),
         (["compare", "--mu", "100", "--trials", "2", "--max-shots", "5", "--seed", "1", "--mu-max", "0"],
-         "mu_max: must be >= 1, got 0"),
+         "mu_max must be an integer >= 1, got 0"),
         (["sweep", "--over", "shots", "--values", "1,5", "--mu", "100", "--seed", "1", "--mu-max", "0"],
-         "mu_max: must be >= 1, got 0"),
-        (["matrix", "--mu-max", "5", "--method", "mc", "--seed", "1", "--shots", "0"], "n_shots: must be >= 1, got 0"),
-        (["matrix", "--support", "3,9", "--mu-max", "5"], "support: values must lie in [0, 5]"),
+         "mu_max must be an integer >= 1, got 0"),
+        (["matrix", "--mu-max", "5", "--method", "mc", "--seed", "1", "--shots", "0"],
+         "n_shots must be an integer >= 1, got 0"),
+        (["matrix", "--support", "3,9", "--mu-max", "5"], "support[1] must be an integer in [0, 5], got 9"),
     ],
     ids=["matrix-mu-max", "compare-mu-max", "sweep-mu-max", "matrix-shots", "matrix-support"],
 )
@@ -607,7 +608,8 @@ def test_sweep_over_shots_rejects_values_below_one(tmp_path, capsys, values):
          "--trials", "2", "--seed", "2", "-o", str(out)]
     )
     assert rc == 2
-    assert "shot counts must be >= 1" in capsys.readouterr().err
+    smallest = min(int(v) for v in values.split(","))
+    assert f"--values: shot counts must be an integer >= 1, got {smallest}\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -621,7 +623,7 @@ def test_sweep_over_mu_rejects_negative_values(tmp_path, capsys, values):
     )
     assert rc == 2
     smallest = min(int(v) for v in values.split(","))
-    assert f"--values: mu must be >= 0, got {smallest}\n" in capsys.readouterr().err
+    assert f"--values: mu must be an integer >= 0, got {smallest}\n" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "s.csv.manifest.json").exists()
 
 

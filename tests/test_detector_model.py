@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -15,6 +16,7 @@ from binflux import (
     effective_efficiency,
     fock_click_distribution,
     get_preset,
+    no_click_probabilities,
     per_bin_dark_probabilities,
     shot_dark_probability,
 )
@@ -96,6 +98,24 @@ def test_global_efficiency_interpolates_and_clamps():
 def test_effective_efficiency_rejects_negative_mu():
     with pytest.raises(ValueError):
         effective_efficiency(make_detector(), -1.0)
+
+
+@pytest.mark.parametrize(
+    "undershoot",
+    [None, GlobalEfficiency(points=((10.0, 0.165), (400.0, 0.145))), MechanisticUndershoot(0.3)],
+    ids=["none", "global", "mechanistic"],
+)
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf, np.array([5.0, math.nan])], ids=repr)
+def test_effective_efficiency_rejects_a_non_finite_mean(undershoot, mu):
+    # Before, nan gave nan under the global derating and inf its last anchor, 0.145.
+    with pytest.raises(ValueError, match=r"^mean_photon_number must be finite and >= 0, got "):
+        effective_efficiency(make_detector(undershoot=undershoot), mu)
+
+
+def test_no_click_probabilities_reject_a_non_finite_mean(conventional16):
+    # Before, a nan mean gave nan probabilities.
+    with pytest.raises(ValueError, match=r"^mean_photon_number must be finite and >= 0, got "):
+        no_click_probabilities(math.nan, conventional16.bin_weights(), conventional16.detector)
 
 
 def test_per_bin_dark_lookup(tiny_weights):

@@ -363,6 +363,13 @@ def test_relative_error_curve_impossible_cutoff(rapid32, rapid32_matrix400):
         )
 
 
+@pytest.mark.parametrize("mu_true", [math.nan, math.inf, 0.0, -1.0])
+def test_relative_error_curve_checks_mu_true_itself(rapid32, rapid32_matrix400, mu_true):
+    # Before, nan surfaced from Coherent as "Coherent.mu must be finite and >= 0".
+    with pytest.raises(ValueError, match=rf"^mu_true must be finite and > 0, got {mu_true!r}$"):
+        relative_error_curve(rapid32, rapid32_matrix400, mu_true, 10, 2, seed=1)
+
+
 def test_relative_error_curve_validation(rapid32, rapid32_matrix400):
     with pytest.raises(ValueError):
         relative_error_curve(rapid32, rapid32_matrix400, 0.0, 10, 2, seed=1)

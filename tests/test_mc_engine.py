@@ -294,7 +294,7 @@ def test_source_validation():
 def test_fock_photon_number_must_be_an_integer(n_photons):
     # Before, 2.5 failed inside the kernel with a bare TypeError, nan after a
     # cast warning, and True ran as one photon.
-    with pytest.raises(ValueError, match=r"^Fock\.n_photons must be an integer, got "):
+    with pytest.raises(ValueError, match=r"^Fock\.n_photons must be an integer >= 0, got "):
         Fock(n_photons)
 
 
