@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .detector_model import DetectorSpec, GlobalEfficiency, MechanisticUndershoot
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _integer
 from .multiplexer import (
     BinWeights,
     ExplicitTransmission,
@@ -129,7 +129,9 @@ def _points(value: Any) -> tuple[tuple[float, ...], ...]:
 
 
 def _assignment(value: Any) -> str | tuple[int, ...]:
-    return value if isinstance(value, str) else tuple(int(v) for v in _sequence(value))
+    if isinstance(value, str):
+        return value
+    return tuple(_integer(v, f"detector_assignment[{i}]", 0, 1) for i, v in enumerate(_sequence(value)))
 
 
 def system_from_dict(data: dict[str, Any]) -> SystemConfig:

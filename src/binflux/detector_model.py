@@ -146,8 +146,8 @@ def no_click_probabilities(mu, weights: BinWeights, spec: DetectorSpec) -> np.nd
     must also escape its dark count, which leaves (1 - d_b) times that. A
     scalar mu gives shape (B,); a vector of m values gives (m, B).
     """
-    mu = np.asarray(mu, dtype=float)
     eta = np.asarray(effective_efficiency(spec, mu))
+    mu = np.asarray(mu, dtype=float)
     dark = per_bin_dark_probabilities(weights, spec)
     return (1.0 - dark) * np.exp(-mu[..., None] * weights.weights * eta[..., None])
 

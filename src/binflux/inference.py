@@ -86,9 +86,9 @@ def _normalise(logp: np.ndarray) -> np.ndarray:
     if not np.isfinite(top).all():
         raise DegenerateEvidenceError("the observed sequence has zero probability for every mu on the grid")
     logp -= top
-    keep = logp > _EXP_FLOOR
-    np.exp(logp, out=logp, where=keep)
-    np.copyto(logp, 0.0, where=~keep)
+    np.exp(logp, out=logp, where=logp > _EXP_FLOOR)
+    # Kept cells are now > 0; dropped ones still hold a log <= _EXP_FLOOR, or -inf.
+    np.maximum(logp, 0.0, out=logp)
     total = logp.sum(axis=-1, keepdims=True)
     logp /= total
     return top + np.log(total)
@@ -345,7 +345,9 @@ def relative_error_curve(
     interval width after every accumulated shot. A trial's max_shots
     posteriors are built as one (shots, mu) array and their intervals found
     together by the same greedy rule credible_interval applies, once
-    _normalise (posterior_multi's too) has made them probabilities.
+    _normalise (posterior_multi's too) has made them probabilities. That
+    array is one buffer for all trials, summed in place row by row: the
+    additions of a cumulative sum over shots, in the same order.
     """
     if not 0.0 < mu_true < math.inf:
         raise ValueError(f"mu_true must be finite and > 0, got {mu_true!r}")
@@ -358,6 +360,8 @@ def relative_error_curve(
         log_cols = np.ascontiguousarray(np.log(matrix.rows).T)
 
     rel_err = np.empty((n_trials, max_shots))
+    post = np.empty((max_shots, log_cols.shape[1]))
+    rows, col_of = list(post), list(log_cols)
     for t in range(n_trials):
         trial_seed = derive_seed(seed, t)
         counts = np.empty(0, dtype=np.int64)
@@ -385,9 +389,10 @@ def relative_error_curve(
                     "the mu grid is too small for this source"
                 )
             counts = np.concatenate([counts, fresh[:want]])
-        # post[k] is the posterior after k + 1 shots; every step works in place.
-        post = log_cols[counts]
-        np.cumsum(post, axis=0, out=post)
+        # post[k], the log posterior after k + 1 shots, is post[k - 1] plus count k's column.
+        np.copyto(rows[0], col_of[counts[0]])
+        for prev, row, c in zip(rows, rows[1:], counts[1:].tolist()):
+            np.add(prev, col_of[c], out=row)
         _normalise(post)
         lo, hi = _hpd_rows(post, level)
         rel_err[t] = (hi - lo + 1) / mu_true

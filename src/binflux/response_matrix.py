@@ -153,10 +153,14 @@ def build_matrix(
     mu_max = _integer(mu_max, "mu_max", 1)
     if method not in ("exact", "mc"):
         raise ValueError(f"method: expected 'exact' or 'mc', got {method!r}")
-    if method == "mc":
-        if seed is None:
-            raise ValueError("seed: required when method='mc'")
-        n_shots = _integer(n_shots, "n_shots", 1)
+    if method == "mc" and seed is None:
+        raise ValueError("seed: required when method='mc'")
+    # Checked whatever the method, so a bad value is never recorded beside an exact matrix.
+    n_shots = _integer(n_shots, "n_shots", 1)
+    if seed is not None:
+        _integer(seed, "seed")
+    if workers is not None:
+        _integer(workers, "workers", 1)
 
     if support is None:
         direct_mus = list(range(mu_max + 1))

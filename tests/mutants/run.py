@@ -319,6 +319,14 @@ MUTANTS = (
         ("test_batched.py::test_relative_error_curve_hands_hpd_no_subnormal_cell",),
     ),
     Mutant(
+        "inference.curve_sums_from_row_one",
+        "inference.py",
+        "zip(rows, rows[1:], counts[1:].tolist())",
+        "zip(rows[1:], rows[2:], counts[2:].tolist())",
+        # Row 1 is never written, so it keeps whatever the buffer held before.
+        ("test_batched.py::test_relative_error_curve_posteriors_are_the_cumsum_build_byte_for_byte",),
+    ),
+    Mutant(
         "response_matrix.interpolation_fraction",
         "response_matrix.py",
         "frac = (np.arange(lo + 1, hi) - lo) / (hi - lo)",

@@ -385,11 +385,49 @@ def test_exp_floor_keeps_normal_doubles_and_drops_cells_700_below_the_peak():
     post = x.copy()
     keep = post > floor
     np.exp(post, out=post, where=keep)
-    np.copyto(post, 0.0, where=~keep)
+    np.maximum(post, 0.0, out=post)
     tiny = np.finfo(float).tiny
     assert post[keep].min() >= tiny and (post[keep] / 4430.0).min() >= tiny
     assert np.all(post[~keep] == 0.0)
     assert ((np.exp(x) > 0.0) & (np.exp(x) < tiny)).any()
+
+
+def reference_normalise(logp):
+    """The normalised rows of logp and their log normalisers, dropped cells zeroed through a mask."""
+    logp = logp.copy()
+    top = logp.max(axis=-1, keepdims=True)
+    logp -= top
+    keep = logp > inference._EXP_FLOOR
+    np.exp(logp, out=logp, where=keep)
+    np.copyto(logp, 0.0, where=~keep)
+    total = logp.sum(axis=-1, keepdims=True)
+    logp /= total
+    return logp, top + np.log(total)
+
+
+@st.composite
+def log_posterior_rows(draw):
+    """1-D or 2-D log posteriors whose rows peak at 0 and hold -inf and cells at and below the exp floor."""
+    floor = inference._EXP_FLOOR
+    special = [-np.inf, floor, np.nextafter(floor, -np.inf), np.nextafter(floor, 0.0), -745.5, -0.0, 0.0]
+    cells = st.one_of(st.sampled_from(special), st.floats(-1000.0, 0.0))
+    shape = draw(st.sampled_from([(), (1,), (4,)])) + (draw(st.integers(1, 40)),)
+    logp = draw(npst.arrays(np.float64, shape, elements=cells))
+    rows = logp.reshape(-1, shape[-1])
+    rows[np.arange(rows.shape[0]), draw(st.integers(0, shape[-1] - 1))] = 0.0
+    return logp
+
+
+@given(log_posterior_rows())
+@settings(max_examples=300, deadline=None)
+def test_normalise_zeroes_dropped_cells_as_the_masked_copy_did(logp):
+    want, want_norm = reference_normalise(logp)
+    got = logp.copy()
+    got_norm = inference._normalise(got)
+    # Byte equality: a dropped cell must be +0.0, not -0.0.
+    assert got.tobytes() == want.tobytes()
+    assert got_norm.tobytes() == want_norm.tobytes()
+    assert not np.signbit(got).any()
 
 
 def _curve_posteriors(log_cols, counts, floor):
@@ -483,3 +521,48 @@ def test_relative_error_curve_hands_hpd_no_subnormal_cell(monkeypatch, rapid32, 
     assert len(seen) == 3
     for P in seen:
         assert not ((P > 0.0) & (P < np.finfo(float).tiny)).any()
+
+
+@pytest.mark.parametrize(
+    "name, mu",
+    [("rapid32", 100.0), ("conventional16", 100.0), ("rapid32-mechanistic", 100.0), ("rapid32", 300.0)],
+)
+def test_relative_error_curve_posteriors_are_the_cumsum_build_byte_for_byte(
+    monkeypatch, rapid32, conventional16, mechanistic32, name, mu
+):
+    # mu 300 on [0, 400] redraws many shots above the cutoff. Each trial's
+    # counts are rebuilt from the click totals its simulate_batch calls
+    # return; each _hpd_rows call closes a trial.
+    system = {s.name: s for s in (rapid32, conventional16, mechanistic32)}[name]
+    matrix, cutoff = inference._stability_build(system, 400, 0.01)
+    events = []
+    simulate, hpd = inference.simulate_batch, inference._hpd_rows
+
+    def recording_simulate(*args, **kwargs):
+        batch = simulate(*args, **kwargs)
+        events.append(("totals", batch.click_totals.copy()))
+        return batch
+
+    def recording_hpd(P, level):
+        events.append(("posteriors", P.copy()))
+        return hpd(P, level)
+
+    monkeypatch.setattr(inference, "simulate_batch", recording_simulate)
+    monkeypatch.setattr(inference, "_hpd_rows", recording_hpd)
+    max_shots, n_trials = 300, 4
+    relative_error_curve(system, matrix, mu, max_shots, n_trials, seed=11, max_admissible_n=cutoff)
+    with np.errstate(divide="ignore"):
+        log_cols = np.ascontiguousarray(np.log(matrix.rows).T)
+    drawn, trials = [], 0
+    for kind, value in events:
+        if kind == "totals":
+            drawn.append(value[value <= cutoff])
+            continue
+        counts = np.concatenate(drawn)[:max_shots]
+        want = _curve_posteriors(log_cols, counts, inference._EXP_FLOOR)[0]
+        assert value.shape == want.shape and value.tobytes() == want.tobytes(), (name, mu, trials)
+        drawn, trials = [], trials + 1
+    assert trials == n_trials
+    if mu == 300.0:
+        # The redraw-heavy case does redraw.
+        assert sum(kind == "totals" for kind, _ in events) > n_trials

@@ -246,3 +246,19 @@ def test_cli_config_with_malformed_field_exits_3(tmp_path, capsys):
     assert main(args) == 3
     assert "detector.efficiency" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("index, entry", [(0, 0.7), (1, True), (2, 0.0), (3, "1"), (4, 2), (5, -1)])
+def test_detector_assignment_entries_must_be_0_or_1(index, entry):
+    # Before, int() read 0.7 as 0, True as 1, 0.0 as 0 and "1" as 1, and the file loaded.
+    data = system_to_dict(get_preset("conventional16"))
+    assignment = [0, 1] * 8
+    assignment[index] = entry
+    data["multiplexer"]["detector_assignment"] = assignment
+    message = (
+        f"multiplexer.detector_assignment: malformed value {assignment!r} "
+        f"(detector_assignment[{index}] must be an integer in [0, 1], got {entry!r})"
+    )
+    with pytest.raises(ConfigurationError) as exc:
+        system_from_dict(data)
+    assert str(exc.value) == message

@@ -113,8 +113,8 @@ def test_effective_efficiency_rejects_a_non_finite_mean(undershoot, mu):
 
 
 def test_no_click_probabilities_reject_a_non_finite_mean(conventional16):
-    # Before, a nan mean gave nan probabilities.
-    with pytest.raises(ValueError, match=r"^mean_photon_number must be finite and >= 0, got "):
+    # Before, a nan mean gave nan probabilities, and then a message ending in array(nan).
+    with pytest.raises(ValueError, match=r"^mean_photon_number must be finite and >= 0, got nan$"):
         no_click_probabilities(math.nan, conventional16.bin_weights(), conventional16.detector)
 
 

@@ -66,6 +66,10 @@ ENTRIES = [
     pytest.param("workers", 1, None, 2, lambda v: _rows(20_000, workers=v), id="rows-workers"),
     pytest.param("mu_max", 1, None, 5, lambda v: build_matrix(RAPID32, v), id="matrix-mu-max"),
     pytest.param("n_shots", 1, None, 100, lambda v: build_matrix(RAPID32, 5, "mc", n_shots=v, seed=2), id="matrix-shots"),
+    # An exact matrix uses none of these three, but a bad one is still refused.
+    pytest.param("n_shots", 1, None, 100, lambda v: build_matrix(RAPID32, 5, n_shots=v), id="exact-matrix-shots"),
+    pytest.param("seed", 0, None, 2, lambda v: build_matrix(RAPID32, 5, seed=v), id="exact-matrix-seed"),
+    pytest.param("workers", 1, None, 2, lambda v: build_matrix(RAPID32, 5, workers=v), id="exact-matrix-workers"),
     pytest.param("support[1]", 0, 10, 6, lambda v: build_matrix(RAPID32, 10, support=[3, v]), id="matrix-support"),
     pytest.param("max_shots", 1, None, 5, lambda v: _curve(max_shots=v), id="curve-shots"),
     pytest.param("n_trials", 1, None, 2, lambda v: _curve(n_trials=v), id="curve-trials"),
@@ -111,8 +115,14 @@ def test_a_numpy_integer_gives_the_result_of_its_int(name, lo, hi, good, call):
          "n_trials must be an integer >= 1, got 0"),
         (["sweep", "--over", "mu", "--values", "1,5", "--seed", "1", "--shots", "0"],
          "n_shots must be an integer >= 1, got 0"),
+        (["matrix", "--mu-max", "5", "--shots", "0", "--workers", "0"], "n_shots must be an integer >= 1, got 0"),
+        (["matrix", "--mu-max", "5", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+        (["matrix", "--mu-max", "5", "--workers", "0"], "workers must be an integer >= 1, got 0"),
     ],
-    ids=["simulate-shots", "simulate-workers", "simulate-fock", "compare-max-shots", "compare-trials", "sweep-shots"],
+    ids=[
+        "simulate-shots", "simulate-workers", "simulate-fock", "compare-max-shots", "compare-trials", "sweep-shots",
+        "exact-matrix-shots", "exact-matrix-seed", "exact-matrix-workers",
+    ],
 )
 def test_a_bad_integer_option_exits_2_before_writing(tmp_path, capsys, argv, message):
     assert main([*argv, "--preset", "rapid32", "-o", str(tmp_path / "out.csv")]) == 2
