@@ -148,6 +148,7 @@ def posterior_multi(
 # temporaries at a few (rows, cap) arrays whatever the row width.
 _HPD_FIRST_WINDOW = 8
 _HPD_MAX_WINDOW = 64
+_CURVE_BLOCK_ROWS = 200  # posterior rows relative_error_curve normalises and hands _hpd_rows at once
 
 
 def _hpd_rows(P: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
@@ -313,6 +314,9 @@ class RelativeErrorCurve:
 
     rel_err: np.ndarray
 
+    def __post_init__(self) -> None:
+        self.rel_err.setflags(write=False)
+
     def median(self) -> np.ndarray:
         return np.median(self.rel_err, axis=0)
 
@@ -342,12 +346,11 @@ def relative_error_curve(
 
     Each trial draws shots at the true mean, discards counts above the
     stability cutoff (drawing replacements), and records the posterior
-    interval width after every accumulated shot. A trial's max_shots
-    posteriors are built as one (shots, mu) array and their intervals found
-    together by the same greedy rule credible_interval applies, once
-    _normalise (posterior_multi's too) has made them probabilities. That
-    array is one buffer for all trials, summed in place row by row: the
-    additions of a cumulative sum over shots, in the same order.
+    interval width after every accumulated shot. With every trial's counts
+    drawn first, the log posteriors of a group of trials are summed in
+    lockstep, each the previous one plus its count's column: a cumulative
+    sum's additions, in its order. _normalise (posterior_multi's too) and
+    credible_interval's greedy rule then take blocks of those rows at once.
     """
     if not 0.0 < mu_true < math.inf:
         raise ValueError(f"mu_true must be finite and > 0, got {mu_true!r}")
@@ -360,15 +363,12 @@ def relative_error_curve(
         log_cols = np.ascontiguousarray(np.log(matrix.rows).T)
 
     rel_err = np.empty((n_trials, max_shots))
-    post = np.empty((max_shots, log_cols.shape[1]))
-    rows, col_of = list(post), list(log_cols)
+    counts = np.empty((n_trials, max_shots), dtype=np.uint8 if matrix.num_bins < 256 else np.intp)
     for t in range(n_trials):
         trial_seed = derive_seed(seed, t)
-        counts = np.empty(0, dtype=np.int64)
-        start = 0
-        empty_rounds = 0
-        while counts.size < max_shots:
-            want = max_shots - counts.size
+        filled = start = empty_rounds = 0
+        while filled < max_shots:
+            want = max_shots - filled
             batch = simulate_batch(
                 Coherent(mu_true),
                 weights,
@@ -380,7 +380,7 @@ def relative_error_curve(
                 workers=workers,
             )
             start += batch.n_shots
-            fresh = batch.click_totals[batch.click_totals <= cutoff]
+            fresh = batch.click_totals[batch.click_totals <= cutoff][:want]
             # Guard against a cutoff that rejects essentially every shot.
             empty_rounds = empty_rounds + 1 if fresh.size == 0 else 0
             if empty_rounds >= 3:
@@ -388,12 +388,26 @@ def relative_error_curve(
                     f"stability cutoff {cutoff} rejects nearly every shot at mu={mu_true}; "
                     "the mu grid is too small for this source"
                 )
-            counts = np.concatenate([counts, fresh[:want]])
-        # post[k], the log posterior after k + 1 shots, is post[k - 1] plus count k's column.
-        np.copyto(rows[0], col_of[counts[0]])
-        for prev, row, c in zip(rows, rows[1:], counts[1:].tolist()):
-            np.add(prev, col_of[c], out=row)
-        _normalise(post)
-        lo, hi = _hpd_rows(post, level)
-        rel_err[t] = (hi - lo + 1) / mu_true
+            counts[t, filled : filled + fresh.size] = fresh
+            filled += fresh.size
+    # Each row is the row before it plus its count's column; a block's first row
+    # adds the previous block's last row, kept un-normalised in carry. Counts are
+    # in range, so mode="clip" changes nothing but lets take write into out.
+    cap = min(max_shots, _CURVE_BLOCK_ROWS)
+    buf, carry = np.empty((cap, log_cols.shape[1])), np.empty((min(n_trials, cap), log_cols.shape[1]))
+    for g in range(0, n_trials, cap):
+        cols = counts[g : g + cap].T
+        width, depth = cols.shape[1], cap // cols.shape[1]
+        for k0 in range(0, max_shots, depth):
+            shots = range(k0, min(k0 + depth, max_shots))
+            rows, prev = buf[: len(shots) * width], carry[:width]
+            for k, row, c in zip(shots, rows.reshape(len(shots), width, -1), cols[k0 : shots.stop]):
+                np.take(log_cols, c, axis=0, out=row, mode="clip")
+                if k:
+                    np.add(row, prev, out=row)
+                prev = row
+            np.copyto(carry[:width], prev)
+            _normalise(rows)
+            lo, hi = _hpd_rows(rows, level)
+            rel_err[g : g + width, k0 : shots.stop] = ((hi - lo + 1) / mu_true).reshape(len(shots), width).T
     return RelativeErrorCurve(rel_err)

@@ -321,10 +321,26 @@ MUTANTS = (
     Mutant(
         "inference.curve_sums_from_row_one",
         "inference.py",
-        "zip(rows, rows[1:], counts[1:].tolist())",
-        "zip(rows[1:], rows[2:], counts[2:].tolist())",
-        # Row 1 is never written, so it keeps whatever the buffer held before.
+        "                if k:\n",
+        "                if k > 1:\n",
+        # Shot 2's log posterior is its count's column alone.
         ("test_batched.py::test_relative_error_curve_posteriors_are_the_cumsum_build_byte_for_byte",),
+    ),
+    Mutant(
+        "inference.curve_carry_not_refreshed",
+        "inference.py",
+        "np.copyto(carry[:width], prev)",
+        "carry[:width]",
+        # Every block after the first adds to whatever the carry held before.
+        ("test_inference_stream.py::test_relative_error_curve_is_pinned",),
+    ),
+    Mutant(
+        "inference.curve_block_adds_the_normalised_row",
+        "inference.py",
+        "rows, prev = buf[: len(shots) * width], carry[:width]",
+        "rows, prev = buf[: len(shots) * width], buf[(depth - 1) * width : depth * width]",
+        # A block's first row adds the previous block's last row after _normalise.
+        ("test_inference_stream.py::test_relative_error_curve_is_pinned",),
     ),
     Mutant(
         "response_matrix.interpolation_fraction",

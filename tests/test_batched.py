@@ -7,6 +7,7 @@ them bit for bit.
 
 import dataclasses
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis.extra import numpy as npst
 import binflux.exact_oracle as exact_oracle
 import binflux.inference as inference
 from binflux import (
+    Coherent,
     DegenerateEvidenceError,
     DetectorSpec,
     GlobalEfficiency,
@@ -29,9 +31,11 @@ from binflux import (
     credible_interval,
     posterior_single,
     relative_error_curve,
+    simulate_batch,
     stability_max_n,
     validate_interpolation,
 )
+from binflux._rng import derive_seed
 from binflux.exact_oracle import poisson_binomial_pmf
 from binflux.inference import _hpd_rows, _stability_tv
 
@@ -504,23 +508,27 @@ def test_relative_error_curve_is_unchanged_by_the_exp_floor(monkeypatch, rapid32
     floor = inference._EXP_FLOOR
     for system, mu in ((rapid32, 100.0), (conventional16, 100.0), (mechanistic32, 100.0), (rapid32, 300.0)):
         matrix, cutoff = inference._stability_build(system, 400, 0.01)
-        curves = []
+        curves, rows = [], []
         for f in (floor, -np.inf):
             monkeypatch.setattr(inference, "_EXP_FLOOR", f)
+            seen.clear()
             curves.append(relative_error_curve(system, matrix, mu, 200, 4, seed=5, max_admissible_n=cutoff).rel_err)
+            rows.append(np.concatenate(seen))
         assert np.array_equal(curves[0], curves[1]), (system.name, mu)
-        # The floor does drop cells that exp keeps as nonzero: the
+        # Every (trial, shot) row is handed over in both runs, in the same
+        # blocks. The floor does drop cells that exp keeps as nonzero: the
         # posteriors differ, the widths do not.
-        assert any(not np.array_equal(a, b) for a, b in zip(seen[:4], seen[4:])), (system.name, mu)
-        seen.clear()
+        assert rows[0].shape == rows[1].shape == (4 * 200, 401), (system.name, mu)
+        assert not np.array_equal(rows[0], rows[1]), (system.name, mu)
 
 
 def test_relative_error_curve_hands_hpd_no_subnormal_cell(monkeypatch, rapid32, rapid32_matrix400):
     seen = _capture_posteriors(monkeypatch)
     relative_error_curve(rapid32, rapid32_matrix400, 100.0, 400, 3, seed=1, max_admissible_n=16)
-    assert len(seen) == 3
-    for P in seen:
-        assert not ((P > 0.0) & (P < np.finfo(float).tiny)).any()
+    # However the rows are blocked, all 3 x 400 (trial, shot) rows are seen.
+    rows = np.concatenate(seen)
+    assert rows.shape == (3 * 400, 401)
+    assert not ((rows > 0.0) & (rows < np.finfo(float).tiny)).any()
 
 
 @pytest.mark.parametrize(
@@ -532,37 +540,102 @@ def test_relative_error_curve_posteriors_are_the_cumsum_build_byte_for_byte(
 ):
     # mu 300 on [0, 400] redraws many shots above the cutoff. Each trial's
     # counts are rebuilt from the click totals its simulate_batch calls
-    # return; each _hpd_rows call closes a trial.
+    # return; a trial's first call is the one at start_shot 0. The rows
+    # handed to _hpd_rows, in whatever blocks, must be every trial's
+    # reference rows byte for byte: the same multiset of row bytes.
     system = {s.name: s for s in (rapid32, conventional16, mechanistic32)}[name]
     matrix, cutoff = inference._stability_build(system, 400, 0.01)
-    events = []
-    simulate, hpd = inference.simulate_batch, inference._hpd_rows
+    drawn = []
+    simulate = inference.simulate_batch
 
     def recording_simulate(*args, **kwargs):
         batch = simulate(*args, **kwargs)
-        events.append(("totals", batch.click_totals.copy()))
+        if kwargs["start_shot"] == 0:
+            drawn.append([])
+        drawn[-1].append(batch.click_totals[batch.click_totals <= cutoff])
         return batch
 
-    def recording_hpd(P, level):
-        events.append(("posteriors", P.copy()))
-        return hpd(P, level)
-
     monkeypatch.setattr(inference, "simulate_batch", recording_simulate)
-    monkeypatch.setattr(inference, "_hpd_rows", recording_hpd)
+    seen = _capture_posteriors(monkeypatch)
     max_shots, n_trials = 300, 4
     relative_error_curve(system, matrix, mu, max_shots, n_trials, seed=11, max_admissible_n=cutoff)
     with np.errstate(divide="ignore"):
         log_cols = np.ascontiguousarray(np.log(matrix.rows).T)
-    drawn, trials = [], 0
-    for kind, value in events:
-        if kind == "totals":
-            drawn.append(value[value <= cutoff])
-            continue
-        counts = np.concatenate(drawn)[:max_shots]
-        want = _curve_posteriors(log_cols, counts, inference._EXP_FLOOR)[0]
-        assert value.shape == want.shape and value.tobytes() == want.tobytes(), (name, mu, trials)
-        drawn, trials = [], trials + 1
-    assert trials == n_trials
+    assert len(drawn) == n_trials
+    want = Counter()
+    for totals in drawn:
+        counts = np.concatenate(totals)[:max_shots]
+        want.update(row.tobytes() for row in _curve_posteriors(log_cols, counts, inference._EXP_FLOOR)[0])
+    rows = np.concatenate(seen)
+    assert rows.shape == (n_trials * max_shots, log_cols.shape[1])
+    got = Counter(row.tobytes() for row in rows)
+    differ = (got - want) + (want - got)
+    assert not differ, f"{sum(differ.values())} posterior rows differ from the reference ({name}, mu {mu})"
     if mu == 300.0:
         # The redraw-heavy case does redraw.
-        assert sum(kind == "totals" for kind, _ in events) > n_trials
+        assert sum(map(len, drawn)) > n_trials
+
+
+def _reference_curve(system, matrix, mu, max_shots, n_trials, seed, cutoff):
+    """rel_err one trial at a time: counts drawn as relative_error_curve draws them, posteriors by cumsum."""
+    weights = system.bin_weights()
+    with np.errstate(divide="ignore"):
+        log_cols = np.ascontiguousarray(np.log(matrix.rows).T)
+    rel_err = np.empty((n_trials, max_shots))
+    for t in range(n_trials):
+        counts, start = np.empty(0, dtype=np.int64), 0
+        while counts.size < max_shots:
+            want = max_shots - counts.size
+            batch = simulate_batch(
+                Coherent(mu), weights, system.detector, max(32, int(want * 1.25) + 8), derive_seed(seed, t),
+                start_shot=start, store_totals=True, workers=1,
+            )
+            start += batch.n_shots
+            counts = np.concatenate([counts, batch.click_totals[batch.click_totals <= cutoff][:want]])
+        lo, hi = _hpd_rows(_curve_posteriors(log_cols, counts, inference._EXP_FLOOR)[0], 0.90)
+        rel_err[t] = (hi - lo + 1) / mu
+    return rel_err
+
+
+@pytest.mark.parametrize(
+    "name, mu, n_trials, max_shots, cutoff",
+    [
+        ("rapid32", 100.0, 7, 201, "stable"),
+        ("rapid32", 100.0, 3, 250, "stable"),
+        ("rapid32", 100.0, 250, 3, "stable"),
+        ("rapid32", 100.0, 1, 450, "stable"),
+        ("rapid32", 100.0, 5, 1, "stable"),
+        ("rapid32", 100.0, 201, 210, "stable"),
+        ("rapid32", 300.0, 4, 300, "stable"),
+        ("conventional16", 100.0, 6, 120, "stable"),
+        ("rapid32-mechanistic", 100.0, 6, 120, "stable"),
+        ("rapid32", 100.0, 5, 90, None),
+    ],
+)
+def test_relative_error_curve_matches_a_per_trial_loop_byte_for_byte(
+    rapid32, conventional16, mechanistic32, name, mu, n_trials, max_shots, cutoff
+):
+    # Shapes across block edges: a shot count that is no multiple of a
+    # block's depth, more trials than shots or than a block's rows, one
+    # trial, one shot, a redraw-heavy mu near the grid edge, and no cutoff.
+    system = {s.name: s for s in (rapid32, conventional16, mechanistic32)}[name]
+    matrix, stable = inference._stability_build(system, 400, 0.01)
+    cutoff = stable if cutoff == "stable" else None
+    curve = relative_error_curve(system, matrix, mu, max_shots, n_trials, seed=17, max_admissible_n=cutoff)
+    want = _reference_curve(system, matrix, mu, max_shots, n_trials, 17, matrix.num_bins if cutoff is None else cutoff)
+    assert curve.rel_err.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_trials, max_shots", [(100, 400), (2000, 20)])
+def test_relative_error_curve_memory_does_not_grow_with_the_trials(rapid32, rapid32_matrix400, n_trials, max_shots):
+    # Beside rel_err, the curve may hold some posterior arrays of max_shots
+    # rows. A block of one row per trial would take 6.4 MB at 2000 trials,
+    # 100 such units, where 2000 x 20 measured 6.7 and 100 x 400 measured 2.5.
+    unit = max_shots * (rapid32_matrix400.mu_max + 1) * 8
+    tracemalloc.start()
+    try:
+        curve = relative_error_curve(rapid32, rapid32_matrix400, 100.0, max_shots, n_trials, seed=1, max_admissible_n=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= curve.rel_err.nbytes + 10 * unit

@@ -355,9 +355,16 @@ def test_relative_error_curve_deterministic(rapid32, rapid32_matrix400):
     assert np.array_equal(a.rel_err, b.rel_err)
 
 
+def test_relative_error_curve_is_read_only(rapid32, rapid32_matrix400):
+    curve = relative_error_curve(rapid32, rapid32_matrix400, 50.0, 5, 2, seed=9, max_admissible_n=16)
+    with pytest.raises(ValueError, match="read-only"):
+        curve.rel_err[0, 0] = 1.0
+
+
 def test_relative_error_curve_impossible_cutoff(rapid32, rapid32_matrix400):
     # A cutoff of zero clicks rejects essentially every bright shot.
-    with pytest.raises(DegenerateEvidenceError, match="cutoff"):
+    message = "stability cutoff 0 rejects nearly every shot at mu=100.0; the mu grid is too small for this source"
+    with pytest.raises(DegenerateEvidenceError, match=f"^{re.escape(message)}$"):
         relative_error_curve(
             rapid32, rapid32_matrix400, 100.0, max_shots=10, n_trials=1, seed=1, max_admissible_n=0
         )
