@@ -19,11 +19,16 @@ import math
 import numpy as np
 
 from ._rng import _LANE_BITS, derive_seed, lane_threshold, seed_sequence, uniform_lanes
-from .errors import _integer
+from .errors import _integer, _real
 
 Z_90 = 1.645  # two-sided 90% normal quantile, one tail at 5%
 
 _CONVENTION_FACTOR = {"half": 1.0, "full": 2.0}
+
+# Below a few photons per pulse the attenuate-to-50% recipe stops making
+# sense (the required transmission exceeds 1), so the comparison is only
+# defined for a mu_true above this.
+_MU_BRIGHT = 4.0
 
 
 def _z_factor(convention: str) -> float:
@@ -35,10 +40,9 @@ def _z_factor(convention: str) -> float:
 
 def attenuation_for_target(mu: float, efficiency: float, p_target: float = 0.5) -> float:
     """Attenuator transmission that puts the gate at the target click probability."""
-    if not (0.0 < p_target < 1.0):
-        raise ValueError(f"p_target must lie in (0, 1), got {p_target!r}")
-    if not (0.0 < mu < math.inf and 0.0 < efficiency <= 1.0):
-        raise ValueError(f"mu must be finite and > 0 and efficiency in (0, 1], got {mu!r}, {efficiency!r}")
+    p_target = _real(p_target, "p_target", 0.0, 1.0)
+    mu = _real(mu, "mu", 0.0)
+    efficiency = _real(efficiency, "efficiency", 0.0, 1.0, "(]")
     alpha = -math.log(1.0 - p_target) / (mu * efficiency)
     if alpha > 1.0:
         raise ValueError(
@@ -55,8 +59,7 @@ def relative_error_factor(p: float) -> float:
     z * f(p) / sqrt(N); f is minimized near p = 0.45, barely below its
     value at the conventional p = 0.5 operating point.
     """
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must lie in (0, 1), got {p!r}")
+    p = _real(p, "p", 0.0, 1.0)
     return math.sqrt(p) / ((1.0 - p) * math.log(1.0 / (1.0 - p)))
 
 
@@ -70,29 +73,18 @@ def optimal_detection_probability(grid: np.ndarray | None = None) -> float:
 
 def shots_to_relative_error(target: float, p: float = 0.5, convention: str = "full") -> int:
     """Gates needed before the expected relative width drops to the target."""
-    if not 0.0 < target < math.inf:
-        raise ValueError(f"target must be finite and > 0, got {target!r}")
+    target = _real(target, "target", 0.0)
     try:
         return math.ceil((_z_factor(convention) * relative_error_factor(p) / target) ** 2)
     except OverflowError:
         raise ValueError(f"target {target!r} is so small that its gate count overflows a float") from None
 
 
-def _check_mu_bright(mu_true: float) -> None:
-    # Below a few photons per pulse the attenuate-to-50% recipe stops making
-    # sense (the required transmission exceeds 1), so the comparison is only
-    # defined for bright pulses.
-    if not 4.0 < mu_true < math.inf:
-        raise ValueError(
-            f"mu_true must be finite and exceed 4 for the attenuated single-pixel scheme, got {mu_true!r}"
-        )
-
-
 def baseline_error_curve(
     mu_true: float, max_shots: int, p_target: float = 0.5, convention: str = "full"
 ) -> np.ndarray:
     """Analytic relative-width curve, index k - 1 holding the value after k gates."""
-    _check_mu_bright(mu_true)
+    _real(mu_true, "mu_true", _MU_BRIGHT)
     k = np.arange(1, _integer(max_shots, "max_shots", 1) + 1)
     return _z_factor(convention) * relative_error_factor(p_target) / np.sqrt(k)
 
@@ -115,7 +107,7 @@ def simulate_baseline(
     through the inversion: z * sqrt(n_det) / k / ((1 - p_hat) * eta * alpha).
     Entries where the click record is still saturated or silent are NaN.
     """
-    _check_mu_bright(mu_true)
+    mu_true = _real(mu_true, "mu_true", _MU_BRIGHT)
     max_shots = _integer(max_shots, "max_shots", 1)
     n_trials = _integer(n_trials, "n_trials", 1)
     alpha = attenuation_for_target(mu_true, efficiency, p_target)

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
 from .detector_model import DetectorSpec, GlobalEfficiency, MechanisticUndershoot
-from .errors import ConfigurationError, _integer
+from .errors import ConfigurationError, _real
 from .multiplexer import (
     BinWeights,
     ExplicitTransmission,
@@ -34,8 +33,8 @@ class SystemConfig:
     guard: float | None = None
 
     def __post_init__(self) -> None:
-        if self.guard is not None and not (0.0 <= self.guard < math.inf):
-            raise ConfigurationError(f"guard: must be >= 0 and finite, got {self.guard!r}")
+        if self.guard is not None:
+            object.__setattr__(self, "guard", _real(self.guard, "guard", 0.0, brackets="[)", error=ConfigurationError))
 
     def bin_weights(self) -> BinWeights:
         return build_bin_weights(self.multiplexer)
@@ -87,51 +86,56 @@ _REQUIRED = object()
 
 
 def _field(
-    d: dict[str, Any], key: str, where: str, convert: Callable[[Any], Any], default: Any = _REQUIRED
+    d: dict[str, Any], key: str, where: str, convert: Callable[[Any, str], Any], default: Any = _REQUIRED
 ) -> Any:
-    """convert(d[key]), raising ConfigurationError that names the dotted field where.key.
+    """convert(d[key], name) for the dotted field name where.key, raising ConfigurationError that names it.
 
     An absent or null field is an error unless a default is given, which is
     then returned unconverted.
     """
+    name = f"{where}.{key}"
     value = d.get(key)
     if value is None:
         if default is _REQUIRED:
-            raise ConfigurationError(f"{where}.{key}: missing required field")
+            raise ConfigurationError(f"{name}: missing required field")
         return default
     try:
-        return convert(value)
+        return convert(value, name)
     except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{where}.{key}: malformed value {value!r} ({exc})") from None
+        raise ConfigurationError(f"{name}: malformed value {value!r} ({exc})") from None
 
 
-def _object(value: Any) -> dict[str, Any]:
+def _object(value: Any, name: str = "") -> dict[str, Any]:
     if not isinstance(value, dict):
         raise TypeError("expected a JSON object")
     return value
 
 
-def _sequence(value: Any) -> list | tuple:
+def _sequence(value: Any, name: str = "") -> list | tuple:
     if not isinstance(value, (list, tuple)):
         raise TypeError("expected a list")
     return value
 
 
-def _floats(value: Any) -> tuple[float, ...]:
-    return tuple(float(v) for v in _sequence(value))
+def _number(value: Any, name: str) -> float:
+    """A finite JSON number as a float; the model checks its range. true and "1e-9" are no numbers."""
+    return _real(value, name, error=ConfigurationError)
 
 
-def _points(value: Any) -> tuple[tuple[float, ...], ...]:
-    pairs = tuple(_floats(p) for p in _sequence(value))
+def _numbers(value: Any, name: str) -> tuple[float, ...]:
+    return tuple(_number(v, f"{name}[{i}]") for i, v in enumerate(_sequence(value)))
+
+
+def _points(value: Any, name: str) -> tuple[tuple[float, ...], ...]:
+    pairs = tuple(_numbers(p, f"{name}[{i}]") for i, p in enumerate(_sequence(value)))
     if any(len(p) != 2 for p in pairs):
         raise ValueError("expected [mu, eta] pairs")
     return pairs
 
 
-def _assignment(value: Any) -> str | tuple[int, ...]:
-    if isinstance(value, str):
-        return value
-    return tuple(_integer(v, f"detector_assignment[{i}]", 0, 1) for i, v in enumerate(_sequence(value)))
+def _assignment(value: Any, name: str) -> str | tuple:
+    """The mode name or the entries, which MultiplexerSpec checks."""
+    return value if isinstance(value, str) else tuple(_sequence(value))
 
 
 def system_from_dict(data: dict[str, Any]) -> SystemConfig:
@@ -146,16 +150,16 @@ def system_from_dict(data: dict[str, Any]) -> SystemConfig:
     kind = trans_d.get("kind")
     if kind == "uniform_loss":
         trans: UniformLoss | ExplicitTransmission = UniformLoss(
-            _field(trans_d, "avg_loss_db", "multiplexer.transmission", float)
+            _field(trans_d, "avg_loss_db", "multiplexer.transmission", _number)
         )
     elif kind == "explicit":
-        trans = ExplicitTransmission(_field(trans_d, "values", "multiplexer.transmission", _floats))
+        trans = ExplicitTransmission(_field(trans_d, "values", "multiplexer.transmission", _numbers))
     else:
         raise ConfigurationError(f"multiplexer.transmission.kind: unknown kind {kind!r}")
 
     mux = MultiplexerSpec(
-        loop_delays=_field(mux_d, "loop_delays", "multiplexer", _floats),
-        coupler_ratios=_field(mux_d, "coupler_ratios", "multiplexer", _floats, None),
+        loop_delays=_field(mux_d, "loop_delays", "multiplexer", _numbers),
+        coupler_ratios=_field(mux_d, "coupler_ratios", "multiplexer", _numbers, None),
         transmission=trans,
         detector_assignment=_field(mux_d, "detector_assignment", "multiplexer", _assignment, "final_coupler"),
     )
@@ -166,21 +170,21 @@ def system_from_dict(data: dict[str, Any]) -> SystemConfig:
     elif under_d.get("kind") == "global_efficiency":
         under = GlobalEfficiency(_field(under_d, "points", "detector.undershoot", _points))
     elif under_d.get("kind") == "mechanistic":
-        under = MechanisticUndershoot(_field(under_d, "p_miss_next", "detector.undershoot", float))
+        under = MechanisticUndershoot(_field(under_d, "p_miss_next", "detector.undershoot", _number))
     else:
         raise ConfigurationError(f"detector.undershoot.kind: unknown kind {under_d.get('kind')!r}")
 
     det = DetectorSpec(
-        efficiency=_field(det_d, "efficiency", "detector", float),
-        dark_prob_per_gate=_field(det_d, "dark_prob_per_gate", "detector", _floats),
-        gate_width=_field(det_d, "gate_width", "detector", float),
-        deadtime=_field(det_d, "deadtime", "detector", float),
+        efficiency=_field(det_d, "efficiency", "detector", _number),
+        dark_prob_per_gate=_field(det_d, "dark_prob_per_gate", "detector", _numbers),
+        gate_width=_field(det_d, "gate_width", "detector", _number),
+        deadtime=_field(det_d, "deadtime", "detector", _number),
         undershoot=under,
         afterpulse_metadata=_field(
             det_d,
             "afterpulse_metadata",
             "detector",
-            lambda ap: tuple(sorted((str(k), float(v)) for k, v in _object(ap).items())),
+            lambda ap, name: tuple(sorted((str(k), _number(v, f"{name}.{k}")) for k, v in _object(ap).items())),
             None,
         ),
     )
@@ -189,7 +193,7 @@ def system_from_dict(data: dict[str, Any]) -> SystemConfig:
         name=str(data.get("name", "custom")),
         multiplexer=mux,
         detector=det,
-        guard=_field(data, "guard", "config", float, None),
+        guard=_field(data, "guard", "config", _number, None),
     )
 
 

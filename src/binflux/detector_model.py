@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .errors import ConfigurationError, _integer
+from .errors import ConfigurationError, _integer, _real
 from .multiplexer import BinWeights
 
 
@@ -45,18 +44,15 @@ class GlobalEfficiency:
     def __post_init__(self) -> None:
         if len(self.points) == 0:
             raise ConfigurationError("undershoot.points: need at least one anchor")
-        last_mu = -math.inf
+        points, last_mu = [], -math.inf
         for i, point in enumerate(self.points):
             mu, eta = _pair(point, f"undershoot.points[{i}]", "(mu, eta)")
-            if not isinstance(mu, Real) or not isinstance(eta, Real):
-                raise ConfigurationError(f"undershoot.points[{i}]: mu and eta must be real numbers, got {point!r}")
-            if not math.isfinite(mu) or mu < 0.0:
-                raise ConfigurationError(f"undershoot.points[{i}]: mu must be finite and >= 0, got {mu!r}")
+            mu = _real(mu, f"undershoot.points[{i}].mu", 0.0, brackets="[)", error=ConfigurationError)
             if mu <= last_mu:
                 raise ConfigurationError("undershoot.points: mu anchors must be strictly increasing")
-            if not (0.0 < eta <= 1.0):
-                raise ConfigurationError(f"undershoot.points[{i}]: eta must lie in (0, 1], got {eta!r}")
+            points.append((mu, _real(eta, f"undershoot.points[{i}].eta", 0.0, 1.0, "(]", ConfigurationError)))
             last_mu = mu
+        object.__setattr__(self, "points", tuple(points))
 
     def efficiency_at(self, mu):
         """Efficiency at mu; an array of mu gives an array of the same shape."""
@@ -73,8 +69,8 @@ class MechanisticUndershoot:
     p_miss_next: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.p_miss_next <= 1.0):
-            raise ConfigurationError(f"undershoot.p_miss_next: must lie in [0, 1], got {self.p_miss_next!r}")
+        p_miss_next = _real(self.p_miss_next, "undershoot.p_miss_next", 0.0, 1.0, "[]", ConfigurationError)
+        object.__setattr__(self, "p_miss_next", p_miss_next)
 
 
 @dataclass(frozen=True)
@@ -94,23 +90,22 @@ class DetectorSpec:
     afterpulse_metadata: tuple[tuple[str, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.efficiency <= 1.0):
-            raise ConfigurationError(f"efficiency: must lie in (0, 1], got {self.efficiency!r}")
-        if len(self.dark_prob_per_gate) != 2:
-            raise ConfigurationError("dark_prob_per_gate: expected one value per detector (two values)")
-        for i, d in enumerate(self.dark_prob_per_gate):
-            if not (0.0 <= d < 1.0):
-                raise ConfigurationError(f"dark_prob_per_gate[{i}]: must lie in [0, 1), got {d!r}")
-        if self.gate_width <= 0.0 or not math.isfinite(self.gate_width):
-            raise ConfigurationError(f"gate_width: must be positive and finite, got {self.gate_width!r}")
-        if self.deadtime < 0.0 or not math.isfinite(self.deadtime):
-            raise ConfigurationError(f"deadtime: must be >= 0 and finite, got {self.deadtime!r}")
+        efficiency = _real(self.efficiency, "efficiency", 0.0, 1.0, "(]", ConfigurationError)
+        object.__setattr__(self, "efficiency", efficiency)
+        darks = enumerate(_pair(self.dark_prob_per_gate, "dark_prob_per_gate", "(detector 0, detector 1)"))
+        checked = tuple(_real(d, f"dark_prob_per_gate[{i}]", 0.0, 1.0, "[)", ConfigurationError) for i, d in darks)
+        object.__setattr__(self, "dark_prob_per_gate", checked)
+        gate_width = _real(self.gate_width, "gate_width", 0.0, error=ConfigurationError)
+        object.__setattr__(self, "gate_width", gate_width)
+        deadtime = _real(self.deadtime, "deadtime", 0.0, brackets="[)", error=ConfigurationError)
+        object.__setattr__(self, "deadtime", deadtime)
         if not isinstance(self.undershoot, (GlobalEfficiency, MechanisticUndershoot, type(None))):
             raise ConfigurationError(f"undershoot: unsupported type {type(self.undershoot).__name__}")
-        for i, entry in enumerate(self.afterpulse_metadata or ()):
-            key, value = _pair(entry, f"afterpulse_metadata[{i}]", "(name, value)")
-            if not isinstance(value, Real) or not math.isfinite(value):
-                raise ConfigurationError(f"afterpulse_metadata.{key}: must be finite, got {value!r}")
+        if self.afterpulse_metadata is not None:
+            entries = enumerate(self.afterpulse_metadata)
+            pairs = (_pair(entry, f"afterpulse_metadata[{i}]", "(name, value)") for i, entry in entries)
+            checked = tuple((k, _real(v, f"afterpulse_metadata.{k}", error=ConfigurationError)) for k, v in pairs)
+            object.__setattr__(self, "afterpulse_metadata", checked)
 
     @property
     def history_dependent(self) -> bool:

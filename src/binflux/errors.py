@@ -1,4 +1,12 @@
-"""Exception types shared across the package, and the one rule for integer arguments."""
+"""Exception types shared across the package, and the one rule each for integer and real numbers.
+
+_integer owns every integer and _real every real number that enters the
+package: a function argument (ValueError), a model field or a config value
+(ConfigurationError). Each returns a plain int or float, which callers store.
+"""
+
+import math
+from numbers import Real
 
 import numpy as np
 
@@ -38,8 +46,8 @@ class MatrixFormatError(BinfluxError):
     """
 
 
-def _integer(value, name: str, lo: int = 0, hi: int | None = None) -> int:
-    """value as an int, or ValueError naming name unless it is an integer in [lo, hi].
+def _integer(value, name: str, lo: int = 0, hi: int | None = None, error: type[Exception] = ValueError) -> int:
+    """value as an int, or error naming name unless it is an integer in [lo, hi].
 
     A numpy integer is an integer. bool is an int subclass, but True is no
     seed, count or bound, and a float is refused even when it is whole.
@@ -51,5 +59,22 @@ def _integer(value, name: str, lo: int = 0, hi: int | None = None) -> int:
         or (hi is not None and value > hi)
     ):
         bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+        raise error(f"{name} must be an integer {bound}, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str, lo=-math.inf, hi=math.inf, brackets="()", error: type[Exception] = ValueError) -> float:
+    """value as a float, or error naming name unless it is a real number between lo and hi.
+
+    brackets marks each end open or closed, "(" or "[" then ")" or "]"; by
+    default every finite number is in. A numpy scalar is a real number, but
+    a bool, a string (one that spells a number too) and NaN are not.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (float, int, Real))  # float and int first: the ABC check is slow
+        or not (lo < value if brackets[0] == "(" else lo <= value)
+        or not (value < hi if brackets[1] == ")" else value <= hi)
+    ):
+        raise error(f"{name} must be a real number in {brackets[0]}{lo:g}, {hi:g}{brackets[1]}, got {value!r}")
+    return float(value)

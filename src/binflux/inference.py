@@ -21,7 +21,7 @@ import numpy as np
 
 from ._rng import derive_seed
 from .config import SystemConfig
-from .errors import DegenerateEvidenceError, ModelUnsupportedError, _integer
+from .errors import DegenerateEvidenceError, ModelUnsupportedError, _integer, _real
 from .mc_engine import Coherent, simulate_batch
 from .response_matrix import ResponseMatrix, build_matrix
 
@@ -223,11 +223,6 @@ def _hpd_rows(P: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _check_level(level: float) -> None:
-    if not (0.0 < level < 1.0):
-        raise ValueError(f"level must lie in (0, 1), got {level!r}")
-
-
 def credible_interval(posterior: Posterior, level: float = 0.90) -> CredibleInterval:
     """Smallest contiguous interval around the mode holding >= level mass.
 
@@ -240,7 +235,7 @@ def credible_interval(posterior: Posterior, level: float = 0.90) -> CredibleInte
     steps (see _hpd_rows), so an interval 240 values wide costs six passes
     rather than 240.
     """
-    _check_level(level)
+    level = _real(level, "level", 0.0, 1.0)
     p = posterior.probs
     lo, hi = (int(x[0]) for x in _hpd_rows(p[None, :], level))
     return CredibleInterval(level=level, lo=lo, hi=hi, mass=float(p[lo : hi + 1].sum()))
@@ -248,11 +243,8 @@ def credible_interval(posterior: Posterior, level: float = 0.90) -> CredibleInte
 
 def interval_to_energy(width_photons: float, wavelength: float = 1.55e-6) -> float:
     """Photon-count uncertainty expressed as pulse energy in joules."""
-    if not 0.0 <= width_photons < math.inf:
-        raise ValueError(f"width_photons must be finite and >= 0, got {width_photons!r}")
-    if not 0.0 < wavelength < math.inf:
-        raise ValueError(f"wavelength must be finite and > 0, got {wavelength!r}")
-    return width_photons * PLANCK_CONSTANT * SPEED_OF_LIGHT / wavelength
+    width_photons = _real(width_photons, "width_photons", 0.0, brackets="[)")
+    return width_photons * PLANCK_CONSTANT * SPEED_OF_LIGHT / _real(wavelength, "wavelength", 0.0)
 
 
 def _stability_tv(wide_rows: np.ndarray, mu_max: int) -> np.ndarray:
@@ -294,8 +286,7 @@ def _stability_build(system: SystemConfig, mu_max: int, tolerance: float) -> tup
     The [0, mu_max] matrix is the wide build's first mu_max + 1 rows, so a
     caller that also inverts with it needs no second build.
     """
-    if not 0.0 < tolerance < math.inf:
-        raise ValueError(f"tolerance must be finite and > 0, got {tolerance!r}")
+    tolerance = _real(tolerance, "tolerance", 0.0)
     mu_max = _integer(mu_max, "mu_max", 1)
     wide = build_matrix(system, 2 * mu_max)
     unstable = np.flatnonzero(~(_stability_tv(wide.rows, mu_max) < tolerance))
@@ -352,11 +343,10 @@ def relative_error_curve(
     sum's additions, in its order. _normalise (posterior_multi's too) and
     credible_interval's greedy rule then take blocks of those rows at once.
     """
-    if not 0.0 < mu_true < math.inf:
-        raise ValueError(f"mu_true must be finite and > 0, got {mu_true!r}")
+    mu_true = _real(mu_true, "mu_true", 0.0)
     max_shots = _integer(max_shots, "max_shots", 1)
     n_trials = _integer(n_trials, "n_trials", 1)
-    _check_level(level)
+    level = _real(level, "level", 0.0, 1.0)
     weights = system.bin_weights()
     cutoff = matrix.num_bins if max_admissible_n is None else _integer(max_admissible_n, "max_admissible_n", -1)
     with np.errstate(divide="ignore"):

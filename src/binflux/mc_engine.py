@@ -45,7 +45,6 @@ with the same seed, and simulate_batch is the one-row case of that loop.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -59,7 +58,7 @@ from .detector_model import (
     no_click_probabilities,
     per_bin_dark_probabilities,
 )
-from .errors import _integer
+from .errors import _integer, _real
 from .multiplexer import BinWeights
 
 FOCK_MC_CAP = 1_000_000
@@ -92,8 +91,7 @@ class Coherent:
     mu: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.mu) or self.mu < 0.0:
-            raise ValueError(f"Coherent.mu must be finite and >= 0, got {self.mu!r}")
+        object.__setattr__(self, "mu", _real(self.mu, "Coherent.mu", 0.0, brackets="[)"))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _integer, _real
 
 
 @dataclass(frozen=True)
@@ -66,48 +66,44 @@ class MultiplexerSpec:
     def __post_init__(self) -> None:
         if len(self.loop_delays) == 0:
             raise ConfigurationError("loop_delays: need at least one loop")
-        for i, d in enumerate(self.loop_delays):
-            if not (d > 0.0) or not math.isfinite(d):
-                raise ConfigurationError(f"loop_delays[{i}]: must be positive and finite, got {d!r}")
+        delays = (_real(d, f"loop_delays[{i}]", 0.0, error=ConfigurationError) for i, d in enumerate(self.loop_delays))
+        object.__setattr__(self, "loop_delays", tuple(delays))
         ratios = self.ratios()
         if len(ratios) != self.num_loops + 1:
             raise ConfigurationError(
                 f"coupler_ratios: expected {self.num_loops + 1} entries "
                 f"(one per loop stage plus the output coupler), got {len(ratios)}"
             )
-        for i, r in enumerate(ratios):
-            if not (0.0 < r < 1.0):
-                raise ConfigurationError(f"coupler_ratios[{i}]: must lie strictly in (0, 1), got {r!r}")
+        if self.coupler_ratios is not None:
+            named = enumerate(ratios)
+            checked = tuple(_real(r, f"coupler_ratios[{i}]", 0.0, 1.0, error=ConfigurationError) for i, r in named)
+            object.__setattr__(self, "coupler_ratios", checked)
         t = self.transmission
         if isinstance(t, UniformLoss):
-            if t.avg_loss_db < 0.0 or not math.isfinite(t.avg_loss_db):
-                raise ConfigurationError(f"transmission.avg_loss_db: must be >= 0 and finite, got {t.avg_loss_db!r}")
+            loss = _real(t.avg_loss_db, "transmission.avg_loss_db", 0.0, brackets="[)", error=ConfigurationError)
+            t = UniformLoss(loss)
         elif isinstance(t, ExplicitTransmission):
             if len(t.values) != self.num_bins:
-                raise ConfigurationError(
-                    f"transmission.values: expected {self.num_bins} entries, got {len(t.values)}"
-                )
-            for i, v in enumerate(t.values):
-                if not (0.0 < v <= 1.0):
-                    raise ConfigurationError(f"transmission.values[{i}]: must lie in (0, 1], got {v!r}")
+                raise ConfigurationError(f"transmission.values: expected {self.num_bins} entries, got {len(t.values)}")
+            values = enumerate(t.values)
+            t = ExplicitTransmission(
+                tuple(_real(v, f"transmission.values[{i}]", 0.0, 1.0, "(]", ConfigurationError) for i, v in values)
+            )
         else:
             raise ConfigurationError(f"transmission: unsupported type {type(t).__name__}")
+        object.__setattr__(self, "transmission", t)
         da = self.detector_assignment
         if isinstance(da, str):
             if da != "final_coupler":
                 raise ConfigurationError(f"detector_assignment: unknown mode {da!r}")
         else:
             if len(da) != self.num_bins:
-                raise ConfigurationError(
-                    f"detector_assignment: expected {self.num_bins} entries, got {len(da)}"
-                )
-            if any(v not in (0, 1) for v in da):
-                raise ConfigurationError("detector_assignment: entries must be 0 or 1")
+                raise ConfigurationError(f"detector_assignment: expected {self.num_bins} entries, got {len(da)}")
+            da = tuple(_integer(v, f"detector_assignment[{i}]", 0, 1, ConfigurationError) for i, v in enumerate(da))
             half = self.num_bins // 2
             if sum(da) != half:
-                raise ConfigurationError(
-                    f"detector_assignment: each detector must watch exactly {half} bins"
-                )
+                raise ConfigurationError(f"detector_assignment: each detector must watch exactly {half} bins")
+            object.__setattr__(self, "detector_assignment", da)
 
 
 @dataclass
@@ -210,12 +206,8 @@ def validate_timing(weights: BinWeights, deadtime: float, guard: float | None = 
     Equality of spacing and deadtime counts as satisfying the constraint
     (back-to-back gating is the designed operating point).
     """
-    if not (0.0 <= deadtime < math.inf):
-        raise ValueError(f"deadtime: must be >= 0 and finite, got {deadtime!r}")
-    if guard is None:
-        guard = deadtime
-    if not (0.0 <= guard < math.inf):
-        raise ValueError(f"guard: must be >= 0 and finite, got {guard!r}")
+    deadtime = _real(deadtime, "deadtime", 0.0, brackets="[)")
+    guard = deadtime if guard is None else _real(guard, "guard", 0.0, brackets="[)")
 
     min_spacing = math.inf
     for det in (0, 1):

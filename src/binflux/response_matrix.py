@@ -126,7 +126,7 @@ def mc_rows(
     depend on which other means are built with it.
     """
     row_seed = derive_seed(seed)
-    sources = [Coherent(float(mu)) for mu in mus]
+    sources = [Coherent(mu) for mu in mus]
     return row_seed, simulate_rows(sources, system.bin_weights(), system.detector, n_shots, row_seed, workers=workers)
 
 

@@ -57,8 +57,8 @@ MUTANTS = (
     Mutant(
         "errors.integer_accepts_bool",
         "errors.py",
-        "isinstance(value, bool)\n",
-        "False\n",
+        "isinstance(value, bool)\n        or not isinstance(value, (int, np.integer))",
+        "False\n        or not isinstance(value, (int, np.integer))",
         ("test_integer_arguments.py::test_a_bad_integer_argument_names_its_parameter",),
     ),
     Mutant(
@@ -74,6 +74,34 @@ MUTANTS = (
         "or value < lo\n",
         "or value < lo - 1\n",
         ("test_integer_arguments.py::test_a_bad_integer_argument_names_its_parameter",),
+    ),
+    Mutant(
+        "errors.real_accepts_bool",
+        "errors.py",
+        "isinstance(value, bool)\n        or not isinstance(value, (float, int, Real))",
+        "False\n        or not isinstance(value, (float, int, Real))",
+        ("test_real_arguments.py::test_a_bad_real_names_its_parameter_and_interval",),
+    ),
+    Mutant(
+        "errors.real_open_lo_taken_as_closed",
+        "errors.py",
+        'lo < value if brackets[0] == "("',
+        'lo <= value if brackets[0] == "("',
+        ("test_real_arguments.py::test_a_bad_real_names_its_parameter_and_interval",),
+    ),
+    Mutant(
+        "errors.real_open_hi_taken_as_closed",
+        "errors.py",
+        'value < hi if brackets[1] == ")"',
+        'value <= hi if brackets[1] == ")"',
+        ("test_real_arguments.py::test_a_bad_real_names_its_parameter_and_interval",),
+    ),
+    Mutant(
+        "errors.real_closed_lo_taken_as_open",
+        "errors.py",
+        'else lo <= value)',
+        'else lo < value)',
+        ("test_real_arguments.py::test_a_closed_end_is_inside",),
     ),
     Mutant(
         "rng.advance_by_shots_not_words",

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,25 +74,26 @@ def test_curve_crosses_target_at_shot_count():
 
 
 def test_curve_requires_bright_pulse():
-    with pytest.raises(ValueError, match="exceed 4"):
+    with pytest.raises(ValueError, match=r"^mu_true must be a real number in \(4, inf\), got 2\.0$"):
         baseline_error_curve(2.0, 100)
-    with pytest.raises(ValueError, match="exceed 4"):
+    with pytest.raises(ValueError, match=r"^mu_true must be a real number in \(4, inf\), got 1\.0$"):
         simulate_baseline(1.0, 0.165, 10, 1, seed=1)
 
 
 @pytest.mark.parametrize("mu", [math.nan, math.inf], ids=["nan", "inf"])
 def test_baseline_curves_reject_a_non_finite_mean(mu):
     # NaN once passed "<= 4" and gave a finite curve or all-NaN trials.
-    with pytest.raises(ValueError, match="^mu_true must be finite and exceed 4"):
+    message = f"mu_true must be a real number in (4, inf), got {mu!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         baseline_error_curve(mu, 3)
-    with pytest.raises(ValueError, match="^mu_true must be finite and exceed 4"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         simulate_baseline(mu, 0.1, 3, 1, seed=1)
 
 
 @pytest.mark.parametrize("mu", [math.nan, math.inf], ids=["nan", "inf"])
 def test_attenuation_rejects_a_non_finite_mean(mu):
     # NaN once gave a NaN transmission and inf a transmission of 0.
-    with pytest.raises(ValueError, match="^mu must be finite and > 0"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'mu must be a real number in (0, inf), got {mu!r}')}$"):
         attenuation_for_target(mu, 0.1)
 
 

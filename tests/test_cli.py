@@ -447,19 +447,23 @@ def test_convergence_rejects_level_before_writing(tmp_path, capsys, argv):
     out = tmp_path / "curve.csv"
     rc = main(argv + ["--preset", "rapid32", "--mu", "100", "--trials", "2", "--seed", "1", "-o", str(out)])
     assert rc == 2
-    assert "level must lie in (0, 1)" in capsys.readouterr().err
+    level = argv[argv.index("--level") + 1]
+    assert capsys.readouterr().err == f"binflux: usage error: level must be a real number in (0, 1), got {float(level)!r}\n"
     assert not out.exists() and not (tmp_path / "curve.csv.manifest.json").exists()
 
 
 @pytest.mark.parametrize(
     "mu_max, argv, message",
     [
-        (400, ["--n", "1", "--wavelength", "nan", "--posterior", "{tmp}/post.csv"], "wavelength must be finite"),
-        (400, ["--n", "1", "--wavelength", "inf", "--posterior", "{tmp}/post.csv"], "wavelength must be finite"),
-        (400, ["--n", "1", "--tolerance", "nan", "--posterior", "{tmp}/post.csv"], "tolerance must be finite"),
+        (400, ["--n", "1", "--wavelength", "nan", "--posterior", "{tmp}/post.csv"],
+         "wavelength must be a real number in (0, inf), got nan"),
+        (400, ["--n", "1", "--wavelength", "inf", "--posterior", "{tmp}/post.csv"],
+         "wavelength must be a real number in (0, inf), got inf"),
+        (400, ["--n", "1", "--tolerance", "nan", "--posterior", "{tmp}/post.csv"],
+         "tolerance must be a real number in (0, inf), got nan"),
         (400, ["--n", "1", "--max-n", "-1", "--posterior", "{tmp}/post.csv"], "--max-n must be an integer >= 0, got -1"),
-        (100, ["--n", "3", "--wavelength", "nan"], "wavelength must be finite"),
-        (100, ["--n", "3", "--tolerance", "nan"], "tolerance must be finite"),
+        (100, ["--n", "3", "--wavelength", "nan"], "wavelength must be a real number in (0, inf), got nan"),
+        (100, ["--n", "3", "--tolerance", "nan"], "tolerance must be a real number in (0, inf), got nan"),
         (100, ["--n", "3", "--max-n", "-1"], "--max-n must be an integer >= 0, got -1"),
     ],
     ids=[
@@ -535,7 +539,7 @@ def test_compare_rejects_nan_tolerance_before_writing(tmp_path, capsys):
     out = tmp_path / "compare.csv"
     argv = ["compare", "--preset", "rapid32", "--mu", "100", "--max-shots", "5", "--trials", "2", "--seed", "1"]
     assert main([*argv, "--tolerance", "nan", "-o", str(out)]) == 2
-    assert "tolerance must be finite and > 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == "binflux: usage error: tolerance must be a real number in (0, inf), got nan\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -625,6 +629,31 @@ def test_sweep_over_mu_rejects_negative_values(tmp_path, capsys, values):
     smallest = min(int(v) for v in values.split(","))
     assert f"--values: mu must be an integer >= 0, got {smallest}\n" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "s.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, command, option",
+    [
+        (["sweep", "--over", "mu", "--values", "1,x", "--seed", "2"], "sweep", "--values"),
+        (["matrix", "--mu-max", "5", "--support", "2.5"], "matrix", "--support"),
+    ],
+    ids=["sweep-values", "matrix-support"],
+)
+def test_a_list_that_is_not_integers_is_an_argparse_error(tmp_path, capsys, argv, command, option):
+    text = argv[argv.index(option) + 1]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--preset", "rapid32", "-o", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == f"binflux {command}: error: argument {option}: expected a comma-separated integer list, got {text!r}"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_values_of_only_commas_is_a_usage_error(tmp_path, capsys):
+    argv = ["sweep", "--preset", "rapid32", "--over", "mu", "--values", ",", "--seed", "2"]
+    assert main([*argv, "-o", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err == "binflux: usage error: --values must name at least one integer\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_infer_inconsistent_matrix_is_format_error(matrix_file, tmp_path, capsys):

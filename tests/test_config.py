@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import re
+import warnings
 
+import numpy as np
 import pytest
 
 from binflux import (
@@ -12,10 +15,13 @@ from binflux import (
     MultiplexerSpec,
     SystemConfig,
     UniformLoss,
+    build_matrix,
     canonical_json,
     fingerprint,
     get_preset,
+    load_matrix,
     load_system,
+    save_matrix,
     save_system,
     system_from_dict,
     system_to_dict,
@@ -78,6 +84,69 @@ def test_fingerprint_sensitive_to_any_field():
     assert fingerprint(bumped) != fingerprint(base)
     renamed = dataclasses.replace(base, name="rapid32b")
     assert fingerprint(renamed) != fingerprint(base)
+
+
+def _tiny(mux=None, guard=None, **detector):
+    """A four-bin system; keyword arguments replace fields of its detector."""
+    return SystemConfig(
+        name="tiny",
+        multiplexer=mux or MultiplexerSpec(loop_delays=(1e-9,)),
+        detector=DetectorSpec(
+            **{"efficiency": 0.5, "dark_prob_per_gate": (0.0, 0.0), "gate_width": 1e-9, "deadtime": 0.0, **detector}
+        ),
+        guard=guard,
+    )
+
+
+def _assert_round_trip(system, tmp_path):
+    """save_matrix then load_matrix, both formats, gives the system back with no warning."""
+    matrix = build_matrix(system, 5)
+    for suffix in (".csv", ".json"):
+        path = tmp_path / f"matrix{suffix}"
+        save_matrix(matrix, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = load_matrix(path)
+        assert loaded.system == system and loaded.fingerprint == matrix.fingerprint
+
+
+# Each pair compares equal; the first spells a value as an int or a numpy scalar.
+EQUAL_SYSTEMS = [
+    pytest.param(_tiny(deadtime=0), _tiny(deadtime=0.0), id="deadtime-0"),
+    pytest.param(_tiny(efficiency=1, dark_prob_per_gate=(0, np.float32(0.5))),
+                 _tiny(efficiency=1.0, dark_prob_per_gate=(0.0, 0.5)), id="efficiency-and-darks"),
+    pytest.param(_tiny(gate_width=np.float64(1e-9), afterpulse_metadata=(("a", 2),)),
+                 _tiny(gate_width=1e-9, afterpulse_metadata=(("a", 2.0),)), id="gate-and-afterpulse"),
+    pytest.param(_tiny(undershoot=MechanisticUndershoot(0)), _tiny(undershoot=MechanisticUndershoot(0.0)),
+                 id="mechanistic"),
+    pytest.param(_tiny(undershoot=GlobalEfficiency(((0, 1), (np.int64(4), 0.5)))),
+                 _tiny(undershoot=GlobalEfficiency(((0.0, 1.0), (4.0, 0.5)))), id="global-points"),
+    pytest.param(_tiny(MultiplexerSpec(loop_delays=(1,), transmission=UniformLoss(0)), guard=0),
+                 _tiny(MultiplexerSpec(loop_delays=(1.0,), transmission=UniformLoss(0.0)), guard=0.0),
+                 id="delays-loss-guard"),
+    pytest.param(_tiny(MultiplexerSpec(loop_delays=(1e-9,), transmission=ExplicitTransmission((1, 1, 1, 1)))),
+                 _tiny(MultiplexerSpec(loop_delays=(1e-9,), transmission=ExplicitTransmission((1.0,) * 4))),
+                 id="explicit-transmission"),
+]
+
+
+@pytest.mark.parametrize("whole, real", EQUAL_SYSTEMS)
+def test_equal_systems_share_a_fingerprint(tmp_path, whole, real):
+    # Before, deadtime=0 serialised as 0 and deadtime=0.0 as 0.0: equal systems, two fingerprints,
+    # and a matrix saved from the first warned of a fingerprint mismatch when it loaded.
+    assert whole == real
+    assert canonical_json(whole) == canonical_json(real) and fingerprint(whole) == fingerprint(real)
+    _assert_round_trip(whole, tmp_path)
+
+
+def test_an_explicit_detector_assignment_saves_and_loads_back(tmp_path):
+    # Before, (False, 1.0, 0, 1) was accepted and saved, and load_matrix refused the file it had written.
+    with pytest.raises(ConfigurationError) as exc:
+        MultiplexerSpec(loop_delays=(1e-9,), detector_assignment=(False, 1.0, 0, 1))
+    assert str(exc.value) == "detector_assignment[0] must be an integer in [0, 1], got False"
+    mux = MultiplexerSpec(loop_delays=(1e-9,), detector_assignment=(np.int64(0), np.int64(1), 0, 1))
+    assert mux.detector_assignment == (0, 1, 0, 1) and all(type(v) is int for v in mux.detector_assignment)
+    _assert_round_trip(_tiny(mux), tmp_path)
 
 
 def test_canonical_json_is_compact_and_sorted():
@@ -143,12 +212,19 @@ def test_guard_validation():
 
 AFTERPULSE_KEY = "afterpulse_prob_one_deadtime_after_click"
 
-# (dotted path in the config dict, value, start of the ConfigurationError message)
+# (dotted path in the config dict, value, the ConfigurationError message of the file, that of the model):
+# the file refuses any value that is no finite number, the model also one out of its range.
 NON_FINITE_FIELDS = [
-    ("config.guard", float("nan"), "guard: must be >= 0 and finite"),
-    ("config.guard", float("inf"), "guard: must be >= 0 and finite"),
-    (f"detector.afterpulse_metadata.{AFTERPULSE_KEY}", float("nan"), f"afterpulse_metadata.{AFTERPULSE_KEY}: must be finite"),
-    (f"detector.afterpulse_metadata.{AFTERPULSE_KEY}", float("-inf"), f"afterpulse_metadata.{AFTERPULSE_KEY}: must be finite"),
+    ("config.guard", float("nan"), "config.guard must be a real number in (-inf, inf), got nan",
+     "guard must be a real number in [0, inf), got nan"),
+    ("config.guard", float("inf"), "config.guard must be a real number in (-inf, inf), got inf",
+     "guard must be a real number in [0, inf), got inf"),
+    (f"detector.afterpulse_metadata.{AFTERPULSE_KEY}", float("nan"),
+     f"detector.afterpulse_metadata.{AFTERPULSE_KEY} must be a real number in (-inf, inf), got nan",
+     f"afterpulse_metadata.{AFTERPULSE_KEY} must be a real number in (-inf, inf), got nan"),
+    (f"detector.afterpulse_metadata.{AFTERPULSE_KEY}", float("-inf"),
+     f"detector.afterpulse_metadata.{AFTERPULSE_KEY} must be a real number in (-inf, inf), got -inf",
+     f"afterpulse_metadata.{AFTERPULSE_KEY} must be a real number in (-inf, inf), got -inf"),
 ]
 NON_FINITE_IDS = ["guard-nan", "guard-inf", "afterpulse-nan", "afterpulse-minus-inf"]
 
@@ -160,24 +236,24 @@ def _non_finite_config(tmp_path, path, value):
     return config
 
 
-@pytest.mark.parametrize("path, value, message", NON_FINITE_FIELDS, ids=NON_FINITE_IDS)
-def test_non_finite_config_numbers_are_rejected(tmp_path, path, value, message):
-    with pytest.raises(ConfigurationError, match=f"^{message}"):
+@pytest.mark.parametrize("path, value, message, model_message", NON_FINITE_FIELDS, ids=NON_FINITE_IDS)
+def test_non_finite_config_numbers_are_rejected(tmp_path, path, value, message, model_message):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
         load_system(_non_finite_config(tmp_path, path, value))
     base = get_preset("rapid32")
-    with pytest.raises(ConfigurationError, match=f"^{message}"):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(model_message)}$"):
         if path == "config.guard":
             dataclasses.replace(base, guard=value)
         else:
             dataclasses.replace(base.detector, afterpulse_metadata=((AFTERPULSE_KEY, value),))
 
 
-@pytest.mark.parametrize("path, value, message", NON_FINITE_FIELDS, ids=NON_FINITE_IDS)
-def test_cli_matrix_with_non_finite_config_exits_3(tmp_path, capsys, path, value, message):
+@pytest.mark.parametrize("path, value, message, model_message", NON_FINITE_FIELDS, ids=NON_FINITE_IDS)
+def test_cli_matrix_with_non_finite_config_exits_3(tmp_path, capsys, path, value, message, model_message):
     out = tmp_path / "m.csv"
     config = _non_finite_config(tmp_path, path, value)
     assert main(["matrix", "--config", str(config), "--mu-max", "10", "-o", str(out)]) == 3
-    assert capsys.readouterr().err.startswith(f"binflux: configuration error: {message}")
+    assert capsys.readouterr().err == f"binflux: configuration error: {message}\n"
     assert not out.exists()
 
 
@@ -193,22 +269,44 @@ def test_unknown_preset_lists_available():
         get_preset("nope")
 
 
+# (dotted path, value, the whole ConfigurationError message)
 MALFORMED_FIELDS = [
-    ("multiplexer.transmission.avg_loss_db", None),
-    ("multiplexer.transmission.values", None),
-    ("multiplexer.loop_delays", 5),
-    ("multiplexer.loop_delays", "1e-9"),
-    ("multiplexer.coupler_ratios", ["half"]),
-    ("multiplexer.detector_assignment", 7),
-    ("multiplexer.transmission", "lossless"),
-    ("config.multiplexer", 5),
-    ("detector.efficiency", "abc"),
-    ("detector.dark_prob_per_gate", [1e-5, "x"]),
-    ("detector.undershoot.points", [[10.0]]),
-    ("detector.undershoot.p_miss_next", None),
-    ("detector.afterpulse_metadata", "none"),
-    ("config.guard", "wide"),
+    ("multiplexer.transmission.avg_loss_db", None, "multiplexer.transmission.avg_loss_db: missing required field"),
+    ("multiplexer.transmission.values", None, "multiplexer.transmission.values: missing required field"),
+    ("multiplexer.loop_delays", 5, "multiplexer.loop_delays: malformed value 5 (expected a list)"),
+    ("multiplexer.loop_delays", "1e-9", "multiplexer.loop_delays: malformed value '1e-9' (expected a list)"),
+    ("multiplexer.coupler_ratios", ["half"],
+     "multiplexer.coupler_ratios[0] must be a real number in (-inf, inf), got 'half'"),
+    ("multiplexer.detector_assignment", 7, "multiplexer.detector_assignment: malformed value 7 (expected a list)"),
+    ("multiplexer.transmission", "lossless",
+     "multiplexer.transmission: malformed value 'lossless' (expected a JSON object)"),
+    ("config.multiplexer", 5, "config.multiplexer: malformed value 5 (expected a JSON object)"),
+    ("detector.efficiency", "abc", "detector.efficiency must be a real number in (-inf, inf), got 'abc'"),
+    ("detector.dark_prob_per_gate", [1e-5, "x"],
+     "detector.dark_prob_per_gate[1] must be a real number in (-inf, inf), got 'x'"),
+    ("detector.undershoot.points", [[10.0]], "detector.undershoot.points: malformed value [[10.0]] (expected [mu, eta] pairs)"),
+    ("detector.undershoot.p_miss_next", None, "detector.undershoot.p_miss_next: missing required field"),
+    ("detector.afterpulse_metadata", "none", "detector.afterpulse_metadata: malformed value 'none' (expected a JSON object)"),
+    ("config.guard", "wide", "config.guard must be a real number in (-inf, inf), got 'wide'"),
 ]
+# float() once read JSON true as 1.0 and a string that spells a number as that number, and the file loaded.
+BOOLS_AND_NUMBER_STRINGS = [
+    ("detector.efficiency", True, "detector.efficiency must be a real number in (-inf, inf), got True"),
+    ("detector.deadtime", "9.78e-9", "detector.deadtime must be a real number in (-inf, inf), got '9.78e-9'"),
+    ("multiplexer.transmission.avg_loss_db", False,
+     "multiplexer.transmission.avg_loss_db must be a real number in (-inf, inf), got False"),
+    ("detector.undershoot.points", [[10.0, 0.165], ["400", 0.145]],
+     "detector.undershoot.points[1][0] must be a real number in (-inf, inf), got '400'"),
+    (f"detector.afterpulse_metadata.{AFTERPULSE_KEY}", "0.09",
+     f"detector.afterpulse_metadata.{AFTERPULSE_KEY} must be a real number in (-inf, inf), got '0.09'"),
+    ("config.guard", True, "config.guard must be a real number in (-inf, inf), got True"),
+]
+MALFORMED_FIELDS += BOOLS_AND_NUMBER_STRINGS
+
+
+def _ids(cases):
+    """pytest's own ids for (field, value) pairs: a list value is named by its place."""
+    return [f"{f}-value{i}" if isinstance(v, list) else f"{f}-{v}" for i, (f, v, _) in enumerate(cases)]
 
 
 def _malformed(field, value):
@@ -229,13 +327,13 @@ def _malformed(field, value):
     return data
 
 
-@pytest.mark.parametrize("field, value", MALFORMED_FIELDS)
-def test_load_system_names_malformed_field(tmp_path, field, value):
+@pytest.mark.parametrize("field, value, message", MALFORMED_FIELDS, ids=_ids(MALFORMED_FIELDS))
+def test_load_system_names_malformed_field(tmp_path, field, value, message):
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(_malformed(field, value)))
     with pytest.raises(ConfigurationError) as exc:
         load_system(path)
-    assert str(exc.value).startswith(f"{field}: ")
+    assert str(exc.value) == message
 
 
 def test_cli_config_with_malformed_field_exits_3(tmp_path, capsys):
@@ -248,6 +346,16 @@ def test_cli_config_with_malformed_field_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value, message", BOOLS_AND_NUMBER_STRINGS, ids=_ids(BOOLS_AND_NUMBER_STRINGS))
+def test_cli_matrix_refuses_a_bool_or_string_number_with_exit_3(tmp_path, capsys, field, value, message):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(_malformed(field, value)))
+    out = tmp_path / "m.csv"
+    assert main(["matrix", "--config", str(path), "--mu-max", "5", "-o", str(out)]) == 3
+    assert capsys.readouterr().err == f"binflux: configuration error: {message}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("index, entry", [(0, 0.7), (1, True), (2, 0.0), (3, "1"), (4, 2), (5, -1)])
 def test_detector_assignment_entries_must_be_0_or_1(index, entry):
     # Before, int() read 0.7 as 0, True as 1, 0.0 as 0 and "1" as 1, and the file loaded.
@@ -255,10 +363,11 @@ def test_detector_assignment_entries_must_be_0_or_1(index, entry):
     assignment = [0, 1] * 8
     assignment[index] = entry
     data["multiplexer"]["detector_assignment"] = assignment
-    message = (
-        f"multiplexer.detector_assignment: malformed value {assignment!r} "
-        f"(detector_assignment[{index}] must be an integer in [0, 1], got {entry!r})"
-    )
+    # MultiplexerSpec checks the entries, so a spec built in code gets the same message.
+    message = f"detector_assignment[{index}] must be an integer in [0, 1], got {entry!r}"
     with pytest.raises(ConfigurationError) as exc:
         system_from_dict(data)
+    assert str(exc.value) == message
+    with pytest.raises(ConfigurationError) as exc:
+        MultiplexerSpec(loop_delays=(5e-6, 10e-6, 25e-6), detector_assignment=tuple(assignment))
     assert str(exc.value) == message

@@ -174,11 +174,11 @@ RAPID32 = get_preset("rapid32")
         # Unchecked, the exact oracle turns these two detectors into negative "probabilities".
         (
             lambda: dataclasses.replace(RAPID32.detector, dark_prob_per_gate=(1.5, -0.2)),
-            "dark_prob_per_gate[0]: must lie in [0, 1), got 1.5",
+            "dark_prob_per_gate[0] must be a real number in [0, 1), got 1.5",
         ),
         (
             lambda: dataclasses.replace(RAPID32.detector, undershoot=MechanisticUndershoot(1.7)),
-            "undershoot.p_miss_next: must lie in [0, 1], got 1.7",
+            "undershoot.p_miss_next must be a real number in [0, 1], got 1.7",
         ),
         # A dict is not an undershoot model; unchecked, it would act as no undershoot at all.
         (
@@ -191,9 +191,9 @@ RAPID32 = get_preset("rapid32")
         ),
         (
             lambda: dataclasses.replace(RAPID32.multiplexer, coupler_ratios=(0.5, 0.5)),
-            "coupler_ratios: expected 5 entries",
+            "coupler_ratios: expected 5 entries (one per loop stage plus the output coupler), got 2",
         ),
-        (lambda: dataclasses.replace(RAPID32, guard=-1.0), "guard: must be >= 0 and finite, got -1.0"),
+        (lambda: dataclasses.replace(RAPID32, guard=-1.0), "guard must be a real number in [0, inf), got -1.0"),
         # Malformed fields of a spec built in code name the field instead of escaping as Python's own errors.
         (
             lambda: GlobalEfficiency(points=((1.0, 0.1, 5.0),)),
@@ -201,22 +201,54 @@ RAPID32 = get_preset("rapid32")
         ),
         (
             lambda: GlobalEfficiency(points=(("a", 0.5),)),
-            "undershoot.points[0]: mu and eta must be real numbers, got ('a', 0.5)",
+            "undershoot.points[0].mu must be a real number in [0, inf), got 'a'",
         ),
         (
             lambda: DetectorSpec(0.1, (0.0, 0.0), 1e-9, 0.0, afterpulse_metadata=(("a", "x"),)),
-            "afterpulse_metadata.a: must be finite, got 'x'",
+            "afterpulse_metadata.a must be a real number in (-inf, inf), got 'x'",
         ),
         (
             lambda: DetectorSpec(0.1, (0.0, 0.0), 1e-9, 0.0, afterpulse_metadata=(("a",),)),
             "afterpulse_metadata[0]: expected a (name, value) pair, got ('a',)",
         ),
+        (
+            lambda: dataclasses.replace(RAPID32.detector, dark_prob_per_gate=None),
+            "dark_prob_per_gate: expected a (detector 0, detector 1) pair, got None",
+        ),
+        (
+            lambda: GlobalEfficiency(points=((10.0, 0.2), (math.nan, 0.1))),
+            "undershoot.points[1].mu must be a real number in [0, inf), got nan",
+        ),
+        (
+            lambda: GlobalEfficiency(points=((10.0, 0.2), (10.0, 0.1))),
+            "undershoot.points: mu anchors must be strictly increasing",
+        ),
+        # Before, True passed as 1, and None and "0.5" escaped as Python's own TypeError.
+        (
+            lambda: dataclasses.replace(RAPID32.detector, efficiency=True),
+            "efficiency must be a real number in (0, 1], got True",
+        ),
+        (lambda: MechanisticUndershoot(True), "undershoot.p_miss_next must be a real number in [0, 1], got True"),
+        (
+            lambda: dataclasses.replace(RAPID32.detector, gate_width=None),
+            "gate_width must be a real number in (0, inf), got None",
+        ),
+        (
+            lambda: dataclasses.replace(RAPID32.detector, deadtime="9.78e-9"),
+            "deadtime must be a real number in [0, inf), got '9.78e-9'",
+        ),
+        (
+            lambda: GlobalEfficiency(points=((10.0, "0.5"),)),
+            "undershoot.points[0].eta must be a real number in (0, 1], got '0.5'",
+        ),
     ],
     ids=[
         "dark-1.5", "p-miss-1.7", "undershoot-dict", "no-anchor", "coupler-ratios", "guard",
-        "point-triple", "point-str", "afterpulse-str", "afterpulse-single",
+        "point-triple", "point-str", "afterpulse-str", "afterpulse-single", "darks-none", "point-nan",
+        "point-repeated", "efficiency-true", "p-miss-true", "gate-width-none", "deadtime-str", "eta-str",
     ],
 )
 def test_a_spec_checks_itself_when_built(build, message):
-    with pytest.raises(ConfigurationError, match="^" + re.escape(message)):
+    with pytest.raises(ConfigurationError) as exc:
         build()
+    assert str(exc.value) == message

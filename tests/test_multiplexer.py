@@ -102,6 +102,48 @@ def test_validation_names_offending_field(kwargs, field):
         build_bin_weights(MultiplexerSpec(**kwargs))
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(transmission=0.9), "transmission: unsupported type float"),
+        (dict(detector_assignment="roundrobin"), "detector_assignment: unknown mode 'roundrobin'"),
+        (dict(detector_assignment=(0, 0, 0, 1)), "detector_assignment: each detector must watch exactly 2 bins"),
+        (dict(detector_assignment=(0, 1)), "detector_assignment: expected 4 entries, got 2"),
+        (dict(detector_assignment=(0, 1, 0.0, 1)), "detector_assignment[2] must be an integer in [0, 1], got 0.0"),
+        # Before, True passed as 1 and a string escaped as Python's own TypeError.
+        (dict(loop_delays=(True,)), "loop_delays[0] must be a real number in (0, inf), got True"),
+        (dict(coupler_ratios=(0.5, "0.5")), "coupler_ratios[1] must be a real number in (0, 1), got '0.5'"),
+        (dict(transmission=UniformLoss(math.nan)), "transmission.avg_loss_db must be a real number in [0, inf), got nan"),
+        (
+            dict(transmission=ExplicitTransmission((1.0, 1.0, None, 1.0))),
+            "transmission.values[2] must be a real number in (0, 1], got None",
+        ),
+    ],
+    ids=[
+        "transmission-type", "assignment-mode", "assignment-split", "assignment-length", "assignment-float",
+        "delay-true", "ratio-str", "loss-nan", "value-none",
+    ],
+)
+def test_a_bad_spec_gets_the_whole_message(kwargs, message):
+    with pytest.raises(ConfigurationError) as exc:
+        MultiplexerSpec(**{"loop_delays": (1e-9,), **kwargs})
+    assert str(exc.value) == message
+
+
+def test_a_spec_stores_its_numbers_as_floats_and_ints():
+    spec = MultiplexerSpec(
+        loop_delays=(1, np.float32(2.0)),
+        coupler_ratios=(np.float64(0.5), 0.25, 0.5),
+        transmission=ExplicitTransmission((1,) * 8),
+        detector_assignment=(np.int64(0), 1) * 4,
+    )
+    assert spec.loop_delays == (1.0, 2.0) and spec.coupler_ratios == (0.5, 0.25, 0.5)
+    for values, kind in ((spec.loop_delays + spec.coupler_ratios + spec.transmission.values, float),
+                         (spec.detector_assignment, int)):
+        assert all(type(v) is kind for v in values)
+    assert type(MultiplexerSpec(loop_delays=(1.0,), transmission=UniformLoss(1)).transmission.avg_loss_db) is float
+
+
 # (array to replace, its replacement made from the 32-bin array, start of the ValueError message)
 BAD_BIN_TABLES = {
     "weights-2d": ("weights", lambda a: a.reshape(4, 8), "BinWeights: weights, arrival_times and detector_of_bin"),
@@ -161,10 +203,10 @@ def test_timing_guard_overrides_deadtime():
 @pytest.mark.parametrize("value", [-1e-9, math.nan, math.inf])
 def test_timing_rejects_negative_or_non_finite_times(value):
     w = build_bin_weights(MultiplexerSpec(loop_delays=(1e-9,)))
-    with pytest.raises(ValueError, match="^guard: must be >= 0 and finite"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'guard must be a real number in [0, inf), got {value!r}')}$"):
         validate_timing(w, deadtime=1e-9, guard=value)
     # The guard defaults to the deadtime; the message names the field given.
-    with pytest.raises(ValueError, match="^deadtime: must be >= 0 and finite"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'deadtime must be a real number in [0, inf), got {value!r}')}$"):
         validate_timing(w, deadtime=value)
 
 

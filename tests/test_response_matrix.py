@@ -491,6 +491,56 @@ def test_malformed_embedded_config_is_format_error(small_matrix, tmp_path, ext):
         load_matrix(p)
 
 
+def _assignment_config(entry):
+    """small_matrix's config with an explicit detector assignment whose first entry is entry."""
+    config = system_to_dict(get_preset("rapid32"))
+    config["multiplexer"]["detector_assignment"] = [entry, 1, 0, 1] * 8
+    return config
+
+
+def _number_string_config():
+    config = system_to_dict(get_preset("rapid32"))
+    config["detector"]["deadtime"] = "9.78e-9"
+    return config
+
+
+@pytest.mark.parametrize(
+    "ext, line, edits, message",
+    [
+        ("csv", None, lambda s: "", ": empty file"),
+        ("csv", 0, lambda s: s.replace("# binflux-matrix v1,", "# binflux-matrix v99,"),
+         ":1: unsupported format version 99"),
+        ("csv", 1, lambda s: "# a comment", ":2: missing config line"),
+        ("csv", 2, lambda s: "# a comment", ":3: missing provenance line"),
+        ("csv", 2, lambda s: s[: s.rindex(";")], ":3: expected 41 provenance tokens, got 40"),
+        ("json", None, lambda doc: {**doc, "version": 99}, ": unsupported format version 99"),
+        ("json", None, lambda doc: {**doc, "provenance": doc["provenance"][:-1]},
+         ": expected 41 provenance tokens, got 40"),
+        # Before, MultiplexerSpec took False and 1.0 as detector indices, and save_matrix wrote them.
+        ("csv", 1, lambda s: _config_line(_assignment_config(False)),
+         ":2: bad embedded config (detector_assignment[0] must be an integer in [0, 1], got False)"),
+        ("json", None, lambda doc: {**doc, "config": _assignment_config(1.0)},
+         ": missing or malformed field (detector_assignment[0] must be an integer in [0, 1], got 1.0)"),
+        ("csv", 1, lambda s: _config_line(_number_string_config()),
+         ":2: bad embedded config (detector.deadtime must be a real number in (-inf, inf), got '9.78e-9')"),
+    ],
+    ids=[
+        "csv-empty", "csv-version", "csv-no-config", "csv-no-provenance", "csv-provenance-count", "json-version",
+        "json-provenance-count", "csv-assignment-false", "json-assignment-float", "csv-deadtime-string",
+    ],
+)
+def test_a_malformed_file_gets_the_whole_message(small_matrix, tmp_path, ext, line, edits, message):
+    p = tmp_path / f"m.{ext}"
+    save_matrix(small_matrix, p)
+    if line is None and ext == "csv":
+        p.write_text(edits(p.read_text()))
+    else:
+        _edit(p, line, edits, edits)
+    with pytest.raises(MatrixFormatError) as exc:
+        load_matrix(p)
+    assert str(exc.value) == f"{p}{message}"
+
+
 # Cells whose text is easy to get wrong: signed zero, the smallest subnormal
 # and other subnormals, values near 1e-300, and values that need 17 digits.
 EDGE_CELLS = [
