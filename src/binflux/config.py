@@ -138,8 +138,16 @@ def _assignment(value: Any, name: str) -> str | tuple:
     return value if isinstance(value, str) else tuple(_sequence(value))
 
 
+def _section(where: str, build: Callable[..., Any], *args: Any, **fields: Any) -> Any:
+    """build(*args, **fields), a ConfigurationError from the model's own checks named by the file's path under where."""
+    try:
+        return build(*args, **fields)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}.{exc}") from None
+
+
 def system_from_dict(data: dict[str, Any]) -> SystemConfig:
-    """Parse a configuration dict; a missing or malformed field raises ConfigurationError naming it."""
+    """Parse a configuration dict; a missing, malformed or out-of-range field raises ConfigurationError naming it."""
     if not isinstance(data, dict):
         raise ConfigurationError("config: expected a JSON object")
     mux_d = _field(data, "multiplexer", "config", _object)
@@ -157,7 +165,9 @@ def system_from_dict(data: dict[str, Any]) -> SystemConfig:
     else:
         raise ConfigurationError(f"multiplexer.transmission.kind: unknown kind {kind!r}")
 
-    mux = MultiplexerSpec(
+    mux = _section(
+        "multiplexer",
+        MultiplexerSpec,
         loop_delays=_field(mux_d, "loop_delays", "multiplexer", _numbers),
         coupler_ratios=_field(mux_d, "coupler_ratios", "multiplexer", _numbers, None),
         transmission=trans,
@@ -168,13 +178,16 @@ def system_from_dict(data: dict[str, Any]) -> SystemConfig:
     if under_d is None:
         under: GlobalEfficiency | MechanisticUndershoot | None = None
     elif under_d.get("kind") == "global_efficiency":
-        under = GlobalEfficiency(_field(under_d, "points", "detector.undershoot", _points))
+        under = _section("detector", GlobalEfficiency, _field(under_d, "points", "detector.undershoot", _points))
     elif under_d.get("kind") == "mechanistic":
-        under = MechanisticUndershoot(_field(under_d, "p_miss_next", "detector.undershoot", _number))
+        p_miss_next = _field(under_d, "p_miss_next", "detector.undershoot", _number)
+        under = _section("detector", MechanisticUndershoot, p_miss_next)
     else:
         raise ConfigurationError(f"detector.undershoot.kind: unknown kind {under_d.get('kind')!r}")
 
-    det = DetectorSpec(
+    det = _section(
+        "detector",
+        DetectorSpec,
         efficiency=_field(det_d, "efficiency", "detector", _number),
         dark_prob_per_gate=_field(det_d, "dark_prob_per_gate", "detector", _numbers),
         gate_width=_field(det_d, "gate_width", "detector", _number),
@@ -189,7 +202,9 @@ def system_from_dict(data: dict[str, Any]) -> SystemConfig:
         ),
     )
 
-    return SystemConfig(
+    return _section(
+        "config",
+        SystemConfig,
         name=str(data.get("name", "custom")),
         multiplexer=mux,
         detector=det,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, _integer, _real
+from .errors import ConfigurationError, _integer, _items, _real
 from .multiplexer import BinWeights
 
 
@@ -42,10 +42,11 @@ class GlobalEfficiency:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        if len(self.points) == 0:
+        anchors = _items(self.points, "undershoot.points")
+        if len(anchors) == 0:
             raise ConfigurationError("undershoot.points: need at least one anchor")
         points, last_mu = [], -math.inf
-        for i, point in enumerate(self.points):
+        for i, point in enumerate(anchors):
             mu, eta = _pair(point, f"undershoot.points[{i}]", "(mu, eta)")
             mu = _real(mu, f"undershoot.points[{i}].mu", 0.0, brackets="[)", error=ConfigurationError)
             if mu <= last_mu:

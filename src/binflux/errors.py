@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the one rule each for integer and real numbers.
+"""Exception types shared across the package, and the one rule each for integers, real numbers and sequences.
 
 _integer owns every integer and _real every real number that enters the
 package: a function argument (ValueError), a model field or a config value
 (ConfigurationError). Each returns a plain int or float, which callers store.
+_items owns every sequence field of a model and returns its items as a tuple.
 """
 
 import math
@@ -68,13 +69,27 @@ def _real(value, name: str, lo=-math.inf, hi=math.inf, brackets="()", error: typ
 
     brackets marks each end open or closed, "(" or "[" then ")" or "]"; by
     default every finite number is in. A numpy scalar is a real number, but
-    a bool, a string (one that spells a number too) and NaN are not.
+    a bool, a string (one that spells a number too), NaN and an int too
+    large for a double are not.
     """
-    if (
+    if not (
         isinstance(value, bool)
         or not isinstance(value, (float, int, Real))  # float and int first: the ABC check is slow
         or not (lo < value if brackets[0] == "(" else lo <= value)
         or not (value < hi if brackets[1] == ")" else value <= hi)
     ):
-        raise error(f"{name} must be a real number in {brackets[0]}{lo:g}, {hi:g}{brackets[1]}, got {value!r}")
-    return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the largest double
+            pass
+    raise error(f"{name} must be a real number in {brackets[0]}{lo:g}, {hi:g}{brackets[1]}, got {value!r}")
+
+
+def _items(value, name: str) -> tuple:
+    """value's items as a tuple, or ConfigurationError naming name unless it is a sequence; a string is not."""
+    if not isinstance(value, (str, bytes)):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise ConfigurationError(f"{name}: expected a sequence, got {value!r}")

@@ -71,9 +71,11 @@ class CredibleInterval:
 _EXP_FLOOR = -700.0
 
 
-def _normalise(logp: np.ndarray) -> np.ndarray:
-    """Normalise each row of the log posteriors logp in place; return the rows' log normalisers.
+def _exp_rows(logp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exponentiate each row of the log posteriors logp in place, relative to its peak.
 
+    Returns each row's peak log value top, its sum after exp total (the
+    rows divided by total are the posteriors P) and its first argmax mode.
     Cells _EXP_FLOOR or more below their row's peak are set to 0 without
     calling exp. Every kept cell is then a normal double, > 9.9e-305, and
     stays one divided by its row sum (at most the grid size) on grids of
@@ -82,16 +84,34 @@ def _normalise(logp: np.ndarray) -> np.ndarray:
     tested they change neither a row sum nor an interval (verified, not
     proven for every row).
     """
-    top = logp.max(axis=-1, keepdims=True)
+    mode = logp.argmax(axis=-1)
+    top = np.take_along_axis(logp, mode[..., None], axis=-1)
     if not np.isfinite(top).all():
         raise DegenerateEvidenceError("the observed sequence has zero probability for every mu on the grid")
     logp -= top
     np.exp(logp, out=logp, where=logp > _EXP_FLOOR)
     # Kept cells are now > 0; dropped ones still hold a log <= _EXP_FLOOR, or -inf.
     np.maximum(logp, 0.0, out=logp)
-    total = logp.sum(axis=-1, keepdims=True)
+    return top, logp.sum(axis=-1, keepdims=True), mode
+
+
+def _normalise(logp: np.ndarray) -> np.ndarray:
+    """Normalise each row of the log posteriors logp in place (_exp_rows, then divide); return their log normalisers."""
+    top, total, _ = _exp_rows(logp)
     logp /= total
     return top + np.log(total)
+
+
+def _curve_mode(E: np.ndarray, top: np.ndarray, total: np.ndarray, mode: np.ndarray) -> np.ndarray:
+    """First argmax of every row of P = E / total, given _exp_rows' results for E; mode is updated in place.
+
+    Where top <= -8 every cell below the peak lies at least 2^-49 (an ulp
+    at 8) below it, so its exp is < 1 and its quotient < 1 / total: logp's
+    first argmax is P's. Rows above (first shots, in the curve) take P's own.
+    """
+    near = np.flatnonzero(top[:, 0] > -8.0)
+    mode[near] = (E[near] / total[near]).argmax(axis=1)
+    return mode
 
 
 def posterior_single(matrix: ResponseMatrix, n: int) -> Posterior:
@@ -148,11 +168,16 @@ def posterior_multi(
 # temporaries at a few (rows, cap) arrays whatever the row width.
 _HPD_FIRST_WINDOW = 8
 _HPD_MAX_WINDOW = 64
-_CURVE_BLOCK_ROWS = 200  # posterior rows relative_error_curve normalises and hands _hpd_rows at once
+_CURVE_BLOCK_ROWS = 400  # posterior rows relative_error_curve exponentiates and hands _hpd_rows at once
 
 
-def _hpd_rows(P: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy highest-density interval [lo, hi] of every row of P at once.
+def _hpd_rows(P: np.ndarray, level: float, total=None, mode=None) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy highest-density interval [lo, hi] of every row of P / total at once.
+
+    With total (a column; 1 if omitted) and mode, the rows' first argmax,
+    relative_error_curve's block is never divided in full: only the cells
+    read are, each to the quotient a full divide stores, so every interval
+    is unchanged. Below, P means the divided rows.
 
     Each row grows from its mode, adding the more probable neighbor at each
     step (ties extend toward smaller mu) until its mass reaches level.
@@ -179,9 +204,10 @@ def _hpd_rows(P: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
     whole grid.
     """
     k, n = P.shape
-    lo = P.argmax(axis=1)
+    total = np.ones((k, 1)) if total is None else total
+    lo = P.argmax(axis=1) if mode is None else mode.copy()
     hi = lo.copy()
-    held = P[np.arange(k), lo]
+    held = P[np.arange(k), lo] / total[:, 0]
     act = np.flatnonzero((held < level) & (n > 1))
     window = _HPD_FIRST_WINDOW
     while act.size:
@@ -197,6 +223,7 @@ def _hpd_rows(P: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
         head, tail = cand[:, :s], cand[:, s:]
         head[...] = P[rows, np.maximum(left, 0)]
         tail[...] = P[rows, np.minimum(right, n - 1)]
+        cand /= total[act]
         np.copyto(cand, 0.0, where=off)
         # sums[i, 0, j] and sums[i, 1, j] hold the mass of the next j values on each side.
         sums = np.zeros((act.size, 2, s + 1))
@@ -214,7 +241,7 @@ def _hpd_rows(P: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
         pick = np.arange(act.size)
         mass = held[rows] + sums[pick[:, None], 0, took_left] + sums[pick[:, None], 1, steps - took_left]
         for i, t in zip(*np.nonzero(np.abs(mass - level) <= 1e-12)):
-            mass[i, t] = P[act[i], new_lo[i, t] : new_hi[i, t] + 1].sum()
+            mass[i, t] = (P[act[i], new_lo[i, t] : new_hi[i, t] + 1] / total[act[i], 0]).sum()
         done = (mass >= level) | ((new_lo == 0) & (new_hi == n - 1))
         stopped = done.any(axis=1)
         last = np.where(stopped, done.argmax(axis=1), s - 1)
@@ -340,8 +367,10 @@ def relative_error_curve(
     interval width after every accumulated shot. With every trial's counts
     drawn first, the log posteriors of a group of trials are summed in
     lockstep, each the previous one plus its count's column: a cumulative
-    sum's additions, in its order. _normalise (posterior_multi's too) and
-    credible_interval's greedy rule then take blocks of those rows at once.
+    sum's additions, in its order. _exp_rows (posterior_multi's too, through
+    _normalise) and credible_interval's greedy rule then take blocks of
+    those rows at once. A block is never divided in full: _hpd_rows divides
+    only the cells it reads, and _curve_mode finds each row's mode.
     """
     mu_true = _real(mu_true, "mu_true", 0.0)
     max_shots = _integer(max_shots, "max_shots", 1)
@@ -381,7 +410,7 @@ def relative_error_curve(
             counts[t, filled : filled + fresh.size] = fresh
             filled += fresh.size
     # Each row is the row before it plus its count's column; a block's first row
-    # adds the previous block's last row, kept un-normalised in carry. Counts are
+    # adds the previous block's last row, kept in carry before exp. Counts are
     # in range, so mode="clip" changes nothing but lets take write into out.
     cap = min(max_shots, _CURVE_BLOCK_ROWS)
     buf, carry = np.empty((cap, log_cols.shape[1])), np.empty((min(n_trials, cap), log_cols.shape[1]))
@@ -397,7 +426,7 @@ def relative_error_curve(
                     np.add(row, prev, out=row)
                 prev = row
             np.copyto(carry[:width], prev)
-            _normalise(rows)
-            lo, hi = _hpd_rows(rows, level)
+            top, total, mode = _exp_rows(rows)
+            lo, hi = _hpd_rows(rows, level, total, _curve_mode(rows, top, total, mode))
             rel_err[g : g + width, k0 : shots.stop] = ((hi - lo + 1) / mu_true).reshape(len(shots), width).T
     return RelativeErrorCurve(rel_err)

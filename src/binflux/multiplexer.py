@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, _integer, _real
+from .errors import ConfigurationError, _integer, _items, _real
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,13 @@ class MultiplexerSpec:
         return self.coupler_ratios
 
     def __post_init__(self) -> None:
-        if len(self.loop_delays) == 0:
+        delays = _items(self.loop_delays, "loop_delays")
+        if len(delays) == 0:
             raise ConfigurationError("loop_delays: need at least one loop")
-        delays = (_real(d, f"loop_delays[{i}]", 0.0, error=ConfigurationError) for i, d in enumerate(self.loop_delays))
-        object.__setattr__(self, "loop_delays", tuple(delays))
+        delays = tuple(_real(d, f"loop_delays[{i}]", 0.0, error=ConfigurationError) for i, d in enumerate(delays))
+        object.__setattr__(self, "loop_delays", delays)
+        if self.coupler_ratios is not None:
+            object.__setattr__(self, "coupler_ratios", _items(self.coupler_ratios, "coupler_ratios"))
         ratios = self.ratios()
         if len(ratios) != self.num_loops + 1:
             raise ConfigurationError(
@@ -83,9 +86,10 @@ class MultiplexerSpec:
             loss = _real(t.avg_loss_db, "transmission.avg_loss_db", 0.0, brackets="[)", error=ConfigurationError)
             t = UniformLoss(loss)
         elif isinstance(t, ExplicitTransmission):
-            if len(t.values) != self.num_bins:
-                raise ConfigurationError(f"transmission.values: expected {self.num_bins} entries, got {len(t.values)}")
-            values = enumerate(t.values)
+            values = _items(t.values, "transmission.values")
+            if len(values) != self.num_bins:
+                raise ConfigurationError(f"transmission.values: expected {self.num_bins} entries, got {len(values)}")
+            values = enumerate(values)
             t = ExplicitTransmission(
                 tuple(_real(v, f"transmission.values[{i}]", 0.0, 1.0, "(]", ConfigurationError) for i, v in values)
             )
@@ -97,6 +101,7 @@ class MultiplexerSpec:
             if da != "final_coupler":
                 raise ConfigurationError(f"detector_assignment: unknown mode {da!r}")
         else:
+            da = _items(da, "detector_assignment")
             if len(da) != self.num_bins:
                 raise ConfigurationError(f"detector_assignment: expected {self.num_bins} entries, got {len(da)}")
             da = tuple(_integer(v, f"detector_assignment[{i}]", 0, 1, ConfigurationError) for i, v in enumerate(da))

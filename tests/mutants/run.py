@@ -104,6 +104,13 @@ MUTANTS = (
         ("test_real_arguments.py::test_a_closed_end_is_inside",),
     ),
     Mutant(
+        "errors.real_overflow_escapes",
+        "errors.py",
+        "except OverflowError:",
+        "except ():",
+        ("test_real_arguments.py::test_an_int_too_large_for_a_double_is_refused",),
+    ),
+    Mutant(
         "rng.advance_by_shots_not_words",
         "_rng.py",
         "advance(start_shot * lanes)",
@@ -367,8 +374,31 @@ MUTANTS = (
         "inference.py",
         "rows, prev = buf[: len(shots) * width], carry[:width]",
         "rows, prev = buf[: len(shots) * width], buf[(depth - 1) * width : depth * width]",
-        # A block's first row adds the previous block's last row after _normalise.
+        # A block's first row adds the previous block's last row after exp.
         ("test_inference_stream.py::test_relative_error_curve_is_pinned",),
+    ),
+    Mutant(
+        "inference.curve_mode_trusts_logp_near_the_top",
+        "inference.py",
+        "near = np.flatnonzero(top[:, 0] > -8.0)",
+        "near = np.flatnonzero(top[:, 0] > -0.25)",
+        # A row peaking at -0.5 whose cell one ulp below divides to the peak's quotient.
+        ("test_batched.py::test_curve_mode_takes_the_divided_rows_first_argmax_near_the_top",),
+    ),
+    Mutant(
+        "inference.hpd_held_not_divided",
+        "inference.py",
+        "held = P[np.arange(k), lo] / total[:, 0]",
+        "held = P[np.arange(k), lo]",
+        # Every undivided mode cell is 1, so every row stops at its mode.
+        ("test_batched.py::test_hpd_rows_on_undivided_rows_match_the_divided_rows",),
+    ),
+    Mutant(
+        "inference.hpd_exact_sum_not_divided",
+        "inference.py",
+        "(P[act[i], new_lo[i, t] : new_hi[i, t] + 1] / total[act[i], 0]).sum()",
+        "P[act[i], new_lo[i, t] : new_hi[i, t] + 1].sum()",
+        ("test_batched.py::test_hpd_rows_sums_divided_cells_near_the_level",),
     ),
     Mutant(
         "response_matrix.interpolation_fraction",

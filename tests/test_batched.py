@@ -434,6 +434,48 @@ def test_normalise_zeroes_dropped_cells_as_the_masked_copy_did(logp):
     assert not np.signbit(got).any()
 
 
+@given(
+    logp=log_posterior_rows(),
+    peak=st.sampled_from([0.0, -0.5, -1.0, -3.0, np.nextafter(-8.0, 0.0), -8.0, -8.5, -30.0, -1e3, -1e5]),
+    ulp_cells=st.lists(st.integers(0, 39), max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_hpd_rows_on_undivided_rows_match_the_divided_rows(logp, peak, ulp_cells):
+    # Rows peaking at, above and below -8, with cells one ulp below the peak,
+    # where exp and the divide can round a cell to the peak's own quotient.
+    rows = logp.reshape(-1, logp.shape[-1]) + peak
+    rows[:, [c for c in ulp_cells if c < rows.shape[1]]] = np.nextafter(peak, -np.inf)
+    E = rows.copy()
+    top, total, mode = inference._exp_rows(E)
+    mode = inference._curve_mode(E, top, total, mode)
+    P = E / total
+    assert np.array_equal(mode, P.argmax(axis=1))
+    for level in (0.5, 0.9, 0.99):
+        got, want = _hpd_rows(E, level, total, mode), _hpd_rows(P, level)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), level
+
+
+def test_curve_mode_takes_the_divided_rows_first_argmax_near_the_top():
+    # Cells 0 and 1 differ by one ulp in log, and so after exp, but divide
+    # to the same quotient: P's first argmax is 0, logp's is 1.
+    logp = np.array([[np.nextafter(-0.5, -1.0), -0.5, -3.0]])
+    E = logp.copy()
+    top, total, mode = inference._exp_rows(E)
+    assert int(mode[0]) == 1 and E[0, 0] < E[0, 1]
+    P = E / total
+    assert P[0, 0] == P[0, 1] == pytest.approx(0.48028779)
+    assert int(inference._curve_mode(E, top, total, mode)[0]) == 0
+    assert [int(x[0]) for x in _hpd_rows(E, 0.1, total, mode)] == [0, 0]
+
+
+def test_hpd_rows_sums_divided_cells_near_the_level():
+    # Two of four equal cells hold 0.5, 5e-13 short of the level: only the
+    # exact sum of the divided slice keeps the row growing to a third cell.
+    E, total, level = np.ones((1, 4)), np.array([[4.0]]), 0.5 + 5e-13
+    got = _hpd_rows(E, level, total, np.array([0]))
+    assert [int(x[0]) for x in got] == [int(x[0]) for x in _hpd_rows(E / total, level)] == [0, 2]
+
+
 def _curve_posteriors(log_cols, counts, floor):
     """The normalised posteriors after 1, 2, ... shots and their row sums, built as relative_error_curve does."""
     post = log_cols[counts]
@@ -489,13 +531,20 @@ def test_exp_floor_leaves_row_sums_and_intervals_of_real_posteriors_unchanged(
 
 
 def _capture_posteriors(monkeypatch):
-    """Record a copy of every posterior array relative_error_curve hands to _hpd_rows."""
+    """Record the rows every interval of relative_error_curve is taken on: each _hpd_rows call's cells over their totals.
+
+    The curve hands _hpd_rows its rows after exp, undivided, with their
+    totals and modes; the rows divided here are the ones a full divide
+    would have stored, and each handed mode must be their first argmax.
+    """
     seen = []
     original = inference._hpd_rows
 
-    def capturing(P, level):
-        seen.append(P.copy())
-        return original(P, level)
+    def capturing(P, level, total=None, mode=None):
+        divided = P / (1.0 if total is None else total)
+        assert mode is None or np.array_equal(mode, divided.argmax(axis=1))
+        seen.append(divided)
+        return original(P, level, total, mode)
 
     monkeypatch.setattr(inference, "_hpd_rows", capturing)
     return seen

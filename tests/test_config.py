@@ -356,6 +356,43 @@ def test_cli_matrix_refuses_a_bool_or_string_number_with_exit_3(tmp_path, capsys
     assert list(tmp_path.iterdir()) == [path]
 
 
+# A value the file reads as a number but the model refuses: the model's message, named by the file's path.
+MODEL_RANGE_FIELDS = [
+    ("detector.efficiency", 1.5, "detector.efficiency must be a real number in (0, 1], got 1.5"),
+    ("detector.dark_prob_per_gate", [1e-5], "detector.dark_prob_per_gate: expected a (detector 0, detector 1) pair, "
+     "got (1e-05,)"),
+    ("detector.undershoot.points", [[10.0, 0.2], [5.0, 0.1]],
+     "detector.undershoot.points: mu anchors must be strictly increasing"),
+    ("multiplexer.coupler_ratios", [0.5],
+     "multiplexer.coupler_ratios: expected 5 entries (one per loop stage plus the output coupler), got 1"),
+    ("multiplexer.transmission.avg_loss_db", -1, "multiplexer.transmission.avg_loss_db must be a real number in "
+     "[0, inf), got -1.0"),
+    ("config.guard", -1e-9, "config.guard must be a real number in [0, inf), got -1e-09"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", MODEL_RANGE_FIELDS, ids=_ids(MODEL_RANGE_FIELDS))
+def test_a_model_range_error_is_named_by_the_file_path(tmp_path, capsys, field, value, message):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(_malformed(field, value)))
+    with pytest.raises(ConfigurationError) as exc:
+        load_system(path)
+    assert str(exc.value) == message
+    assert main(["matrix", "--config", str(path), "--mu-max", "5", "-o", str(tmp_path / "m.csv")]) == 3
+    assert capsys.readouterr().err == f"binflux: configuration error: {message}\n"
+
+
+def test_cli_refuses_a_config_number_too_large_for_a_double_with_exit_3(tmp_path, capsys):
+    # Before, float() raised Python's own OverflowError on a 400-digit efficiency.
+    value = 10**400
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(_malformed("detector.efficiency", value)))
+    assert main(["matrix", "--config", str(path), "--mu-max", "5", "-o", str(tmp_path / "m.csv")]) == 3
+    message = f"detector.efficiency must be a real number in (-inf, inf), got {value!r}"
+    assert capsys.readouterr().err == f"binflux: configuration error: {message}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("index, entry", [(0, 0.7), (1, True), (2, 0.0), (3, "1"), (4, 2), (5, -1)])
 def test_detector_assignment_entries_must_be_0_or_1(index, entry):
     # Before, int() read 0.7 as 0, True as 1, 0.0 as 0 and "1" as 1, and the file loaded.
@@ -363,11 +400,11 @@ def test_detector_assignment_entries_must_be_0_or_1(index, entry):
     assignment = [0, 1] * 8
     assignment[index] = entry
     data["multiplexer"]["detector_assignment"] = assignment
-    # MultiplexerSpec checks the entries, so a spec built in code gets the same message.
+    # MultiplexerSpec checks the entries, so a spec built in code gets the same message, less the file's section.
     message = f"detector_assignment[{index}] must be an integer in [0, 1], got {entry!r}"
     with pytest.raises(ConfigurationError) as exc:
         system_from_dict(data)
-    assert str(exc.value) == message
+    assert str(exc.value) == f"multiplexer.{message}"
     with pytest.raises(ConfigurationError) as exc:
         MultiplexerSpec(loop_delays=(5e-6, 10e-6, 25e-6), detector_assignment=tuple(assignment))
     assert str(exc.value) == message

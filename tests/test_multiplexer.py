@@ -10,6 +10,7 @@ from binflux import (
     BinWeights,
     ConfigurationError,
     ExplicitTransmission,
+    GlobalEfficiency,
     MultiplexerSpec,
     UniformLoss,
     build_bin_weights,
@@ -127,6 +128,31 @@ def test_validation_names_offending_field(kwargs, field):
 def test_a_bad_spec_gets_the_whole_message(kwargs, message):
     with pytest.raises(ConfigurationError) as exc:
         MultiplexerSpec(**{"loop_delays": (1e-9,), **kwargs})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: MultiplexerSpec(loop_delays=None), "loop_delays: expected a sequence, got None"),
+        (lambda: MultiplexerSpec(loop_delays="1e-9"), "loop_delays: expected a sequence, got '1e-9'"),
+        (lambda: MultiplexerSpec(loop_delays=(1e-9,), coupler_ratios=5), "coupler_ratios: expected a sequence, got 5"),
+        (
+            lambda: MultiplexerSpec(loop_delays=(1e-9,), transmission=ExplicitTransmission(None)),
+            "transmission.values: expected a sequence, got None",
+        ),
+        (
+            lambda: MultiplexerSpec(loop_delays=(1e-9,), detector_assignment=7),
+            "detector_assignment: expected a sequence, got 7",
+        ),
+        (lambda: GlobalEfficiency(points=None), "undershoot.points: expected a sequence, got None"),
+    ],
+    ids=["delays-none", "delays-str", "ratios-int", "values-none", "assignment-int", "points-none"],
+)
+def test_a_non_sequence_field_gets_the_whole_message(build, message):
+    # Before, each escaped from len() as Python's own TypeError.
+    with pytest.raises(ConfigurationError) as exc:
+        build()
     assert str(exc.value) == message
 
 

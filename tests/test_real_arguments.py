@@ -140,6 +140,17 @@ def test_a_bad_real_names_its_parameter_and_interval(name, lo, hi, brackets, err
 
 
 @pytest.mark.parametrize("name, lo, hi, brackets, error, good, call", ENTRIES)
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+def test_an_int_too_large_for_a_double_is_refused(name, lo, hi, brackets, error, good, call, sign):
+    # Before, 10**400 passed a bound of inf and escaped from float() as Python's own OverflowError.
+    value = sign * 10**400
+    message = f"{name} must be a real number in {brackets[0]}{lo:g}, {hi:g}{brackets[1]}, got {value!r}"
+    with pytest.raises(error) as exc:
+        call(value)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize("name, lo, hi, brackets, error, good, call", ENTRIES)
 def test_a_closed_end_is_inside(name, lo, hi, brackets, error, good, call):
     for end, bracket in ((lo, brackets[0]), (hi, brackets[1])):
         if bracket in "[]":

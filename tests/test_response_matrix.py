@@ -518,9 +518,9 @@ def _number_string_config():
          ": expected 41 provenance tokens, got 40"),
         # Before, MultiplexerSpec took False and 1.0 as detector indices, and save_matrix wrote them.
         ("csv", 1, lambda s: _config_line(_assignment_config(False)),
-         ":2: bad embedded config (detector_assignment[0] must be an integer in [0, 1], got False)"),
+         ":2: bad embedded config (multiplexer.detector_assignment[0] must be an integer in [0, 1], got False)"),
         ("json", None, lambda doc: {**doc, "config": _assignment_config(1.0)},
-         ": missing or malformed field (detector_assignment[0] must be an integer in [0, 1], got 1.0)"),
+         ": missing or malformed field (multiplexer.detector_assignment[0] must be an integer in [0, 1], got 1.0)"),
         ("csv", 1, lambda s: _config_line(_number_string_config()),
          ":2: bad embedded config (detector.deadtime must be a real number in (-inf, inf), got '9.78e-9')"),
     ],
