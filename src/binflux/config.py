@@ -228,6 +228,6 @@ def save_system(system: SystemConfig, path: str | Path) -> None:
 def load_system(path: str | Path) -> SystemConfig:
     try:
         data = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, or a number past the int-to-str digit limit
         raise ConfigurationError(f"config file {path}: invalid JSON ({exc})") from exc
     return system_from_dict(data)

@@ -47,6 +47,19 @@ class MatrixFormatError(BinfluxError):
     """
 
 
+def _shown(value) -> str:
+    """repr(value) for a refusal; an int too long for repr (Python's int-to-str digit limit) by its digit count."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+    digits = int((value.bit_length() - 1) * math.log10(2))  # at most the count, for any rounding
+    while abs(value) >= 10**digits:
+        digits += 1
+    return f"an int of {digits} digits"
+
+
 def _integer(value, name: str, lo: int = 0, hi: int | None = None, error: type[Exception] = ValueError) -> int:
     """value as an int, or error naming name unless it is an integer in [lo, hi].
 
@@ -60,7 +73,7 @@ def _integer(value, name: str, lo: int = 0, hi: int | None = None, error: type[E
         or (hi is not None and value > hi)
     ):
         bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise error(f"{name} must be an integer {bound}, got {value!r}")
+        raise error(f"{name} must be an integer {bound}, got {_shown(value)}")
     return int(value)
 
 
@@ -82,7 +95,7 @@ def _real(value, name: str, lo=-math.inf, hi=math.inf, brackets="()", error: typ
             return float(value)
         except OverflowError:  # an int beyond the largest double
             pass
-    raise error(f"{name} must be a real number in {brackets[0]}{lo:g}, {hi:g}{brackets[1]}, got {value!r}")
+    raise error(f"{name} must be a real number in {brackets[0]}{lo:g}, {hi:g}{brackets[1]}, got {_shown(value)}")
 
 
 def _items(value, name: str) -> tuple:
@@ -92,4 +105,4 @@ def _items(value, name: str) -> tuple:
             return tuple(value)
         except TypeError:
             pass
-    raise ConfigurationError(f"{name}: expected a sequence, got {value!r}")
+    raise ConfigurationError(f"{name}: expected a sequence, got {_shown(value)}")

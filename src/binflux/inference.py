@@ -168,7 +168,53 @@ def posterior_multi(
 # temporaries at a few (rows, cap) arrays whatever the row width.
 _HPD_FIRST_WINDOW = 8
 _HPD_MAX_WINDOW = 64
+# While at least this many rows of an _hpd_rows call grow, and for at most
+# this many steps, one numpy step moves each of them one greedy step.
+_HPD_LOCKSTEP_ROWS = 128
+_HPD_LOCKSTEP_STEPS = 64
 _CURVE_BLOCK_ROWS = 400  # posterior rows relative_error_curve exponentiates and hands _hpd_rows at once
+
+
+def _hpd_lockstep(P, level, total, lo, hi, held, act) -> np.ndarray:
+    """Grow the rows act of _hpd_rows one greedy step per numpy step; return those still growing.
+
+    Each step reads every growing row's two neighbouring cells, divides them
+    by the row's total, takes the larger (ties left; a side off the grid
+    reads -1) and adds it to the row's running mass. That is the greedy loop
+    itself, with the merge's running-mass rule: a state within 1e-12 of
+    level is summed exactly over its slice. Rows that stop leave lo and hi;
+    rows still growing when fewer than _HPD_LOCKSTEP_ROWS are left, or after
+    _HPD_LOCKSTEP_STEPS steps, leave lo, hi and held for the merge.
+    """
+    n = P.shape[1]
+    flat = P.reshape(-1)
+    base = act * n
+    end = base + n
+    # Flat indices of each row's next cell on either side of its interval.
+    left, right = base + lo[act] - 1, base + hi[act] + 1
+    mass, tot = held[act], total[act, 0]
+    for _ in range(_HPD_LOCKSTEP_STEPS):
+        # An index off the grid may leave P; "clip" keeps it in range, and the cell is masked.
+        a = flat.take(left, mode="clip") / tot
+        b = flat.take(right, mode="clip") / tot
+        np.copyto(a, -1.0, where=left < base)
+        np.copyto(b, -1.0, where=right >= end)
+        go_left = a >= b
+        left -= go_left
+        right += ~go_left
+        mass += np.maximum(a, b)
+        for i in np.flatnonzero(np.abs(mass - level) <= 1e-12):
+            mass[i] = (P[act[i], left[i] - base[i] + 1 : right[i] - base[i]] / tot[i]).sum()
+        done = (mass >= level) | (right - left > n)
+        if done.any():
+            lo[act[done]] = left[done] - base[done] + 1
+            hi[act[done]] = right[done] - base[done] - 1
+            keep = ~done
+            act, base, end, left, right, mass, tot = (x[keep] for x in (act, base, end, left, right, mass, tot))
+            if act.size < _HPD_LOCKSTEP_ROWS:
+                break
+    lo[act], hi[act], held[act] = left - base + 1, right - base - 1, mass
+    return act
 
 
 def _hpd_rows(P: np.ndarray, level: float, total=None, mode=None) -> tuple[np.ndarray, np.ndarray]:
@@ -182,10 +228,17 @@ def _hpd_rows(P: np.ndarray, level: float, total=None, mode=None) -> tuple[np.nd
     Each row grows from its mode, adding the more probable neighbor at each
     step (ties extend toward smaller mu) until its mass reaches level.
 
-    A pass moves every row up to S steps at once. That greedy order is a
-    stable merge: with L'_i = min(P[lo - 1], ..., P[lo - i]) the running
-    minimum of the next i values on the left and R'_j the same on the
-    right, left value i is taken at step i + #{j : R'_j > L'_i}: the
+    While at least _HPD_LOCKSTEP_ROWS rows grow, _hpd_lockstep first takes
+    single steps of that loop for all of them at once, up to
+    _HPD_LOCKSTEP_STEPS steps: one numpy step costs about the same whatever
+    the row count, so it pays only for many rows. The merge below finishes
+    the rows still growing, and takes every call with fewer rows, such as
+    credible_interval's one, from the start.
+
+    A pass of the merge moves every row up to S steps at once. That greedy
+    order is a stable merge: with L'_i = min(P[lo - 1], ..., P[lo - i])
+    the running minimum of the next i values on the left and R'_j the same
+    on the right, left value i is taken at step i + #{j : R'_j > L'_i}: the
     smallest left value up to i waits at the head of its side until every
     right value above it has been taken, and the smallest right value up
     to j waits for every left value at or above it (ties go left). So a
@@ -209,6 +262,8 @@ def _hpd_rows(P: np.ndarray, level: float, total=None, mode=None) -> tuple[np.nd
     hi = lo.copy()
     held = P[np.arange(k), lo] / total[:, 0]
     act = np.flatnonzero((held < level) & (n > 1))
+    if act.size >= _HPD_LOCKSTEP_ROWS:
+        act = _hpd_lockstep(P, level, total, lo, hi, held, act)
     window = _HPD_FIRST_WINDOW
     while act.size:
         s = min(window, n - 1)
@@ -256,11 +311,12 @@ def credible_interval(posterior: Posterior, level: float = 0.90) -> CredibleInte
     Grows greedily from the mode, at each step adding the more probable
     neighbor; ties extend toward smaller mu. This is the one-row case of
     the batched routine relative_error_curve uses; mass is the sum of the
-    posterior over [lo, hi]. That routine takes up to 64 of these steps
-    per numpy pass: ordering both sides' running minima in a stable
-    descending merge, ties to the left, gives exactly the loop's order of
-    steps (see _hpd_rows), so an interval 240 values wide costs six passes
-    rather than 240.
+    posterior over [lo, hi]. A single row skips that routine's lockstep
+    phase, which pays only for many rows at once, and goes straight to its
+    merge, which takes up to 64 of these steps per numpy pass: ordering
+    both sides' running minima in a stable descending merge, ties to the
+    left, gives exactly the loop's order of steps (see _hpd_rows), so an
+    interval 240 values wide costs six passes rather than 240.
     """
     level = _real(level, "level", 0.0, 1.0)
     p = posterior.probs

@@ -274,15 +274,18 @@ def _parse_csv(text: str, path: Path):
     m = _HEADER_RE.match(lines[0])
     if m is None:
         raise MatrixFormatError(f"{path}:1: malformed header line")
-    version, fp, mu_max, bins = int(m.group(1)), m.group(2), int(m.group(3)), int(m.group(4))
-    method = m.group(5)
+    try:
+        version, mu_max, bins = int(m.group(1)), int(m.group(3)), int(m.group(4))
+    except ValueError:  # a number past Python's int-to-str digit limit
+        raise MatrixFormatError(f"{path}:1: malformed header line") from None
+    fp, method = m.group(2), m.group(5)
     if version != _FORMAT_VERSION:
         raise MatrixFormatError(f"{path}:1: unsupported format version {version}")
     if len(lines) < 4 or not lines[1].startswith("# config: "):
         raise MatrixFormatError(f"{path}:2: missing config line")
     try:
         system = system_from_dict(json.loads(lines[1][len("# config: "):]))
-    except (json.JSONDecodeError, ConfigurationError) as exc:
+    except (ValueError, ConfigurationError) as exc:  # a JSONDecodeError, or a number past the digit limit
         raise MatrixFormatError(f"{path}:2: bad embedded config ({exc})") from exc
     if not lines[2].startswith("# provenance: "):
         raise MatrixFormatError(f"{path}:3: missing provenance line")
@@ -320,7 +323,7 @@ def _parse_json(text: str, path: Path):
     """The same parts as _parse_csv, from a JSON document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a number past Python's int-to-str digit limit
         raise MatrixFormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != "binflux-matrix":
         raise MatrixFormatError(f"{path}: not a binflux-matrix document")

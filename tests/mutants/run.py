@@ -319,8 +319,8 @@ MUTANTS = (
     Mutant(
         "inference.hpd_stops_only_above_level",
         "inference.py",
-        "done = (mass >= level) |",
-        "done = (mass > level) |",
+        "done = (mass >= level) | ((new_lo",
+        "done = (mass > level) | ((new_lo",
         # Fails at once; under -x the file's first failure is a Hypothesis test that shrinks for up to 90 s.
         ("test_batched.py::test_running_mass_hpd_matches_scalar_loop_on_wide_rows",),
     ),
@@ -399,6 +399,57 @@ MUTANTS = (
         "(P[act[i], new_lo[i, t] : new_hi[i, t] + 1] / total[act[i], 0]).sum()",
         "P[act[i], new_lo[i, t] : new_hi[i, t] + 1].sum()",
         ("test_batched.py::test_hpd_rows_sums_divided_cells_near_the_level",),
+    ),
+    Mutant(
+        "inference.lockstep_ties_go_right",
+        "inference.py",
+        "go_left = a >= b",
+        "go_left = a > b",
+        ("test_batched.py::test_lockstep_phase_on_crafted_rows", "test_batched.py::test_lockstep_hpd_rows_match_scalar_greedy_loop"),
+    ),
+    Mutant(
+        "inference.lockstep_stops_only_above_level",
+        "inference.py",
+        "done = (mass >= level) | (right - left > n)",
+        "done = (mass > level) | (right - left > n)",
+        ("test_batched.py::test_lockstep_phase_on_crafted_rows", "test_batched.py::test_lockstep_hpd_rows_match_scalar_greedy_loop"),
+    ),
+    Mutant(
+        "inference.lockstep_left_cell_not_divided",
+        "inference.py",
+        'a = flat.take(left, mode="clip") / tot',
+        'a = flat.take(left, mode="clip")',
+        ("test_batched.py::test_lockstep_phase_on_crafted_rows", "test_batched.py::test_lockstep_hpd_rows_match_scalar_greedy_loop"),
+    ),
+    Mutant(
+        "inference.lockstep_left_edge_unmasked",
+        "inference.py",
+        "np.copyto(a, -1.0, where=left < base)",
+        "pass",
+        # The cell before a row's first is the previous row's last.
+        ("test_batched.py::test_lockstep_phase_on_crafted_rows", "test_batched.py::test_lockstep_hpd_rows_match_scalar_greedy_loop"),
+    ),
+    Mutant(
+        "inference.lockstep_right_edge_unmasked",
+        "inference.py",
+        "np.copyto(b, -1.0, where=right >= end)",
+        "pass",
+        ("test_batched.py::test_lockstep_phase_on_crafted_rows", "test_batched.py::test_lockstep_hpd_rows_match_scalar_greedy_loop"),
+    ),
+    Mutant(
+        "inference.lockstep_exact_sum_not_divided",
+        "inference.py",
+        "(P[act[i], left[i] - base[i] + 1 : right[i] - base[i]] / tot[i]).sum()",
+        "P[act[i], left[i] - base[i] + 1 : right[i] - base[i]].sum()",
+        ("test_batched.py::test_lockstep_phase_on_crafted_rows", "test_batched.py::test_lockstep_hpd_rows_match_scalar_greedy_loop"),
+    ),
+    Mutant(
+        "inference.lockstep_gate_takes_any_row_count",
+        "inference.py",
+        "if act.size >= _HPD_LOCKSTEP_ROWS:",
+        "if act.size >= 1:",
+        # Intervals are the same either way; a single row must keep today's merge-only path.
+        ("test_batched.py::test_fewer_growing_rows_than_the_lockstep_gate_take_the_merge_alone",),
     ),
     Mutant(
         "response_matrix.interpolation_fraction",

@@ -203,6 +203,121 @@ def test_wide_hpd_rows_match_scalar_greedy_loop(case):
         assert (iv.lo, iv.hi, iv.mass) == ref
 
 
+def _record_lockstep(monkeypatch):
+    """Record (growing rows in, rows handed on to the merge) for every _hpd_lockstep call."""
+    runs = []
+    original = inference._hpd_lockstep
+
+    def recording(P, level, total, lo, hi, held, act):
+        handed_on = original(P, level, total, lo, hi, held, act)
+        runs.append((act.size, handed_on.size))
+        return handed_on
+
+    monkeypatch.setattr(inference, "_hpd_lockstep", recording)
+    return runs
+
+
+def _check_lockstep_rows(E, level, undivided):
+    """_hpd_rows of the rows E / E.sum(axis=1) against reference_hpd, row by row.
+
+    Undivided, E goes in with its totals and first argmaxes, as the curve
+    hands its rows over. Equal rows of E give equal quotients, so the
+    reference runs once per distinct row.
+    """
+    total = E.sum(axis=1, keepdims=True)
+    Q = E / total
+    if undivided:
+        lo, hi = _hpd_rows(E, level, total, Q.argmax(axis=1))
+    else:
+        lo, hi = _hpd_rows(Q, level)
+    refs = {}
+    for i, q in enumerate(Q):
+        ref = refs.setdefault(q.tobytes(), reference_hpd(q, level)[:2])
+        assert (int(lo[i]), int(hi[i])) == ref, (i, level)
+
+
+@st.composite
+def lockstep_batches(draw):
+    """At least _HPD_LOCKSTEP_ROWS rows: a few distinct rows, each repeated, shuffled and scaled, and a level.
+
+    The distinct rows come from posterior_batches (tie-heavy, random or
+    bumps, 1..60 values) or wide_posterior_batches (100..400 values, many
+    still growing after _HPD_LOCKSTEP_STEPS steps). Half the levels are the
+    exact mass of an interval the greedy loop returns for one of them, so
+    that row's stop decision falls in the 1e-12 exact-sum band.
+    """
+    P, level = draw(st.one_of(posterior_batches(), wide_posterior_batches()))
+    rows = inference._HPD_LOCKSTEP_ROWS
+    reps = draw(st.lists(st.integers(1, 2 * rows), min_size=P.shape[0], max_size=P.shape[0]))
+    order = np.repeat(np.arange(P.shape[0]), reps)
+    order = np.concatenate([order, np.zeros(max(0, rows - order.size), dtype=int)])
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(order)
+    E = P[order] * draw(st.sampled_from([1.0, 0.75, 3.0, 1e3]))
+    if draw(st.booleans()):
+        q = P[draw(st.integers(0, P.shape[0] - 1))]
+        mass = reference_hpd(q / q.sum(), level)[2]
+        level = mass if mass < 1.0 else level
+    return E, level, draw(st.booleans())
+
+
+@given(lockstep_batches())
+@settings(max_examples=200, deadline=None)
+def test_lockstep_hpd_rows_match_scalar_greedy_loop(case):
+    _check_lockstep_rows(*case)
+
+
+def _tiled(rows, count):
+    """count rows cycling through rows, so every distinct row recurs in the batch."""
+    rows = np.asarray(rows, dtype=float)
+    return rows[np.arange(count) % rows.shape[0]]
+
+
+def test_lockstep_phase_on_crafted_rows(monkeypatch):
+    # Every call below runs the lockstep phase and must give the greedy
+    # loop's interval on every row. Each distinct row recurs often enough
+    # that most of them stop inside the phase, not in the merge after it.
+    runs = _record_lockstep(monkeypatch)
+    rows = inference._HPD_LOCKSTEP_ROWS
+    cases = []
+    # Tie-heavy integer rows, divided and undivided, at levels the loop attains exactly.
+    rng = np.random.default_rng(34)
+    w = rng.integers(0, 4, (6, 40)).astype(float)
+    w[np.arange(6), rng.integers(0, 40, 6)] += 1.0
+    ties = _tiled(w, 6 * rows)
+    q = ties[0] / ties[0].sum()
+    for level in [reference_hpd(q, lv)[2] for lv in (0.2, 0.5, 0.9)] + [0.5]:
+        cases += [(ties * 7.0, level, False), (ties * 7.0, level, True)]
+    # Modes at either grid edge, where the other edge's cell outweighs the
+    # first neighbour: the flat index past the edge is the next or previous row's.
+    cases.append((_tiled([[5, 1, 1, 1, 4], [4, 1, 1, 1, 5]], 4 * rows), 0.6, True))
+    # Grids of two values.
+    cases += [(_tiled([[1, 3], [3, 1], [1, 1]], 6 * rows), level, True) for level in (0.6, 0.76, 0.99)]
+    for E, level, undivided in cases:
+        _check_lockstep_rows(E, level, undivided)
+        assert len(runs) == 1 and runs.pop()[0] >= rows
+    # No row grows on a grid of one value, nor past a mode that holds the level.
+    _check_lockstep_rows(_tiled([[1.0], [2.0]], 2 * rows), 0.5, True)
+    _check_lockstep_rows(_tiled([[1, 3], [3, 1]], 2 * rows), 0.75, True)
+    assert runs == []
+    # Wide flat rows are still growing after the last lockstep step: the merge finishes them.
+    _check_lockstep_rows(_tiled(np.ones((1, 300)) + np.eye(1, 300, 120), rows), 0.9, True)
+    assert runs == [(rows, rows)]
+
+
+def test_fewer_growing_rows_than_the_lockstep_gate_take_the_merge_alone(monkeypatch, rapid32_matrix400):
+    runs = _record_lockstep(monkeypatch)
+    rows = inference._HPD_LOCKSTEP_ROWS
+    post = posterior_single(rapid32_matrix400, 10)
+    credible_interval(post, 0.9)
+    P = np.array([posterior_single(rapid32_matrix400, n).probs for n in range(33)])
+    _hpd_rows(_tiled(P, rows - 1), 0.9)
+    # Rows whose mode alone holds the level do not count as growing.
+    _hpd_rows(np.concatenate([_tiled(P, rows - 1), _tiled(np.eye(1, P.shape[1], 7), 50)]), 0.9)
+    assert runs == []
+    _hpd_rows(_tiled(P, rows), 0.9)
+    assert len(runs) == 1 and runs[0][0] == rows
+
+
 def test_hpd_rows_memory_stays_near_the_posterior_size():
     # A flat posterior grows every row across most of the grid, so the
     # windowed passes run to their cap; their temporaries must stay small

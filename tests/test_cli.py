@@ -9,6 +9,7 @@ import pytest
 
 import binflux
 import binflux.cli as cli
+import binflux.config as config_mod
 import binflux.inference as inference
 from binflux import (
     Coherent,
@@ -962,6 +963,50 @@ def test_infer_json_cell_past_the_double_range_exits_3(rapid32_matrix_file, tmp_
         assert capsys.readouterr().err.startswith(
             f"binflux: matrix file error: {bad}: row {row}: number too large for a double"
         )
+
+
+HUGE = "1" + "0" * 5000  # a JSON integer of 5001 digits, past Python's int-to-str digit limit
+
+
+def _edited(path: Path, bad: Path, old: str, new: str) -> Path:
+    """Write path's text to bad with the first old replaced by new."""
+    text = path.read_text()
+    assert old in text
+    bad.write_text(text.replace(old, new, 1))
+    return bad
+
+
+def test_a_number_past_the_digit_limit_exits_3_naming_the_file(rapid32_matrix_file, tmp_path, capsys):
+    # json.loads refuses HUGE with a plain ValueError, not a JSONDecodeError, so
+    # before, each of these escaped the file's handler and exited 2 as a usage error.
+    with pytest.raises(ValueError) as refused:
+        json.loads(HUGE)
+    why = str(refused.value)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(config_mod.system_to_dict(preset("rapid32"))))
+    matrix_json, matrix_csv = rapid32_matrix_file(40, "json"), rapid32_matrix_file(40)
+    _json_matrix_with_cell(matrix_json, tmp_path / "marked.json", 3, 2, lambda _: "HUGE")
+    efficiency = '"efficiency": 0.165'
+    cases = [
+        (["matrix", "--config", str(_edited(config, tmp_path / "c1.json", efficiency, f'"efficiency": {HUGE}')),
+          "--mu-max", "5", "-o", str(tmp_path / "m.csv")],
+         f"configuration error: config file {tmp_path / 'c1.json'}: invalid JSON ({why})"),
+        (["infer", "-m", str(_edited(matrix_json, tmp_path / "config.json", efficiency, f'"efficiency": {HUGE}')),
+          "--n", "1"],
+         f"matrix file error: {tmp_path / 'config.json'}: invalid JSON ({why})"),
+        (["infer", "-m", str(_edited(tmp_path / "marked.json", tmp_path / "cell.json", '"HUGE"', HUGE)),
+          "--n", "1"],
+         f"matrix file error: {tmp_path / 'cell.json'}: invalid JSON ({why})"),
+        (["infer", "-m", str(_edited(matrix_csv, tmp_path / "config.csv", '"efficiency":0.165', f'"efficiency":{HUGE}')),
+          "--n", "1"],
+         f"matrix file error: {tmp_path / 'config.csv'}:2: bad embedded config ({why})"),
+        (["infer", "-m", str(_edited(matrix_csv, tmp_path / "header.csv", "mu_max=40", f"mu_max={HUGE}")),
+          "--n", "1"],
+         f"matrix file error: {tmp_path / 'header.csv'}:1: malformed header line"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 3, argv
+        assert capsys.readouterr().err == f"binflux: {message}\n"
 
 
 def test_matrix_file_and_config_errors_have_their_own_labels(matrix_file, tmp_path, capsys):

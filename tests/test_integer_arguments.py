@@ -97,6 +97,16 @@ def test_a_bad_integer_argument_names_its_parameter(name, lo, hi, good, call, ki
 
 
 @pytest.mark.parametrize("name, lo, hi, good, call", ENTRIES)
+def test_an_int_too_long_to_print_is_refused_by_its_digit_count(name, lo, hi, good, call):
+    # repr itself raises ValueError past Python's 4300-digit limit, so the refusal used to escape as that.
+    bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    message = f"{name} must be an integer {bound}, got an int of 5001 digits"
+    for value in [-(10**5000)] + ([10**5000] if hi is not None else []):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+
+@pytest.mark.parametrize("name, lo, hi, good, call", ENTRIES)
 def test_a_numpy_integer_gives_the_result_of_its_int(name, lo, hi, good, call):
     assert pickle.dumps(call(np.int64(good))) == pickle.dumps(call(good))
 

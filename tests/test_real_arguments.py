@@ -151,6 +151,22 @@ def test_an_int_too_large_for_a_double_is_refused(name, lo, hi, brackets, error,
 
 
 @pytest.mark.parametrize("name, lo, hi, brackets, error, good, call", ENTRIES)
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+def test_an_int_too_long_to_print_is_refused_by_its_digit_count(name, lo, hi, brackets, error, good, call, sign):
+    # repr itself raises ValueError past Python's 4300-digit limit, so the refusal used to escape as that.
+    message = f"{name} must be a real number in {brackets[0]}{lo:g}, {hi:g}{brackets[1]}, got an int of 5001 digits"
+    with pytest.raises(error) as exc:
+        call(sign * 10**5000)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_a_sequence_field_names_an_int_too_long_to_print_by_its_digit_count():
+    with pytest.raises(ConfigurationError) as exc:
+        _mux(loop_delays=10**5000)
+    assert str(exc.value) == "loop_delays: expected a sequence, got an int of 5001 digits"
+
+
+@pytest.mark.parametrize("name, lo, hi, brackets, error, good, call", ENTRIES)
 def test_a_closed_end_is_inside(name, lo, hi, brackets, error, good, call):
     for end, bracket in ((lo, brackets[0]), (hi, brackets[1])):
         if bracket in "[]":
