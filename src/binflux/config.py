@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .detector_model import DetectorSpec, GlobalEfficiency, MechanisticUndershoot
-from .errors import ConfigurationError, _real
+from .errors import ConfigurationError, _real, _shown
 from .multiplexer import (
     BinWeights,
     ExplicitTransmission,
@@ -33,6 +33,8 @@ class SystemConfig:
     guard: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ConfigurationError(f"name: expected a string, got {_shown(self.name)}")
         if self.guard is not None:
             object.__setattr__(self, "guard", _real(self.guard, "guard", 0.0, brackets="[)", error=ConfigurationError))
 
@@ -83,59 +85,36 @@ def system_to_dict(system: SystemConfig) -> dict[str, Any]:
 
 
 _REQUIRED = object()
+# Each kind of transmission and undershoot: its class and its one field besides "kind".
+_TRANSMISSIONS = {"uniform_loss": (UniformLoss, "avg_loss_db"), "explicit": (ExplicitTransmission, "values")}
+_UNDERSHOOTS = {
+    "global_efficiency": (GlobalEfficiency, "points"),
+    "mechanistic": (MechanisticUndershoot, "p_miss_next"),
+}
 
 
-def _field(
-    d: dict[str, Any], key: str, where: str, convert: Callable[[Any, str], Any], default: Any = _REQUIRED
-) -> Any:
-    """convert(d[key], name) for the dotted field name where.key, raising ConfigurationError that names it.
-
-    An absent or null field is an error unless a default is given, which is
-    then returned unconverted.
-    """
-    name = f"{where}.{key}"
-    value = d.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise ConfigurationError(f"{name}: missing required field")
-        return default
-    try:
-        return convert(value, name)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{name}: malformed value {value!r} ({exc})") from None
-
-
-def _object(value: Any, name: str = "") -> dict[str, Any]:
+def _object(value: Any, where: str) -> dict[str, Any]:
+    """value, or ConfigurationError naming where unless it is a JSON object."""
     if not isinstance(value, dict):
-        raise TypeError("expected a JSON object")
+        raise ConfigurationError(f"{where}: expected a JSON object, got {_shown(value)}")
     return value
 
 
-def _sequence(value: Any, name: str = "") -> list | tuple:
-    if not isinstance(value, (list, tuple)):
-        raise TypeError("expected a list")
-    return value
+def _fields(value: Any, where: str, **defaults: Any) -> dict[str, Any]:
+    """Each field of the JSON object value named in defaults, as written, or its default if absent or null.
 
-
-def _number(value: Any, name: str) -> float:
-    """A finite JSON number as a float; the model checks its range. true and "1e-9" are no numbers."""
-    return _real(value, name, error=ConfigurationError)
-
-
-def _numbers(value: Any, name: str) -> tuple[float, ...]:
-    return tuple(_number(v, f"{name}[{i}]") for i, v in enumerate(_sequence(value)))
-
-
-def _points(value: Any, name: str) -> tuple[tuple[float, ...], ...]:
-    pairs = tuple(_numbers(p, f"{name}[{i}]") for i, p in enumerate(_sequence(value)))
-    if any(len(p) != 2 for p in pairs):
-        raise ValueError("expected [mu, eta] pairs")
-    return pairs
-
-
-def _assignment(value: Any, name: str) -> str | tuple:
-    """The mode name or the entries, which MultiplexerSpec checks."""
-    return value if isinstance(value, str) else tuple(_sequence(value))
+    ConfigurationError names the field where.key if its default is _REQUIRED
+    and it is absent or null, or if defaults does not name it: system_to_dict
+    writes no such field.
+    """
+    for key in _object(value, where):
+        if key not in defaults:
+            raise ConfigurationError(f"{where}.{key}: unknown field")
+    fields = {key: default if value.get(key) is None else value[key] for key, default in defaults.items()}
+    for key, field in fields.items():
+        if field is _REQUIRED:
+            raise ConfigurationError(f"{where}.{key}: missing required field")
+    return fields
 
 
 def _section(where: str, build: Callable[..., Any], *args: Any, **fields: Any) -> Any:
@@ -146,70 +125,50 @@ def _section(where: str, build: Callable[..., Any], *args: Any, **fields: Any) -
         raise ConfigurationError(f"{where}.{exc}") from None
 
 
+def _kind(value: Any, section: str, key: str, kinds: dict[str, tuple[Callable[..., Any], str]]) -> Any:
+    """The model object that the JSON object value at section.key describes, of the class its kind names in kinds."""
+    where = f"{section}.{key}"
+    kind = _object(value, where).get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigurationError(f"{where}.kind: unknown kind {kind!r}")
+    build, field = kinds[kind]
+    return _section(section, build, _fields(value, where, kind=_REQUIRED, **{field: _REQUIRED})[field])
+
+
 def system_from_dict(data: dict[str, Any]) -> SystemConfig:
-    """Parse a configuration dict; a missing, malformed or out-of-range field raises ConfigurationError naming it."""
-    if not isinstance(data, dict):
-        raise ConfigurationError("config: expected a JSON object")
-    mux_d = _field(data, "multiplexer", "config", _object)
-    det_d = _field(data, "detector", "config", _object)
+    """Parse a configuration dict; a missing, unknown or bad field raises ConfigurationError naming it.
 
-    lossless = {"kind": "uniform_loss", "avg_loss_db": 0.0}
-    trans_d = _field(mux_d, "transmission", "multiplexer", _object, lossless)
-    kind = trans_d.get("kind")
-    if kind == "uniform_loss":
-        trans: UniformLoss | ExplicitTransmission = UniformLoss(
-            _field(trans_d, "avg_loss_db", "multiplexer.transmission", _number)
-        )
-    elif kind == "explicit":
-        trans = ExplicitTransmission(_field(trans_d, "values", "multiplexer.transmission", _numbers))
-    else:
-        raise ConfigurationError(f"multiplexer.transmission.kind: unknown kind {kind!r}")
-
-    mux = _section(
+    The reader checks the structure: objects, required fields and kinds. It
+    hands every value to the model classes as written, and their checks,
+    prefixed with the file's section, name a bad one.
+    """
+    config = _fields(data, "config", name="custom", multiplexer=_REQUIRED, detector=_REQUIRED, guard=None)
+    mux = _fields(
+        config["multiplexer"],
         "multiplexer",
-        MultiplexerSpec,
-        loop_delays=_field(mux_d, "loop_delays", "multiplexer", _numbers),
-        coupler_ratios=_field(mux_d, "coupler_ratios", "multiplexer", _numbers, None),
-        transmission=trans,
-        detector_assignment=_field(mux_d, "detector_assignment", "multiplexer", _assignment, "final_coupler"),
+        loop_delays=_REQUIRED,
+        coupler_ratios=None,
+        transmission={"kind": "uniform_loss", "avg_loss_db": 0.0},
+        detector_assignment="final_coupler",
     )
-
-    under_d = _field(det_d, "undershoot", "detector", _object, None)
-    if under_d is None:
-        under: GlobalEfficiency | MechanisticUndershoot | None = None
-    elif under_d.get("kind") == "global_efficiency":
-        under = _section("detector", GlobalEfficiency, _field(under_d, "points", "detector.undershoot", _points))
-    elif under_d.get("kind") == "mechanistic":
-        p_miss_next = _field(under_d, "p_miss_next", "detector.undershoot", _number)
-        under = _section("detector", MechanisticUndershoot, p_miss_next)
-    else:
-        raise ConfigurationError(f"detector.undershoot.kind: unknown kind {under_d.get('kind')!r}")
-
-    det = _section(
+    mux["transmission"] = _kind(mux["transmission"], "multiplexer", "transmission", _TRANSMISSIONS)
+    det = _fields(
+        config["detector"],
         "detector",
-        DetectorSpec,
-        efficiency=_field(det_d, "efficiency", "detector", _number),
-        dark_prob_per_gate=_field(det_d, "dark_prob_per_gate", "detector", _numbers),
-        gate_width=_field(det_d, "gate_width", "detector", _number),
-        deadtime=_field(det_d, "deadtime", "detector", _number),
-        undershoot=under,
-        afterpulse_metadata=_field(
-            det_d,
-            "afterpulse_metadata",
-            "detector",
-            lambda ap, name: tuple(sorted((str(k), _number(v, f"{name}.{k}")) for k, v in _object(ap).items())),
-            None,
-        ),
+        efficiency=_REQUIRED,
+        dark_prob_per_gate=_REQUIRED,
+        gate_width=_REQUIRED,
+        deadtime=_REQUIRED,
+        undershoot=None,
+        afterpulse_metadata=None,
     )
-
-    return _section(
-        "config",
-        SystemConfig,
-        name=str(data.get("name", "custom")),
-        multiplexer=mux,
-        detector=det,
-        guard=_field(data, "guard", "config", _number, None),
-    )
+    if det["undershoot"] is not None:
+        det["undershoot"] = _kind(det["undershoot"], "detector", "undershoot", _UNDERSHOOTS)
+    if det["afterpulse_metadata"] is not None:
+        det["afterpulse_metadata"] = tuple(_object(det["afterpulse_metadata"], "detector.afterpulse_metadata").items())
+    config["multiplexer"] = _section("multiplexer", MultiplexerSpec, **mux)
+    config["detector"] = _section("detector", DetectorSpec, **det)
+    return _section("config", SystemConfig, **config)
 
 
 def canonical_json(system: SystemConfig) -> str:

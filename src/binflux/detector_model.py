@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, _integer, _items, _real
+from .errors import ConfigurationError, _integer, _items, _real, _shown
 from .multiplexer import BinWeights
 
 
@@ -80,7 +80,9 @@ class DetectorSpec:
 
     efficiency is the nominal quantum efficiency; dark_prob_per_gate holds
     one dark-click probability per detector. afterpulse_metadata is carried
-    along for reporting only and never enters any calculation.
+    along for reporting only and never enters any calculation; its
+    (name, value) pairs are stored sorted by name, so the order they come
+    in does not make two specs differ.
     """
 
     efficiency: float
@@ -103,10 +105,15 @@ class DetectorSpec:
         if not isinstance(self.undershoot, (GlobalEfficiency, MechanisticUndershoot, type(None))):
             raise ConfigurationError(f"undershoot: unsupported type {type(self.undershoot).__name__}")
         if self.afterpulse_metadata is not None:
-            entries = enumerate(self.afterpulse_metadata)
-            pairs = (_pair(entry, f"afterpulse_metadata[{i}]", "(name, value)") for i, entry in entries)
-            checked = tuple((k, _real(v, f"afterpulse_metadata.{k}", error=ConfigurationError)) for k, v in pairs)
-            object.__setattr__(self, "afterpulse_metadata", checked)
+            entries = enumerate(_items(self.afterpulse_metadata, "afterpulse_metadata"))
+            pairs = [_pair(entry, f"afterpulse_metadata[{i}]", "(name, value)") for i, entry in entries]
+            for i, (k, _) in enumerate(pairs):
+                if not isinstance(k, str) or k in (name for name, _ in pairs[:i]):
+                    raise ConfigurationError(
+                        f"afterpulse_metadata[{i}]: expected a string name not used before, got {_shown(k)}"
+                    )
+            checked = sorted((k, _real(v, f"afterpulse_metadata.{k}", error=ConfigurationError)) for k, v in pairs)
+            object.__setattr__(self, "afterpulse_metadata", tuple(checked))
 
     @property
     def history_dependent(self) -> bool:

@@ -70,14 +70,12 @@ class MultiplexerSpec:
         delays = tuple(_real(d, f"loop_delays[{i}]", 0.0, error=ConfigurationError) for i, d in enumerate(delays))
         object.__setattr__(self, "loop_delays", delays)
         if self.coupler_ratios is not None:
-            object.__setattr__(self, "coupler_ratios", _items(self.coupler_ratios, "coupler_ratios"))
-        ratios = self.ratios()
-        if len(ratios) != self.num_loops + 1:
-            raise ConfigurationError(
-                f"coupler_ratios: expected {self.num_loops + 1} entries "
-                f"(one per loop stage plus the output coupler), got {len(ratios)}"
-            )
-        if self.coupler_ratios is not None:
+            ratios = _items(self.coupler_ratios, "coupler_ratios")
+            if len(ratios) != self.num_loops + 1:
+                raise ConfigurationError(
+                    f"coupler_ratios: expected {self.num_loops + 1} entries "
+                    f"(one per loop stage plus the output coupler), got {len(ratios)}"
+                )
             named = enumerate(ratios)
             checked = tuple(_real(r, f"coupler_ratios[{i}]", 0.0, 1.0, error=ConfigurationError) for i, r in named)
             object.__setattr__(self, "coupler_ratios", checked)

@@ -272,6 +272,27 @@ MUTANTS = (
         ("test_detector_model.py::test_a_spec_checks_itself_when_built",),
     ),
     Mutant(
+        "detector_model.afterpulse_metadata_unsorted",
+        "detector_model.py",
+        "checked = sorted((k, _real(",
+        "checked = list((k, _real(",
+        ("test_config.py::test_afterpulse_metadata_is_stored_sorted_by_name",),
+    ),
+    Mutant(
+        "config.section_prefix_dropped",
+        "config.py",
+        'raise ConfigurationError(f"{where}.{exc}") from None',
+        'raise ConfigurationError(f"{exc}") from None',
+        ("test_config.py::test_a_config_value_gets_the_model_message_with_its_section",),
+    ),
+    Mutant(
+        "config.unknown_field_accepted",
+        "config.py",
+        "if key not in defaults:",
+        "if False:",
+        ("test_config.py::test_an_unknown_field_is_refused",),
+    ),
+    Mutant(
         "multiplexer.bin_weights_sum_unchecked",
         "multiplexer.py",
         "w.sum() <= 1.0 + 1e-12",

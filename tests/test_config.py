@@ -212,19 +212,15 @@ def test_guard_validation():
 
 AFTERPULSE_KEY = "afterpulse_prob_one_deadtime_after_click"
 
-# (dotted path in the config dict, value, the ConfigurationError message of the file, that of the model):
-# the file refuses any value that is no finite number, the model also one out of its range.
+# (dotted path in the config dict, value, the ConfigurationError message of the file): the model's
+# message, which the file prefixes with its section.
 NON_FINITE_FIELDS = [
-    ("config.guard", float("nan"), "config.guard must be a real number in (-inf, inf), got nan",
-     "guard must be a real number in [0, inf), got nan"),
-    ("config.guard", float("inf"), "config.guard must be a real number in (-inf, inf), got inf",
-     "guard must be a real number in [0, inf), got inf"),
+    ("config.guard", float("nan"), "config.guard must be a real number in [0, inf), got nan"),
+    ("config.guard", float("inf"), "config.guard must be a real number in [0, inf), got inf"),
     (f"detector.afterpulse_metadata.{AFTERPULSE_KEY}", float("nan"),
-     f"detector.afterpulse_metadata.{AFTERPULSE_KEY} must be a real number in (-inf, inf), got nan",
-     f"afterpulse_metadata.{AFTERPULSE_KEY} must be a real number in (-inf, inf), got nan"),
+     f"detector.afterpulse_metadata.{AFTERPULSE_KEY} must be a real number in (-inf, inf), got nan"),
     (f"detector.afterpulse_metadata.{AFTERPULSE_KEY}", float("-inf"),
-     f"detector.afterpulse_metadata.{AFTERPULSE_KEY} must be a real number in (-inf, inf), got -inf",
-     f"afterpulse_metadata.{AFTERPULSE_KEY} must be a real number in (-inf, inf), got -inf"),
+     f"detector.afterpulse_metadata.{AFTERPULSE_KEY} must be a real number in (-inf, inf), got -inf"),
 ]
 NON_FINITE_IDS = ["guard-nan", "guard-inf", "afterpulse-nan", "afterpulse-minus-inf"]
 
@@ -236,20 +232,20 @@ def _non_finite_config(tmp_path, path, value):
     return config
 
 
-@pytest.mark.parametrize("path, value, message, model_message", NON_FINITE_FIELDS, ids=NON_FINITE_IDS)
-def test_non_finite_config_numbers_are_rejected(tmp_path, path, value, message, model_message):
+@pytest.mark.parametrize("path, value, message", NON_FINITE_FIELDS, ids=NON_FINITE_IDS)
+def test_non_finite_config_numbers_are_rejected(tmp_path, path, value, message):
     with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
         load_system(_non_finite_config(tmp_path, path, value))
     base = get_preset("rapid32")
-    with pytest.raises(ConfigurationError, match=f"^{re.escape(model_message)}$"):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message.split('.', 1)[1])}$"):
         if path == "config.guard":
             dataclasses.replace(base, guard=value)
         else:
             dataclasses.replace(base.detector, afterpulse_metadata=((AFTERPULSE_KEY, value),))
 
 
-@pytest.mark.parametrize("path, value, message, model_message", NON_FINITE_FIELDS, ids=NON_FINITE_IDS)
-def test_cli_matrix_with_non_finite_config_exits_3(tmp_path, capsys, path, value, message, model_message):
+@pytest.mark.parametrize("path, value, message", NON_FINITE_FIELDS, ids=NON_FINITE_IDS)
+def test_cli_matrix_with_non_finite_config_exits_3(tmp_path, capsys, path, value, message):
     out = tmp_path / "m.csv"
     config = _non_finite_config(tmp_path, path, value)
     assert main(["matrix", "--config", str(config), "--mu-max", "10", "-o", str(out)]) == 3
@@ -269,37 +265,43 @@ def test_unknown_preset_lists_available():
         get_preset("nope")
 
 
-# (dotted path, value, the whole ConfigurationError message)
-MALFORMED_FIELDS = [
+# (dotted path, value, the whole ConfigurationError message): the file's structure, which the reader checks.
+STRUCTURE_FIELDS = [
     ("multiplexer.transmission.avg_loss_db", None, "multiplexer.transmission.avg_loss_db: missing required field"),
     ("multiplexer.transmission.values", None, "multiplexer.transmission.values: missing required field"),
-    ("multiplexer.loop_delays", 5, "multiplexer.loop_delays: malformed value 5 (expected a list)"),
-    ("multiplexer.loop_delays", "1e-9", "multiplexer.loop_delays: malformed value '1e-9' (expected a list)"),
-    ("multiplexer.coupler_ratios", ["half"],
-     "multiplexer.coupler_ratios[0] must be a real number in (-inf, inf), got 'half'"),
-    ("multiplexer.detector_assignment", 7, "multiplexer.detector_assignment: malformed value 7 (expected a list)"),
-    ("multiplexer.transmission", "lossless",
-     "multiplexer.transmission: malformed value 'lossless' (expected a JSON object)"),
-    ("config.multiplexer", 5, "config.multiplexer: malformed value 5 (expected a JSON object)"),
-    ("detector.efficiency", "abc", "detector.efficiency must be a real number in (-inf, inf), got 'abc'"),
-    ("detector.dark_prob_per_gate", [1e-5, "x"],
-     "detector.dark_prob_per_gate[1] must be a real number in (-inf, inf), got 'x'"),
-    ("detector.undershoot.points", [[10.0]], "detector.undershoot.points: malformed value [[10.0]] (expected [mu, eta] pairs)"),
+    ("multiplexer.transmission", "lossless", "multiplexer.transmission: expected a JSON object, got 'lossless'"),
+    ("config.multiplexer", 5, "multiplexer: expected a JSON object, got 5"),
     ("detector.undershoot.p_miss_next", None, "detector.undershoot.p_miss_next: missing required field"),
-    ("detector.afterpulse_metadata", "none", "detector.afterpulse_metadata: malformed value 'none' (expected a JSON object)"),
-    ("config.guard", "wide", "config.guard must be a real number in (-inf, inf), got 'wide'"),
+    ("detector.afterpulse_metadata", "none", "detector.afterpulse_metadata: expected a JSON object, got 'none'"),
+]
+# (dotted path, value, the whole ConfigurationError message): a value, which the model checks.
+MALFORMED_FIELDS = [
+    ("multiplexer.loop_delays", 5, "multiplexer.loop_delays: expected a sequence, got 5"),
+    ("multiplexer.loop_delays", "1e-9", "multiplexer.loop_delays: expected a sequence, got '1e-9'"),
+    ("multiplexer.coupler_ratios", [0.5, 0.5, "half", 0.5, 0.5],
+     "multiplexer.coupler_ratios[2] must be a real number in (0, 1), got 'half'"),
+    ("multiplexer.detector_assignment", 7, "multiplexer.detector_assignment: expected a sequence, got 7"),
+    ("multiplexer.transmission.values", 5, "multiplexer.transmission.values: expected a sequence, got 5"),
+    ("detector.efficiency", "abc", "detector.efficiency must be a real number in (0, 1], got 'abc'"),
+    ("detector.dark_prob_per_gate", [1e-5, "x"],
+     "detector.dark_prob_per_gate[1] must be a real number in [0, 1), got 'x'"),
+    ("detector.undershoot.points", [[10.0]], "detector.undershoot.points[0]: expected a (mu, eta) pair, got [10.0]"),
+    ("detector.undershoot.p_miss_next", [0.1], "detector.undershoot.p_miss_next must be a real number in [0, 1], "
+     "got [0.1]"),
+    ("config.guard", "wide", "config.guard must be a real number in [0, inf), got 'wide'"),
+    ("config.name", 5, "config.name: expected a string, got 5"),
 ]
 # float() once read JSON true as 1.0 and a string that spells a number as that number, and the file loaded.
 BOOLS_AND_NUMBER_STRINGS = [
-    ("detector.efficiency", True, "detector.efficiency must be a real number in (-inf, inf), got True"),
-    ("detector.deadtime", "9.78e-9", "detector.deadtime must be a real number in (-inf, inf), got '9.78e-9'"),
+    ("detector.efficiency", True, "detector.efficiency must be a real number in (0, 1], got True"),
+    ("detector.deadtime", "9.78e-9", "detector.deadtime must be a real number in [0, inf), got '9.78e-9'"),
     ("multiplexer.transmission.avg_loss_db", False,
-     "multiplexer.transmission.avg_loss_db must be a real number in (-inf, inf), got False"),
+     "multiplexer.transmission.avg_loss_db must be a real number in [0, inf), got False"),
     ("detector.undershoot.points", [[10.0, 0.165], ["400", 0.145]],
-     "detector.undershoot.points[1][0] must be a real number in (-inf, inf), got '400'"),
+     "detector.undershoot.points[1].mu must be a real number in [0, inf), got '400'"),
     (f"detector.afterpulse_metadata.{AFTERPULSE_KEY}", "0.09",
      f"detector.afterpulse_metadata.{AFTERPULSE_KEY} must be a real number in (-inf, inf), got '0.09'"),
-    ("config.guard", True, "config.guard must be a real number in (-inf, inf), got True"),
+    ("config.guard", True, "config.guard must be a real number in [0, inf), got True"),
 ]
 MALFORMED_FIELDS += BOOLS_AND_NUMBER_STRINGS
 
@@ -327,13 +329,41 @@ def _malformed(field, value):
     return data
 
 
-@pytest.mark.parametrize("field, value, message", MALFORMED_FIELDS, ids=_ids(MALFORMED_FIELDS))
+@pytest.mark.parametrize(
+    "field, value, message", STRUCTURE_FIELDS + MALFORMED_FIELDS, ids=_ids(STRUCTURE_FIELDS + MALFORMED_FIELDS)
+)
 def test_load_system_names_malformed_field(tmp_path, field, value, message):
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(_malformed(field, value)))
     with pytest.raises(ConfigurationError) as exc:
         load_system(path)
     assert str(exc.value) == message
+
+
+def _build_in_code(field, value):
+    """Build, as code would, the rapid32 model object that holds the dotted field, with value for it."""
+    base = get_preset("rapid32")
+    section, key, *sub = field.split(".")
+    if key == "transmission":
+        value = UniformLoss(value) if sub == ["avg_loss_db"] else ExplicitTransmission(value)
+    elif key == "undershoot":
+        value = GlobalEfficiency(value) if sub == ["points"] else MechanisticUndershoot(value)
+    elif key == "afterpulse_metadata":
+        value = ((sub[0], value),)
+    return dataclasses.replace(base if section == "config" else getattr(base, section), **{key: value})
+
+
+@pytest.mark.parametrize("field, value, message", MALFORMED_FIELDS, ids=_ids(MALFORMED_FIELDS))
+def test_a_config_value_gets_the_model_message_with_its_section(tmp_path, field, value, message):
+    # Before, the file checked each value first with a rule of its own: an efficiency of "abc" was no real
+    # number in (-inf, inf) in a file, but none in (0, 1] in code.
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(_malformed(field, value)))
+    with pytest.raises(ConfigurationError) as in_file:
+        load_system(path)
+    with pytest.raises(ConfigurationError) as in_code:
+        _build_in_code(field, value)
+    assert str(in_file.value) == f"{field.split('.')[0]}.{in_code.value}"
 
 
 def test_cli_config_with_malformed_field_exits_3(tmp_path, capsys):
@@ -360,13 +390,13 @@ def test_cli_matrix_refuses_a_bool_or_string_number_with_exit_3(tmp_path, capsys
 MODEL_RANGE_FIELDS = [
     ("detector.efficiency", 1.5, "detector.efficiency must be a real number in (0, 1], got 1.5"),
     ("detector.dark_prob_per_gate", [1e-5], "detector.dark_prob_per_gate: expected a (detector 0, detector 1) pair, "
-     "got (1e-05,)"),
+     "got [1e-05]"),
     ("detector.undershoot.points", [[10.0, 0.2], [5.0, 0.1]],
      "detector.undershoot.points: mu anchors must be strictly increasing"),
     ("multiplexer.coupler_ratios", [0.5],
      "multiplexer.coupler_ratios: expected 5 entries (one per loop stage plus the output coupler), got 1"),
     ("multiplexer.transmission.avg_loss_db", -1, "multiplexer.transmission.avg_loss_db must be a real number in "
-     "[0, inf), got -1.0"),
+     "[0, inf), got -1"),
     ("config.guard", -1e-9, "config.guard must be a real number in [0, inf), got -1e-09"),
 ]
 
@@ -388,7 +418,7 @@ def test_cli_refuses_a_config_number_too_large_for_a_double_with_exit_3(tmp_path
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(_malformed("detector.efficiency", value)))
     assert main(["matrix", "--config", str(path), "--mu-max", "5", "-o", str(tmp_path / "m.csv")]) == 3
-    message = f"detector.efficiency must be a real number in (-inf, inf), got {value!r}"
+    message = f"detector.efficiency must be a real number in (0, 1], got {value!r}"
     assert capsys.readouterr().err == f"binflux: configuration error: {message}\n"
     assert list(tmp_path.iterdir()) == [path]
 
@@ -408,3 +438,69 @@ def test_detector_assignment_entries_must_be_0_or_1(index, entry):
     with pytest.raises(ConfigurationError) as exc:
         MultiplexerSpec(loop_delays=(5e-6, 10e-6, 25e-6), detector_assignment=tuple(assignment))
     assert str(exc.value) == message
+
+
+# (object, field, value): three misspellings, then a field that no object has. Before, each file loaded,
+# rapid32 without its efficiency derating, with no guard or with 50/50 couplers, or as if the field were absent.
+UNKNOWN_FIELDS = [
+    ("detector", "undershot", {"kind": "global_efficiency", "points": [[10.0, 0.165], [400.0, 0.145]]}),
+    ("config", "gaurd", 1e-9),
+    ("multiplexer", "coupler_ratio", [0.4, 0.5, 0.5, 0.5, 0.5]),
+    *((where, "comment", "x") for where in
+      ("config", "multiplexer", "multiplexer.transmission", "detector", "detector.undershoot")),
+]
+
+
+@pytest.mark.parametrize("where, field, value", UNKNOWN_FIELDS, ids=[f"{w}.{f}" for w, f, _ in UNKNOWN_FIELDS])
+def test_an_unknown_field_is_refused(tmp_path, capsys, where, field, value):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(_malformed(f"{where}.{field}", value)))
+    message = f"{where}.{field}: unknown field"
+    with pytest.raises(ConfigurationError) as exc:
+        load_system(path)
+    assert str(exc.value) == message
+    assert main(["matrix", "--config", str(path), "--mu-max", "5", "-o", str(tmp_path / "m.csv")]) == 3
+    assert capsys.readouterr().err == f"binflux: configuration error: {message}\n"
+
+
+def test_afterpulse_metadata_names_are_free():
+    system = system_from_dict(_malformed("detector.afterpulse_metadata.comment", 1))
+    assert system.detector.afterpulse_metadata == (("comment", 1.0), ("trailing_gate_afterpulse_fraction", 144 / 12806))
+
+
+def test_a_name_must_be_a_string():
+    # Before, a file's "name": null loaded as the name "None" and 5 (a MALFORMED_FIELDS row) as "5", and
+    # SystemConfig(name=b"x") built, then canonical_json raised TypeError.
+    data = system_to_dict(get_preset("rapid32"))
+    data["name"] = None
+    assert system_from_dict(data).name == "custom"
+    with pytest.raises(ConfigurationError) as exc:
+        dataclasses.replace(get_preset("rapid32"), name=b"x")
+    assert str(exc.value) == "name: expected a string, got b'x'"
+
+
+def test_afterpulse_metadata_is_stored_sorted_by_name(tmp_path):
+    # Before, the pairs kept the order given, so a spec differed from its saved-and-loaded copy.
+    system = _tiny(afterpulse_metadata=(("b", 1.0), ("a", 2)))
+    assert system.detector.afterpulse_metadata == (("a", 2.0), ("b", 1.0))
+    assert system == _tiny(afterpulse_metadata=[("a", 2.0), ("b", 1.0)])
+    assert system_from_dict(system_to_dict(system)) == system
+    _assert_round_trip(system, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ((("a", 0.1), (1, 0.2)), "[1]: expected a string name not used before, got 1"),
+        ((("a", 0.1), ("b", 0.2), ("a", 0.3)), "[2]: expected a string name not used before, got 'a'"),
+        ((((), 0.1),), "[0]: expected a string name not used before, got ()"),
+        (((10**5000, 0.1),), "[0]: expected a string name not used before, got an int of 5001 digits"),
+    ],
+    ids=["int-name", "name-twice", "tuple-name", "long-int-name"],
+)
+def test_afterpulse_names_must_be_distinct_strings(pairs, message):
+    # Before, a name 1 built and fingerprint then raised TypeError; a name given twice built a spec that
+    # differed from its saved-and-loaded copy.
+    with pytest.raises(ConfigurationError) as exc:
+        _tiny(afterpulse_metadata=pairs)
+    assert str(exc.value) == f"afterpulse_metadata{message}"

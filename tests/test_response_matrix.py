@@ -522,7 +522,7 @@ def _number_string_config():
         ("json", None, lambda doc: {**doc, "config": _assignment_config(1.0)},
          ": missing or malformed field (multiplexer.detector_assignment[0] must be an integer in [0, 1], got 1.0)"),
         ("csv", 1, lambda s: _config_line(_number_string_config()),
-         ":2: bad embedded config (detector.deadtime must be a real number in (-inf, inf), got '9.78e-9')"),
+         ":2: bad embedded config (detector.deadtime must be a real number in [0, inf), got '9.78e-9')"),
     ],
     ids=[
         "csv-empty", "csv-version", "csv-no-config", "csv-no-provenance", "csv-provenance-count", "json-version",
