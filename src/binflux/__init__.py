@@ -10,7 +10,7 @@ benchmarks the result against a conventional attenuated single-pixel
 measurement.
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .baseline import (
     Z_90,

@@ -231,15 +231,8 @@ def _convergence(args: argparse.Namespace, system: SystemConfig, max_shots: int)
     [0, mu_max] matrix at its stability cutoff (one exact build gives both)."""
     matrix, cutoff = _stability_build(system, args.mu_max, args.tolerance)
     return relative_error_curve(
-        system,
-        matrix,
-        args.mu,
-        max_shots,
-        args.trials,
-        args.seed,
-        level=args.level,
-        max_admissible_n=cutoff,
-        workers=args.workers,
+        system, matrix, args.mu, max_shots, args.trials, args.seed,
+        level=args.level, max_admissible_n=cutoff, workers=args.workers,
     )
 
 

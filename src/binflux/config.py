@@ -130,7 +130,7 @@ def _kind(value: Any, section: str, key: str, kinds: dict[str, tuple[Callable[..
     where = f"{section}.{key}"
     kind = _object(value, where).get("kind")
     if not isinstance(kind, str) or kind not in kinds:
-        raise ConfigurationError(f"{where}.kind: unknown kind {kind!r}")
+        raise ConfigurationError(f"{where}.kind: unknown kind {_shown(kind)}")
     build, field = kinds[kind]
     return _section(section, build, _fields(value, where, kind=_REQUIRED, **{field: _REQUIRED})[field])
 

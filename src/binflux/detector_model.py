@@ -31,7 +31,7 @@ def _pair(entry, field: str, shape: str) -> tuple:
     try:
         first, second = entry
     except (TypeError, ValueError):
-        raise ConfigurationError(f"{field}: expected a {shape} pair, got {entry!r}") from None
+        raise ConfigurationError(f"{field}: expected a {shape} pair, got {_shown(entry)}") from None
     return first, second
 
 

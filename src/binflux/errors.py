@@ -35,8 +35,8 @@ class ModelUnsupportedError(BinfluxError):
 class DegenerateEvidenceError(BinfluxError):
     """The observed data has zero probability under every candidate value.
 
-    relative_error_curve also raises it when the stability cutoff rejects
-    nearly every simulated shot.
+    relative_error_curve also raises it when K = P(N <= cutoff | mu_true) of
+    the law it draws from is below 2^-10 (inference._CURVE_MIN_ADMISSIBLE).
     """
 
 

@@ -19,10 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import derive_seed
+from ._rng import derive_seed, lane_threshold, seed_sequence, uniform_lanes
 from .config import SystemConfig
 from .errors import DegenerateEvidenceError, ModelUnsupportedError, _integer, _real
-from .mc_engine import Coherent, simulate_batch
+from .exact_oracle import coherent_click_rows
 from .response_matrix import ResponseMatrix, build_matrix
 
 PLANCK_CONSTANT = 6.62607015e-34  # J s
@@ -114,6 +114,18 @@ def _curve_mode(E: np.ndarray, top: np.ndarray, total: np.ndarray, mode: np.ndar
     return mode
 
 
+def _click_counts(observations, hi: int) -> np.ndarray:
+    """The counts as int64, checked by one type pass and one range comparison; _integer names a bad one."""
+    items = observations if isinstance(observations, (np.ndarray, list, tuple)) else list(observations)
+    types = {items.dtype.type} if isinstance(items, np.ndarray) else set(map(type, items))
+    if all(issubclass(t, (int, np.integer)) and t is not bool for t in types):
+        obs = np.asarray(items)
+        # Signed and unsigned mixed, or an int past 64 bits, make no integer dtype.
+        if obs.ndim == 1 and obs.dtype.kind in "iu" and obs.size and obs.min() >= 0 and obs.max() <= hi:
+            return obs.astype(np.int64, copy=False)
+    return np.fromiter((_integer(n, "click count", 0, hi) for n in items), dtype=np.int64)
+
+
 def posterior_single(matrix: ResponseMatrix, n: int) -> Posterior:
     """Posterior after observing a single shot with n clicks: posterior_multi's one-shot case."""
     return posterior_multi(matrix, [n])
@@ -138,7 +150,7 @@ def posterior_multi(
     """
     if max_admissible_n is not None:
         max_admissible_n = _integer(max_admissible_n, "max_admissible_n", -1)
-    obs = np.fromiter((_integer(n, "click count", 0, matrix.num_bins) for n in observations), dtype=np.int64)
+    obs = _click_counts(observations, matrix.num_bins)
     if obs.size == 0:
         raise ValueError("observations must contain at least one click count")
     worst = int(obs.max())
@@ -173,6 +185,7 @@ _HPD_MAX_WINDOW = 64
 _HPD_LOCKSTEP_ROWS = 128
 _HPD_LOCKSTEP_STEPS = 64
 _CURVE_BLOCK_ROWS = 400  # posterior rows relative_error_curve exponentiates and hands _hpd_rows at once
+_CURVE_MIN_ADMISSIBLE = 2.0**-10  # least P(N <= cutoff | mu_true) relative_error_curve draws from
 
 
 def _hpd_lockstep(P, level, total, lo, hi, held, act) -> np.ndarray:
@@ -228,12 +241,9 @@ def _hpd_rows(P: np.ndarray, level: float, total=None, mode=None) -> tuple[np.nd
     Each row grows from its mode, adding the more probable neighbor at each
     step (ties extend toward smaller mu) until its mass reaches level.
 
-    While at least _HPD_LOCKSTEP_ROWS rows grow, _hpd_lockstep first takes
-    single steps of that loop for all of them at once, up to
-    _HPD_LOCKSTEP_STEPS steps: one numpy step costs about the same whatever
-    the row count, so it pays only for many rows. The merge below finishes
-    the rows still growing, and takes every call with fewer rows, such as
-    credible_interval's one, from the start.
+    While at least _HPD_LOCKSTEP_ROWS rows grow, _hpd_lockstep steps them all
+    at once, as a numpy step costs about the same for any row count. The merge
+    below finishes the rest, and takes calls with fewer rows from the start.
 
     A pass of the merge moves every row up to S steps at once. That greedy
     order is a stable merge: with L'_i = min(P[lo - 1], ..., P[lo - i])
@@ -310,13 +320,8 @@ def credible_interval(posterior: Posterior, level: float = 0.90) -> CredibleInte
 
     Grows greedily from the mode, at each step adding the more probable
     neighbor; ties extend toward smaller mu. This is the one-row case of
-    the batched routine relative_error_curve uses; mass is the sum of the
-    posterior over [lo, hi]. A single row skips that routine's lockstep
-    phase, which pays only for many rows at once, and goes straight to its
-    merge, which takes up to 64 of these steps per numpy pass: ordering
-    both sides' running minima in a stable descending merge, ties to the
-    left, gives exactly the loop's order of steps (see _hpd_rows), so an
-    interval 240 values wide costs six passes rather than 240.
+    _hpd_rows, which relative_error_curve uses too: its merge takes up to 64
+    steps per numpy pass. mass is the sum of the posterior over [lo, hi].
     """
     level = _real(level, "level", 0.0, 1.0)
     p = posterior.probs
@@ -351,14 +356,13 @@ def _stability_tv(wide_rows: np.ndarray, mu_max: int) -> np.ndarray:
 def stability_max_n(system: SystemConfig, mu_max: int, tolerance: float = 0.01) -> int:
     """Largest click count whose posterior is insensitive to the grid bound.
 
-    One exact matrix is built on [0, 2 * mu_max]; the [0, mu_max] matrix is
-    its first mu_max + 1 rows. For each n the posterior on the narrow grid
-    is compared with the one on the wide grid. Because the former is the
+    For each n the posterior on [0, mu_max] is compared with the one on
+    [0, 2 * mu_max] (_stability_build). Because the former is the
     renormalised head of the latter, their total-variation distance equals
     the wide posterior's mass above mu_max. Counts up to the returned value
     all have a distance below tolerance; a count impossible on [0, mu_max]
-    counts as unstable. Counts above the returned value should be
-    discarded rather than inverted.
+    counts as unstable. Counts above it should be discarded rather than
+    inverted.
     """
     return _stability_build(system, mu_max, tolerance)[1]
 
@@ -404,6 +408,31 @@ class RelativeErrorCurve:
         return float(np.median(first))
 
 
+def _curve_counts(system, mu_true: float, cutoff: int, max_shots: int, n_trials: int, seed: int) -> np.ndarray:
+    """Every trial's click counts, (n_trials, max_shots), from system's law at mu_true truncated at cutoff.
+
+    A lane's count is the number of the truncated CDF's 53-bit thresholds
+    (_rng.lane_threshold) at or below it: the smallest n whose CDF value
+    exceeds the lane's uniform, to within 2^-53 per count. Trial t reads
+    words 0 to max_shots - 1 of the stream of derive_seed(seed, t). A law
+    with less than _CURVE_MIN_ADMISSIBLE of mass up to the cutoff raises
+    DegenerateEvidenceError.
+    """
+    law = coherent_click_rows([mu_true], system.bin_weights(), system.detector)[0]
+    cdf = np.cumsum(law[: cutoff + 1])
+    if cdf.size == 0 or cdf[-1] < _CURVE_MIN_ADMISSIBLE:
+        raise DegenerateEvidenceError(
+            f"stability cutoff {cutoff} rejects nearly every shot at mu={mu_true}; "
+            "the mu grid is too small for this source"
+        )
+    thresholds = lane_threshold(cdf / cdf[-1])
+    counts = np.empty((n_trials, max_shots), dtype=np.uint8 if cdf.size <= 256 else np.intp)
+    for t, trial in enumerate(counts):
+        lanes = uniform_lanes(seed_sequence(derive_seed(seed, t)), 0, max_shots, 1)[:, 0]
+        trial[:] = np.searchsorted(thresholds, lanes >> 11, side="right")
+    return counts
+
+
 def relative_error_curve(
     system: SystemConfig,
     matrix: ResponseMatrix,
@@ -418,56 +447,33 @@ def relative_error_curve(
 ) -> RelativeErrorCurve:
     """Simulate repeated measurement runs and track interval convergence.
 
-    Each trial draws shots at the true mean, discards counts above the
-    stability cutoff (drawing replacements), and records the posterior
-    interval width after every accumulated shot. With every trial's counts
-    drawn first, the log posteriors of a group of trials are summed in
-    lockstep, each the previous one plus its count's column: a cumulative
-    sum's additions, in its order. _exp_rows (posterior_multi's too, through
-    _normalise) and credible_interval's greedy rule then take blocks of
-    those rows at once. A block is never divided in full: _hpd_rows divides
-    only the cells it reads, and _curve_mode finds each row's mode.
+    Trial t's counts are inverse-CDF draws (_curve_counts) from system's
+    exact law, whatever matrix is passed, truncated at the stability cutoff
+    and renormalised: the counts that discarding each count above it and
+    drawing again would keep. workers is checked as build_matrix checks it;
+    the draws need no threads.
+
+    Then the log posteriors of a group of trials are summed in lockstep,
+    each the previous one plus its count's column: a cumulative sum's
+    additions, in its order. _exp_rows (posterior_multi's too, through
+    _normalise) and credible_interval's greedy rule take blocks of those
+    rows at once. A block is never divided in full: _hpd_rows divides only
+    the cells it reads, and _curve_mode finds each row's mode.
     """
     mu_true = _real(mu_true, "mu_true", 0.0)
     max_shots = _integer(max_shots, "max_shots", 1)
     n_trials = _integer(n_trials, "n_trials", 1)
     level = _real(level, "level", 0.0, 1.0)
-    weights = system.bin_weights()
+    if workers is not None:
+        _integer(workers, "workers", 1)
     cutoff = matrix.num_bins if max_admissible_n is None else _integer(max_admissible_n, "max_admissible_n", -1)
     with np.errstate(divide="ignore"):
         log_cols = np.ascontiguousarray(np.log(matrix.rows).T)
 
     rel_err = np.empty((n_trials, max_shots))
-    counts = np.empty((n_trials, max_shots), dtype=np.uint8 if matrix.num_bins < 256 else np.intp)
-    for t in range(n_trials):
-        trial_seed = derive_seed(seed, t)
-        filled = start = empty_rounds = 0
-        while filled < max_shots:
-            want = max_shots - filled
-            batch = simulate_batch(
-                Coherent(mu_true),
-                weights,
-                system.detector,
-                max(32, int(want * 1.25) + 8),
-                trial_seed,
-                start_shot=start,
-                store_totals=True,
-                workers=workers,
-            )
-            start += batch.n_shots
-            fresh = batch.click_totals[batch.click_totals <= cutoff][:want]
-            # Guard against a cutoff that rejects essentially every shot.
-            empty_rounds = empty_rounds + 1 if fresh.size == 0 else 0
-            if empty_rounds >= 3:
-                raise DegenerateEvidenceError(
-                    f"stability cutoff {cutoff} rejects nearly every shot at mu={mu_true}; "
-                    "the mu grid is too small for this source"
-                )
-            counts[t, filled : filled + fresh.size] = fresh
-            filled += fresh.size
-    # Each row is the row before it plus its count's column; a block's first row
-    # adds the previous block's last row, kept in carry before exp. Counts are
-    # in range, so mode="clip" changes nothing but lets take write into out.
+    counts = _curve_counts(system, mu_true, cutoff, max_shots, n_trials, seed)
+    # A block's first row adds the previous block's last row, kept in carry before exp.
+    # Counts are in range, so mode="clip" changes nothing but lets take write into out.
     cap = min(max_shots, _CURVE_BLOCK_ROWS)
     buf, carry = np.empty((cap, log_cols.shape[1])), np.empty((min(n_trials, cap), log_cols.shape[1]))
     for g in range(0, n_trials, cap):

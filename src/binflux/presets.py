@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .config import SystemConfig
 from .detector_model import DetectorSpec, GlobalEfficiency
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _shown
 from .multiplexer import MultiplexerSpec, UniformLoss
 
 
@@ -69,6 +69,6 @@ def get_preset(name: str) -> SystemConfig:
         builder = _BUILDERS[name]
     except KeyError:
         raise ConfigurationError(
-            f"preset: unknown name {name!r} (available: {', '.join(PRESET_NAMES)})"
+            f"preset: unknown name {_shown(name)} (available: {', '.join(PRESET_NAMES)})"
         ) from None
     return builder()

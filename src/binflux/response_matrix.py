@@ -30,7 +30,7 @@ import numpy as np
 
 from ._rng import derive_seed
 from .config import SystemConfig, canonical_json, fingerprint, system_from_dict, system_to_dict
-from .errors import ConfigurationError, MatrixFormatError, _integer
+from .errors import ConfigurationError, MatrixFormatError, _integer, _shown
 from .exact_oracle import coherent_click_rows
 from .mc_engine import MC_KERNEL, BatchResult, Coherent, simulate_rows
 
@@ -152,7 +152,7 @@ def build_matrix(
     """
     mu_max = _integer(mu_max, "mu_max", 1)
     if method not in ("exact", "mc"):
-        raise ValueError(f"method: expected 'exact' or 'mc', got {method!r}")
+        raise ValueError(f"method: expected 'exact' or 'mc', got {_shown(method)}")
     if method == "mc" and seed is None:
         raise ValueError("seed: required when method='mc'")
     # Checked whatever the method, so a bad value is never recorded beside an exact matrix.

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
@@ -42,6 +43,33 @@ def _approx_with_a_stated_abs(expected, rel=None, abs=None, nan_ok=False):
 
 
 pytest.approx = _approx_with_a_stated_abs
+
+
+# The false-alarm rate of every assert_law check: a sampler that follows
+# the law fails one with at most this probability.
+LAW_ALPHA = 1e-9
+
+
+def assert_law(hist, probs, alpha=LAW_ALPHA) -> float:
+    """Fail unless hist, a click-total histogram of N draws, fits the law probs (summing to 1); return eps.
+
+    Dvoretzky-Kiefer-Wolfowitz with Massart's constant: for N independent
+    draws from any law on the integers, discrete ones included, the largest
+    gap between the empirical and the true CDF exceeds
+    eps = sqrt(ln(2 / alpha) / (2 N)) with probability at most
+    2 exp(-2 N eps^2) = alpha, whatever the number of bins. A law whose CDF
+    lies more than 2 eps from probs' somewhere fails with probability at
+    least 1 - alpha. Dvoretzky, Kiefer and Wolfowitz, Ann. Math. Statist.
+    27, 642 (1956); Massart, Ann. Probab. 18, 1269 (1990).
+    """
+    hist, probs = np.asarray(hist, dtype=float), np.asarray(probs, dtype=float)
+    size = max(hist.size, probs.size)
+    hist, probs = (np.pad(a, (0, size - a.size)) for a in (hist, probs))
+    n = hist.sum()
+    eps = math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
+    gap = np.abs(np.cumsum(hist) / n - np.cumsum(probs)).max()
+    assert gap <= eps, f"CDF gap {gap:.3g} exceeds the DKW bound {eps:.3g} at N = {n:.0f}, alpha = {alpha:g}"
+    return eps
 
 
 @pytest.fixture(scope="session")

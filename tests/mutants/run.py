@@ -300,6 +300,14 @@ MUTANTS = (
         ("test_multiplexer.py::test_bin_weights_check_themselves_when_built",),
     ),
     Mutant(
+        "detector_model.pair_refusal_printed_with_repr",
+        "detector_model.py",
+        "pair, got {_shown(entry)}",
+        "pair, got {entry!r}",
+        # An int past Python's 4300-digit limit then escapes as repr's own ValueError.
+        ("test_detector_model.py::test_a_spec_checks_itself_when_built",),
+    ),
+    Mutant(
         "inference.posterior_single_drops_the_flat_prior",
         "inference.py",
         "log_evidence=math.log(total) - math.log(col.size)",
@@ -355,9 +363,68 @@ MUTANTS = (
     Mutant(
         "inference.curve_rejects_the_cutoff_count",
         "inference.py",
-        "batch.click_totals[batch.click_totals <= cutoff]",
-        "batch.click_totals[batch.click_totals < cutoff]",
-        ("test_inference.py", "test_inference_stream.py"),
+        "cdf = np.cumsum(law[: cutoff + 1])",
+        "cdf = np.cumsum(law[:cutoff])",
+        (
+            "test_curve_draws.py::test_drawn_counts_follow_the_exact_truncated_law",
+            "test_inference_stream.py::test_relative_error_curve_is_pinned",
+        ),
+    ),
+    Mutant(
+        "inference.curve_draws_from_the_untruncated_law",
+        "inference.py",
+        "cdf = np.cumsum(law[: cutoff + 1])",
+        "cdf = np.cumsum(law)",
+        ("test_curve_draws.py::test_drawn_counts_follow_the_exact_truncated_law",),
+    ),
+    Mutant(
+        "inference.curve_inverts_with_side_left",
+        "inference.py",
+        'lanes >> 11, side="right"',
+        'lanes >> 11, side="left"',
+        # A lane differs only where it equals a threshold, which random words all but never do.
+        ("test_curve_draws.py::test_a_count_is_the_number_of_cdf_values_at_or_below_its_uniform",),
+    ),
+    Mutant(
+        "inference.curve_lanes_not_shifted",
+        "inference.py",
+        'lanes >> 11, side="right"',
+        'lanes, side="right"',
+        ("test_curve_draws.py::test_drawn_counts_follow_the_exact_truncated_law",),
+    ),
+    Mutant(
+        "inference.curve_trials_on_trial_zeros_stream",
+        "inference.py",
+        "seed_sequence(derive_seed(seed, t))",
+        "seed_sequence(derive_seed(seed, 0))",
+        (
+            "test_curve_draws.py::test_a_trial_does_not_depend_on_the_trial_count_or_on_later_shots",
+            "test_batched.py::test_relative_error_curve_matches_a_per_trial_loop_byte_for_byte",
+        ),
+    ),
+    Mutant(
+        "inference.curve_admissible_mass_refusal_inverted",
+        "inference.py",
+        "cdf[-1] < _CURVE_MIN_ADMISSIBLE",
+        "cdf[-1] >= _CURVE_MIN_ADMISSIBLE",
+        (
+            "test_curve_draws.py::test_the_admissible_mass_floor_decides_the_refusal",
+            "test_inference.py::test_relative_error_curve_impossible_cutoff",
+        ),
+    ),
+    Mutant(
+        "inference.counts_admit_one_past_the_grid",
+        "inference.py",
+        "obs.max() <= hi",
+        "obs.max() <= hi + 1",
+        ("test_inference.py::test_a_click_count_off_the_grid_is_named",),
+    ),
+    Mutant(
+        "inference.counts_admit_bools",
+        "inference.py",
+        "and t is not bool for t in",
+        "for t in",
+        ("test_inference.py::test_posterior_rejects_a_click_count_that_is_not_an_integer",),
     ),
     Mutant(
         "inference.refusal_rejects_the_cutoff_count",

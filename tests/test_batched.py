@@ -18,7 +18,6 @@ from hypothesis.extra import numpy as npst
 import binflux.exact_oracle as exact_oracle
 import binflux.inference as inference
 from binflux import (
-    Coherent,
     DegenerateEvidenceError,
     DetectorSpec,
     GlobalEfficiency,
@@ -31,7 +30,6 @@ from binflux import (
     credible_interval,
     posterior_single,
     relative_error_curve,
-    simulate_batch,
     stability_max_n,
     validate_interpolation,
 )
@@ -695,6 +693,20 @@ def test_relative_error_curve_hands_hpd_no_subnormal_cell(monkeypatch, rapid32, 
     assert not ((rows > 0.0) & (rows < np.finfo(float).tiny)).any()
 
 
+def _reference_counts(system, mu, max_shots, seed, t, cutoff):
+    """Trial t's counts by inversion in floats: how many truncated CDF values lie at or below each shot's uniform.
+
+    Shot i's uniform is (w >> 11) * 2^-53, w the i-th word of the stream of
+    derive_seed(seed, t); the CDF is the exact law's up to the cutoff,
+    renormalised.
+    """
+    cdf = np.cumsum(exact_oracle.coherent_click_rows([mu], system.bin_weights(), system.detector)[0][: cutoff + 1])
+    cdf /= cdf[-1]
+    words = np.random.PCG64DXSM(np.random.SeedSequence([derive_seed(seed, t)])).random_raw(max_shots)
+    u = (words >> 11) * 2.0**-53
+    return (cdf[None, :] <= u[:, None]).sum(axis=1)
+
+
 @pytest.mark.parametrize(
     "name, mu",
     [("rapid32", 100.0), ("conventional16", 100.0), ("rapid32-mechanistic", 100.0), ("rapid32", 300.0)],
@@ -702,60 +714,35 @@ def test_relative_error_curve_hands_hpd_no_subnormal_cell(monkeypatch, rapid32, 
 def test_relative_error_curve_posteriors_are_the_cumsum_build_byte_for_byte(
     monkeypatch, rapid32, conventional16, mechanistic32, name, mu
 ):
-    # mu 300 on [0, 400] redraws many shots above the cutoff. Each trial's
-    # counts are rebuilt from the click totals its simulate_batch calls
-    # return; a trial's first call is the one at start_shot 0. The rows
-    # handed to _hpd_rows, in whatever blocks, must be every trial's
-    # reference rows byte for byte: the same multiset of row bytes.
+    # mu 300 on [0, 400] puts 93 % of the law above the cutoff. Each trial's
+    # counts are drawn by _reference_counts. The rows handed to _hpd_rows, in
+    # whatever blocks, must be every trial's reference rows byte for byte:
+    # the same multiset of row bytes.
     system = {s.name: s for s in (rapid32, conventional16, mechanistic32)}[name]
     matrix, cutoff = inference._stability_build(system, 400, 0.01)
-    drawn = []
-    simulate = inference.simulate_batch
-
-    def recording_simulate(*args, **kwargs):
-        batch = simulate(*args, **kwargs)
-        if kwargs["start_shot"] == 0:
-            drawn.append([])
-        drawn[-1].append(batch.click_totals[batch.click_totals <= cutoff])
-        return batch
-
-    monkeypatch.setattr(inference, "simulate_batch", recording_simulate)
     seen = _capture_posteriors(monkeypatch)
     max_shots, n_trials = 300, 4
     relative_error_curve(system, matrix, mu, max_shots, n_trials, seed=11, max_admissible_n=cutoff)
     with np.errstate(divide="ignore"):
         log_cols = np.ascontiguousarray(np.log(matrix.rows).T)
-    assert len(drawn) == n_trials
     want = Counter()
-    for totals in drawn:
-        counts = np.concatenate(totals)[:max_shots]
+    for t in range(n_trials):
+        counts = _reference_counts(system, mu, max_shots, 11, t, cutoff)
         want.update(row.tobytes() for row in _curve_posteriors(log_cols, counts, inference._EXP_FLOOR)[0])
     rows = np.concatenate(seen)
     assert rows.shape == (n_trials * max_shots, log_cols.shape[1])
     got = Counter(row.tobytes() for row in rows)
     differ = (got - want) + (want - got)
     assert not differ, f"{sum(differ.values())} posterior rows differ from the reference ({name}, mu {mu})"
-    if mu == 300.0:
-        # The redraw-heavy case does redraw.
-        assert sum(map(len, drawn)) > n_trials
 
 
 def _reference_curve(system, matrix, mu, max_shots, n_trials, seed, cutoff):
-    """rel_err one trial at a time: counts drawn as relative_error_curve draws them, posteriors by cumsum."""
-    weights = system.bin_weights()
+    """rel_err one trial at a time: counts drawn by _reference_counts, posteriors by cumsum."""
     with np.errstate(divide="ignore"):
         log_cols = np.ascontiguousarray(np.log(matrix.rows).T)
     rel_err = np.empty((n_trials, max_shots))
     for t in range(n_trials):
-        counts, start = np.empty(0, dtype=np.int64), 0
-        while counts.size < max_shots:
-            want = max_shots - counts.size
-            batch = simulate_batch(
-                Coherent(mu), weights, system.detector, max(32, int(want * 1.25) + 8), derive_seed(seed, t),
-                start_shot=start, store_totals=True, workers=1,
-            )
-            start += batch.n_shots
-            counts = np.concatenate([counts, batch.click_totals[batch.click_totals <= cutoff][:want]])
+        counts = _reference_counts(system, mu, max_shots, seed, t, cutoff)
         lo, hi = _hpd_rows(_curve_posteriors(log_cols, counts, inference._EXP_FLOOR)[0], 0.90)
         rel_err[t] = (hi - lo + 1) / mu
     return rel_err
@@ -781,7 +768,8 @@ def test_relative_error_curve_matches_a_per_trial_loop_byte_for_byte(
 ):
     # Shapes across block edges: a shot count that is no multiple of a
     # block's depth, more trials than shots or than a block's rows, one
-    # trial, one shot, a redraw-heavy mu near the grid edge, and no cutoff.
+    # trial, one shot, a mu near the grid edge whose law lies mostly above
+    # the cutoff, and no cutoff.
     system = {s.name: s for s in (rapid32, conventional16, mechanistic32)}[name]
     matrix, stable = inference._stability_build(system, 400, 0.01)
     cutoff = stable if cutoff == "stable" else None

@@ -65,8 +65,8 @@ def test_version_agrees_across_package_project_and_cli(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    assert binflux.__version__ == declared == "0.10.0"
-    assert capsys.readouterr().out == "binflux 0.10.0\n"
+    assert binflux.__version__ == declared == "0.11.0"
+    assert capsys.readouterr().out == "binflux 0.11.0\n"
 
 
 def test_presets_listing(capsys):

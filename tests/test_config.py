@@ -197,6 +197,16 @@ def test_from_dict_rejects_unknown_kinds():
         system_from_dict(data)
 
 
+@pytest.mark.parametrize("section, key", [("multiplexer", "transmission"), ("detector", "undershoot")])
+def test_an_unknown_kind_too_long_to_print_is_named_by_its_digit_count(section, key):
+    # repr raises ValueError past Python's 4300-digit int-to-str limit, so the refusal once escaped as that.
+    data = system_to_dict(get_preset("rapid32"))
+    data[section][key] = {"kind": 10**5000}
+    with pytest.raises(ConfigurationError) as exc:
+        system_from_dict(data)
+    assert str(exc.value) == f"{section}.{key}.kind: unknown kind an int of 5001 digits"
+
+
 def test_from_dict_validates_resulting_system():
     data = system_to_dict(get_preset("rapid32"))
     data["detector"]["efficiency"] = 1.5
@@ -263,6 +273,15 @@ def test_num_bins_and_weights_shortcuts():
 def test_unknown_preset_lists_available():
     with pytest.raises(ConfigurationError, match="conventional16"):
         get_preset("nope")
+
+
+@pytest.mark.parametrize(
+    "name, shown", [("nope", "'nope'"), (10**5000, "an int of 5001 digits")], ids=["str", "long-int"]
+)
+def test_unknown_preset_message_is_whole(name, shown):
+    with pytest.raises(ConfigurationError) as exc:
+        get_preset(name)
+    assert str(exc.value) == f"preset: unknown name {shown} (available: conventional16, rapid32)"
 
 
 # (dotted path, value, the whole ConfigurationError message): the file's structure, which the reader checks.

@@ -241,11 +241,21 @@ RAPID32 = get_preset("rapid32")
             lambda: GlobalEfficiency(points=((10.0, "0.5"),)),
             "undershoot.points[0].eta must be a real number in (0, 1], got '0.5'",
         ),
+        # An int past Python's 4300-digit int-to-str limit once escaped as repr's own ValueError.
+        (
+            lambda: DetectorSpec(0.1, 10**5000, 1e-9, 0.0),
+            "dark_prob_per_gate: expected a (detector 0, detector 1) pair, got an int of 5001 digits",
+        ),
+        (
+            lambda: GlobalEfficiency((10**5000,)),
+            "undershoot.points[0]: expected a (mu, eta) pair, got an int of 5001 digits",
+        ),
     ],
     ids=[
         "dark-1.5", "p-miss-1.7", "undershoot-dict", "no-anchor", "coupler-ratios", "guard",
         "point-triple", "point-str", "afterpulse-str", "afterpulse-single", "darks-none", "point-nan",
         "point-repeated", "efficiency-true", "p-miss-true", "gate-width-none", "deadtime-str", "eta-str",
+        "darks-long-int", "point-long-int",
     ],
 )
 def test_a_spec_checks_itself_when_built(build, message):

@@ -26,6 +26,7 @@ from binflux import (
     stability_max_n,
     total_variation,
 )
+import binflux.inference as inference
 from binflux.cli import main
 from binflux.response_matrix import RowProvenance, save_matrix
 
@@ -176,6 +177,10 @@ def test_posterior_rejects_a_click_count_that_is_not_an_integer(rapid32_matrix40
         posterior_multi(rapid32_matrix400, [3, bad])
     with pytest.raises(ValueError, match=message):
         posterior_multi(rapid32_matrix400, [bad, 1])
+    # A good prefix, the bad value, then a second bad value that must not be the one named.
+    for seq in ([4, 5, bad], (4, 5, bad, 2.5), iter([4, 5, bad, 2.5])):
+        with pytest.raises(ValueError, match=message):
+            posterior_multi(rapid32_matrix400, seq)
 
 
 def test_posterior_rejects_a_non_integer_array(rapid32_matrix400):
@@ -186,13 +191,43 @@ def test_posterior_rejects_a_non_integer_array(rapid32_matrix400):
 
 def test_posterior_accepts_numpy_integers(rapid32_matrix400):
     ref = posterior_multi(rapid32_matrix400, [3, 5, 4])
-    for obs in (np.array([3, 5, 4]), np.array([3, 5, 4], dtype=np.uint8), [np.int64(3), np.int32(5), 4]):
+    for obs in (
+        np.array([3, 5, 4]),
+        np.array([3, 5, 4], dtype=np.uint8),
+        np.array([3, 5, 4], dtype=np.uint64),
+        [np.int64(3), np.int32(5), 4],
+        (3, 5, 4),
+        iter([3, 5, 4]),
+        # Signed and unsigned integers mixed make no integer array; each is still a count.
+        [3, np.uint64(5), 4],
+        [np.int64(3), np.uint64(5), 4],
+    ):
         post = posterior_multi(rapid32_matrix400, obs)
         assert np.array_equal(post.probs, ref.probs)
         assert post.log_evidence == ref.log_evidence
     single = posterior_single(rapid32_matrix400, 4)
     for n in (np.int64(4), np.uint8(4), np.array([4])[0]):
         assert np.array_equal(posterior_single(rapid32_matrix400, n).probs, single.probs)
+
+
+def test_posterior_multi_checks_good_counts_without_a_call_per_observation(monkeypatch, rapid32_matrix400):
+    seen = []
+    check = inference._integer
+    monkeypatch.setattr(inference, "_integer", lambda value, name, *a: seen.append(name) or check(value, name, *a))
+    obs = list(range(17)) * 50
+    for seq in (obs, tuple(obs), np.array(obs), iter(obs)):
+        posterior_multi(rapid32_matrix400, seq, max_admissible_n=16)
+    assert seen == ["max_admissible_n"] * 4
+
+
+@pytest.mark.parametrize("bad", [-1, 33, np.uint64(40), 2**70])
+def test_a_click_count_off_the_grid_is_named(rapid32_matrix400, bad):
+    # Integers only, so the type pass admits them and the range comparison must refuse them.
+    cases = [([4, 5, bad], repr(bad)), (iter([4, 5, bad]), repr(bad)), (np.array([4, 33, 5]), "np.int64(33)")]
+    for seq, shown in cases:
+        with pytest.raises(ValueError) as exc:
+            posterior_multi(rapid32_matrix400, seq)
+        assert str(exc.value) == f"click count must be an integer in [0, 32], got {shown}"
 
 
 def _log_sum_posterior(matrix, obs):

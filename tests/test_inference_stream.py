@@ -4,10 +4,11 @@ These digests were recorded once, before the exact matrix, the stability
 cutoff and the convergence curve were computed array-at-once. Any change
 to the order of the floating-point operations behind them changes a
 digest, so a rewrite that is meant to keep every output bit fails here if
-it does not. The sparse MC matrix and the convergence curve draw Monte
-Carlo shots; their digests were recorded again for the mc4 stream, and the
-sparse MC matrix's once more when every Monte Carlo row came to share one
-seed and one word stream.
+it does not. The sparse MC matrix draws Monte Carlo shots; its digest was
+recorded again for the mc4 stream, and once more when every Monte Carlo
+row came to share one seed and one word stream. The convergence curve's
+was recorded again for the mc4 stream, and once more when its counts came
+to be inverse-CDF draws from the exact law.
 """
 
 import hashlib
@@ -77,4 +78,4 @@ def test_relative_error_curve_is_pinned(rapid32, rapid32_matrix400):
         rapid32, rapid32_matrix400, 100.0, 400, 10, 42, max_admissible_n=16, workers=1
     )
     assert curve.rel_err.shape == (10, 400)
-    assert _digest(curve.rel_err) == "978441dd4750fb39c3b5e969315e8a9bd97700f0ead7a2cb6f9a90452d34de08"
+    assert _digest(curve.rel_err) == "aafbf036fe4db346e3552bed02d3066573d7fecc7245f1cb19ad8e815a1f6a2c"

@@ -73,6 +73,8 @@ ENTRIES = [
     pytest.param("support[1]", 0, 10, 6, lambda v: build_matrix(RAPID32, 10, support=[3, v]), id="matrix-support"),
     pytest.param("max_shots", 1, None, 5, lambda v: _curve(max_shots=v), id="curve-shots"),
     pytest.param("n_trials", 1, None, 2, lambda v: _curve(n_trials=v), id="curve-trials"),
+    # The curve draws without threads, but a bad worker count is still refused.
+    pytest.param("workers", 1, None, 2, lambda v: _curve(workers=v), id="curve-workers"),
     # -1 is stability_max_n's cutoff when no count is stable: it admits no count.
     pytest.param("max_admissible_n", -1, None, 16, lambda v: _curve(max_admissible_n=v), id="curve-cutoff"),
     pytest.param(

@@ -5,9 +5,12 @@ listed, so infer reads the rapid32 matrix written before it. The
 mechanistic config is rapid32 with the mechanistic undershoot at
 p_miss_next 0.3, made from `presets --json` as a user would make it.
 
-The simulate, compare and sweep files draw Monte Carlo shots, so their
-pins move only with the stream version (mc_engine.MC_KERNEL). The exact
-matrices and infer draw none, and no stream change may move them.
+The simulate files draw Monte Carlo shots, so their pins move only with
+the stream version (mc_engine.MC_KERNEL). The compare and sweep files run
+the convergence curve, whose counts are inverse-CDF draws from the exact
+law (inference._curve_counts), so their pins move with that draw rule, not
+with MC_KERNEL. The exact matrices and infer draw nothing, and neither
+change may move them.
 """
 
 import contextlib
@@ -60,11 +63,11 @@ PINS = {
     ),
     "matrix/compare.csv": (
         ["compare", "--preset", "rapid32", "--mu", "100", "--trials", "10", "--seed", "1"],
-        "8a821edd658f7e3c6c297e1f4799bd39d1878c035c896b9758fd16c8be95092f",
+        "d338c6735152e0a3613072b58e103dcee7dbdd5a8b04bb1b4926055fb19923a2",
     ),
     "sweep/sweep.csv": (
         ["sweep", "--preset", "rapid32", "--over", "shots", "--values", "1,10,100,400", "--mu", "100", "--seed", "1"],
-        "02bb45722fafd8fa58476ee0409f63778f80956489abccecd03d629d55f54f14",
+        "318f35ec378627e92aeed08be933ed4119f4e19c202c53b22de7291905580bca",
     ),
 }
 

@@ -57,6 +57,15 @@ def test_mu_max_validation(rapid32):
         build_matrix(rapid32, 10, "fast")
 
 
+@pytest.mark.parametrize(
+    "method, shown", [("fast", "'fast'"), (10**5000, "an int of 5001 digits")], ids=["str", "long-int"]
+)
+def test_an_unknown_method_is_refused_in_one_message(rapid32, method, shown):
+    with pytest.raises(ValueError) as exc:
+        build_matrix(rapid32, 10, method=method)
+    assert str(exc.value) == f"method: expected 'exact' or 'mc', got {shown}"
+
+
 def test_mc_method_requires_seed(rapid32):
     with pytest.raises(ValueError, match="seed"):
         build_matrix(rapid32, 5, "mc")
