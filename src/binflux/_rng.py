@@ -30,6 +30,8 @@ from .errors import _integer
 
 _LANE_BITS = 53
 _HALF_BITS = 32
+# Words of the stream: advance() counts them modulo this, so a word past it would be word 0 again.
+_STREAM_WORDS = 1 << 128
 
 
 def seed_sequence(seed: int) -> np.random.SeedSequence:

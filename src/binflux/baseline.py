@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from ._rng import _LANE_BITS, derive_seed, lane_threshold, seed_sequence, uniform_lanes
-from .errors import _integer, _real
+from .errors import _integer, _real, _shown
 
 Z_90 = 1.645  # two-sided 90% normal quantile, one tail at 5%
 
@@ -35,7 +35,7 @@ def _z_factor(convention: str) -> float:
     try:
         return _CONVENTION_FACTOR[convention] * Z_90
     except KeyError:
-        raise ValueError(f"convention must be 'half' or 'full', got {convention!r}") from None
+        raise ValueError(f"convention must be 'half' or 'full', got {_shown(convention)}") from None
 
 
 def attenuation_for_target(mu: float, efficiency: float, p_target: float = 0.5) -> float:

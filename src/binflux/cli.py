@@ -21,6 +21,7 @@ import argparse
 import json
 import platform
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -200,13 +201,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     interval = credible_interval(posterior, args.level)
     result = {
         "energy_j": interval_to_energy(interval.width, args.wavelength),
-        "interval": {
-            "hi": interval.hi,
-            "level": interval.level,
-            "lo": interval.lo,
-            "mass": interval.mass,
-            "width": interval.width,
-        },
+        "interval": {**asdict(interval), "width": interval.width},
         "log_evidence": posterior.log_evidence,
         "max_admissible_n": cutoff,
         "mean": posterior.mean,

@@ -10,19 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable
 
 from .detector_model import DetectorSpec, GlobalEfficiency, MechanisticUndershoot
 from .errors import ConfigurationError, _real, _shown
-from .multiplexer import (
-    BinWeights,
-    ExplicitTransmission,
-    MultiplexerSpec,
-    UniformLoss,
-    build_bin_weights,
-)
+from .multiplexer import BinWeights, ExplicitTransmission, MultiplexerSpec, UniformLoss, build_bin_weights
 
 
 @dataclass(frozen=True)
@@ -46,42 +40,27 @@ class SystemConfig:
         return self.multiplexer.num_bins
 
 
+def _record(value: Any) -> Any:
+    """value as JSON data: a model dataclass as the object of its fields, a tuple as a list, anything else as is.
+
+    A transmission or undershoot gets the key "kind" first, with the name
+    the reader's table gives its class.
+    """
+    if isinstance(value, tuple):
+        return [_record(item) for item in value]
+    if not is_dataclass(value):
+        return value
+    record = {f.name: _record(getattr(value, f.name)) for f in fields(value)}
+    kind = _KIND_OF.get(type(value))
+    return record if kind is None else {"kind": kind, **record}
+
+
 def system_to_dict(system: SystemConfig) -> dict[str, Any]:
-    mux = system.multiplexer
-    t = mux.transmission
-    if isinstance(t, UniformLoss):
-        trans: dict[str, Any] = {"kind": "uniform_loss", "avg_loss_db": t.avg_loss_db}
-    else:
-        trans = {"kind": "explicit", "values": list(t.values)}
-    da = mux.detector_assignment
-    det = system.detector
-    u = det.undershoot
-    if u is None:
-        under: Any = None
-    elif isinstance(u, GlobalEfficiency):
-        under = {"kind": "global_efficiency", "points": [list(p) for p in u.points]}
-    else:
-        under = {"kind": "mechanistic", "p_miss_next": u.p_miss_next}
-    return {
-        "name": system.name,
-        "multiplexer": {
-            "loop_delays": list(mux.loop_delays),
-            "coupler_ratios": None if mux.coupler_ratios is None else list(mux.coupler_ratios),
-            "transmission": trans,
-            "detector_assignment": da if isinstance(da, str) else list(da),
-        },
-        "detector": {
-            "efficiency": det.efficiency,
-            "dark_prob_per_gate": list(det.dark_prob_per_gate),
-            "gate_width": det.gate_width,
-            "deadtime": det.deadtime,
-            "undershoot": under,
-            "afterpulse_metadata": None
-            if det.afterpulse_metadata is None
-            else {k: v for k, v in det.afterpulse_metadata},
-        },
-        "guard": system.guard,
-    }
+    """The JSON object of system that system_from_dict reads back; afterpulse metadata as an object of names."""
+    record = _record(system)
+    if system.detector.afterpulse_metadata is not None:
+        record["detector"]["afterpulse_metadata"] = dict(system.detector.afterpulse_metadata)
+    return record
 
 
 _REQUIRED = object()
@@ -91,6 +70,8 @@ _UNDERSHOOTS = {
     "global_efficiency": (GlobalEfficiency, "points"),
     "mechanistic": (MechanisticUndershoot, "p_miss_next"),
 }
+# The kind name of each class in the tables, for the writer.
+_KIND_OF = {build: kind for table in (_TRANSMISSIONS, _UNDERSHOOTS) for kind, (build, _) in table.items()}
 
 
 def _object(value: Any, where: str) -> dict[str, Any]:
@@ -148,10 +129,11 @@ def system_from_dict(data: dict[str, Any]) -> SystemConfig:
         "multiplexer",
         loop_delays=_REQUIRED,
         coupler_ratios=None,
-        transmission={"kind": "uniform_loss", "avg_loss_db": 0.0},
+        transmission=None,
         detector_assignment="final_coupler",
     )
-    mux["transmission"] = _kind(mux["transmission"], "multiplexer", "transmission", _TRANSMISSIONS)
+    t = mux["transmission"]  # absent or null: no loss
+    mux["transmission"] = UniformLoss() if t is None else _kind(t, "multiplexer", "transmission", _TRANSMISSIONS)
     det = _fields(
         config["detector"],
         "detector",

@@ -18,11 +18,12 @@ models describe the gain sag that follows an avalanche:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, _integer, _items, _real, _shown
+from .errors import _DIMENSION, ConfigurationError, _integer, _items, _real, _shown
 from .multiplexer import BinWeights
 
 
@@ -128,10 +129,11 @@ def effective_efficiency(spec: DetectorSpec, mean_photon_number):
     derating depends on it, and the scalar nominal efficiency otherwise.
     """
     mu = np.asarray(mean_photon_number)
-    if not np.all((mu >= 0.0) & (mu < np.inf)):
-        raise ValueError(f"mean_photon_number must be finite and >= 0, got {mean_photon_number!r}")
+    # An int past the largest double stays a Python int in an object array, and fails the second test.
+    if not np.all((mu >= 0.0) & (mu <= sys.float_info.max)):
+        raise ValueError(f"mean_photon_number must be finite and >= 0, got {_shown(mean_photon_number)}")
     if isinstance(spec.undershoot, GlobalEfficiency):
-        return spec.undershoot.efficiency_at(mean_photon_number)
+        return spec.undershoot.efficiency_at(mu)
     return spec.efficiency
 
 
@@ -157,7 +159,7 @@ def no_click_probabilities(mu, weights: BinWeights, spec: DetectorSpec) -> np.nd
 
 def shot_dark_probability(spec: DetectorSpec, bins_per_detector: int) -> float:
     """Probability that at least one of the gates of a full train darks out."""
-    bins_per_detector = _integer(bins_per_detector, "bins_per_detector")
+    bins_per_detector = _integer(bins_per_detector, "bins_per_detector", 0, _DIMENSION)
     quiet = 1.0
     for d in spec.dark_prob_per_gate:
         quiet *= (1.0 - d) ** bins_per_detector

@@ -11,6 +11,9 @@ from numbers import Real
 
 import numpy as np
 
+# The largest numpy array dimension, the bound of every integer that sizes an array.
+_DIMENSION = int(np.iinfo(np.intp).max)
+
 
 class BinfluxError(Exception):
     """Base class for all package-specific errors."""

@@ -117,11 +117,9 @@ def coherent_click_rows(mus, weights: BinWeights, detector: DetectorSpec) -> np.
     an (m, B + 1) array from a single pass: the undershoot chain for a
     history-dependent detector, the Poisson-binomial DP otherwise.
     """
-    mu = np.asarray(mus, dtype=float)
-    if not np.isfinite(mu).all() or (mu < 0.0).any():
-        raise ValueError(f"mu must be finite and >= 0, got {mus!r}")
     # Each gate's click probability: one minus the no-click threshold the Monte Carlo kernel uses.
-    p = 1.0 - no_click_probabilities(mu, weights, detector)
+    # no_click_probabilities refuses a mean that is not finite and >= 0.
+    p = 1.0 - no_click_probabilities(mus, weights, detector)
     if detector.history_dependent:
         order, miss = _gate_order(weights, detector)
         return _undershoot_chain_pmf(p[..., order], miss)

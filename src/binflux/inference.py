@@ -21,7 +21,7 @@ import numpy as np
 
 from ._rng import derive_seed, lane_threshold, seed_sequence, uniform_lanes
 from .config import SystemConfig
-from .errors import DegenerateEvidenceError, ModelUnsupportedError, _integer, _real
+from .errors import _DIMENSION, DegenerateEvidenceError, ModelUnsupportedError, _integer, _real
 from .exact_oracle import coherent_click_rows
 from .response_matrix import ResponseMatrix, build_matrix
 
@@ -374,7 +374,7 @@ def _stability_build(system: SystemConfig, mu_max: int, tolerance: float) -> tup
     caller that also inverts with it needs no second build.
     """
     tolerance = _real(tolerance, "tolerance", 0.0)
-    mu_max = _integer(mu_max, "mu_max", 1)
+    mu_max = _integer(mu_max, "mu_max", 1, (_DIMENSION - 1) // 2)
     wide = build_matrix(system, 2 * mu_max)
     unstable = np.flatnonzero(~(_stability_tv(wide.rows, mu_max) < tolerance))
     cutoff = int(unstable[0]) - 1 if unstable.size else wide.num_bins
@@ -448,10 +448,10 @@ def relative_error_curve(
     """Simulate repeated measurement runs and track interval convergence.
 
     Trial t's counts are inverse-CDF draws (_curve_counts) from system's
-    exact law, whatever matrix is passed, truncated at the stability cutoff
-    and renormalised: the counts that discarding each count above it and
-    drawing again would keep. workers is checked as build_matrix checks it;
-    the draws need no threads.
+    exact law, whatever matrix with its bin count is passed, truncated at
+    the stability cutoff and renormalised: the counts that discarding each
+    count above it and drawing again would keep. workers is checked as
+    build_matrix checks it; the draws need no threads.
 
     Then the log posteriors of a group of trials are summed in lockstep,
     each the previous one plus its count's column: a cumulative sum's
@@ -466,6 +466,8 @@ def relative_error_curve(
     level = _real(level, "level", 0.0, 1.0)
     if workers is not None:
         _integer(workers, "workers", 1)
+    if matrix.num_bins != system.num_bins:
+        raise ValueError(f"matrix: has {matrix.num_bins} bins, but system draws counts over {system.num_bins}")
     cutoff = matrix.num_bins if max_admissible_n is None else _integer(max_admissible_n, "max_admissible_n", -1)
     with np.errstate(divide="ignore"):
         log_cols = np.ascontiguousarray(np.log(matrix.rows).T)

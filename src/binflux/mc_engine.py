@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import _LANE_BITS, gate_threshold, half_words, lane_threshold, seed_sequence, uniform_lanes
+from ._rng import _LANE_BITS, _STREAM_WORDS, gate_threshold, half_words, lane_threshold, seed_sequence, uniform_lanes
 from .detector_model import (
     DetectorSpec,
     _gate_order,
@@ -58,7 +58,7 @@ from .detector_model import (
     no_click_probabilities,
     per_bin_dark_probabilities,
 )
-from .errors import _integer, _real
+from .errors import _integer, _real, _shown
 from .multiplexer import BinWeights
 
 FOCK_MC_CAP = 1_000_000
@@ -334,7 +334,8 @@ def simulate_rows(
     and read by every source, so result i is bit-identical to
     simulate_batch(sources[i], ..., seed) and the rows' sampling errors are
     correlated (common random numbers). Results depend only on (seed, shot
-    indices): workers, which splits the chunks, never changes them.
+    indices): workers, which splits the chunks, never changes them. Shots
+    that would read past the stream's 2**128 words raise ValueError.
     """
     n_shots = _integer(n_shots, "n_shots", 1)
     start_shot = _integer(start_shot, "start_shot")
@@ -344,6 +345,11 @@ def simulate_rows(
     if len(layouts) != 1:
         raise ValueError(f"sources: expected at least one, all with one lane layout, got lanes {sorted(layouts)}")
     (lanes,) = layouts
+    if (start_shot + n_shots) * lanes > _STREAM_WORDS:
+        raise ValueError(
+            f"start_shot + n_shots must be at most {_STREAM_WORDS // lanes}, the stream's 2**128 words at "
+            f"{lanes} lanes per shot, got {_shown(start_shot)} + {_shown(n_shots)}"
+        )
     seq = seed_sequence(seed)
     chunk = max(1, _CHUNK_LANES // lanes)
     n_bins = weights.num_bins

@@ -30,7 +30,7 @@ import numpy as np
 
 from ._rng import derive_seed
 from .config import SystemConfig, canonical_json, fingerprint, system_from_dict, system_to_dict
-from .errors import ConfigurationError, MatrixFormatError, _integer, _shown
+from .errors import _DIMENSION, ConfigurationError, MatrixFormatError, _integer, _shown
 from .exact_oracle import coherent_click_rows
 from .mc_engine import MC_KERNEL, BatchResult, Coherent, simulate_rows
 
@@ -150,7 +150,7 @@ def build_matrix(
     support are, and neighbouring rows' sampling errors are positively
     correlated. A bad argument raises ValueError.
     """
-    mu_max = _integer(mu_max, "mu_max", 1)
+    mu_max = _integer(mu_max, "mu_max", 1, _DIMENSION - 1)
     if method not in ("exact", "mc"):
         raise ValueError(f"method: expected 'exact' or 'mc', got {_shown(method)}")
     if method == "mc" and seed is None:

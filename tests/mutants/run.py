@@ -293,6 +293,34 @@ MUTANTS = (
         ("test_config.py::test_an_unknown_field_is_refused",),
     ),
     Mutant(
+        "config.record_without_its_kind",
+        "config.py",
+        'return record if kind is None else {"kind": kind, **record}',
+        "return record",
+        ("test_config.py::test_canonical_json_is_pinned",),
+    ),
+    Mutant(
+        "config.afterpulse_metadata_written_as_pairs",
+        "config.py",
+        "if system.detector.afterpulse_metadata is not None:",
+        "if False:",
+        ("test_config.py::test_canonical_json_is_pinned",),
+    ),
+    Mutant(
+        "inference.curve_reads_a_matrix_of_another_bin_count",
+        "inference.py",
+        "if matrix.num_bins != system.num_bins:",
+        "if False:",
+        ("test_curve_draws.py::test_a_matrix_of_another_bin_count_is_refused",),
+    ),
+    Mutant(
+        "mc_engine.stream_admits_one_shot_past_its_end",
+        "mc_engine.py",
+        "if (start_shot + n_shots) * lanes > _STREAM_WORDS:",
+        "if (start_shot + n_shots - 1) * lanes > _STREAM_WORDS:",
+        ("test_mc_engine.py::test_the_stream_ends_at_its_last_word",),
+    ),
+    Mutant(
         "multiplexer.bin_weights_sum_unchecked",
         "multiplexer.py",
         "w.sum() <= 1.0 + 1e-12",

@@ -59,6 +59,18 @@ def test_shots_to_target_validation():
             shots_to_relative_error(target)
 
 
+@pytest.mark.parametrize(
+    "convention, shown", [("double", "'double'"), (10**5000, "an int of 5001 digits")], ids=["name", "long-int"]
+)
+def test_an_unknown_convention_is_refused_in_one_message(convention, shown):
+    # Before, an int past Python's 4300-digit limit escaped as repr's own ValueError.
+    for call in (lambda: shots_to_relative_error(0.1, convention=convention),
+                 lambda: baseline_error_curve(100.0, 5, convention=convention)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"convention must be 'half' or 'full', got {shown}"
+
+
 def test_relative_error_after_matches_curve():
     curve = baseline_error_curve(100.0, 50)
     assert curve.shape == (50,)

@@ -140,6 +140,17 @@ def test_simulate_json_output(tmp_path):
     assert max(i for i, c in enumerate(doc["histogram"]) if c) <= 4
 
 
+def test_simulate_coherent_json_output(tmp_path):
+    out = tmp_path / "hist.json"
+    argv = ["simulate", "--preset", "rapid32", "--mu", "100", "--shots", "1000", "--seed", "2", "--format", "json"]
+    assert main([*argv, "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert set(doc) == {"histogram", "mean_clicks", "n_shots", "source"}
+    assert doc["source"] == {"kind": "coherent", "mu": 100.0}
+    assert doc["n_shots"] == 1000 and sum(doc["histogram"]) == 1000 and len(doc["histogram"]) == 33
+    assert doc["mean_clicks"] == sum(n * c for n, c in enumerate(doc["histogram"])) / 1000
+
+
 def _parser_error(argv, capsys) -> str:
     """stderr of an option conflict, which the parser reports with exit 2."""
     with pytest.raises(SystemExit) as exc:
@@ -497,16 +508,25 @@ def test_infer_warns_once_on_a_tampered_fingerprint(rapid32_matrix_file, tmp_pat
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["matrix", "--mu-max", "0"], "mu_max must be an integer >= 1, got 0"),
+        (["matrix", "--mu-max", "0"], "mu_max must be an integer in [1, 9223372036854775806], got 0"),
         (["compare", "--mu", "100", "--trials", "2", "--max-shots", "5", "--seed", "1", "--mu-max", "0"],
-         "mu_max must be an integer >= 1, got 0"),
+         "mu_max must be an integer in [1, 4611686018427387903], got 0"),
         (["sweep", "--over", "shots", "--values", "1,5", "--mu", "100", "--seed", "1", "--mu-max", "0"],
-         "mu_max must be an integer >= 1, got 0"),
+         "mu_max must be an integer in [1, 4611686018427387903], got 0"),
+        # Before, these printed an OverflowError traceback and exited 1.
+        (["matrix", "--mu-max", str(10**400)], f"mu_max must be an integer in [1, 9223372036854775806], got {10**400}"),
+        (["compare", "--mu", "100", "--seed", "1", "--mu-max", str(10**400)],
+         f"mu_max must be an integer in [1, 4611686018427387903], got {10**400}"),
+        (["sweep", "--over", "shots", "--values", "1,5", "--mu", "100", "--seed", "1", "--mu-max", str(10**400)],
+         f"mu_max must be an integer in [1, 4611686018427387903], got {10**400}"),
         (["matrix", "--mu-max", "5", "--method", "mc", "--seed", "1", "--shots", "0"],
          "n_shots must be an integer >= 1, got 0"),
         (["matrix", "--support", "3,9", "--mu-max", "5"], "support[1] must be an integer in [0, 5], got 9"),
     ],
-    ids=["matrix-mu-max", "compare-mu-max", "sweep-mu-max", "matrix-shots", "matrix-support"],
+    ids=[
+        "matrix-mu-max", "compare-mu-max", "sweep-mu-max", "matrix-huge-mu-max", "compare-huge-mu-max",
+        "sweep-huge-mu-max", "matrix-shots", "matrix-support",
+    ],
 )
 def test_bad_build_matrix_argument_exits_2_before_writing(tmp_path, capsys, argv, message):
     # Before, build_matrix raised ConfigurationError for these, so they exited 3 as a configuration error.

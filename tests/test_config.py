@@ -155,6 +155,51 @@ def test_canonical_json_is_compact_and_sorted():
     assert text.index('"detector"') < text.index('"multiplexer"') < text.index('"name"')
 
 
+def _rapid32_mechanistic_without_metadata():
+    base = get_preset("rapid32")
+    detector = dataclasses.replace(base.detector, undershoot=MechanisticUndershoot(0.3), afterpulse_metadata=None)
+    return dataclasses.replace(base, detector=detector)
+
+
+# The canonical JSON, and so the fingerprint, of configs that no pinned output file embeds.
+CANONICAL_JSON = [
+    pytest.param(
+        get_preset("conventional16"),
+        '{"detector":{"afterpulse_metadata":{"afterpulse_prob_one_deadtime_after_click":0.09},'
+        '"dark_prob_per_gate":[0.00016,0.00016],"deadtime":5e-06,"efficiency":0.1,"gate_width":2e-08,'
+        '"undershoot":null},"guard":null,"multiplexer":{"coupler_ratios":null,"detector_assignment":"final_coupler",'
+        '"loop_delays":[5e-06,1e-05,2.5e-05],"transmission":{"avg_loss_db":1.44,"kind":"uniform_loss"}},'
+        '"name":"conventional16"}',
+        id="conventional16",
+    ),
+    # Explicit transmission and detector assignment, coupler ratios, a guard, mechanistic undershoot, metadata.
+    pytest.param(
+        _explicit_system(),
+        '{"detector":{"afterpulse_metadata":{"amplitude":0.008,"tau_us":1.2},"dark_prob_per_gate":[1e-05,2e-05],'
+        '"deadtime":5e-09,"efficiency":0.3,"gate_width":1e-09,"undershoot":{"kind":"mechanistic","p_miss_next":0.02}},'
+        '"guard":1e-09,"multiplexer":{"coupler_ratios":[0.4,0.6,0.5],"detector_assignment":[0,1,0,1,1,0,1,0],'
+        '"loop_delays":[1e-08,2e-08],"transmission":{"kind":"explicit","values":[0.9,0.85,0.8,0.75,0.7,0.65,0.6,0.55]}},'
+        '"name":"explicit"}',
+        id="explicit",
+    ),
+    pytest.param(
+        _rapid32_mechanistic_without_metadata(),
+        '{"detector":{"afterpulse_metadata":null,"dark_prob_per_gate":[1e-05,5e-05],"deadtime":9.78e-09,'
+        '"efficiency":0.165,"gate_width":2e-10,"undershoot":{"kind":"mechanistic","p_miss_next":0.3}},"guard":null,'
+        '"multiplexer":{"coupler_ratios":null,"detector_assignment":"final_coupler",'
+        '"loop_delays":[9.78e-09,1.956e-08,3.912e-08,7.824e-08],"transmission":{"avg_loss_db":1.35,"kind":"uniform_loss"}},'
+        '"name":"rapid32"}',
+        id="mechanistic-without-metadata",
+    ),
+]
+
+
+@pytest.mark.parametrize("system, text", CANONICAL_JSON)
+def test_canonical_json_is_pinned(system, text):
+    assert canonical_json(system) == text
+    assert system_from_dict(system_to_dict(system)) == system
+
+
 def test_save_load_file_round_trip(tmp_path):
     system = _explicit_system()
     path = tmp_path / "system.json"

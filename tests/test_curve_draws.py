@@ -16,7 +16,7 @@ from conftest import LAW_ALPHA, assert_law
 
 import binflux.inference as inference
 import binflux.mc_engine as mc_engine
-from binflux import DegenerateEvidenceError, relative_error_curve, stability_max_n
+from binflux import DegenerateEvidenceError, build_matrix, relative_error_curve, stability_max_n
 from binflux.exact_oracle import coherent_click_rows
 
 
@@ -91,6 +91,16 @@ def test_the_curve_runs_no_monte_carlo_kernel(monkeypatch, rapid32, rapid32_matr
     curve = relative_error_curve(rapid32, rapid32_matrix400, 100.0, 40, 3, 1, max_admissible_n=16, workers=1)
     assert curve.rel_err.shape == (3, 40)
     assert not {n for n in _imported_names(Path(inference.__file__)) if n.split(".")[-1] == "mc_engine"}
+
+
+def test_a_matrix_of_another_bin_count_is_refused(rapid32, mechanistic32, rapid32_matrix400, conventional16):
+    # Before, counts above bin 16 were read as the 16-bin matrix's last column, and a curve came back.
+    with pytest.raises(ValueError) as exc:
+        relative_error_curve(rapid32, build_matrix(conventional16, 100), 100.0, 20, 2, 1, max_admissible_n=30)
+    assert str(exc.value) == "matrix: has 16 bins, but system draws counts over 32"
+    # A truth system other than the matrix's own, with its bin count, is a misspecification study.
+    curve = relative_error_curve(mechanistic32, rapid32_matrix400, 100.0, 20, 2, 1, max_admissible_n=16)
+    assert curve.rel_err.shape == (2, 20)
 
 
 def test_the_admissible_mass_floor_decides_the_refusal(rapid32, rapid32_matrix400):

@@ -13,6 +13,7 @@ from binflux import (
     DetectorSpec,
     GlobalEfficiency,
     MechanisticUndershoot,
+    coherent_click_distribution,
     effective_efficiency,
     fock_click_distribution,
     get_preset,
@@ -20,6 +21,7 @@ from binflux import (
     per_bin_dark_probabilities,
     shot_dark_probability,
 )
+from binflux.exact_oracle import coherent_click_rows
 
 
 def make_detector(**overrides):
@@ -116,6 +118,29 @@ def test_no_click_probabilities_reject_a_non_finite_mean(conventional16):
     # Before, a nan mean gave nan probabilities, and then a message ending in array(nan).
     with pytest.raises(ValueError, match=r"^mean_photon_number must be finite and >= 0, got nan$"):
         no_click_probabilities(math.nan, conventional16.bin_weights(), conventional16.detector)
+
+
+@pytest.mark.parametrize("name", ["rapid32", "conventional16"])
+@pytest.mark.parametrize(
+    "mean, shown", [(10**400, str(10**400)), ([5, 10**400], f"[5, {10**400}]"), (10**5000, "an int of 5001 digits")],
+    ids=["int", "list", "long-int"],
+)
+def test_a_mean_past_the_largest_double_is_refused(name, mean, shown):
+    # Before, each raised OverflowError (int too large to convert to float), or with
+    # conventional16's constant efficiency effective_efficiency returned 0.1.
+    system = get_preset(name)
+    weights, detector = system.bin_weights(), system.detector
+    calls = [
+        lambda: effective_efficiency(detector, mean),
+        lambda: no_click_probabilities(mean, weights, detector),
+        lambda: coherent_click_rows(mean, weights, detector),
+    ]
+    if not isinstance(mean, list):
+        calls.append(lambda: coherent_click_distribution(mean, weights, detector))
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"mean_photon_number must be finite and >= 0, got {shown}"
 
 
 def test_per_bin_dark_lookup(tiny_weights):

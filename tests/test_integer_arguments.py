@@ -29,6 +29,8 @@ from binflux.cli import main
 from binflux.mc_engine import simulate_rows
 
 RAPID32 = get_preset("rapid32")
+# The largest numpy array dimension: a matrix has mu_max + 1 rows, and the stability grid 2 * mu_max + 1.
+DIMENSION = int(np.iinfo(np.intp).max)
 
 
 @functools.cache
@@ -64,7 +66,7 @@ ENTRIES = [
     pytest.param("n_shots", 1, None, 40, lambda v: _rows(n_shots=v, store_totals=True), id="rows-shots"),
     pytest.param("start_shot", 0, None, 7, lambda v: _rows(start_shot=v, store_totals=True), id="rows-start"),
     pytest.param("workers", 1, None, 2, lambda v: _rows(20_000, workers=v), id="rows-workers"),
-    pytest.param("mu_max", 1, None, 5, lambda v: build_matrix(RAPID32, v), id="matrix-mu-max"),
+    pytest.param("mu_max", 1, DIMENSION - 1, 5, lambda v: build_matrix(RAPID32, v), id="matrix-mu-max"),
     pytest.param("n_shots", 1, None, 100, lambda v: build_matrix(RAPID32, 5, "mc", n_shots=v, seed=2), id="matrix-shots"),
     # An exact matrix uses none of these three, but a bad one is still refused.
     pytest.param("n_shots", 1, None, 100, lambda v: build_matrix(RAPID32, 5, n_shots=v), id="exact-matrix-shots"),
@@ -84,8 +86,10 @@ ENTRIES = [
     pytest.param("max_shots", 1, None, 5, lambda v: baseline_error_curve(100.0, v), id="baseline-curve-shots"),
     pytest.param("max_shots", 1, None, 5, lambda v: simulate_baseline(100.0, 0.165, v, 2, 1), id="baseline-shots"),
     pytest.param("n_trials", 1, None, 2, lambda v: simulate_baseline(100.0, 0.165, 5, v, 1), id="baseline-trials"),
-    pytest.param("bins_per_detector", 0, None, 16, lambda v: shot_dark_probability(RAPID32.detector, v), id="dark"),
-    pytest.param("mu_max", 1, None, 5, lambda v: stability_max_n(RAPID32, v), id="stability-mu-max"),
+    pytest.param(
+        "bins_per_detector", 0, DIMENSION, 16, lambda v: shot_dark_probability(RAPID32.detector, v), id="dark"
+    ),
+    pytest.param("mu_max", 1, (DIMENSION - 1) // 2, 5, lambda v: stability_max_n(RAPID32, v), id="stability-mu-max"),
 ]
 
 
@@ -106,6 +110,16 @@ def test_an_int_too_long_to_print_is_refused_by_its_digit_count(name, lo, hi, go
     for value in [-(10**5000)] + ([10**5000] if hi is not None else []):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(value)
+
+
+@pytest.mark.parametrize("name, lo, hi, good, call", [entry for entry in ENTRIES if entry.values[2] is not None])
+def test_one_past_the_upper_bound_is_refused(name, lo, hi, good, call):
+    # Before, build_matrix and stability_max_n raised OverflowError for 10**400 rows, and
+    # shot_dark_probability OverflowError for a gate count past the largest double.
+    for value in (hi + 1, 10**400):
+        with pytest.raises(ValueError) as exc:
+            call(value)
+        assert str(exc.value) == f"{name} must be an integer in [{lo}, {hi}], got {value}"
 
 
 @pytest.mark.parametrize("name, lo, hi, good, call", ENTRIES)
@@ -130,10 +144,14 @@ def test_a_numpy_integer_gives_the_result_of_its_int(name, lo, hi, good, call):
         (["matrix", "--mu-max", "5", "--shots", "0", "--workers", "0"], "n_shots must be an integer >= 1, got 0"),
         (["matrix", "--mu-max", "5", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
         (["matrix", "--mu-max", "5", "--workers", "0"], "workers must be an integer >= 1, got 0"),
+        # Before, a shot count this large wrapped the stream, and one past 2**63 raised OverflowError.
+        (["simulate", "--mu", "5", "--seed", "1", "--shots", str(10**400)],
+         f"start_shot + n_shots must be at most {2**124}, the stream's 2**128 words at 16 lanes per shot, "
+         f"got 0 + {10**400}"),
     ],
     ids=[
         "simulate-shots", "simulate-workers", "simulate-fock", "compare-max-shots", "compare-trials", "sweep-shots",
-        "exact-matrix-shots", "exact-matrix-seed", "exact-matrix-workers",
+        "exact-matrix-shots", "exact-matrix-seed", "exact-matrix-workers", "simulate-shots-past-the-stream",
     ],
 )
 def test_a_bad_integer_option_exits_2_before_writing(tmp_path, capsys, argv, message):

@@ -38,6 +38,24 @@ def test_different_seed_different_result(rapid32, rapid32_weights):
     assert not np.array_equal(a.histogram, b.histogram)
 
 
+@pytest.mark.parametrize("name, lanes", [("rapid32", 16), ("mechanistic32", 32)])
+def test_the_stream_ends_at_its_last_word(request, name, lanes):
+    # Before, advance() wrapped past the stream's 2**128 words: start_shot 2**124 on rapid32 gave shot 0's totals.
+    system = request.getfixturevalue(name)
+    weights, detector = system.bin_weights(), system.detector
+    last = 2**128 // lanes - 1
+    batch = simulate_batch(Coherent(100.0), weights, detector, 1, 3, start_shot=last, store_totals=True)
+    words = np.random.PCG64DXSM(seed_sequence(3)).advance(2**128 - lanes).random_raw(lanes)
+    assert np.array_equal(batch.click_totals, _Kernel(Coherent(100.0), weights, detector).run(words[None])[1])
+    for start_shot, n_shots in ((last + 1, 1), (last, 2), (0, last + 2)):
+        with pytest.raises(ValueError) as exc:
+            simulate_batch(Coherent(100.0), weights, detector, n_shots, 3, start_shot=start_shot)
+        assert str(exc.value) == (
+            f"start_shot + n_shots must be at most {last + 1}, the stream's 2**128 words at {lanes} lanes per shot, "
+            f"got {start_shot} + {n_shots}"
+        )
+
+
 def test_chunk_size_and_workers_do_not_change_results(rapid32, rapid32_weights, simulate_in_chunks):
     args = (Coherent(100.0), rapid32_weights, rapid32.detector, 20000, 7)
     a = simulate_in_chunks(999, *args, store_totals=True)
