@@ -4,7 +4,7 @@ Subcommands: presets, simulate, matrix, infer, compare, sweep. Every file
 output gets a sibling <name>.manifest.json recording every option as
 parsed (except --preset/--config, which the recorded system replaces), the
 system fingerprint, and library versions together with the Monte Carlo
-stream version (versions.kernel; no timestamps, so a rerun of the same
+stream version (versions["kernel"]; no timestamps, so a rerun of the same
 command yields byte-identical files).
 
 Exit codes, from the table _EXITS: 0 success; 2 a bad option or argument
@@ -75,7 +75,7 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write_manifest(out: Path, args: argparse.Namespace, system: SystemConfig) -> None:
+def _write_manifest(out: Path, args: argparse.Namespace, system: SystemConfig) -> Path:
     doc = {
         "tool": f"binflux {__version__}",
         "command": args.command,
@@ -89,11 +89,13 @@ def _write_manifest(out: Path, args: argparse.Namespace, system: SystemConfig) -
             "python": platform.python_version(),
         },
     }
-    Path(str(out) + ".manifest.json").write_text(_json_text(doc))
+    path = Path(str(out) + ".manifest.json")
+    path.write_text(_json_text(doc))
+    return path
 
 
-def _write_lines(out: Path, header: str, rows) -> None:
-    out.write_text("\n".join([header, *rows]) + "\n")
+def _lines(header: str, rows) -> str:
+    return "\n".join([header, *rows]) + "\n"
 
 
 def _add_system_args(p: argparse.ArgumentParser, required: bool = True) -> None:
@@ -128,7 +130,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.output)
     if args.format == "csv":
         rows = (f"{n},{c},{_fmt(c / batch.n_shots)}" for n, c in enumerate(batch.histogram))
-        _write_lines(out, "n,count,probability", rows)
+        out.write_text(_lines("n,count,probability", rows))
     else:
         doc = {
             "histogram": batch.histogram.tolist(),
@@ -209,15 +211,22 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         "n_observations": len(observations),
     }
     text = _json_text(result)
-    if args.output:
-        Path(args.output).write_text(text)
-        _write_manifest(Path(args.output), args, matrix.system)
-    else:
-        sys.stdout.write(text)
-    if args.posterior:
+    outputs = [(Path(args.output), text)] if args.output else []
+    if args.posterior:  # written first, and every file of this call removed on a file error
         rows = (f"{mu},{_fmt(p)}" for mu, p in enumerate(posterior.probs))
-        _write_lines(Path(args.posterior), "mu,probability", rows)
-        _write_manifest(Path(args.posterior), args, matrix.system)
+        outputs.insert(0, (Path(args.posterior), _lines("mu,probability", rows)))
+    written: list[Path] = []
+    try:
+        for out, body in outputs:
+            out.write_text(body)
+            written.append(out)
+            written.append(_write_manifest(out, args, matrix.system))
+    except OSError:
+        for path in written:
+            path.unlink()
+        raise
+    if not args.output:
+        sys.stdout.write(text)
     return 0
 
 
@@ -241,7 +250,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     med = curve.median()
     out = Path(args.output)
     rows = (f"{i + 1},{_fmt(med[i])},{_fmt(base[i])}" for i in range(args.max_shots))
-    _write_lines(out, "shots,rel_err_multiplexed,rel_err_single_pixel", rows)
+    out.write_text(_lines("shots,rel_err_multiplexed,rel_err_single_pixel", rows))
     _write_manifest(out, args, system)
     head = f"wrote {out}: to reach {100 * args.target:.3g}% relative width at mu={args.mu}: "
     gates = f"{base_shots:.4g}" if base_shots >= 10**6 else base_shots
@@ -275,12 +284,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for mu, probs, batch in zip(values, exact, batches):
             for n, c in enumerate(batch.histogram):
                 lines.append(f"{mu},{n},{c},{_fmt(c / batch.n_shots)},{_fmt(probs[n])}")
-        _write_lines(out, "mu,n,count,probability,probability_exact", lines)
+        out.write_text(_lines("mu,n,count,probability,probability_exact", lines))
     else:
         curve = _convergence(args, system, values[-1])
         med, q25, q75 = curve.median(), curve.quantile(0.25), curve.quantile(0.75)
         rows = (f"{k},{_fmt(med[k - 1])},{_fmt(q25[k - 1])},{_fmt(q75[k - 1])}" for k in values)
-        _write_lines(out, "shots,median_rel_err,q25_rel_err,q75_rel_err", rows)
+        out.write_text(_lines("shots,median_rel_err,q25_rel_err,q75_rel_err", rows))
     _write_manifest(out, args, system)
     print(f"wrote {out}: sweep over {args.over} at {len(values)} points")
     return 0

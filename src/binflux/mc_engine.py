@@ -353,7 +353,7 @@ def simulate_rows(
     seq = seed_sequence(seed)
     chunk = max(1, _CHUNK_LANES // lanes)
     n_bins = weights.num_bins
-    jobs = [(s, min(chunk, start_shot + n_shots - s)) for s in range(start_shot, start_shot + n_shots, chunk)]
+    starts = range(start_shot, start_shot + n_shots, chunk)  # no list: memory does not grow with the shots
 
     results = [
         BatchResult(
@@ -365,8 +365,8 @@ def simulate_rows(
     ]
     totals_parts: list[list[np.ndarray]] = [[] for _ in sources]
 
-    def process(job: tuple[int, int]) -> list[tuple[np.ndarray, np.ndarray | None, np.ndarray]]:
-        words = uniform_lanes(seq, *job, lanes)
+    def process(start: int) -> list[tuple[np.ndarray, np.ndarray | None, np.ndarray]]:
+        words = uniform_lanes(seq, start, min(chunk, starts.stop - start), lanes)
         words.setflags(write=False)
         parts = []
         for kernel in kernels:
@@ -384,14 +384,17 @@ def simulate_rows(
                 if store_totals:
                     kept.append(totals.astype(np.int64))
 
-    n_workers = min(n_workers, len(jobs))
+    n_chunks = -(-n_shots // chunk)  # len(starts) raises past sys.maxsize
+    n_workers = min(n_workers, n_chunks)
     if n_workers == 1:
-        add(map(process, jobs))
+        add(map(process, starts))
     else:
         from concurrent.futures import ThreadPoolExecutor  # only a pool pays for this import
 
+        window = 2 * n_workers  # chunks at a time, so a failing chunk stops the run within its window
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            add(pool.map(process, jobs))
+            for i in range(0, n_chunks, window):
+                add(pool.map(process, starts[i : i + window]))
     if store_totals:
         for result, kept in zip(results, totals_parts):
             result.click_totals = np.concatenate(kept)

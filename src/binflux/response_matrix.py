@@ -41,31 +41,21 @@ _HEADER_RE = re.compile(
 )
 
 
-# Retired Monte Carlo streams, v1 first: their "<kernel>:<shots>:<seed>" rows still load.
-_RETIRED_MC_KERNELS = ("mc", "mc2", "mc3")
-
-
 @dataclass(frozen=True)
 class RowProvenance:
-    """How one row was obtained: exact formula, Monte Carlo, or interpolation.
-
-    kernel names the Monte Carlo stream that drew an "mc" row; only rows of
-    the current stream (mc_engine.MC_KERNEL) are reproducible from their
-    seed. Other kinds ignore it.
-    """
+    """How one row was obtained: exact formula, Monte Carlo (of the MC_KERNEL stream), or interpolation."""
 
     kind: str
     n_shots: int | None = None
     seed: int | None = None
     mu_lo: int | None = None
     mu_hi: int | None = None
-    kernel: str = MC_KERNEL
 
     def token(self) -> str:
         if self.kind == "exact":
             return "exact"
         if self.kind == "mc":
-            return f"{self.kernel}:{self.n_shots}:{self.seed}"
+            return f"{MC_KERNEL}:{self.n_shots}:{self.seed}"
         return f"interp:{self.mu_lo}:{self.mu_hi}"
 
     @staticmethod
@@ -74,8 +64,8 @@ class RowProvenance:
         try:
             if parts[0] == "exact" and len(parts) == 1:
                 return RowProvenance(kind="exact")
-            if parts[0] in (MC_KERNEL, *_RETIRED_MC_KERNELS) and len(parts) == 3:
-                return RowProvenance(kind="mc", n_shots=int(parts[1]), seed=int(parts[2]), kernel=parts[0])
+            if parts[0] == MC_KERNEL and len(parts) == 3:
+                return RowProvenance(kind="mc", n_shots=int(parts[1]), seed=int(parts[2]))
             if parts[0] == "interp" and len(parts) == 3:
                 return RowProvenance(kind="interpolated", mu_lo=int(parts[1]), mu_hi=int(parts[2]))
         except ValueError:
@@ -362,10 +352,7 @@ def _parse_json(text: str, path: Path):
 
 
 def load_matrix(path: str | Path) -> ResponseMatrix:
-    """Read a matrix written by save_matrix, verifying its rows and fingerprint.
-
-    Monte Carlo rows from an older stream load, with one warning per file.
-    """
+    """Read a matrix written by save_matrix, verifying its rows and fingerprint."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -393,16 +380,6 @@ def load_matrix(path: str | Path) -> ResponseMatrix:
         warnings.warn(
             f"{path}: stored fingerprint {fp[:12]}... does not match the embedded "
             f"configuration ({matrix.fingerprint[:12]}...); trusting the embedded configuration",
-            stacklevel=2,
-        )
-    stale = [p.kernel for p in prov if p.kind == "mc" and p.kernel != MC_KERNEL]
-    if stale:
-        found = " and ".join(
-            f"v{i + 1} Monte Carlo tokens ('{k}:')" for i, k in enumerate(_RETIRED_MC_KERNELS) if k in stale
-        )
-        warnings.warn(
-            f"{path}: {len(stale)} of {len(prov)} rows carry {found}; this version draws the "
-            f"{MC_KERNEL} stream and cannot reproduce those rows from their seeds",
             stacklevel=2,
         )
     return matrix

@@ -616,6 +616,28 @@ MUTANTS = (
         '"energy_j": interval_to_energy(interval.width - 1, args.wavelength)',
         ("test_cli.py",),
     ),
+    Mutant(
+        "response_matrix.from_token_takes_any_mc_stream",
+        "response_matrix.py",
+        "if parts[0] == MC_KERNEL and len(parts) == 3:",
+        'if parts[0].startswith("mc") and len(parts) == 3:',
+        ("test_response_matrix.py::test_a_retired_stream_token_is_refused",),
+    ),
+    Mutant(
+        "mc_engine.chunk_window_is_the_whole_run",
+        "mc_engine.py",
+        "window = 2 * n_workers",
+        "window = n_chunks",
+        # The pool then takes every chunk at once: about 240 MB at 10**9 shots before the failing chunk stops it.
+        ("test_mc_engine.py::test_a_failing_chunk_stops_the_run_whatever_its_shot_count",),
+    ),
+    Mutant(
+        "cli.infer_keeps_its_files_on_a_file_error",
+        "cli.py",
+        "path.unlink()",
+        "pass",
+        ("test_cli.py::test_infer_file_error_leaves_no_output",),
+    ),
 )
 
 

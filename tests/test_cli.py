@@ -65,8 +65,8 @@ def test_version_agrees_across_package_project_and_cli(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    assert binflux.__version__ == declared == "0.11.0"
-    assert capsys.readouterr().out == "binflux 0.11.0\n"
+    assert binflux.__version__ == declared == "0.12.0"
+    assert capsys.readouterr().out == "binflux 0.12.0\n"
 
 
 def test_presets_listing(capsys):
@@ -351,6 +351,23 @@ def test_infer_posterior_csv(matrix_file, tmp_path, capsys):
     assert set(json.loads(result.read_text())) == {
         "energy_j", "interval", "log_evidence", "max_admissible_n", "mean", "mode", "n_observations",
     }
+
+
+@pytest.mark.parametrize(
+    "outputs, missing",
+    [
+        (["-o", "{tmp}/result.json", "--posterior", "{tmp}/nodir/post.csv"], "{tmp}/nodir/post.csv"),
+        (["--posterior", "{tmp}/nodir/post.csv"], "{tmp}/nodir/post.csv"),
+        (["-o", "{tmp}/nodir/result.json", "--posterior", "{tmp}/post.csv"], "{tmp}/nodir/result.json"),
+    ],
+    ids=["posterior", "posterior-with-stdout", "output"],
+)
+def test_infer_file_error_leaves_no_output(matrix_file, tmp_path, capsys, outputs, missing):
+    # Before, an unwritable --posterior path exited 3 after the result and its manifest were written.
+    outputs, missing = [a.format(tmp=tmp_path) for a in outputs], missing.format(tmp=tmp_path)
+    assert main(["infer", "-m", str(matrix_file), "--n", "3", *outputs]) == 3
+    assert capsys.readouterr() == ("", f"binflux: file error: [Errno 2] No such file or directory: '{missing}'\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

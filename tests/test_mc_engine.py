@@ -1,4 +1,7 @@
+import itertools
 import re
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from binflux import (
     simulate_batch,
     total_variation,
 )
+import binflux.mc_engine as mc_engine
 from binflux._rng import derive_seed, seed_sequence, uniform_lanes
 from binflux.mc_engine import FOCK_MC_CAP, _Kernel
 
@@ -76,6 +80,40 @@ def test_workers_env_cap(rapid32, rapid32_weights, monkeypatch, simulate_in_chun
 
 
 BAD_SEEDS = [2.5, True, False, -1, np.float64(2.0), "3"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_chunk_stops_the_run_whatever_its_shot_count(rapid32, rapid32_weights, monkeypatch, workers):
+    # The fourth chunk drawn raises. Before, the run made one tuple per chunk before drawing any (13 MB
+    # at 10**9 shots), and with workers 2 handed every chunk to the pool at once (about 240 MB).
+    def peak_and_draws(n_shots):
+        calls, drawn = itertools.count(1), []
+        # Each worker's first chunk is held until all are drawn, so the peak does not hang on timing.
+        first = threading.Barrier(workers)
+
+        def failing(seq, start, n, lanes):
+            call = next(calls)
+            drawn.append(call)
+            if call == 4:
+                raise RuntimeError("chunk 4 failed")
+            words = uniform_lanes(seq, start, n, lanes)
+            if call <= workers:
+                first.wait(timeout=60)
+            return words
+
+        monkeypatch.setattr(mc_engine, "uniform_lanes", failing)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="chunk 4 failed"):
+                simulate_batch(Coherent(5.0), rapid32_weights, rapid32.detector, n_shots, 1, workers=workers)
+            return tracemalloc.get_traced_memory()[1], len(drawn)
+        finally:
+            tracemalloc.stop()
+
+    small, _ = peak_and_draws(10**6)
+    large, drawn = peak_and_draws(10**9)
+    assert large - small <= 2**20
+    assert drawn <= 2 * workers + 2
 
 
 @pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)

@@ -24,6 +24,7 @@ from binflux import (
     validate_interpolation,
 )
 import binflux.response_matrix as response_matrix
+from binflux.cli import main
 from binflux.response_matrix import RowProvenance
 
 
@@ -327,16 +328,6 @@ def test_tampered_fingerprint_is_derived_and_warns_the_caller(small_matrix, tmp_
     assert loaded.fingerprint == fingerprint(loaded.system)
 
 
-@pytest.mark.parametrize("ext", ["csv", "json"])
-def test_legacy_mc_warning_names_the_caller(small_mc_matrix, tmp_path, ext):
-    p = tmp_path / f"legacy.{ext}"
-    save_matrix(small_mc_matrix, p)
-    p.write_text(p.read_text().replace("mc4:", "mc:"))
-    with pytest.warns(UserWarning, match="v1 Monte Carlo tokens") as caught:
-        load_matrix(p)
-    assert [w.filename for w in caught] == [__file__]
-
-
 def test_bad_provenance_token(small_matrix, tmp_path):
     p = tmp_path / "m.csv"
     save_matrix(small_matrix, p)
@@ -402,7 +393,7 @@ def _without(doc, key):
 @pytest.mark.parametrize(
     "ext, line, csv_edit, json_edit, where",
     [
-        ("csv", 2, lambda s: s.replace("exact;", "mc:abc:1;", 1), None, ":3: "),
+        ("csv", 2, lambda s: s.replace("exact;", "mc4:abc:1;", 1), None, ":3: "),
         ("json", None, None, lambda doc: _without(doc, "bins"), ": missing or malformed field"),
         ("json", None, None, lambda doc: [doc], ": not a binflux-matrix document"),
         ("json", None, None, lambda doc: {**doc, "provenance": 5}, ": missing or malformed field"),
@@ -467,7 +458,7 @@ C16 = system_to_dict(get_preset("conventional16"))
             (lambda s: _config_line(C16), lambda doc: {**doc, "config": C16}),
             "bins=32 but the embedded config has 16 bins",
         ),
-        ("exact", 2, _first_token("mc:5:1"), "row 0 has provenance 'mc:5:1' in a method=exact matrix"),
+        ("exact", 2, _first_token("mc4:5:1"), "row 0 has provenance 'mc4:5:1' in a method=exact matrix"),
         ("mc", 2, _first_token("exact"), "row 0 has provenance 'exact' in a method=mc matrix"),
     ],
     ids=["method", "bins", "mc-row-in-exact", "exact-row-in-mc"],
@@ -487,6 +478,25 @@ def test_mc_matrix_with_interpolated_rows_loads(small_mc_matrix, tmp_path):
     p = tmp_path / "m.csv"
     save_matrix(small_mc_matrix, p)
     assert {q.kind for q in load_matrix(p).provenance} == {"mc", "interpolated"}
+
+
+@pytest.mark.parametrize("ext", ["csv", "json"])
+@pytest.mark.parametrize("retired", ["mc", "mc2", "mc3"])
+def test_a_retired_stream_token_is_refused(small_mc_matrix, tmp_path, capsys, retired, ext):
+    # binflux 0.1-0.6 wrote rows of the v1-v3 streams; no seed of the current stream reproduces them.
+    p = tmp_path / f"m.{ext}"
+    save_matrix(small_mc_matrix, p)
+    p.write_text(p.read_text().replace("mc4:", f"{retired}:"))
+    token = repr(small_mc_matrix.provenance[0].token().replace("mc4:", f"{retired}:"))
+    if ext == "csv":
+        message = f"{p}:3: provenance: unrecognized token {token}"
+    else:
+        message = f"{p}: missing or malformed field (provenance: unrecognized token {token})"
+    with pytest.raises(MatrixFormatError) as exc:
+        load_matrix(p)
+    assert str(exc.value) == message
+    assert main(["infer", "-m", str(p), "--n", "3"]) == 3
+    assert capsys.readouterr() == ("", f"binflux: matrix file error: {message}\n")
 
 
 @pytest.mark.parametrize("ext", ["csv", "json"])
@@ -610,10 +620,7 @@ def random_matrices(draw):
     direct = (
         st.just(RowProvenance(kind="exact"))
         if method == "exact"
-        else st.builds(
-            lambda n, seed, kernel: RowProvenance(kind="mc", n_shots=n, seed=seed, kernel=kernel),
-            st.integers(1, 10**9), ints, st.sampled_from(["mc4", "mc3", "mc2", "mc"]),
-        )
+        else st.builds(lambda n, seed: RowProvenance(kind="mc", n_shots=n, seed=seed), st.integers(1, 10**9), ints)
     )
     interp = st.builds(lambda lo, hi: RowProvenance(kind="interpolated", mu_lo=lo, mu_hi=hi), ints, ints)
     prov = tuple(draw(st.lists(st.one_of(direct, interp), min_size=mu_max + 1, max_size=mu_max + 1)))
@@ -635,82 +642,7 @@ def test_random_matrix_save_load_round_trip(matrix, ext):
         assert p2.read_bytes() == ref.read_bytes()
     assert loaded.rows.tobytes() == matrix.rows.tobytes()  # bit for bit, -0.0 included
     assert loaded.provenance == matrix.provenance
-    legacy = any(p.kind == "mc" and p.kernel != "mc4" for p in matrix.provenance)
-    assert len(caught) == (1 if legacy else 0)
-
-
-@pytest.mark.parametrize("ext", ["csv", "json"])
-def test_legacy_mc_file_loads_warns_once_and_resaves_identically(small_mc_matrix, tmp_path, ext):
-    # A file the v1 kernel wrote differs from an mc4 one only in its tokens.
-    current, legacy, resaved = (tmp_path / f"{name}.{ext}" for name in ("current", "legacy", "resaved"))
-    save_matrix(small_mc_matrix, current)
-    assert "mc4:" in current.read_text()
-    legacy.write_text(current.read_text().replace("mc4:", "mc:"))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert [p.token() for p in load_matrix(current).provenance] == [
-            p.token() for p in small_mc_matrix.provenance
-        ]
     assert caught == []
-    with pytest.warns(UserWarning) as caught:
-        loaded = load_matrix(legacy)
-    assert len(caught) == 1
-    message = str(caught[0].message)
-    assert str(legacy) in message and "cannot reproduce" in message
-    assert [p.kernel for p in loaded.provenance if p.kind == "mc"] == ["mc"] * 3  # rows 0, 3 and 6
-    save_matrix(loaded, resaved)
-    assert resaved.read_bytes() == legacy.read_bytes()
-
-
-DATA = Path(__file__).parent / "data"
-MC2_FILE = DATA / "mc2_rapid32_mu6.csv"
-MC3_FILE = DATA / "mc3_rapid32_mu6.csv"
-
-
-def _assert_retired_file_loads_unchanged(path, tmp_path, kernels, found):
-    """One warning naming each retired stream of the file, rows bit-equal to its numbers, re-save byte-identical."""
-    with pytest.warns(UserWarning) as caught:
-        loaded = load_matrix(path)
-    assert len(caught) == 1
-    message = str(caught[0].message)
-    assert f"3 of 7 rows carry {found};" in message and "cannot reproduce" in message
-    lines = path.read_text().splitlines()
-    rows = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[4:]])
-    assert loaded.rows.tobytes() == rows.tobytes()
-    assert [p.kernel for p in loaded.provenance if p.kind == "mc"] == kernels  # rows 0, 3 and 6
-    resaved = tmp_path / "resaved.csv"
-    save_matrix(loaded, resaved)
-    assert resaved.read_bytes() == path.read_bytes()
-
-
-def test_mc2_file_loads_with_one_warning_and_unchanged_rows(tmp_path):
-    # Written by binflux 0.5.0 (the mc2 stream): build_matrix(rapid32, 6, "mc", n_shots=500, seed=4, support=[3]).
-    _assert_retired_file_loads_unchanged(MC2_FILE, tmp_path, ["mc2"] * 3, "v2 Monte Carlo tokens ('mc2:')")
-
-
-def test_mc3_file_loads_with_one_warning_and_unchanged_rows(tmp_path):
-    # Written by binflux 0.6.0 (the mc3 stream) with the same call as the mc2 file.
-    _assert_retired_file_loads_unchanged(MC3_FILE, tmp_path, ["mc3"] * 3, "v3 Monte Carlo tokens ('mc3:')")
-
-
-def test_file_with_mc2_and_mc3_rows_names_both_in_one_warning(tmp_path):
-    mixed = tmp_path / "mixed.csv"
-    mixed.write_text(MC3_FILE.read_text().replace("mc3:", "mc2:", 1))
-    found = "v2 Monte Carlo tokens ('mc2:') and v3 Monte Carlo tokens ('mc3:')"
-    _assert_retired_file_loads_unchanged(mixed, tmp_path, ["mc2", "mc3", "mc3"], found)
-
-
-def test_file_with_both_retired_streams_names_each_in_one_warning(small_mc_matrix, tmp_path):
-    p = tmp_path / "mixed.csv"
-    save_matrix(small_mc_matrix, p)
-    text = p.read_text()
-    p.write_text(text.replace("mc4:", "mc:", 1).replace("mc4:", "mc2:"))
-    with pytest.warns(UserWarning) as caught:
-        load_matrix(p)
-    assert len(caught) == 1
-    assert "3 of 7 rows carry v1 Monte Carlo tokens ('mc:') and v2 Monte Carlo tokens ('mc2:')" in str(
-        caught[0].message
-    )
 
 
 @pytest.mark.parametrize("mu_field", ["1.9", "nan", "inf", "1.0", "+1", " 1", ""])
